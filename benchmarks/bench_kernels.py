@@ -1,13 +1,14 @@
-"""Benchmark the compiled kernels against the pure-numpy fallback.
+"""Time per-ray against lockstep membership bisection on the same rays.
 
-The hot path is the membership bisection (`bisect_alpha`): a height
-function evaluation runs tens of containment tests back to back, which
-is where the numba-compiled loop pays off.  Run with:
+One subgradient estimate of the height function bisects 2n rays that
+share a direction x.  The per-ray path runs `bisect_py` once per ray;
+the lockstep path runs `bisect_rows` once for the whole (2n, n) stack.
+Run with:
 
     python3 benchmarks/bench_kernels.py
 
-The script times both implementations in-process (the compiled path is
-skipped automatically when ORC_NO_NUMBA=1 or numba is unavailable).
+Each line gives the best of two repeats over `STACKS` stacks of 2n
+rays, 40 rounds each, and the ratio of the two.
 """
 
 from __future__ import annotations
@@ -17,45 +18,51 @@ import time
 import numpy as np
 
 from orc import kernels
-from orc.bodies import Ball, BoxBody, Simplex
+from orc.bodies import Ball, BoxBody, Ellipsoid, Simplex, random_hpolytope
+from orc.core import RandomStream
+
+STACKS = 50
 
 
-def bench(fn, args_iter, repeats: int = 3) -> float:
+def best_of(fn, repeats: int = 2) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        for args in args_iter:
-            fn(*args)
+        fn()
         best = min(best, time.perf_counter() - start)
     return best
 
 
 def main() -> None:
     rng = np.random.default_rng(0)
-    cases = []
-    for n in (2, 8, 32):
-        for spec in (Ball(np.zeros(n), 1.0), BoxBody(np.zeros(n), 1.0),
-                     Simplex(n, 1.0)):
+    print(f"{'body':>10} {'n':>3} {'per-ray ms':>11} {'lockstep ms':>12} {'ratio':>6}")
+    for n in (4, 16, 32):
+        specs = {"ball": Ball(np.zeros(n), 1.0), "box": BoxBody(np.zeros(n), 1.0),
+                 "simplex": Simplex(n, 1.0),
+                 "ellipsoid": Ellipsoid(np.zeros(n), np.diag(rng.uniform(0.5, 1.5, n))),
+                 "hpoly": random_hpolytope(n, RandomStream(n))}
+        for name, spec in specs.items():
             code, M, v, s = spec.kernel_args()
-            for _ in range(200):
-                d = rng.normal(size=n) * 0.01
+            g = spec.geometry
+            stacks = []
+            for _ in range(STACKS):
+                D = g.center + 0.1 * g.r * rng.uniform(-1.0, 1.0, size=(2 * n, n))
                 x = rng.normal(size=n)
                 x /= np.linalg.norm(x)
-                cases.append((code, d, x, M, v, s, 4.0, 40))
+                stacks.append((D, x, np.full(2 * n, 4.0 * g.R), np.full(2 * n, 40)))
 
-    py_time = bench(kernels.bisect_py, cases)
-    print(f"pure numpy  bisect (40 iters x {len(cases)} queries): "
-          f"{py_time * 1e3:8.1f} ms")
+            def per_ray():
+                for D, x, hi, iters in stacks:
+                    for d, h, t in zip(D, hi, iters):
+                        kernels.bisect_py(code, d, x, M, v, s, h, t)
 
-    if kernels.NUMBA_ENABLED:
-        kernels.bisect_alpha(*cases[0])  # trigger compilation outside timing
-        nb_time = bench(kernels.bisect_alpha, cases)
-        print(f"numba njit  bisect (40 iters x {len(cases)} queries): "
-              f"{nb_time * 1e3:8.1f} ms")
-        print(f"speedup: {py_time / nb_time:0.1f}x")
-    else:
-        print("numba path disabled (ORC_NO_NUMBA set or numba missing); "
-              "only the fallback was timed")
+            def lockstep():
+                for D, x, hi, iters in stacks:
+                    kernels.bisect_rows(code, D, x, M, v, s, hi, iters)
+
+            ray_s, step_s = best_of(per_ray), best_of(lockstep)
+            print(f"{name:>10} {n:>3} {ray_s * 1e3:>11.1f} {step_s * 1e3:>12.1f} "
+                  f"{ray_s / step_s:>6.1f}")
 
 
 if __name__ == "__main__":

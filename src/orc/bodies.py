@@ -56,14 +56,6 @@ class BodySpec:
         """Largest t with geometry.center + t*u in K (u a unit vector)."""
         raise UnsupportedVariant(type(self).__name__)
 
-    def signed_distance(self, y: np.ndarray) -> float:
-        """Signed l2 distance to the boundary (negative inside).
-
-        Exact for all variants except HPolytope outside points, where an
-        exact projection is computed by face enumeration (small n only).
-        """
-        raise UnsupportedVariant(type(self).__name__)
-
 
 @dataclass(frozen=True)
 class Ball(BodySpec):
@@ -87,9 +79,6 @@ class Ball(BodySpec):
 
     def radial_scale(self, u):
         return self.radius
-
-    def signed_distance(self, y):
-        return float(np.linalg.norm(as_vector(y) - self.center)) - self.radius
 
 
 @dataclass(frozen=True)
@@ -118,11 +107,6 @@ class BoxBody(BodySpec):
 
     def radial_scale(self, u):
         return self.radius / float(np.max(np.abs(u)))
-
-    def signed_distance(self, y):
-        q = np.abs(as_vector(y) - self.center) - self.radius
-        outside = np.linalg.norm(np.maximum(q, 0.0))
-        return float(outside + min(np.max(q), 0.0))
 
 
 @dataclass(frozen=True)
@@ -169,13 +153,6 @@ class Simplex(BodySpec):
             if u[i] < 0.0:
                 t = min(t, -x0[i] / u[i])
         return t
-
-    def signed_distance(self, y):
-        y = as_vector(y)
-        if self.contains(y):
-            return -min(float(np.min(y)),
-                        (self.scale - float(np.sum(y))) / math.sqrt(self.dim))
-        return float(np.linalg.norm(y - _project_simplex(y, self.scale)))
 
 
 class HPolytope(BodySpec):
@@ -227,13 +204,6 @@ class HPolytope(BodySpec):
         den = self.A @ u
         pos = den > 0
         return float(np.min(num[pos] / den[pos]))
-
-    def signed_distance(self, y):
-        y = as_vector(y)
-        viol = self.A @ y - self.b
-        if np.max(viol) <= 0:
-            return float(np.max(viol))
-        return float(np.linalg.norm(y - _project_polytope(self.A, self.b, y)))
 
 
 @dataclass(frozen=True)
@@ -338,29 +308,6 @@ def _project_simplex(y: np.ndarray, s: float) -> np.ndarray:
     return np.maximum(y - tau, 0.0)
 
 
-def _project_polytope(A: np.ndarray, b: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection by enumerating faces (test utility)."""
-    m, n = A.shape
-    best, best_d = None, math.inf
-    for k in range(1, n + 1):
-        for idx in itertools.combinations(range(m), k):
-            sub, bs = A[list(idx)], b[list(idx)]
-            # project y onto the affine subspace {sub x = bs}
-            G = sub @ sub.T
-            try:
-                lam = np.linalg.solve(G, sub @ y - bs)
-            except np.linalg.LinAlgError:
-                continue
-            p = y - sub.T @ lam
-            if np.all(A @ p <= b + _FEAS_TOL):
-                d = float(np.linalg.norm(y - p))
-                if d < best_d:
-                    best, best_d = p, d
-    if best is None:
-        raise RuntimeError("projection enumeration failed")
-    return best
-
-
 # ---------------------------------------------------------------------------
 # exact oracles over bodies
 
@@ -398,6 +345,15 @@ class ExactMembership:
             else:
                 hi = mid
         return 0.5 * (lo + hi)
+
+    def alpha_bisect_rows(self, D, x, hi, iters, delta):
+        """`alpha_bisect` for every row of the (k, n) stack D, with per-row
+        brackets hi and round counts iters, as one lockstep bisection."""
+        if self._kargs is not None:
+            code, M, v, s = self._kargs
+            return kernels.bisect_rows(code, D, x, M, v, s, hi, iters)
+        return np.array([self.alpha_bisect(d, x, h, k, delta)
+                         for d, h, k in zip(D, hi, iters)])
 
 
 def exact_support(spec: BodySpec, c) -> tuple[float, np.ndarray]:
@@ -495,32 +451,6 @@ class Quadratic(FuncSpec):
         g0 = np.abs(2.0 * (self.A @ as_vector(center)) + self.b)
         spread = radius * np.sum(np.abs(2.0 * self.A), axis=1)
         return float(np.max(g0 + spread))
-
-
-@dataclass(frozen=True)
-class DistanceToBall(FuncSpec):
-    """max(0, ||x - center|| - radius): distance to a norm ball."""
-
-    center: np.ndarray
-    radius: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
-
-    def value(self, y):
-        return max(0.0, float(np.linalg.norm(as_vector(y) - self.center)) - self.radius)
-
-    def grad(self, y):
-        q = as_vector(y) - self.center
-        nrm = float(np.linalg.norm(q))
-        if nrm <= self.radius or nrm == 0.0:
-            return np.zeros(self.center.size)
-        return q / nrm
-
-    def linf_lipschitz(self, center, radius):
-        return 1.0
 
 
 @dataclass(frozen=True)

@@ -216,21 +216,29 @@ class _LedgeredOracle:
         return self._oracle(*args)
 
     # Fast-path passthrough for kernel-backed membership oracles: the
-    # bisection runs inside a compiled kernel, so the per-query counts
-    # are added in bulk (one record of `iters` queries).  Exposed as a
-    # property so getattr-based feature detection sees AttributeError
-    # when the wrapped oracle has no fast path.
-    @property
-    def alpha_bisect(self):
-        inner = getattr(self._oracle, "alpha_bisect", None)
+    # bisection runs inside a kernel, so the per-query counts are added
+    # in bulk (one record of `iters` queries for a ray, of sum(iters)
+    # for a stack of rays).  Exposed as properties so getattr-based
+    # feature detection sees AttributeError when the wrapped oracle has
+    # no fast path.
+    def _counted_fast_path(self, name: str, queries):
+        inner = getattr(self._oracle, name, None)
         if inner is None:
-            raise AttributeError("wrapped oracle has no alpha_bisect fast path")
+            raise AttributeError(f"wrapped oracle has no {name} fast path")
 
         def fast(d, x, hi, iters, delta):
-            self.ledger.record(self.kind, delta, iters)
+            self.ledger.record(self.kind, delta, queries(iters))
             return inner(d, x, hi, iters, delta)
 
         return fast
+
+    @property
+    def alpha_bisect(self):
+        return self._counted_fast_path("alpha_bisect", int)
+
+    @property
+    def alpha_bisect_rows(self):
+        return self._counted_fast_path("alpha_bisect_rows", lambda iters: int(np.sum(iters)))
 
     @property
     def has_alpha_bisect(self) -> bool:

@@ -11,9 +11,11 @@ byte-identical CSV output (timing column aside).
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import math
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -416,19 +418,46 @@ def _version() -> str:
 # ---------------------------------------------------------------------------
 # scaling fits
 
+_LOG_FACTOR_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                   ast.Mult: operator.mul, ast.Div: operator.truediv,
+                   ast.Pow: operator.pow}
+
+
+def _log_factor_value(node: ast.AST, names: dict[str, float]) -> float:
+    """Evaluate one node of a parsed log-factor; anything but numbers,
+    the names n and eps, + - * / **, unary minus and log() is refused."""
+    if isinstance(node, ast.Expression):
+        return _log_factor_value(node.body, names)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        # floats throughout: no arbitrarily large integer powers
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _LOG_FACTOR_OPS:
+        return _LOG_FACTOR_OPS[type(node.op)](_log_factor_value(node.left, names),
+                                              _log_factor_value(node.right, names))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_log_factor_value(node.operand, names)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "log" and len(node.args) == 1 and not node.keywords):
+        return math.log(_log_factor_value(node.args[0], names))
+    raise ValueError(f"unsupported syntax: {type(node).__name__}")
+
+
 def evaluate_log_factor(expr: str, n: float, eps: float) -> float:
     """Evaluate a normalization expression in the variables n and eps.
 
-    Accepts simple arithmetic plus log(), e.g. "log(1/eps)" or
-    "log(n/eps)"; "1" disables normalization.
+    Accepts numbers, n, eps, + - * / **, unary minus and log(), e.g.
+    "log(1/eps)" or "n**2*log(n/eps)"; "1" disables normalization.
+    The expression is parsed and walked, never executed.
     """
     try:
-        value = eval(expr, {"__builtins__": {}},
-                     {"log": math.log, "n": n, "eps": eps})
-    except Exception as exc:
+        value = _log_factor_value(ast.parse(expr, mode="eval"),
+                                  {"n": float(n), "eps": float(eps)})
+    except (SyntaxError, ValueError, ArithmeticError, TypeError, RecursionError) as exc:
         raise ValueError(f"cannot evaluate log-factor {expr!r}: {exc}")
-    value = float(value)
-    if not value > 0:
+    # a negative base to a fractional power gives a complex number
+    if not isinstance(value, float) or not value > 0:
         raise ValueError(f"log-factor {expr!r} must be positive, got {value}")
     return value
 

@@ -18,7 +18,7 @@ def as_vector(coords) -> np.ndarray:
     v = np.asarray(coords, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -81,7 +81,7 @@ class Box:
 def linf_ball_contains(box: Box, p) -> bool:
     p = as_vector(p)
     _check_same_dim(box.center, p)
-    return bool(np.max(np.abs(p - box.center)) <= box.radius)
+    return bool(np.abs(p - box.center).max() <= box.radius)
 
 
 def halfspace_contains(h: HalfSpace, p) -> bool:

@@ -46,10 +46,13 @@ class HeightOracle:
         if not self.bin_tol > 0.0:
             raise ValueError("bin_tol must be positive")
 
-    def iterations_for(self, d: np.ndarray) -> tuple[float, int]:
-        hi = (self.geometry.R + float(np.linalg.norm(d)) + self.mem_delta) / self.x_norm
+    def _bracket(self, d_norm: float) -> tuple[float, int]:
+        hi = (self.geometry.R + d_norm + self.mem_delta) / self.x_norm
         iters = max(1, math.ceil(math.log2(hi / self.bin_tol)))
         return hi, iters
+
+    def iterations_for(self, d: np.ndarray) -> tuple[float, int]:
+        return self._bracket(float(np.linalg.norm(d)))
 
     def alpha_x(self, d) -> float:
         d = as_vector(d)
@@ -66,13 +69,39 @@ class HeightOracle:
                 hi = mid
         return 0.5 * (lo + hi)
 
+    def alpha_rows(self, D) -> np.ndarray:
+        """alpha_x at every row of the (k, n) stack D.
+
+        A membership oracle with an `alpha_bisect_rows` fast path bisects
+        the whole stack in lockstep; any other oracle gets `alpha_x` row
+        by row, in row order, so its queries (and the draws of a noisy
+        oracle) come in the same order as k separate calls.
+        """
+        D = np.ascontiguousarray(D, dtype=np.float64)
+        if (D.ndim != 2 or D.shape[0] == 0 or D.shape[1] != self.x.size
+                or not np.isfinite(D).all()):
+            raise ValueError(f"expected a finite (k, {self.x.size}) stack with k >= 1, "
+                             f"got shape {D.shape}")
+        fast = getattr(self.mem, "alpha_bisect_rows", None)
+        if fast is None:
+            return np.array([self.alpha_x(d) for d in D])
+        # d.dot(d) of a contiguous row is what np.linalg.norm computes,
+        # so every row gets the bracket iterations_for gives it
+        hi, iters = zip(*(self._bracket(math.sqrt(d.dot(d))) for d in D))
+        return fast(D, self.x, np.array(hi), np.array(iters), self.mem_delta)
+
     def h_x(self, d) -> float:
         return -self.alpha_x(d) * self.x_norm
+
+    def h_rows(self, D) -> np.ndarray:
+        return -self.alpha_rows(D) * self.x_norm
 
     def as_eval(self):
         """EVAL-oracle view of h_x (the delta argument is ignored: the
         achieved additive error is bin_tol*||x|| plus the membership
-        oracle's geometric blur)."""
+        oracle's geometric blur).  Its `rows` attribute evaluates a
+        (k, n) stack of points in one call."""
         oracle = lambda d, delta: self.h_x(d)
         oracle.kind = EVAL
+        oracle.rows = lambda D, delta: self.h_rows(D)
         return oracle

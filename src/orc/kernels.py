@@ -1,11 +1,15 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-Everything here is called millions of times by the separation and
-optimization experiments: exact-body membership tests, the membership
+"""Hot numeric kernels: exact-body membership tests, the membership
 bisection that evaluates the height function, and the central-cut
-ellipsoid update.  The compiled path is selected at import time; set
-the environment variable ORC_NO_NUMBA=1 to force the numpy fallback
-(benchmarks/bench_kernels.py compares the two).
+ellipsoid update.
+
+The bisection runs in lockstep over a stack of rays: `bisect_rows`
+bisects k rays together, one containment test of the whole (k, n)
+stack per round, so one subgradient estimate's 2n height evaluations
+cost one numpy loop instead of 2n.  The single-ray `bisect_py` is a
+stack of one through the same kernel.  An optional numba build of the
+single-ray loop is used for `bisect_alpha` when numba is importable and
+ORC_NO_NUMBA is unset; `benchmarks/bench_kernels.py` times per-ray
+against lockstep bisection.
 
 Reference bodies are encoded for the kernels as a tuple
 (code, M, v, s):
@@ -51,21 +55,60 @@ def inside_py(code: int, p: np.ndarray, M: np.ndarray, v: np.ndarray, s: float) 
     raise ValueError(f"unknown body code {code}")
 
 
+def inside_rows(code: int, P: np.ndarray, M: np.ndarray, v: np.ndarray,
+                s: float) -> np.ndarray:
+    """`inside_py` for every row of the (k, n) stack P, as a bool array."""
+    if code == BALL:
+        Q = P - v
+        return np.einsum("ij,ij->i", Q, Q) <= s * s
+    if code == BOX:
+        return np.abs(P - v).max(axis=1) <= s
+    if code == SIMPLEX:
+        return (P.min(axis=1) >= 0.0) & (P.sum(axis=1) <= s)
+    if code == HPOLY:
+        return (P @ M.T <= v).all(axis=1)
+    if code == ELLIPSOID:
+        Q = P - v
+        return np.einsum("ij,ij->i", Q @ M.T, Q) <= 1.0
+    raise ValueError(f"unknown body code {code}")
+
+
+def bisect_rows(code: int, D: np.ndarray, x: np.ndarray, M: np.ndarray,
+                v: np.ndarray, s: float, hi, iters) -> np.ndarray:
+    """Largest alpha with D[i] + alpha*x inside the body, for every row i.
+
+    x is one (n,) direction shared by all rows; hi and iters give each
+    row its own bracket [0, hi[i]] and round count.  All rows are tested
+    together each round.  Row i's answer is taken after its own iters[i]
+    rounds, so every row gets exactly the midpoints, containment answers
+    and alpha of its single-ray bisection.  Precondition per row: D[i]
+    is inside and D[i] + hi[i]*x is outside.
+    """
+    hi = np.array(hi, dtype=np.float64)
+    iters = np.asarray(iters)
+    lo = np.zeros_like(hi)
+    mid = 0.5 * (lo + hi)
+    alpha = mid.copy()
+    shortest = int(iters.min()) if iters.size else 0
+    for step in range(1, int(iters.max(initial=0)) + 1):
+        inside = inside_rows(code, D + mid[:, None] * x, M, v, s)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+        mid = 0.5 * (lo + hi)
+        if step >= shortest:
+            np.copyto(alpha, mid, where=iters == step)
+    return alpha
+
+
 def bisect_py(code: int, d: np.ndarray, x: np.ndarray, M: np.ndarray,
               v: np.ndarray, s: float, hi: float, iters: int) -> float:
     """Largest alpha with d + alpha*x inside the body, by bisection.
 
     Precondition: d is inside and d + hi*x is outside.  Runs a fixed
-    `iters` rounds, shrinking the bracket by half each time.
+    `iters` rounds, shrinking the bracket by half each time; a stack of
+    one through `bisect_rows`.
     """
-    lo = 0.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if inside_py(code, d + mid * x, M, v, s):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(bisect_rows(code, d[None, :], x, M, v, s, (hi,), (iters,))[0])
 
 
 def ellipsoid_cut_py(center: np.ndarray, P: np.ndarray,
@@ -169,7 +212,7 @@ if NUMBA_ENABLED:
         _inside_loop = njit(cache=True)(_inside_loop)
         inside_nb = _inside_loop
         bisect_nb = njit(cache=True)(_bisect_loop)
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is an optional extra
         NUMBA_ENABLED = False
 
 if NUMBA_ENABLED:
@@ -178,5 +221,3 @@ if NUMBA_ENABLED:
 else:
     inside = inside_py
     bisect_alpha = bisect_py
-
-ellipsoid_cut_kernel = ellipsoid_cut_py

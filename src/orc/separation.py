@@ -127,17 +127,24 @@ class _AffineMem:
     def __call__(self, y, delta):
         return self._inner(self._center + self._scale * as_vector(y), delta * self._scale)
 
-    @property
-    def alpha_bisect(self):
-        inner_fast = getattr(self._inner, "alpha_bisect", None)
+    def _shifted_fast_path(self, name: str):
+        inner_fast = getattr(self._inner, name, None)
         if inner_fast is None:
-            raise AttributeError("inner oracle has no alpha_bisect fast path")
+            raise AttributeError(f"inner oracle has no {name} fast path")
 
         def fast(d, x, hi, iters, delta):
             return inner_fast(self._center + self._scale * d, self._scale * x,
                               hi, iters, delta * self._scale)
 
         return fast
+
+    @property
+    def alpha_bisect(self):
+        return self._shifted_fast_path("alpha_bisect")
+
+    @property
+    def alpha_bisect_rows(self):
+        return self._shifted_fast_path("alpha_bisect_rows")
 
 
 class SepFromMem:

@@ -68,16 +68,22 @@ def separate_convex_func(f_eval, params: EstimatorParams, rng: RandomStream) -> 
     f_eval(point, delta) -> float must have additive error at most
     params.eps on B_inf(x, 2*r1).  Exactly two evaluations per
     coordinate, at the endpoints of the axis chord of B_inf(y, r2)
-    through z; no evaluation is reused.
+    through z; no evaluation is reused.  The 2n points are evaluated in
+    the order hi_0, lo_0, hi_1, lo_1, ...: as one (2n, n) stack when
+    f_eval has a `rows(points, delta)` form, otherwise one at a time.
     """
     y, z = sample_box_points(params, rng)
     inner = Box(y, params.r2)
-    g = np.empty(params.n)
-    inv = 1.0 / (2.0 * params.r2)
+    points = []
     for i in range(params.n):
         lo, hi = coordinate_segment_endpoints(inner, z, i)
-        g[i] = (f_eval(hi, params.eps) - f_eval(lo, params.eps)) * inv
-    return g
+        points += (hi, lo)
+    rows = getattr(f_eval, "rows", None)
+    if rows is not None:
+        values = rows(np.array(points), params.eps)
+    else:
+        values = np.array([f_eval(p, params.eps) for p in points])
+    return (values[0::2] - values[1::2]) * (1.0 / (2.0 * params.r2))
 
 
 def expected_flatness_defect(f: FuncSpec, x, r1: float, r2: float,

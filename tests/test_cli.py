@@ -5,7 +5,7 @@ import math
 import pytest
 
 from orc.cli import main
-from orc.experiments import CSV_COLUMNS
+from orc.experiments import CSV_COLUMNS, evaluate_log_factor
 
 
 def _config(**overrides):
@@ -163,6 +163,37 @@ def test_fit_scaling_log_factor(tmp_path, capsys):
                  "--log-factor", "log(1/eps)"]) == 0
     out = capsys.readouterr().out
     assert "1.00" in out
+
+
+@pytest.mark.parametrize("expr, expected", [
+    ("1", 1.0),
+    ("log(1/eps)", math.log(1e4)),
+    ("n**2*log(n/eps)", 16.0 * math.log(4e4)),
+    ("-(1 - n)", 3.0),
+])
+def test_log_factor_accepts_arithmetic_and_log(expr, expected):
+    assert evaluate_log_factor(expr, 4.0, 1e-4) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("expr", [
+    "().__class__.__base__.__subclasses__()",
+    "n.real",
+    "__import__('os')",
+    "exp(n)",
+    "log(n, 2)",
+    "[n][0]",
+    "'n'",
+    "True",
+    "(lambda: 1)()",
+    "9**9**9",
+    "log(-n)",
+    "1/(n - 4)",
+    "(-n)**0.5",
+    "-n",
+])
+def test_log_factor_rejects_anything_else(expr):
+    with pytest.raises(ValueError):
+        evaluate_log_factor(expr, 4.0, 1e-4)
 
 
 def test_fit_scaling_needs_enough_distinct_x(tmp_path):

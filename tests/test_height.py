@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orc.bodies import Ball, BoxBody, ExactMembership, Simplex
+from orc.bodies import Ball, BoxBody, Ellipsoid, ExactMembership, Simplex
 from orc.core import MEM, ProblemGeometry, QueryLedger, wrap_with_ledger
 from orc.height import HeightOracle
 
@@ -77,6 +77,63 @@ def test_iteration_count_and_mem_calls_match():
         (1.0 + np.linalg.norm(d) + 0.01) / 0.5 / 1e-6))
     h.alpha_x(d)
     assert ledger.count(MEM) == iters
+
+
+def _stack(spec, gen, k):
+    return spec.geometry.center + 0.05 * gen.normal(size=(k, spec.dim))
+
+
+def test_stack_heights_equal_per_row_heights():
+    gen = np.random.default_rng(8)
+    for spec in (Simplex(4, 1.0), BoxBody(np.zeros(4), 1.0)):
+        h = _height(spec, [0.4, -0.1, 0.2, 0.3], geometry=spec.geometry)
+        D = _stack(spec, gen, 8)
+        np.testing.assert_array_equal(h.h_rows(D), [h.h_x(d) for d in D])
+        np.testing.assert_array_equal(h.as_eval().rows(D, 0.1), h.h_rows(D))
+
+
+def test_stack_records_per_row_mem_count_once():
+    gen = np.random.default_rng(9)
+    spec = Ellipsoid(np.zeros(3), np.diag([0.5, 1.0, 2.0]))
+    D = _stack(spec, gen, 6)
+    x = np.array([0.3, 0.9, -0.2])
+    stacked, per_row = QueryLedger(), QueryLedger()
+    h = HeightOracle(wrap_with_ledger(ExactMembership(spec), stacked),
+                     spec.geometry, x, 1e-9, 1e-12)
+    h.alpha_rows(D)
+    h_row = HeightOracle(wrap_with_ledger(ExactMembership(spec), per_row),
+                         spec.geometry, x, 1e-9, 1e-12)
+    for d in D:
+        h_row.alpha_x(d)
+    assert stacked.count(MEM) == per_row.count(MEM) == sum(h.iterations_for(d)[1] for d in D)
+    # the ledger took the stack as one record
+    assert len(stacked.snapshot()) == 1
+
+
+def test_stack_without_fast_path_falls_back_row_by_row():
+    spec = Ball(np.zeros(2), 1.0)
+    seen = []
+
+    def mem(y, delta):
+        seen.append(np.array(y))
+        return ExactMembership(spec)(y, delta)
+
+    mem.kind = MEM
+    h = HeightOracle(mem, GEOM2, np.array([0.5, 0.0]), 1e-6, 0.01)
+    D = np.array([[0.1, 0.1], [-0.2, 0.0]])
+    alphas = h.alpha_rows(D)
+    first_row_queries = h.iterations_for(D[0])[1]
+    # row order: every query of row 0 comes before any query of row 1
+    assert all(q[1] == 0.1 for q in seen[:first_row_queries])
+    assert all(q[1] == 0.0 for q in seen[first_row_queries:])
+    np.testing.assert_array_equal(alphas, [h.alpha_x(d) for d in D])
+
+
+def test_stack_rejects_malformed_input():
+    h = _height(Ball(np.zeros(2), 1.0), [0.5, 0.0])
+    for bad in (np.zeros(2), np.zeros((0, 2)), np.zeros((3, 3)), np.array([[0.0, np.nan]])):
+        with pytest.raises(ValueError):
+            h.alpha_rows(bad)
 
 
 def test_rejects_degenerate_inputs():

@@ -26,10 +26,10 @@ def test_inside_matches_python_reference():
     for n in (2, 3, 6):
         for spec in _specs(n):
             code, M, v, s = spec.kernel_args()
-            for _ in range(300):
-                p = gen.normal(size=n) * 1.2
-                assert (kernels.inside(code, p, M, v, s)
-                        == kernels.inside_py(code, p, M, v, s))
+            P = gen.normal(size=(300, n)) * 1.2
+            expected = [kernels.inside_py(code, p, M, v, s) for p in P]
+            assert [kernels.inside(code, p, M, v, s) for p in P] == expected
+            assert kernels.inside_rows(code, P, M, v, s).tolist() == expected
 
 
 def test_bisect_matches_python_reference_bitwise():
@@ -53,6 +53,60 @@ def test_bisect_ball_closed_form():
     x = np.array([0.5, 0.0, 0.0])
     alpha = kernels.bisect_py(code, np.zeros(3), x, M, v, s, 8.0, 50)
     assert abs(alpha - 2.0) < 1e-9
+
+
+def _rays(spec, gen, k):
+    """k seeded rays from near the center, each with its own bracket and
+    round count; every bracket's upper end is outside the body."""
+    n = spec.dim
+    D = spec.geometry.center + 0.05 * spec.geometry.r * gen.normal(size=(k, n))
+    x = gen.normal(size=n)
+    x /= np.linalg.norm(x)
+    hi = 4.0 * spec.geometry.R * gen.uniform(1.0, 2.0, size=k)
+    iters = gen.integers(1, 48, size=k)
+    return D, x, hi, iters
+
+
+def _per_ray(spec, D, x, hi, iters):
+    code, M, v, s = spec.kernel_args()
+    return np.array([kernels.bisect_py(code, d, x, M, v, s, h, int(t))
+                     for d, h, t in zip(D, hi, iters)])
+
+
+def test_lockstep_matches_per_ray_bitwise_on_box_and_simplex():
+    gen = np.random.default_rng(5)
+    for n in (2, 5, 16):
+        for spec in (BoxBody(np.zeros(n), 0.8), Simplex(n, 1.0)):
+            code, M, v, s = spec.kernel_args()
+            D, x, hi, iters = _rays(spec, gen, 2 * n)
+            lockstep = kernels.bisect_rows(code, D, x, M, v, s, hi, iters)
+            np.testing.assert_array_equal(lockstep, _per_ray(spec, D, x, hi, iters))
+
+
+def test_lockstep_within_final_bracket_on_ball_ellipsoid_polytope():
+    gen = np.random.default_rng(6)
+    for n in (2, 5, 16):
+        for spec in _specs(n):
+            if isinstance(spec, (BoxBody, Simplex)):
+                continue
+            code, M, v, s = spec.kernel_args()
+            D, x, hi, iters = _rays(spec, gen, 2 * n)
+            lockstep = kernels.bisect_rows(code, D, x, M, v, s, hi, iters)
+            width = hi / 2.0 ** iters
+            assert np.all(np.abs(lockstep - _per_ray(spec, D, x, hi, iters)) <= width)
+
+
+def test_lockstep_rows_stop_after_their_own_rounds():
+    # one ray, repeated with 1..30 rounds: row t must be the t-round answer
+    ball = Ball(np.zeros(3), 1.0)
+    code, M, v, s = ball.kernel_args()
+    iters = np.arange(1, 31)
+    D = np.zeros((iters.size, 3))
+    x = np.array([0.5, 0.0, 0.0])
+    lockstep = kernels.bisect_rows(code, D, x, M, v, s, np.full(iters.size, 8.0), iters)
+    for t, alpha in zip(iters, lockstep):
+        assert alpha == kernels.bisect_py(code, np.zeros(3), x, M, v, s, 8.0, int(t))
+    assert abs(lockstep[-1] - 2.0) <= 8.0 / 2.0 ** 30
 
 
 def test_ellipsoid_cut_volume_ratio():

@@ -6,15 +6,17 @@ import pytest
 from orc.bodies import (Ball, BoxBody, ExactMembership, ExactOptimization,
                         ExactSeparation, ExactValidity, Linear, Quadratic,
                         Simplex, exact_eval)
-from orc.core import (MEM, MembershipAnswer, ProblemGeometry, QueryLedger,
-                      RandomStream, ValidityAnswer, wrap_with_ledger)
+from orc.core import (GRAD, MEM, GradAnswer, MembershipAnswer,
+                      ProblemGeometry, QueryLedger, RandomStream,
+                      ValidityAnswer, wrap_with_ledger)
 from orc.geometry import unit
 from orc.reductions import (EpigraphBody, VerticalCut,
                             eval_from_mem_epigraph, eval_from_mem_indicator,
                             eval_support_from_val, grad_conjugate_from_opt,
                             grad_from_sep_epigraph, grad_from_sep_indicator,
                             mem_from_eval_indicator, mem_from_sep,
-                            opt_from_mem, opt_from_val, sep_from_opt,
+                            opt_from_mem, opt_from_val,
+                            sep_from_grad_indicator, sep_from_opt,
                             support_eval_from_opt, val_from_eval_support)
 
 INSIDE = MembershipAnswer.INSIDE_DILATED
@@ -43,6 +45,26 @@ def test_grad_indicator_from_separation():
     outside = grad(np.array([2.0, 0.0]), 1e-6)
     assert outside.value == math.inf
     np.testing.assert_allclose(outside.subgrad, [1.0, 0.0])
+
+
+def test_sep_from_grad_indicator_thresholds_the_value():
+    answers = {0.0: GradAnswer(0.2, np.array([5.0, 0.0])),
+               1.0: GradAnswer(math.inf, np.array([3.0, -4.0]))}
+
+    def grad(y, delta):
+        return answers[float(y[0])]
+
+    grad.kind = GRAD
+    sep = sep_from_grad_indicator(grad)
+    # a value below the 1/2 threshold reads as inside, whatever the subgradient
+    assert sep(np.array([0.0, 0.5]), 1e-6).inside
+    y = np.array([1.0, 0.5])
+    h = sep(y, 1e-6).halfspace
+    np.testing.assert_allclose(h.normal, [0.6, -0.8])
+    np.testing.assert_array_equal(h.anchor, y)
+    assert h.slack == 0.0
+    with pytest.raises(ValueError):
+        sep(y, 0.0)
 
 
 def test_mem_from_sep_drops_certificate():

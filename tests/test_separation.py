@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from orc.bodies import Ball, BoxBody, ExactMembership, Simplex
+from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership, FlipNoise,
+                        Simplex, random_hpolytope)
 from orc.core import (MEM, ProblemGeometry, QueryLedger, RandomStream,
                       wrap_with_ledger)
+from orc.geometry import Box, coordinate_segment_endpoints
+from orc.height import HeightOracle
 from orc.separation import (ANCHORED, THEORETICAL, DegenerateGradient,
                             SeparatorConfig, SepFromMem, separate,
                             theoretical_slack)
+from orc.subgrad import (EstimatorParams, sample_box_points,
+                         separate_convex_func)
 
 BALL_GEOM = ProblemGeometry(2, 1.0, 1.0)
 
@@ -187,3 +192,77 @@ def test_sep_from_mem_recenters_anchor_to_caller_frame():
     h = sep(y, 0.01).halfspace
     np.testing.assert_array_equal(h.anchor, y)
     assert float(h.normal @ np.array([1.0, 0.0])) > 0.9
+
+
+class _PerRayMem:
+    """ExactMembership without the stack fast path: heights are bisected
+    one ray at a time."""
+
+    kind = MEM
+
+    def __init__(self, spec):
+        self._mem = ExactMembership(spec)
+
+    def __call__(self, y, delta):
+        return self._mem(y, delta)
+
+    def alpha_bisect(self, d, x, hi, iters, delta):
+        return self._mem.alpha_bisect(d, x, hi, iters, delta)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Simplex(6, 1.0),
+    lambda: Ellipsoid(np.zeros(5), np.diag([0.3, 0.6, 1.0, 1.5, 2.0])),
+    lambda: random_hpolytope(5, RandomStream(4)),
+], ids=["simplex", "ellipsoid", "hpoly"])
+def test_stack_path_gives_per_ray_normal_and_mem_count(make):
+    spec = make()
+    gen = np.random.default_rng(12)
+    for trial in range(5):
+        u = gen.normal(size=spec.dim)
+        u /= np.linalg.norm(u)
+        y = spec.geometry.center + 1.2 * spec.radial_scale(u) * u
+        answers = []
+        for mem in (ExactMembership(spec), _PerRayMem(spec)):
+            ledger = QueryLedger()
+            sep = SepFromMem(wrap_with_ledger(mem, ledger), spec.geometry,
+                             RandomStream(trial), eps=1e-8, rho=0.1)
+            answers.append((sep(y, 0.01).halfspace.normal, ledger.count(MEM)))
+        (stacked, stacked_mem), (per_ray, per_ray_mem) = answers
+        assert stacked_mem == per_ray_mem > 1  # the height branch ran
+        np.testing.assert_array_equal(stacked, per_ray)
+
+
+def test_flip_noise_sees_queries_in_per_point_order():
+    # the per-point estimator: each chord endpoint evaluated in turn,
+    # hi before lo, one full bisection each
+    def per_point_estimate(ho, params, rng):
+        y, z = sample_box_points(params, rng)
+        inner = Box(y, params.r2)
+        g = np.empty(params.n)
+        for i in range(params.n):
+            lo, hi = coordinate_segment_endpoints(inner, z, i)
+            g[i] = (ho.h_x(hi) - ho.h_x(lo)) * (1.0 / (2.0 * params.r2))
+        return g
+
+    spec = Simplex(3, 1.0)
+    geom = spec.geometry.rescaled()
+    x = np.array([0.4, 0.3, 0.2])
+    params = EstimatorParams(np.zeros(3), 0.02, 4e-6, 3.0 * geom.kappa)
+    runs = []
+    for estimate in (lambda ho, rng: separate_convex_func(ho.as_eval(), params, rng),
+                     lambda ho, rng: per_point_estimate(ho, params, rng)):
+        seen = []
+
+        def recording(y, delta, seen=seen):
+            seen.append(np.array(y))
+            return ExactMembership(spec)(spec.geometry.center + spec.geometry.R * y,
+                                         delta)
+
+        noisy = FlipNoise(recording, 0.05, RandomStream(3))
+        ho = HeightOracle(noisy, geom, x, 1e-6, 1e-6)
+        runs.append((estimate(ho, RandomStream(7)), seen))
+    (g, seen), (g_ref, seen_ref) = runs
+    assert len(seen) == len(seen_ref) > 0
+    np.testing.assert_array_equal(np.array(seen), np.array(seen_ref))
+    np.testing.assert_array_equal(g, g_ref)
