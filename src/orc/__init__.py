@@ -17,14 +17,13 @@ from .bodies import (Ball, BodySpec, BoxBody, Ellipsoid, ExactEval,
                      random_hpolytope)
 from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, VIOL, GradAnswer,
                    MembershipAnswer, OptimizationAnswer, ProblemGeometry,
-                   QueryLedger, QueryOutsideUnitBall, RandomStream,
-                   SeparationAnswer, ValidityAnswer, ViolationAnswer,
-                   amplify, check_precision, wrap_with_ledger)
+                   QueryLedger, RandomStream, SeparationAnswer, ValidityAnswer,
+                   ViolationAnswer, amplify, check_precision, wrap_with_ledger)
 from .ellipsoid import (EllipsoidState, MaxItersExhausted, OptimizerConfig,
                         OracleInconsistency, ellipsoid_cut, opt_from_viol,
                         optimize_linear, viol_from_opt)
 from .geometry import Box, HalfSpace, as_unit_vector, as_vector, unit
-from .height import BisectionPreconditionError, HeightOracle
+from .height import HeightOracle
 from .reductions import (EmptyInteriorPropagated, EpigraphBody, VerticalCut,
                          eval_from_mem_epigraph, eval_from_mem_indicator,
                          eval_support_from_val, grad_conjugate_from_opt,

@@ -41,7 +41,7 @@ class BodySpec:
         return self.geometry.n
 
     def kernel_args(self):
-        """(code, M, v, s) encoding for the compiled membership kernels."""
+        """(code, M, v, s) encoding for the membership kernels."""
         raise UnsupportedVariant(type(self).__name__)
 
     def contains(self, y: np.ndarray) -> bool:
@@ -267,14 +267,19 @@ def _radial_from(body: BodySpec, x0: np.ndarray, u: np.ndarray) -> float:
     """max t with x0 + t*u in body, by bisection against exact containment."""
     if np.array_equal(x0, body.geometry.center):
         return body.radial_scale(u)
-    lo, hi = 0.0, (body.geometry.R + float(np.linalg.norm(x0 - body.geometry.center)))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if body.contains(x0 + mid * u):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    hi = body.geometry.R + float(np.linalg.norm(x0 - body.geometry.center))
+    return float(kernels.bisect_rows(_contains_rows(body), x0[None, :], u, (hi,), (80,))[0])
+
+
+def _contains_rows(spec: BodySpec):
+    """Exact containment of every row of a (k, n) stack, as a bool array:
+    the kernel's row test for a body with a kernel encoding, otherwise
+    `spec.contains` row by row."""
+    try:
+        code, M, v, s = spec.kernel_args()
+    except UnsupportedVariant:
+        return lambda P: np.array([spec.contains(p) for p in P], dtype=bool)
+    return lambda P: kernels.inside_rows(code, P, M, v, s)
 
 
 def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -324,36 +329,20 @@ class ExactMembership:
 
     def __init__(self, spec: BodySpec):
         self.spec = spec
-        try:
-            self._kargs = spec.kernel_args()
-        except UnsupportedVariant:
-            self._kargs = None
+        self._contains_rows = _contains_rows(spec)
 
     def __call__(self, y, delta):
         return exact_membership(self.spec, y, delta)
 
-    def alpha_bisect(self, d, x, hi, iters, delta):
-        """Run the full membership bisection for max{a : d + a*x in K}."""
-        if self._kargs is not None:
-            code, M, v, s = self._kargs
-            return float(kernels.bisect_alpha(code, d, x, M, v, s, hi, iters))
-        lo = 0.0
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if self.spec.contains(d + mid * x):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
     def alpha_bisect_rows(self, D, x, hi, iters, delta):
-        """`alpha_bisect` for every row of the (k, n) stack D, with per-row
-        brackets hi and round counts iters, as one lockstep bisection."""
-        if self._kargs is not None:
-            code, M, v, s = self._kargs
-            return kernels.bisect_rows(code, D, x, M, v, s, hi, iters)
-        return np.array([self.alpha_bisect(d, x, h, k, delta)
-                         for d, h, k in zip(D, hi, iters)])
+        """Run the full membership bisection for max{a : D[i] + a*x in K}
+        at every row of the (k, n) stack D, with per-row brackets hi and
+        round counts iters, as one lockstep bisection."""
+        return kernels.bisect_rows(self._contains_rows, D, x, hi, iters)
+
+    def alpha_bisect(self, d, x, hi, iters, delta):
+        """`alpha_bisect_rows` for the single ray d + a*x."""
+        return float(self.alpha_bisect_rows(d[None, :], x, (hi,), (iters,), delta)[0])
 
 
 def exact_support(spec: BodySpec, c) -> tuple[float, np.ndarray]:

@@ -47,14 +47,6 @@ def check_precision(delta: float) -> float:
     return float(delta)
 
 
-class QueryOutsideUnitBall(ValueError):
-    """EVAL/GRAD queries are only defined for ||y||_2 <= 1.
-
-    The source definitions are silent about points outside the unit
-    ball, so we refuse them loudly instead of guessing.
-    """
-
-
 @dataclass(frozen=True)
 class ProblemGeometry:
     """Sandwiching-ball data: B(center, r) within K within B(center, R)."""
@@ -215,34 +207,20 @@ class _LedgeredOracle:
         self.ledger.record(self.kind, args[-1])
         return self._oracle(*args)
 
-    # Fast-path passthrough for kernel-backed membership oracles: the
-    # bisection runs inside a kernel, so the per-query counts are added
-    # in bulk (one record of `iters` queries for a ray, of sum(iters)
-    # for a stack of rays).  Exposed as properties so getattr-based
-    # feature detection sees AttributeError when the wrapped oracle has
-    # no fast path.
-    def _counted_fast_path(self, name: str, queries):
-        inner = getattr(self._oracle, name, None)
-        if inner is None:
-            raise AttributeError(f"wrapped oracle has no {name} fast path")
-
-        def fast(d, x, hi, iters, delta):
-            self.ledger.record(self.kind, delta, queries(iters))
-            return inner(d, x, hi, iters, delta)
-
-        return fast
-
-    @property
-    def alpha_bisect(self):
-        return self._counted_fast_path("alpha_bisect", int)
-
     @property
     def alpha_bisect_rows(self):
-        return self._counted_fast_path("alpha_bisect_rows", lambda iters: int(np.sum(iters)))
+        """The wrapped oracle's stack bisection, recording sum(iters)
+        queries in one record.  A property, so getattr-based feature
+        detection sees AttributeError when the wrapped oracle has none."""
+        inner = getattr(self._oracle, "alpha_bisect_rows", None)
+        if inner is None:
+            raise AttributeError("wrapped oracle has no alpha_bisect_rows fast path")
 
-    @property
-    def has_alpha_bisect(self) -> bool:
-        return hasattr(self._oracle, "alpha_bisect")
+        def fast(D, x, hi, iters, delta):
+            self.ledger.record(self.kind, delta, int(np.sum(iters)))
+            return inner(D, x, hi, iters, delta)
+
+        return fast
 
 
 def wrap_with_ledger(oracle, ledger: QueryLedger, kind: str | None = None):

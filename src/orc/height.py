@@ -18,10 +18,6 @@ from .core import EVAL, ProblemGeometry
 from .geometry import as_vector
 
 
-class BisectionPreconditionError(RuntimeError):
-    """The membership oracle rejected the base point d itself."""
-
-
 @dataclass
 class HeightOracle:
     """Evaluates alpha_x / h_x to additive bisection tolerance bin_tol.
@@ -57,9 +53,9 @@ class HeightOracle:
     def alpha_x(self, d) -> float:
         d = as_vector(d)
         hi, iters = self.iterations_for(d)
-        fast = getattr(self.mem, "alpha_bisect", None)
+        fast = getattr(self.mem, "alpha_bisect_rows", None)
         if fast is not None:
-            return float(fast(d, self.x, hi, iters, self.mem_delta))
+            return float(fast(d[None, :], self.x, (hi,), (iters,), self.mem_delta)[0])
         lo = 0.0
         for _ in range(iters):
             mid = 0.5 * (lo + hi)

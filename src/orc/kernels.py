@@ -2,14 +2,13 @@
 bisection that evaluates the height function, and the central-cut
 ellipsoid update.
 
-The bisection runs in lockstep over a stack of rays: `bisect_rows`
-bisects k rays together, one containment test of the whole (k, n)
-stack per round, so one subgradient estimate's 2n height evaluations
-cost one numpy loop instead of 2n.  The single-ray `bisect_py` is a
-stack of one through the same kernel.  An optional numba build of the
-single-ray loop is used for `bisect_alpha` when numba is importable and
-ORC_NO_NUMBA is unset; `benchmarks/bench_kernels.py` times per-ray
-against lockstep bisection.
+All of it is numpy code.  `inside` tests one point and `inside_rows`
+every row of a (k, n) stack.  `bisect_rows` is the one bisection loop:
+it bisects k rays in lockstep, one containment test of the whole stack
+per round, so one subgradient estimate's 2n height evaluations cost one
+numpy loop instead of 2n.  It takes the stack containment test as a
+callable, so a body without a kernel encoding bisects through the same
+loop.  `bisect_alpha` is a stack of one through it.
 
 Reference bodies are encoded for the kernels as a tuple
 (code, M, v, s):
@@ -26,7 +25,6 @@ All inside tests are closed (non-strict <=).
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -35,11 +33,11 @@ BALL, BOX, SIMPLEX, HPOLY, ELLIPSOID = 0, 1, 2, 3, 4
 _EMPTY_M = np.zeros((0, 0))
 _EMPTY_V = np.zeros(0)
 
+# There is no compiled build; perfbench/run.py's provenance reads this flag.
+NUMBA_ENABLED = False
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
 
-def inside_py(code: int, p: np.ndarray, M: np.ndarray, v: np.ndarray, s: float) -> bool:
+def inside(code: int, p: np.ndarray, M: np.ndarray, v: np.ndarray, s: float) -> bool:
     if code == BALL:
         q = p - v
         return bool(q @ q <= s * s)
@@ -57,7 +55,7 @@ def inside_py(code: int, p: np.ndarray, M: np.ndarray, v: np.ndarray, s: float) 
 
 def inside_rows(code: int, P: np.ndarray, M: np.ndarray, v: np.ndarray,
                 s: float) -> np.ndarray:
-    """`inside_py` for every row of the (k, n) stack P, as a bool array."""
+    """`inside` for every row of the (k, n) stack P, as a bool array."""
     if code == BALL:
         Q = P - v
         return np.einsum("ij,ij->i", Q, Q) <= s * s
@@ -73,16 +71,16 @@ def inside_rows(code: int, P: np.ndarray, M: np.ndarray, v: np.ndarray,
     raise ValueError(f"unknown body code {code}")
 
 
-def bisect_rows(code: int, D: np.ndarray, x: np.ndarray, M: np.ndarray,
-                v: np.ndarray, s: float, hi, iters) -> np.ndarray:
+def bisect_rows(contains_rows, D: np.ndarray, x: np.ndarray, hi, iters) -> np.ndarray:
     """Largest alpha with D[i] + alpha*x inside the body, for every row i.
 
-    x is one (n,) direction shared by all rows; hi and iters give each
-    row its own bracket [0, hi[i]] and round count.  All rows are tested
-    together each round.  Row i's answer is taken after its own iters[i]
-    rounds, so every row gets exactly the midpoints, containment answers
-    and alpha of its single-ray bisection.  Precondition per row: D[i]
-    is inside and D[i] + hi[i]*x is outside.
+    contains_rows maps a (k, n) stack to a bool array, one entry per
+    row.  x is one (n,) direction shared by all rows; hi and iters give
+    each row its own bracket [0, hi[i]] and round count.  All rows are
+    tested together each round.  Row i's answer is taken after its own
+    iters[i] rounds, so every row gets exactly the midpoints,
+    containment answers and alpha of its single-ray bisection.
+    Precondition per row: D[i] is inside and D[i] + hi[i]*x is outside.
     """
     hi = np.array(hi, dtype=np.float64)
     iters = np.asarray(iters)
@@ -91,7 +89,7 @@ def bisect_rows(code: int, D: np.ndarray, x: np.ndarray, M: np.ndarray,
     alpha = mid.copy()
     shortest = int(iters.min()) if iters.size else 0
     for step in range(1, int(iters.max(initial=0)) + 1):
-        inside = inside_rows(code, D + mid[:, None] * x, M, v, s)
+        inside = contains_rows(D + mid[:, None] * x)
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
         mid = 0.5 * (lo + hi)
@@ -100,15 +98,13 @@ def bisect_rows(code: int, D: np.ndarray, x: np.ndarray, M: np.ndarray,
     return alpha
 
 
-def bisect_py(code: int, d: np.ndarray, x: np.ndarray, M: np.ndarray,
-              v: np.ndarray, s: float, hi: float, iters: int) -> float:
-    """Largest alpha with d + alpha*x inside the body, by bisection.
-
-    Precondition: d is inside and d + hi*x is outside.  Runs a fixed
-    `iters` rounds, shrinking the bracket by half each time; a stack of
-    one through `bisect_rows`.
-    """
-    return float(bisect_rows(code, d[None, :], x, M, v, s, (hi,), (iters,))[0])
+def bisect_alpha(code: int, d: np.ndarray, x: np.ndarray, M: np.ndarray,
+                 v: np.ndarray, s: float, hi: float, iters: int) -> float:
+    """Largest alpha with d + alpha*x inside the body coded (code, M, v, s),
+    after `iters` rounds from the bracket [0, hi]: a stack of one through
+    `bisect_rows`."""
+    rows = lambda P: inside_rows(code, P, M, v, s)
+    return float(bisect_rows(rows, d[None, :], x, (hi,), (iters,))[0])
 
 
 def ellipsoid_cut_py(center: np.ndarray, P: np.ndarray,
@@ -142,82 +138,3 @@ def ellipsoid_cut_py(center: np.ndarray, P: np.ndarray,
     P_new = P_new * scale
     P_new = 0.5 * (P_new + P_new.T)
     return new_center, P_new
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same contracts, explicit loops)
-
-def _inside_loop(code, p, M, v, s):
-    n = p.shape[0]
-    if code == 0:
-        acc = 0.0
-        for j in range(n):
-            q = p[j] - v[j]
-            acc += q * q
-        return acc <= s * s
-    if code == 1:
-        m = 0.0
-        for j in range(n):
-            a = abs(p[j] - v[j])
-            if a > m:
-                m = a
-        return m <= s
-    if code == 2:
-        tot = 0.0
-        for j in range(n):
-            if p[j] < 0.0:
-                return False
-            tot += p[j]
-        return tot <= s
-    if code == 3:
-        for i in range(M.shape[0]):
-            acc = 0.0
-            for j in range(n):
-                acc += M[i, j] * p[j]
-            if acc > v[i]:
-                return False
-        return True
-    # ellipsoid
-    acc = 0.0
-    for i in range(n):
-        row = 0.0
-        for j in range(n):
-            row += M[i, j] * (p[j] - v[j])
-        acc += row * (p[i] - v[i])
-    return acc <= 1.0
-
-
-def _bisect_loop(code, d, x, M, v, s, hi, iters):
-    n = d.shape[0]
-    p = np.empty(n)
-    lo = 0.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        for j in range(n):
-            p[j] = d[j] + mid * x[j]
-        if _inside_loop(code, p, M, v, s):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-NUMBA_ENABLED = os.environ.get("ORC_NO_NUMBA", "").lower() not in ("1", "true", "yes")
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-
-        # rebind the global so the jitted bisect resolves the jitted inside
-        _inside_loop = njit(cache=True)(_inside_loop)
-        inside_nb = _inside_loop
-        bisect_nb = njit(cache=True)(_bisect_loop)
-    except ImportError:  # numba is an optional extra
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    inside = inside_nb
-    bisect_alpha = bisect_nb
-else:
-    inside = inside_py
-    bisect_alpha = bisect_py

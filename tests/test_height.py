@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from orc.bodies import Ball, BoxBody, Ellipsoid, ExactMembership, Simplex
+from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership, Intersection,
+                        Simplex, exact_membership)
 from orc.core import MEM, ProblemGeometry, QueryLedger, wrap_with_ledger
 from orc.height import HeightOracle
 
@@ -127,6 +128,31 @@ def test_stack_without_fast_path_falls_back_row_by_row():
     assert all(q[1] == 0.1 for q in seen[:first_row_queries])
     assert all(q[1] == 0.0 for q in seen[first_row_queries:])
     np.testing.assert_array_equal(alphas, [h.alpha_x(d) for d in D])
+
+
+def test_intersection_bisects_like_a_per_query_oracle():
+    # an Intersection has no kernel encoding: ExactMembership bisects it
+    # through the row loop over its exact containment test
+    spec = Intersection([Ball(np.zeros(3), 1.0), BoxBody(np.zeros(3), 0.8),
+                         Ellipsoid(np.zeros(3), np.diag([0.5, 1.0, 2.0]))],
+                        np.zeros(3), 0.5)
+
+    def mem(y, delta):
+        return exact_membership(spec, y, delta)
+
+    mem.kind = MEM
+    x = np.array([0.3, 0.9, -0.2])
+    D = _stack(spec, np.random.default_rng(10), 6)
+    stacked, per_query = QueryLedger(), QueryLedger()
+    h = HeightOracle(wrap_with_ledger(ExactMembership(spec), stacked),
+                     spec.geometry, x, 1e-9, 1e-12)
+    h_ref = HeightOracle(wrap_with_ledger(mem, per_query), spec.geometry, x, 1e-9, 1e-12)
+    reference = [h_ref.alpha_x(d) for d in D]
+    np.testing.assert_array_equal(h.alpha_rows(D), reference)
+    assert stacked.count(MEM) == per_query.count(MEM) > 0
+    assert h.alpha_x(D[0]) == reference[0]
+    hi, iters = h.iterations_for(D[0])
+    assert ExactMembership(spec).alpha_bisect(D[0], x, hi, iters, 1e-12) == reference[0]
 
 
 def test_stack_rejects_malformed_input():

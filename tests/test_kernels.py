@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from orc import kernels
 from orc.bodies import Ball, BoxBody, Ellipsoid, HPolytope, Simplex
@@ -21,29 +20,46 @@ def _specs(n):
     return specs
 
 
+def _scalar_bisect(spec, d, x, hi, iters):
+    """Reference single-ray bisection: a plain loop over `kernels.inside`,
+    independent of `bisect_rows`."""
+    code, M, v, s = spec.kernel_args()
+    lo = 0.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if kernels.inside(code, d + mid * x, M, v, s):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _rows_test(spec):
+    code, M, v, s = spec.kernel_args()
+    return lambda P: kernels.inside_rows(code, P, M, v, s)
+
+
 def test_inside_matches_python_reference():
     gen = np.random.default_rng(0)
     for n in (2, 3, 6):
         for spec in _specs(n):
             code, M, v, s = spec.kernel_args()
             P = gen.normal(size=(300, n)) * 1.2
-            expected = [kernels.inside_py(code, p, M, v, s) for p in P]
-            assert [kernels.inside(code, p, M, v, s) for p in P] == expected
+            expected = [kernels.inside(code, p, M, v, s) for p in P]
             assert kernels.inside_rows(code, P, M, v, s).tolist() == expected
 
 
 def test_bisect_matches_python_reference_bitwise():
     gen = np.random.default_rng(1)
     for n in (2, 5):
-        for spec in _specs(n):
+        for spec in (BoxBody(np.zeros(n), 0.8), Simplex(n, 1.0)):
             code, M, v, s = spec.kernel_args()
             for _ in range(100):
                 d = gen.normal(size=n) * 0.05
                 x = gen.normal(size=n)
                 x /= np.linalg.norm(x)
-                a = kernels.bisect_alpha(code, d, x, M, v, s, 4.0, 40)
-                b = kernels.bisect_py(code, d, x, M, v, s, 4.0, 40)
-                assert a == b
+                assert (kernels.bisect_alpha(code, d, x, M, v, s, 4.0, 40)
+                        == _scalar_bisect(spec, d, x, 4.0, 40))
 
 
 def test_bisect_ball_closed_form():
@@ -51,7 +67,7 @@ def test_bisect_ball_closed_form():
     ball = Ball(np.zeros(3), 1.0)
     code, M, v, s = ball.kernel_args()
     x = np.array([0.5, 0.0, 0.0])
-    alpha = kernels.bisect_py(code, np.zeros(3), x, M, v, s, 8.0, 50)
+    alpha = kernels.bisect_alpha(code, np.zeros(3), x, M, v, s, 8.0, 50)
     assert abs(alpha - 2.0) < 1e-9
 
 
@@ -68,8 +84,7 @@ def _rays(spec, gen, k):
 
 
 def _per_ray(spec, D, x, hi, iters):
-    code, M, v, s = spec.kernel_args()
-    return np.array([kernels.bisect_py(code, d, x, M, v, s, h, int(t))
+    return np.array([_scalar_bisect(spec, d, x, h, int(t))
                      for d, h, t in zip(D, hi, iters)])
 
 
@@ -77,9 +92,8 @@ def test_lockstep_matches_per_ray_bitwise_on_box_and_simplex():
     gen = np.random.default_rng(5)
     for n in (2, 5, 16):
         for spec in (BoxBody(np.zeros(n), 0.8), Simplex(n, 1.0)):
-            code, M, v, s = spec.kernel_args()
             D, x, hi, iters = _rays(spec, gen, 2 * n)
-            lockstep = kernels.bisect_rows(code, D, x, M, v, s, hi, iters)
+            lockstep = kernels.bisect_rows(_rows_test(spec), D, x, hi, iters)
             np.testing.assert_array_equal(lockstep, _per_ray(spec, D, x, hi, iters))
 
 
@@ -89,9 +103,8 @@ def test_lockstep_within_final_bracket_on_ball_ellipsoid_polytope():
         for spec in _specs(n):
             if isinstance(spec, (BoxBody, Simplex)):
                 continue
-            code, M, v, s = spec.kernel_args()
             D, x, hi, iters = _rays(spec, gen, 2 * n)
-            lockstep = kernels.bisect_rows(code, D, x, M, v, s, hi, iters)
+            lockstep = kernels.bisect_rows(_rows_test(spec), D, x, hi, iters)
             width = hi / 2.0 ** iters
             assert np.all(np.abs(lockstep - _per_ray(spec, D, x, hi, iters)) <= width)
 
@@ -99,13 +112,12 @@ def test_lockstep_within_final_bracket_on_ball_ellipsoid_polytope():
 def test_lockstep_rows_stop_after_their_own_rounds():
     # one ray, repeated with 1..30 rounds: row t must be the t-round answer
     ball = Ball(np.zeros(3), 1.0)
-    code, M, v, s = ball.kernel_args()
     iters = np.arange(1, 31)
     D = np.zeros((iters.size, 3))
     x = np.array([0.5, 0.0, 0.0])
-    lockstep = kernels.bisect_rows(code, D, x, M, v, s, np.full(iters.size, 8.0), iters)
+    lockstep = kernels.bisect_rows(_rows_test(ball), D, x, np.full(iters.size, 8.0), iters)
     for t, alpha in zip(iters, lockstep):
-        assert alpha == kernels.bisect_py(code, np.zeros(3), x, M, v, s, 8.0, int(t))
+        assert alpha == _scalar_bisect(ball, np.zeros(3), x, 8.0, int(t))
     assert abs(lockstep[-1] - 2.0) <= 8.0 / 2.0 ** 30
 
 
@@ -126,19 +138,3 @@ def test_ellipsoid_cut_one_dimensional():
                                       np.array([1.0]))
     ratio = 0.5 * np.linalg.slogdet(P2)[1]
     assert abs(ratio + 0.25) < 1e-12
-
-
-def test_numba_flag_reflects_environment(monkeypatch):
-    # the module-level flag is baked at import; just sanity-check its type
-    assert isinstance(kernels.NUMBA_ENABLED, bool)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED,
-                    reason="compiled path unavailable")
-def test_compiled_and_python_inside_agree_on_edge_points():
-    ball = Ball(np.zeros(2), 1.0)
-    code, M, v, s = ball.kernel_args()
-    for p in ([1.0, 0.0], [1.0 + 1e-15, 0.0], [0.0, -1.0]):
-        p = np.asarray(p)
-        assert (kernels.inside(code, p, M, v, s)
-                == kernels.inside_py(code, p, M, v, s))

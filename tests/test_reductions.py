@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from orc.bodies import (Ball, BoxBody, ExactMembership, ExactOptimization,
-                        ExactSeparation, ExactValidity, Linear, Quadratic,
-                        Simplex, exact_eval)
-from orc.core import (GRAD, MEM, GradAnswer, MembershipAnswer,
+from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
+                        ExactOptimization, ExactSeparation, ExactValidity,
+                        HPolytope, Linear, Quadratic, Simplex, brute_force_lp,
+                        exact_eval, random_hpolytope)
+from orc.core import (GRAD, MEM, SEP, GradAnswer, MembershipAnswer,
                       ProblemGeometry, QueryLedger, RandomStream,
                       ValidityAnswer, wrap_with_ledger)
 from orc.geometry import unit
@@ -269,6 +270,40 @@ def test_opt_from_mem_ball():
     ans = opt(c, 1e-3)
     assert float(c @ ans.maximizer) >= 1.0 - 0.05
     assert opt.ledgers.mem.count(MEM) > 0
+
+
+def _random_ellipsoid(n, rng):
+    gen = rng.generator()
+    q, _ = np.linalg.qr(gen.normal(size=(n, n)))
+    return Ellipsoid(0.2 * gen.normal(size=n), q @ np.diag(gen.uniform(0.3, 1.5, size=n)) @ q.T)
+
+
+@pytest.mark.parametrize("make", [_random_ellipsoid, random_hpolytope],
+                         ids=["ellipsoid", "hpoly"])
+def test_opt_from_mem_with_height_estimator(make):
+    # unlike a ball (r = R), these bodies send outside points to the
+    # height estimator, so the optimizer runs on estimated normals
+    eps = 1e-3
+    sound, mem, sep = 0, 0, 0
+    for k in range(10):
+        n = 2 + k % 2
+        body = make(n, RandomStream(700 + k).child("body"))
+        c = unit(RandomStream(700 + k).child("c").generator().normal(size=n))
+        opt = opt_from_mem(ExactMembership(body), body.geometry,
+                           RandomStream(700 + k).child("sep"), eps=eps,
+                           sep_eps=eps * 1e-2, rho=0.1)
+        value = float(c @ opt(c, eps).maximizer)
+        # the experiment harness's tolerance for a graded OPT answer
+        tol = eps * (1.0 + body.geometry.kappa)
+        best = [body.support(c)[0]]
+        if isinstance(body, HPolytope):
+            best.append(brute_force_lp(body, c)[0])
+        sound += all(b - value <= tol for b in best)
+        mem += opt.ledgers.mem.count(MEM)
+        sep += opt.ledgers.sep.count(SEP)
+    # criterion 5(b)'s rate for SEP built from MEM
+    assert sound >= 9
+    assert mem >= 20 * sep
 
 
 def test_opt_from_val_box():

@@ -195,8 +195,7 @@ def test_sep_from_mem_recenters_anchor_to_caller_frame():
 
 
 class _PerRayMem:
-    """ExactMembership without the stack fast path: heights are bisected
-    one ray at a time."""
+    """ExactMembership whose stack path bisects one ray per call."""
 
     kind = MEM
 
@@ -206,8 +205,10 @@ class _PerRayMem:
     def __call__(self, y, delta):
         return self._mem(y, delta)
 
-    def alpha_bisect(self, d, x, hi, iters, delta):
-        return self._mem.alpha_bisect(d, x, hi, iters, delta)
+    def alpha_bisect_rows(self, D, x, hi, iters, delta):
+        return np.concatenate([self._mem.alpha_bisect_rows(D[i:i + 1], x, hi[i:i + 1],
+                                                           iters[i:i + 1], delta)
+                               for i in range(len(D))])
 
 
 @pytest.mark.parametrize("make", [
