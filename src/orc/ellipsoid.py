@@ -6,12 +6,17 @@ O(n^2 log(1/eps)) separation queries instead of O(n log), trading the
 headline query complexity for a simple, exactly-accountable volume
 argument.  Each cut is the classical central cut, dilated so the
 log-volume decrement per iteration is exactly 1/(2(n+1)).
+
+The ellipsoid is kept in factored form, {c + J z : ||z|| <= 1}, and each
+cut is a rank-one update of J (Goldfarb & Todd, Math. Programming 23,
+1982).  The shape matrix J J^T is positive definite by construction, so
+there is no factorization, no definiteness check and no repair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +24,6 @@ from .core import (OPT, VIOL, OptimizationAnswer, ProblemGeometry,
                    ViolationAnswer, check_precision)
 from .geometry import HalfSpace, as_vector, unit
 from .kernels import ellipsoid_cut_py
-
-
-class ShapeMatrixError(RuntimeError):
-    """The ellipsoid shape matrix drifted out of positive definiteness."""
 
 
 class MaxItersExhausted(RuntimeError):
@@ -39,47 +40,19 @@ class OracleInconsistency(RuntimeError):
 
 @dataclass(frozen=True)
 class EllipsoidState:
-    """{y : (y - center)^T shape^-1 (y - center) <= 1}."""
+    """{center + J z : ||z|| <= 1}, the ellipsoid with shape matrix J J^T."""
 
     center: np.ndarray
-    shape: np.ndarray
-    iteration: int = 0
+    J: np.ndarray
 
     def log_volume(self) -> float:
         """log vol(E) up to the dimension-only additive constant."""
-        try:
-            chol = np.linalg.cholesky(self.shape)
-        except np.linalg.LinAlgError:
-            raise ShapeMatrixError(
-                f"shape matrix not positive definite at iteration {self.iteration}")
-        return float(np.sum(np.log(np.diag(chol))))
+        return float(np.linalg.slogdet(self.J)[1])
 
     @classmethod
     def ball(cls, center, radius: float) -> "EllipsoidState":
         center = as_vector(center)
-        return cls(center, radius * radius * np.eye(center.size), 0)
-
-
-def _repair_shape(shape: np.ndarray) -> np.ndarray:
-    """Restore positive definiteness lost to rounding.
-
-    After hundreds of cuts the shape matrix is ill-conditioned enough
-    that the smallest eigenvalue can round below zero.  Flooring
-    eigenvalues at a tiny positive multiple of the largest one only
-    enlarges the ellipsoid, so the localization invariant (the feasible
-    region stays inside) is preserved; the volume decrement of the
-    repaired step is merely slightly smaller than the calibrated one.
-    """
-    try:
-        np.linalg.cholesky(shape)
-        return shape
-    except np.linalg.LinAlgError:
-        eigvals, eigvecs = np.linalg.eigh(shape)
-        top = float(eigvals[-1])
-        if top <= 0.0:
-            raise ShapeMatrixError("shape matrix lost all positive directions")
-        eigvals = np.maximum(eigvals, 1e-13 * top)
-        return (eigvecs * eigvals) @ eigvecs.T
+        return cls(center, radius * np.eye(center.size))
 
 
 def ellipsoid_cut(state: EllipsoidState, h: HalfSpace | np.ndarray) -> EllipsoidState:
@@ -89,17 +62,13 @@ def ellipsoid_cut(state: EllipsoidState, h: HalfSpace | np.ndarray) -> Ellipsoid
     center, keeping {y : <normal, y - center> <= 0}.
     """
     normal = h.normal if isinstance(h, HalfSpace) else unit(h)
-    center, shape = ellipsoid_cut_py(state.center, state.shape, normal)
-    new = EllipsoidState(center, _repair_shape(shape), state.iteration + 1)
-    new.log_volume()  # definiteness check, raises ShapeMatrixError on drift
-    return new
+    return EllipsoidState(*ellipsoid_cut_py(state.center, state.J, normal))
 
 
 @dataclass
 class OptimizerConfig:
     eps: float
     max_iters: int | None = None
-    sep_delta: float | None = None
     sep_delta_exponent: int = 3
 
     def __post_init__(self):
@@ -115,8 +84,6 @@ class OptimizerConfig:
         return math.ceil(2.0 * n * (n + 1) * math.log(geometry.R / (geometry.r * self.eps)))
 
     def resolved_sep_delta(self, geometry: ProblemGeometry) -> float:
-        if self.sep_delta is not None:
-            return self.sep_delta
         raw = (self.eps / (geometry.n * geometry.kappa)) ** self.sep_delta_exponent
         return max(raw, 1e-12)
 
@@ -130,7 +97,8 @@ def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
     (or with the objective when the center is feasible), and returns
     the best feasible center seen.  EmptyInterior is declared when the
     ellipsoid volume falls below that of B(., r*eps) without any
-    feasible center.
+    feasible center.  Every cut drops the log-volume by exactly
+    1/(2(n+1)), so the floor test reads a running sum, not the factor.
     """
     c = as_vector(c)
     cu = unit(c)
@@ -138,6 +106,8 @@ def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
     sep_delta = cfg.resolved_sep_delta(geometry)
     max_iters = cfg.resolved_iters(geometry)
     state = EllipsoidState.ball(geometry.center, geometry.R)
+    log_volume = n * math.log(geometry.R)
+    drop = 1.0 / (2.0 * (n + 1))
     floor_logvol = n * math.log(geometry.r * cfg.eps)
 
     best = None
@@ -152,11 +122,12 @@ def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
         else:
             cut_normal = ans.halfspace.normal
         state = ellipsoid_cut(state, cut_normal)
-        if state.log_volume() < floor_logvol:
+        log_volume -= drop
+        if log_volume < floor_logvol:
             break
     if best is not None:
         return OptimizationAnswer(best)
-    if state.log_volume() < floor_logvol:
+    if log_volume < floor_logvol:
         return OptimizationAnswer(None)
     raise MaxItersExhausted(
         f"no feasible center within {max_iters} iterations and volume floor not reached")

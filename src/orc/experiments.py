@@ -40,7 +40,7 @@ QUERY_DISTANCE_FACTOR = 1.5
 
 SLACK_MODES = {"theoretical": THEORETICAL, "anchored": ANCHORED}
 
-OVERRIDE_KEYS = {"r1", "retries", "sep_delta_exponent"}
+OVERRIDE_KEYS = {"retries", "sep_delta_exponent"}
 
 CONFIG_KEYS = {"experiment", "chain", "body", "function", "dims", "eps",
                "seeds", "trials", "slack_mode", "overrides"}

@@ -1,6 +1,6 @@
 """Hot numeric kernels: exact-body membership tests, the membership
 bisection that evaluates the height function, and the central-cut
-ellipsoid update.
+ellipsoid update, a rank-one update of the shape matrix's factor.
 
 All of it is numpy code.  `inside` tests one point and `inside_rows`
 every row of a (k, n) stack.  `bisect_rows` is the one bisection loop:
@@ -107,34 +107,31 @@ def bisect_alpha(code: int, d: np.ndarray, x: np.ndarray, M: np.ndarray,
     return float(bisect_rows(rows, d[None, :], x, (hi,), (iters,))[0])
 
 
-def ellipsoid_cut_py(center: np.ndarray, P: np.ndarray,
+def ellipsoid_cut_py(center: np.ndarray, J: np.ndarray,
                      g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central cut of {y: (y-c)^T P^-1 (y-c) <= 1} by {<g, y-c> <= 0}.
+    """Central cut of {c + J z : ||z|| <= 1} by {y : <g, y - c> <= 0}.
 
-    The classical minimum-volume update, then dilated so the volume
-    ratio is exactly exp(-1/(2(n+1))) (containment is preserved; the
-    dilation only grows the ellipsoid).  n == 1 degenerates to interval
-    bisection with the same calibrated ratio.
+    The ellipsoid is kept as the factor J of its shape matrix P = J J^T.
+    The classical minimum-volume update of P is the rank-one update
+    J (I - beta u u^T) of J, with u = J^T g / ||J^T g||, so the new shape
+    is positive definite by construction.  It is then dilated so the
+    volume ratio is exactly exp(-1/(2(n+1))) (containment is preserved;
+    the dilation only grows the ellipsoid).  n == 1 degenerates to
+    interval bisection with the same calibrated ratio.
     """
     n = center.size
     target = math.exp(-1.0 / (2.0 * (n + 1)))
     if n == 1:
-        w = math.sqrt(P[0, 0])
+        w = abs(J[0, 0])
         sign = 1.0 if g[0] > 0.0 else -1.0
-        new_center = center - sign * (w / 2.0) * np.ones(1)
-        new_w = w * target
-        return new_center, np.array([[new_w * new_w]])
-    Pg = P @ g
-    # near-flat directions can round the quadratic form negative; the
-    # clamp makes such cuts act as (harmless) near-no-ops instead
-    q = max(float(g @ Pg), 1e-16 * float(np.trace(P)))
-    denom = math.sqrt(q)
-    b = Pg / denom
-    new_center = center - b / (n + 1.0)
-    P_new = (n * n / (n * n - 1.0)) * (P - (2.0 / (n + 1.0)) * np.outer(b, b))
+        return center - sign * (w / 2.0), np.array([[w * target]])
+    a = J.T @ g
+    u = a / math.sqrt(a @ a)
+    Ju = J @ u
+    new_center = center - Ju / (n + 1.0)
+    beta = 1.0 - math.sqrt((n - 1.0) / (n + 1.0))
     # dilate the minimum-volume ellipsoid up to the calibrated ratio
     ratio_min = (n / (n + 1.0)) * (n * n / (n * n - 1.0)) ** ((n - 1) / 2.0)
     scale = (target / ratio_min) ** (2.0 / n)
-    P_new = P_new * scale
-    P_new = 0.5 * (P_new + P_new.T)
-    return new_center, P_new
+    sigma = math.sqrt(n * n / (n * n - 1.0) * scale)
+    return new_center, sigma * (J - beta * np.outer(Ju, u))

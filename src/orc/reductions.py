@@ -411,7 +411,7 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
 
 def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
                  eps: float = 0.01, sep_eps: float | None = None,
-                 rho: float | None = None, inside_tol: float | None = None):
+                 rho: float | None = None):
     """SEP(K) from OPT(K).
 
     Chain: OPT gives EVAL(1_K*) directly; optimizing <(x, -1), .> over
@@ -423,7 +423,7 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
     ledgers = _ChainLedgers("opt", "mem", "sep")
     counted_opt = wrap_with_ledger(opt, ledgers.opt)
     eval_support = support_eval_from_opt(counted_opt, geometry)
-    tol = 3.0 * eps if inside_tol is None else inside_tol
+    tol = 3.0 * eps
 
     def sep(y, delta):
         check_precision(delta)

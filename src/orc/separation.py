@@ -46,10 +46,8 @@ class SeparatorConfig:
     eps: float
     rho: float
     geometry: ProblemGeometry
-    r1_override: float | None = None
     retries: int = 3
     mode: str = ANCHORED
-    bin_tol_override: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.eps <= self.geometry.r:
@@ -60,8 +58,6 @@ class SeparatorConfig:
             raise ValueError(f"unknown slack mode {self.mode!r}")
 
     def r1(self) -> float:
-        if self.r1_override is not None:
-            return self.r1_override
         g = self.geometry
         n = g.n
         schedule = n ** (1 / 6) * self.eps ** (1 / 3) * g.R ** (2 / 3) / g.kappa
@@ -88,14 +84,12 @@ def separate(cfg: SeparatorConfig, mem, x, rng: RandomStream) -> SeparationAnswe
     r1 = cfg.r1()
     eval_eps = 4.0 * cfg.eps
     params = EstimatorParams(np.zeros(g.n), r1, eval_eps, 3.0 * kappa)
-    bin_tol = cfg.bin_tol_override
-    if bin_tol is None:
-        # Cap the bisection half-width so the per-coordinate derivative
-        # noise bin_tol*||x||/r2 stays well below the gradient scale;
-        # the naive eval_eps/(2||x||) choice drowns the signal for
-        # skinny bodies (large kappa).
-        bin_tol = min(eval_eps / (2.0 * x_norm),
-                      NOISE_FRACTION * params.r2 / (g.n * x_norm))
+    # Cap the bisection half-width so the per-coordinate derivative
+    # noise bin_tol*||x||/r2 stays well below the gradient scale; the
+    # naive eval_eps/(2||x||) choice drowns the signal for skinny bodies
+    # (large kappa).
+    bin_tol = min(eval_eps / (2.0 * x_norm),
+                  NOISE_FRACTION * params.r2 / (g.n * x_norm))
     ho = HeightOracle(mem, g, x, bin_tol, cfg.eps)
     h_eval = ho.as_eval()
 
@@ -155,7 +149,7 @@ class SepFromMem:
 
     def __init__(self, mem, geometry: ProblemGeometry, rng: RandomStream, *,
                  eps: float | None = None, rho: float | None = None,
-                 mode: str = ANCHORED, retries: int = 3, c0: float = 1.0):
+                 mode: str = ANCHORED, retries: int = 3):
         self.geometry = geometry
         self._mem = _AffineMem(mem, geometry.center, geometry.R)
         self._scaled_geom = geometry.rescaled()
@@ -164,7 +158,6 @@ class SepFromMem:
         self._rho = rho
         self._mode = mode
         self._retries = retries
-        self._c0 = c0
         self._queries = 0
 
     def _schedule(self, eta: float) -> tuple[float, float]:
@@ -172,7 +165,7 @@ class SepFromMem:
         if self._eps is not None:
             eps = self._eps
         else:
-            eps = self._c0 * eta ** 6 / (g.n ** 3.5 * g.kappa ** 6)
+            eps = eta ** 6 / (g.n ** 3.5 * g.kappa ** 6)
             eps = min(max(eps, self.EPS_FLOOR), g.r)
         if self._rho is not None:
             rho = self._rho

@@ -114,6 +114,12 @@ def test_validate_config_subcommand(tmp_path, capsys):
                  _write(tmp_path, _config(chain="zzz"), "z.json")]) == 2
 
 
+def test_validate_config_rejects_r1_override(tmp_path, capsys):
+    # no chain reads an "r1" override, so accepting it would be silent
+    cfg = _config(overrides={"r1": 0.1})
+    assert main(["validate-config", _write(tmp_path, cfg)]) == 2
+
+
 def test_list_chains_names_all_chains(capsys):
     assert main(["list-chains"]) == 0
     out = capsys.readouterr().out

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from orc.bodies import (Ball, BoxBody, ExactMembership, ExactSeparation,
-                        ExactViolation, HPolytope, brute_force_lp)
-from orc.core import (MembershipAnswer, ProblemGeometry, QueryLedger,
+from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
+                        ExactSeparation, ExactViolation, HPolytope, Simplex,
+                        brute_force_lp)
+from orc.core import (SEP, MembershipAnswer, ProblemGeometry, QueryLedger,
                       RandomStream, SeparationAnswer, VIOL, ViolationAnswer,
                       wrap_with_ledger)
 from orc.ellipsoid import (EllipsoidState, MaxItersExhausted,
@@ -46,6 +47,22 @@ def test_k_cuts_volume_product():
     for _ in range(k):
         state = ellipsoid_cut(state, unit(gen.normal(size=n)))
     assert abs((start - state.log_volume()) - k / (2.0 * (n + 1))) < 1e-9
+
+
+def test_near_parallel_cuts_keep_the_calibrated_decrement():
+    # 3000 cuts along nearly the same normal squeeze the ellipsoid into
+    # a needle whose aspect ratio is bounded only by the 1e-9 jitter
+    for n in (2, 16):
+        gen = np.random.default_rng(n)
+        state = EllipsoidState.ball(np.zeros(n), 1.0)
+        target = 1.0 / (2.0 * (n + 1))
+        e1 = np.eye(n)[0]
+        for _ in range(3000):
+            new = ellipsoid_cut(state, unit(e1 + 1e-9 * gen.normal(size=n)))
+            assert abs((state.log_volume() - new.log_volume()) - target) <= 1e-9
+            state = new
+        assert np.all(np.isfinite(state.center))
+        assert np.all(np.isfinite(state.J))
 
 
 def test_cut_keeps_the_retained_halfspace_center_side():
@@ -124,6 +141,20 @@ def test_max_iters_exhausted():
         optimize_linear(cfg, never_inside, spec.geometry, np.array([0.0, 1.0]))
 
 
+def test_sep_count_is_the_resolved_iteration_budget():
+    # the volume floor is crossed on the last budgeted cut, never earlier
+    gen = np.random.default_rng(5)
+    for n in (2, 4, 8):
+        Q, _ = np.linalg.qr(gen.normal(size=(n, n)))
+        ellipsoid = Ellipsoid(np.zeros(n), (Q * gen.uniform(0.25, 2.0, size=n)) @ Q.T)
+        for spec in (BoxBody(np.zeros(n), 1.0), Simplex(n, 1.0), ellipsoid):
+            ledger = QueryLedger()
+            sep = wrap_with_ledger(ExactSeparation(spec), ledger)
+            cfg = OptimizerConfig(eps=1e-3)
+            optimize_linear(cfg, sep, spec.geometry, unit(gen.normal(size=n)))
+            assert ledger.count(SEP) == cfg.resolved_iters(spec.geometry)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(eps=0.0)
@@ -137,8 +168,6 @@ def test_sep_delta_schedule_floor():
     cfg = OptimizerConfig(eps=1e-6, sep_delta_exponent=3)
     geom = ProblemGeometry(5, 1.0, 10.0)
     assert cfg.resolved_sep_delta(geom) == 1e-12
-    cfg2 = OptimizerConfig(eps=0.1, sep_delta=0.05)
-    assert cfg2.resolved_sep_delta(geom) == 0.05
 
 
 # ---------------------------------------------------------------------------

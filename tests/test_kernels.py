@@ -121,20 +121,48 @@ def test_lockstep_rows_stop_after_their_own_rounds():
     assert abs(lockstep[-1] - 2.0) <= 8.0 / 2.0 ** 30
 
 
-def test_ellipsoid_cut_volume_ratio():
-    n = 4
-    center = np.zeros(n)
-    P = np.eye(n)
-    g = np.array([1.0, 0.0, 0.0, 0.0])
-    c2, P2 = kernels.ellipsoid_cut_py(center, P, g)
-    ratio = 0.5 * (np.linalg.slogdet(P2)[1] - np.linalg.slogdet(P)[1])
-    assert abs(ratio + 1.0 / (2.0 * (n + 1))) < 1e-12
-    assert c2[0] < 0.0  # moved away from the cut normal
-    np.testing.assert_allclose(P2, P2.T)
+def _reference_cut(center, P, g):
+    """The classical central cut of {y : (y-c)^T P^-1 (y-c) <= 1} by
+    {<g, y-c> <= 0}, in shape-matrix form, dilated to the calibrated
+    volume ratio target = exp(-1/(2(n+1))):
+
+        b  = P g / sqrt(g^T P g)
+        c' = c - b / (n+1)
+        P' = (n^2/(n^2-1)) * scale * (P - 2/(n+1) * b b^T)
+        scale = (target / ratio_min)^(2/n),
+        ratio_min = (n/(n+1)) * (n^2/(n^2-1))^((n-1)/2)
+
+    For n = 1 the formula for P' is 0 * inf; the cut keeps the half
+    interval around c - b/2 and widens it to the calibrated ratio, so
+    P' = target^2 * P.
+    """
+    n = center.size
+    target = np.exp(-1.0 / (2.0 * (n + 1)))
+    b = P @ g / np.sqrt(g @ P @ g)
+    new_center = center - b / (n + 1.0)
+    if n == 1:
+        return new_center, target ** 2 * P
+    ratio_min = (n / (n + 1.0)) * (n * n / (n * n - 1.0)) ** ((n - 1) / 2.0)
+    scale = (target / ratio_min) ** (2.0 / n)
+    return new_center, (n * n / (n * n - 1.0)) * scale * (P - 2.0 / (n + 1.0) * np.outer(b, b))
 
 
-def test_ellipsoid_cut_one_dimensional():
-    c2, P2 = kernels.ellipsoid_cut_py(np.array([0.0]), np.eye(1),
-                                      np.array([1.0]))
-    ratio = 0.5 * np.linalg.slogdet(P2)[1]
-    assert abs(ratio + 0.25) < 1e-12
+def _assert_rel_close(actual, reference, rtol=1e-12):
+    assert np.linalg.norm(actual - reference) <= rtol * np.linalg.norm(reference)
+
+
+def test_ellipsoid_cut_matches_shape_matrix_reference():
+    gen = np.random.default_rng(12)
+    for n in (1, 2, 4, 16):
+        for _ in range(20):
+            center = gen.normal(size=n)
+            J = gen.normal(size=(n, n))
+            g = gen.normal(size=n)
+            g /= np.linalg.norm(g)
+            c2, J2 = kernels.ellipsoid_cut_py(center, J, g)
+            ref_center, ref_P = _reference_cut(center, J @ J.T, g)
+            _assert_rel_close(c2, ref_center)
+            _assert_rel_close(J2 @ J2.T, ref_P)
+            ratio = np.linalg.slogdet(J2)[1] - np.linalg.slogdet(J)[1]
+            assert abs(ratio + 1.0 / (2.0 * (n + 1))) < 1e-12
+            assert g @ (c2 - center) < 0.0  # moved away from the cut normal
