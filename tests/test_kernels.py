@@ -147,6 +147,27 @@ def _reference_cut(center, P, g):
     return new_center, (n * n / (n * n - 1.0)) * scale * (P - 2.0 / (n + 1.0) * np.outer(b, b))
 
 
+def test_ellipsoid_cut_volume_ratio():
+    n = 4
+    center = np.zeros(n)
+    J = np.eye(n)
+    g = np.array([1.0, 0.0, 0.0, 0.0])
+    c2, J2 = kernels.ellipsoid_cut_py(center, J, g)
+    # the volume is proportional to |det J|
+    ratio = np.linalg.slogdet(J2)[1] - np.linalg.slogdet(J)[1]
+    assert abs(ratio + 1.0 / (2.0 * (n + 1))) < 1e-12
+    assert c2[0] < 0.0  # moved away from the cut normal
+    P2 = J2 @ J2.T
+    np.testing.assert_allclose(P2, P2.T)
+
+
+def test_ellipsoid_cut_one_dimensional():
+    c2, J2 = kernels.ellipsoid_cut_py(np.array([0.0]), np.eye(1),
+                                      np.array([1.0]))
+    ratio = np.linalg.slogdet(J2)[1]
+    assert abs(ratio + 0.25) < 1e-12
+
+
 def _assert_rel_close(actual, reference, rtol=1e-12):
     assert np.linalg.norm(actual - reference) <= rtol * np.linalg.norm(reference)
 
