@@ -4,6 +4,12 @@ These serve two roles: ground truth for the randomized reductions, and
 independent brute-force oracles for the acceptance suite.  Every body
 carries a certified sandwich B(x0, r) <= K <= B(x0, R), verified at
 construction.
+
+Constructors and the exact oracles (`exact_membership`, `exact_support`,
+the `Exact*` classes, `exact_eval`, `exact_grad`) check their vectors
+with `as_vector`.  The methods of bodies and functions (`contains`,
+`support`, `radial_scale`, `value`, `grad`) and `separating_normal` take
+float64 1-d arrays and trust them.
 """
 
 from __future__ import annotations
@@ -73,7 +79,6 @@ class Ball(BodySpec):
         return kernels.BALL, kernels._EMPTY_M, self.center, self.radius
 
     def support(self, c):
-        c = as_vector(c)
         return float(c @ self.center) + self.radius * float(np.linalg.norm(c)), \
             self.center + self.radius * unit(c)
 
@@ -100,7 +105,6 @@ class BoxBody(BodySpec):
         return kernels.BOX, kernels._EMPTY_M, self.center, self.radius
 
     def support(self, c):
-        c = as_vector(c)
         sgn = np.where(c >= 0.0, 1.0, -1.0)
         arg = self.center + self.radius * sgn
         return float(c @ arg), arg
@@ -134,7 +138,6 @@ class Simplex(BodySpec):
         return kernels.SIMPLEX, kernels._EMPTY_M, kernels._EMPTY_V, self.scale
 
     def support(self, c):
-        c = as_vector(c)
         i = int(np.argmax(c))
         if c[i] <= 0.0:
             return 0.0, np.zeros(self.dim)
@@ -143,7 +146,6 @@ class Simplex(BodySpec):
         return self.scale * float(c[i]), arg
 
     def radial_scale(self, u):
-        u = as_vector(u)
         x0 = self.geometry.center
         t = math.inf
         su = float(np.sum(u))
@@ -192,13 +194,11 @@ class HPolytope(BodySpec):
         return kernels.HPOLY, self.A, self.b, 0.0
 
     def support(self, c):
-        c = as_vector(c)
         vals = self.vertices @ c
         i = int(np.argmax(vals))
         return float(vals[i]), self.vertices[i]
 
     def radial_scale(self, u):
-        u = as_vector(u)
         x0 = self.geometry.center
         num = self.b - self.A @ x0
         den = self.A @ u
@@ -229,7 +229,6 @@ class Ellipsoid(BodySpec):
         return kernels.ELLIPSOID, self._inv, self.center, 0.0
 
     def support(self, c):
-        c = as_vector(c)
         Sc = self.shape @ c
         w = math.sqrt(float(c @ Sc))
         if w == 0.0:
@@ -237,7 +236,6 @@ class Ellipsoid(BodySpec):
         return float(c @ self.center) + w, self.center + Sc / w
 
     def radial_scale(self, u):
-        u = as_vector(u)
         return 1.0 / math.sqrt(float(u @ (self._inv @ u)))
 
 
@@ -346,7 +344,7 @@ class ExactMembership:
 
 
 def exact_support(spec: BodySpec, c) -> tuple[float, np.ndarray]:
-    return spec.support(c)
+    return spec.support(as_vector(c))
 
 
 def brute_force_lp(spec: HPolytope, c) -> tuple[float, np.ndarray]:
@@ -403,7 +401,7 @@ class Linear(FuncSpec):
         object.__setattr__(self, "a", as_vector(self.a))
 
     def value(self, y):
-        return float(self.a @ as_vector(y)) + self.b
+        return float(self.a @ y) + self.b
 
     def grad(self, y):
         return self.a.copy()
@@ -430,11 +428,10 @@ class Quadratic(FuncSpec):
         object.__setattr__(self, "b", b)
 
     def value(self, y):
-        y = as_vector(y)
         return float(y @ (self.A @ y) + self.b @ y) + self.c
 
     def grad(self, y):
-        return 2.0 * (self.A @ as_vector(y)) + self.b
+        return 2.0 * (self.A @ y) + self.b
 
     def linf_lipschitz(self, center, radius):
         g0 = np.abs(2.0 * (self.A @ as_vector(center)) + self.b)
@@ -455,11 +452,9 @@ class MaxOfLinear(FuncSpec):
         object.__setattr__(self, "terms", terms)
 
     def value(self, y):
-        y = as_vector(y)
         return max(float(a @ y) + b for a, b in self.terms)
 
     def grad(self, y):
-        y = as_vector(y)
         vals = [float(a @ y) + b for a, b in self.terms]
         return self.terms[int(np.argmax(vals))][0].copy()
 
@@ -472,10 +467,10 @@ class Indicator(FuncSpec):
     body: BodySpec
 
     def value(self, y):
-        return 0.0 if self.body.contains(as_vector(y)) else math.inf
+        return 0.0 if self.body.contains(y) else math.inf
 
     def grad(self, y):
-        if not self.body.contains(as_vector(y)):
+        if not self.body.contains(y):
             raise ValueError("indicator subgradient undefined outside the body")
         return np.zeros(self.body.dim)
 
@@ -506,7 +501,6 @@ class ExactEval:
 
 def separating_normal(spec: BodySpec, y: np.ndarray) -> np.ndarray:
     """A unit c with sup_{x in K} <c, x> <= <c, y>, for y outside K."""
-    y = as_vector(y)
     if isinstance(spec, Ball):
         return unit(y - spec.center)
     if isinstance(spec, BoxBody):

@@ -80,6 +80,13 @@ def _cmd_validate_config(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orc", description="convex-oracle reduction experiments")
@@ -90,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=".", help="output directory")
     run.add_argument("--no-timing", action="store_true",
                      help="blank the wall_ms column for byte-stable output")
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--jobs", type=_positive_int, default=1,
                      help="concurrent trials (default 1)")
     run.set_defaults(func=_cmd_run)
 

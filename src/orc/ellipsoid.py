@@ -142,6 +142,7 @@ def opt_from_viol(viol, delta: float):
     check_precision(delta)
 
     def opt(c, query_delta):
+        c = as_vector(c)
         lo, hi = -1.0, 1.0
         witness = None
         while hi - lo > delta:
@@ -151,7 +152,7 @@ def opt_from_viol(viol, delta: float):
                 hi = mid
             else:
                 w = ans.witness
-                if float(as_vector(c) @ w) < mid - 2.0 * delta:
+                if float(c @ w) < mid - 2.0 * delta:
                     raise OracleInconsistency(
                         "witness does not beat the threshold it was returned for")
                 witness, lo = w, mid

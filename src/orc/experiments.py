@@ -26,7 +26,7 @@ from . import bodies
 from .core import (EVAL, MEM, OPT, SEP, VAL, VIOL, QueryLedger, RandomStream,
                    wrap_with_ledger)
 from .ellipsoid import OptimizerConfig, optimize_linear, opt_from_viol
-from .geometry import as_vector, unit
+from .geometry import unit
 from .reductions import (EpigraphBody, eval_from_mem_epigraph, opt_from_val,
                          sep_from_opt)
 from .separation import ANCHORED, THEORETICAL, SepFromMem
@@ -44,6 +44,12 @@ OVERRIDE_KEYS = {"retries", "sep_delta_exponent"}
 
 CONFIG_KEYS = {"experiment", "chain", "body", "function", "dims", "eps",
                "seeds", "trials", "slack_mode", "overrides"}
+
+#: template kind -> the keys `make_body` / `make_function` read besides "kind"
+BODY_KEYS = {"ball": {"radius"}, "box": {"radius"}, "simplex": {"scale"},
+             "random_hpolytope": {"extra_facets", "jitter"},
+             "ellipsoid": {"axes"}}
+FUNCTION_KEYS = {"norm": set(), "random_linear": set(), "quadratic_norm": set()}
 
 
 class ConfigError(ValueError):
@@ -103,6 +109,7 @@ def validate_config(config: dict) -> dict:
     if (not isinstance(dims, list) or not dims
             or not all(isinstance(n, int) and n >= 1 for n in dims)):
         raise ConfigError("'dims' must be a non-empty list of positive ints")
+    _check_template(CHAIN_INPUT[chain], template, dims)
     eps_list = config.get("eps")
     if (not isinstance(eps_list, list) or not eps_list
             or not all(isinstance(e, (int, float)) and 0 < e < 1
@@ -130,6 +137,44 @@ def validate_config(config: dict) -> dict:
     return out
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_template(role: str, template: dict, dims: list) -> None:
+    """The template's kind and keys against what `make_body` or
+    `make_function` reads, with the values their constructors accept."""
+    allowed = BODY_KEYS if role == "body" else FUNCTION_KEYS
+    kind = template["kind"]
+    if not isinstance(kind, str) or kind not in allowed:
+        raise ConfigError(f"unknown {role} kind {kind!r}; "
+                          f"expected one of {sorted(allowed)}")
+    unknown = set(template) - allowed[kind] - {"kind"}
+    if unknown:
+        raise ConfigError(f"unknown keys for {role} kind {kind!r}: {sorted(unknown)}")
+    for key in ("radius", "scale"):
+        if key in template and not (_is_number(template[key]) and template[key] > 0):
+            raise ConfigError(f"{kind} {key!r} must be a positive number")
+    extra = template.get("extra_facets", 3)  # make_body's default
+    if not (isinstance(extra, int) and not isinstance(extra, bool) and extra >= 0):
+        raise ConfigError("'extra_facets' must be a non-negative int")
+    if not _is_number(template.get("jitter", 0.0)):
+        raise ConfigError("'jitter' must be a finite number")
+    if kind == "random_hpolytope" and any(
+            math.comb(n + 1 + extra, n) > bodies.HPolytope.MAX_SUBSETS
+            for n in dims):
+        raise ConfigError("too many facets for vertex enumeration; "
+                          "lower 'extra_facets' or 'dims'")
+    if "axes" in template:
+        axes = template["axes"]
+        if (not isinstance(axes, list)
+                or not all(_is_number(a) and a > 0 for a in axes)):
+            raise ConfigError("ellipsoid 'axes' must be a list of positive numbers")
+        if any(len(axes) != n for n in dims):
+            raise ConfigError(f"ellipsoid 'axes' has length {len(axes)}; "
+                              f"every entry of 'dims' must equal it")
+
+
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -154,8 +199,6 @@ def make_body(template: dict, n: int, rng: RandomStream) -> bodies.BodySpec:
         gen = rng.generator()
         axes = np.asarray(template.get(
             "axes", gen.uniform(0.5, 1.5, size=n) ** 2), dtype=np.float64)
-        if axes.size != n:
-            raise ConfigError(f"ellipsoid axes must have length {n}")
         return bodies.Ellipsoid(np.zeros(n), np.diag(axes))
     raise ConfigError(f"unknown body kind {kind!r}")
 
@@ -165,15 +208,14 @@ def make_function(template: dict, n: int, rng: RandomStream):
     kind = template["kind"]
     if kind == "norm":
         def f(x, delta):
-            return float(np.linalg.norm(as_vector(x)))
+            return float(np.linalg.norm(x))
     elif kind == "random_linear":
         a = unit(rng.generator().normal(size=n))
 
         def f(x, delta):
-            return 0.5 + 0.5 * float(a @ as_vector(x))
+            return 0.5 + 0.5 * float(a @ x)
     elif kind == "quadratic_norm":
         def f(x, delta):
-            x = as_vector(x)
             return float(x @ x)
     else:
         raise ConfigError(f"unknown function kind {kind!r}")
@@ -479,7 +521,14 @@ def fit_scaling(rows: list[dict], x: str, y: str,
     if len(groups) < 4:
         raise ValueError(f"need >= 4 distinct values of {x!r}, "
                          f"got {len(groups)}")
-    xs = np.log(sorted(groups))
-    ys = np.log([float(np.mean(groups[k])) for k in sorted(groups)])
+    keys = sorted(groups)
+    means = [float(np.mean(groups[k])) for k in keys]
+    for k, mean in zip(keys, means):
+        if not (k > 0 and mean > 0):
+            raise ValueError(
+                f"log-log fit needs positive values: {x!r} = {k:g} has "
+                f"mean {y!r} = {mean:g}")
+    xs = np.log(keys)
+    ys = np.log(means)
     (slope, _), cov = np.polyfit(xs, ys, 1, cov=True)
     return float(slope), float(math.sqrt(max(cov[0, 0], 0.0)))

@@ -1,6 +1,10 @@
 """Basic geometric vocabulary: vectors, boxes, halfspaces.
 
 Vectors are plain 1-d float64 numpy arrays throughout the package.
+A vector is checked once, by `as_vector`, where it enters the library:
+in a constructor, an oracle's `__call__` or another public entry point.
+Body methods and internal helpers take float64 1-d arrays as given and
+do not check them again; `as_vector` returns such an array unchanged.
 Boundary comparisons are non-strict everywhere (all the bodies we work
 with are closed), and all tolerances are absolute: bodies are assumed
 normalized inside the unit ball by the time tolerances matter.

@@ -76,7 +76,7 @@ def sep_from_grad_indicator(grad):
         answer = grad(y, delta)
         if answer.value < INDICATOR_THRESHOLD:
             return SeparationAnswer()
-        return SeparationAnswer(HalfSpace(unit(answer.subgrad), as_vector(y), 0.0))
+        return SeparationAnswer(HalfSpace(unit(answer.subgrad), y, 0.0))
 
     sep.kind = SEP
     return sep

@@ -119,7 +119,7 @@ class _AffineMem:
         self._scale = scale
 
     def __call__(self, y, delta):
-        return self._inner(self._center + self._scale * as_vector(y), delta * self._scale)
+        return self._inner(self._center + self._scale * y, delta * self._scale)
 
     @property
     def alpha_bisect_rows(self):

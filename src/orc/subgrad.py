@@ -17,7 +17,7 @@ import numpy as np
 
 from .bodies import FuncSpec, Linear, Quadratic, UnsupportedVariant
 from .core import RandomStream
-from .geometry import Box, as_vector, coordinate_segment_endpoints
+from .geometry import as_vector
 
 
 @dataclass
@@ -73,14 +73,14 @@ def separate_convex_func(f_eval, params: EstimatorParams, rng: RandomStream) -> 
     f_eval has a `rows(points, delta)` form, otherwise one at a time.
     """
     y, z = sample_box_points(params, rng)
-    inner = Box(y, params.r2)
-    points = []
-    for i in range(params.n):
-        lo, hi = coordinate_segment_endpoints(inner, z, i)
-        points += (hi, lo)
+    # rows 2i and 2i+1 are z with coordinate i on the faces y_i +/- r2
+    i = np.arange(params.n)
+    points = np.repeat(z[None, :], 2 * params.n, axis=0)
+    points[2 * i, i] = y + params.r2
+    points[2 * i + 1, i] = y - params.r2
     rows = getattr(f_eval, "rows", None)
     if rows is not None:
-        values = rows(np.array(points), params.eps)
+        values = rows(points, params.eps)
     else:
         values = np.array([f_eval(p, params.eps) for p in points])
     return (values[0::2] - values[1::2]) * (1.0 / (2.0 * params.r2))

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -120,6 +121,57 @@ def test_validate_config_rejects_r1_override(tmp_path, capsys):
     assert main(["validate-config", _write(tmp_path, cfg)]) == 2
 
 
+@pytest.mark.parametrize("key, template", [
+    pytest.param("body", {"kind": "dodecahedron"}, id="unknown-body-kind"),
+    pytest.param("body", {"kind": "ball", "radius": -1}, id="negative-radius"),
+    pytest.param("body", {"kind": "box", "radius": 0}, id="zero-radius"),
+    pytest.param("body", {"kind": "box", "side": 1.0}, id="unknown-body-key"),
+    pytest.param("body", {"kind": "simplex", "scale": "1"}, id="string-scale"),
+    pytest.param("body", {"kind": "random_hpolytope", "extra_facets": -1},
+                 id="negative-extra-facets"),
+    pytest.param("body", {"kind": "random_hpolytope", "extra_facets": 300},
+                 id="too-many-facets"),
+    pytest.param("body", {"kind": "random_hpolytope", "jitter": None},
+                 id="null-jitter"),
+    pytest.param("body", {"kind": "ellipsoid", "axes": [1.0, 2.0]},
+                 id="axes-wrong-length"),
+    pytest.param("body", {"kind": "ellipsoid", "axes": [1.0, 0.0, 2.0]},
+                 id="zero-axis"),
+    pytest.param("function", {"kind": "norm", "nope": 1},
+                 id="unknown-function-key"),
+    pytest.param("function", {"kind": "ball"}, id="unknown-function-kind"),
+])
+def test_bad_template_exits_2_from_validate_and_run(tmp_path, key, template):
+    # dims [3, 3]: the axes length check applies to every entry of dims
+    cfg = _config(dims=[3, 3])
+    del cfg["body"]
+    cfg[key] = template
+    if key == "function":
+        cfg["chain"] = "eval_from_mem_epigraph"
+    path = _write(tmp_path, cfg)
+    assert main(["validate-config", path]) == 2
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("template", [
+    {"kind": "ball", "radius": 2},
+    {"kind": "box", "radius": 0.5},
+    {"kind": "simplex", "scale": 3.0},
+    {"kind": "random_hpolytope", "extra_facets": 0, "jitter": 0.1},
+    {"kind": "ellipsoid", "axes": [1.0, 0.25, 4]},
+])
+def test_template_keys_the_body_reads_are_accepted(tmp_path, template):
+    path = _write(tmp_path, _config(dims=[3], body=template))
+    assert main(["validate-config", path]) == 0
+
+
+def test_run_rejects_jobs_below_one(tmp_path):
+    path = _write(tmp_path, _config())
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--out", str(tmp_path), "--jobs", "0"])
+    assert exc.value.code == 2
+
+
 def test_list_chains_names_all_chains(capsys):
     assert main(["list-chains"]) == 0
     out = capsys.readouterr().out
@@ -210,6 +262,23 @@ def test_fit_scaling_needs_enough_distinct_x(tmp_path):
         for n in (2, 4):
             w.writerow(["s", "c", n, 1e-4, 1, 0, "sound", "", 10, 0, 0, 0, ""])
     assert main(["fit-scaling", str(p), "--x", "n", "--y", "mem_calls"]) == 1
+
+
+def test_fit_scaling_zero_mean_column_exits_1(tmp_path, capsys):
+    # an opt_from_sep CSV has mem_calls 0 in every row: log(0) is not a fit
+    p = tmp_path / "zero.csv"
+    with open(p, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(CSV_COLUMNS)
+        for n in (2, 4, 8, 16):
+            w.writerow(["s", "opt_from_sep", n, 1e-3, 1, 0, "sound", "0.001",
+                        0, 10 * n, 0, 0, ""])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit-scaling", str(p), "--x", "n", "--y", "mem_calls"]) == 1
+    captured = capsys.readouterr()
+    assert "mem_calls" in captured.err
+    assert "nan" not in captured.out
 
 
 def test_missing_config_file_exits_2():

@@ -6,6 +6,7 @@ import pytest
 from orc.bodies import (Linear, MaxOfLinear, Quadratic, exact_eval,
                         exact_grad)
 from orc.core import RandomStream
+from orc.geometry import Box, coordinate_segment_endpoints
 from orc.subgrad import (EstimatorParams, expected_flatness_defect,
                          sample_box_points, separate_convex_func)
 
@@ -46,13 +47,29 @@ def test_max_of_linear_estimate_is_near_a_subgradient():
 
 
 def test_exactly_2n_evaluations():
-    for n in (1, 2, 5, 11):
+    # the points are the (hi, lo) chord endpoints of the per-point
+    # reference, bitwise and in order, one at a time and as one stack
+    for n in (1, 2, 5, 11, 32):
         calls = []
         f = Quadratic(np.eye(n))
-        oracle = lambda p, delta: (calls.append(1), exact_eval(f, p))[1]
+        oracle = lambda p, delta: (calls.append(p.copy()), exact_eval(f, p))[1]
         params = EstimatorParams(np.zeros(n) + 0.1, r1=0.05, eps=1e-6, L=2.0)
         separate_convex_func(oracle, params, RandomStream(1))
         assert len(calls) == 2 * n
+
+        stacks = []
+        stacked = lambda p, delta: exact_eval(f, p)
+        stacked.rows = lambda P, delta: (stacks.append(P.copy()),
+                                         np.array([exact_eval(f, p) for p in P]))[1]
+        separate_convex_func(stacked, params, RandomStream(1))
+        assert len(stacks) == 1 and stacks[0].shape == (2 * n, n)
+
+        y, z = sample_box_points(params, RandomStream(1))
+        for i in range(n):
+            lo, hi = coordinate_segment_endpoints(Box(y, params.r2), z, i)
+            for points in (calls, stacks[0]):
+                assert np.array_equal(points[2 * i], hi)
+                assert np.array_equal(points[2 * i + 1], lo)
 
 
 def test_r2_default_formula():
