@@ -8,13 +8,12 @@ central-cut ellipsoid optimizer, and the web of indicator / support
 function / epigraph-body correspondences connecting the rest.
 """
 
-from .bodies import (Ball, BodySpec, BoxBody, Ellipsoid, ExactEval,
-                     ExactMembership, ExactOptimization, ExactSeparation,
-                     ExactValidity, ExactViolation, FlipNoise, FuncSpec,
-                     HPolytope, Indicator, Intersection, Linear, MaxOfLinear,
-                     Quadratic, Simplex, brute_force_lp, exact_eval,
-                     exact_grad, exact_membership, exact_support,
-                     random_hpolytope)
+from .bodies import (Ball, BodySpec, BoxBody, Ellipsoid, ExactMembership,
+                     ExactOptimization, ExactSeparation, ExactValidity,
+                     ExactViolation, FlipNoise, FuncSpec, HPolytope,
+                     Indicator, Intersection, Linear, MaxOfLinear, Quadratic,
+                     Simplex, brute_force_lp, exact_eval, exact_grad,
+                     exact_membership, exact_support, random_hpolytope)
 from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, VIOL, GradAnswer,
                    MembershipAnswer, OptimizationAnswer, ProblemGeometry,
                    QueryLedger, RandomStream, SeparationAnswer, ValidityAnswer,

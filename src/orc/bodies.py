@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import (EVAL, INSIDE_DILATED, MEM, OPT, OUTSIDE_ERODED, SEP, VAL,
-                   VIOL, GradAnswer, MembershipAnswer, OptimizationAnswer,
+from .core import (INSIDE_DILATED, MEM, OPT, OUTSIDE_ERODED, SEP, VAL, VIOL,
+                   GradAnswer, MembershipAnswer, OptimizationAnswer,
                    ProblemGeometry, SeparationAnswer, ValidityAnswer,
                    ViolationAnswer, check_precision)
 from .geometry import HalfSpace, as_vector, unit
@@ -387,10 +387,6 @@ class FuncSpec:
     def grad(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def linf_lipschitz(self, center: np.ndarray, radius: float) -> float:
-        """Upper bound on ||grad f||_inf over B_inf(center, radius)."""
-        raise UnsupportedVariant(type(self).__name__)
-
 
 @dataclass(frozen=True)
 class Linear(FuncSpec):
@@ -405,9 +401,6 @@ class Linear(FuncSpec):
 
     def grad(self, y):
         return self.a.copy()
-
-    def linf_lipschitz(self, center, radius):
-        return float(np.max(np.abs(self.a)))
 
 
 @dataclass(frozen=True)
@@ -433,11 +426,6 @@ class Quadratic(FuncSpec):
     def grad(self, y):
         return 2.0 * (self.A @ y) + self.b
 
-    def linf_lipschitz(self, center, radius):
-        g0 = np.abs(2.0 * (self.A @ as_vector(center)) + self.b)
-        spread = radius * np.sum(np.abs(2.0 * self.A), axis=1)
-        return float(np.max(g0 + spread))
-
 
 @dataclass(frozen=True)
 class MaxOfLinear(FuncSpec):
@@ -457,9 +445,6 @@ class MaxOfLinear(FuncSpec):
     def grad(self, y):
         vals = [float(a @ y) + b for a, b in self.terms]
         return self.terms[int(np.argmax(vals))][0].copy()
-
-    def linf_lipschitz(self, center, radius):
-        return max(float(np.max(np.abs(a))) for a, _ in self.terms)
 
 
 @dataclass(frozen=True)
@@ -482,18 +467,6 @@ def exact_eval(spec: FuncSpec, y) -> float:
 def exact_grad(spec: FuncSpec, y) -> GradAnswer:
     y = as_vector(y)
     return GradAnswer(spec.value(y), spec.grad(y))
-
-
-class ExactEval:
-    """Callable EVAL oracle with zero additive error."""
-
-    kind = EVAL
-
-    def __init__(self, spec: FuncSpec):
-        self.spec = spec
-
-    def __call__(self, y, delta):
-        return self.spec.value(as_vector(y))
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +550,16 @@ class ExactValidity:
 
 def random_hpolytope(n: int, rng, extra_facets: int = 3,
                      jitter: float = 0.15) -> HPolytope:
-    """A bounded random polytope containing the origin in its interior.
+    """A random polytope containing the origin in its interior.
 
     Starts from the facet normals of a regular simplex (whose n+1 outward
-    normals positively span R^n, guaranteeing boundedness), perturbs them,
-    and adds a few extra random facets.  All offsets are >= 0.6 so the unit
-    directions keep a ball of radius 0.6 around the origin inside the body.
+    normals positively span R^n), perturbs them, and adds a few extra
+    random facets.  The perturbed normals need not positively span R^n,
+    so the polytope may be unbounded, and `HPolytope` does not check it:
+    with the defaults and seeded draws, none of 100 to 200 per dimension
+    was unbounded at n = 2, 3, 4 or 8, but 23 of 40 were at n = 16.
+    All offsets are >= 0.6 so the unit directions keep a ball of radius
+    0.6 around the origin inside the body.
     """
     gen = rng.generator() if hasattr(rng, "generator") else rng
     ones = np.ones((n + 1, 1))

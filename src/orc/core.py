@@ -14,7 +14,8 @@ callables whose *last* positional argument is the precision delta:
 A single delta plays the role of both geometric error and failure
 probability, following the GLS convention.  Oracles advertise their
 kind through a `.kind` attribute so they can be ledger-wrapped and
-amplified generically.
+amplified generically.  A `QueryLedger` counts queries by kind only;
+the delta of a query is not recorded.
 """
 
 from __future__ import annotations
@@ -133,44 +134,34 @@ class GradAnswer:
 
 
 class QueryLedger:
-    """Per-oracle call counters keyed by (kind, exact delta value).
+    """Per-oracle-kind call counters.
 
     Increments are lock-protected so concurrently running trials can
     share a ledger; counters are monotone nondecreasing.
     """
 
     def __init__(self):
-        self._counts: dict[tuple[str, float], int] = {}
+        self._counts: dict[str, int] = {}
         self._lock = threading.Lock()
 
-    def record(self, kind: str, delta: float, count: int = 1) -> None:
+    def record(self, kind: str, count: int = 1) -> None:
         if count < 0:
             raise ValueError("ledger counts are monotone")
-        key = (kind, float(delta))
         with self._lock:
-            self._counts[key] = self._counts.get(key, 0) + count
+            self._counts[kind] = self._counts.get(kind, 0) + count
 
-    def count(self, kind: str, delta: float | None = None) -> int:
+    def count(self, kind: str) -> int:
         with self._lock:
-            if delta is not None:
-                return self._counts.get((kind, float(delta)), 0)
-            return sum(v for (k, _), v in self._counts.items() if k == kind)
-
-    def snapshot(self) -> dict[tuple[str, float], int]:
-        with self._lock:
-            return dict(self._counts)
+            return self._counts.get(kind, 0)
 
     def merge(self, other: "QueryLedger") -> None:
         """Fold another ledger's counts into this one."""
-        for (kind, delta), count in other.snapshot().items():
-            self.record(kind, delta, count)
+        for kind, count in other.totals().items():
+            self.record(kind, count)
 
     def totals(self) -> dict[str, int]:
-        out: dict[str, int] = {}
         with self._lock:
-            for (kind, _), v in self._counts.items():
-                out[kind] = out.get(kind, 0) + v
-        return out
+            return dict(self._counts)
 
 
 @dataclass(frozen=True)
@@ -204,7 +195,7 @@ class _LedgeredOracle:
         self.kind = kind
 
     def __call__(self, *args):
-        self.ledger.record(self.kind, args[-1])
+        self.ledger.record(self.kind)
         return self._oracle(*args)
 
     @property
@@ -217,7 +208,7 @@ class _LedgeredOracle:
             raise AttributeError("wrapped oracle has no alpha_bisect_rows fast path")
 
         def fast(D, x, hi, iters, delta):
-            self.ledger.record(self.kind, delta, int(np.sum(iters)))
+            self.ledger.record(self.kind, int(np.sum(iters)))
             return inner(D, x, hi, iters, delta)
 
         return fast

@@ -69,7 +69,6 @@ def ellipsoid_cut(state: EllipsoidState, h: HalfSpace | np.ndarray) -> Ellipsoid
 class OptimizerConfig:
     eps: float
     max_iters: int | None = None
-    sep_delta_exponent: int = 3
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
@@ -84,7 +83,7 @@ class OptimizerConfig:
         return math.ceil(2.0 * n * (n + 1) * math.log(geometry.R / (geometry.r * self.eps)))
 
     def resolved_sep_delta(self, geometry: ProblemGeometry) -> float:
-        raw = (self.eps / (geometry.n * geometry.kappa)) ** self.sep_delta_exponent
+        raw = (self.eps / (geometry.n * geometry.kappa)) ** 3
         return max(raw, 1e-12)
 
 

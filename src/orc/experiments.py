@@ -40,7 +40,7 @@ QUERY_DISTANCE_FACTOR = 1.5
 
 SLACK_MODES = {"theoretical": THEORETICAL, "anchored": ANCHORED}
 
-OVERRIDE_KEYS = {"retries", "sep_delta_exponent"}
+OVERRIDE_KEYS = {"retries"}
 
 CONFIG_KEYS = {"experiment", "chain", "body", "function", "dims", "eps",
                "seeds", "trials", "slack_mode", "overrides"}
@@ -265,9 +265,7 @@ def _run_sep_from_mem(ctx) -> tuple[str, float | None]:
 def _run_opt_from_sep(ctx) -> tuple[str, float | None]:
     body = ctx.body
     sep = wrap_with_ledger(bodies.ExactSeparation(body), ctx.ledger)
-    cfg = OptimizerConfig(
-        eps=ctx.eps,
-        sep_delta_exponent=ctx.overrides.get("sep_delta_exponent", 3))
+    cfg = OptimizerConfig(eps=ctx.eps)
     c = unit(ctx.rng.child("obj").generator().normal(size=body.dim))
     answer = optimize_linear(cfg, sep, body.geometry, c)
     return _grade_opt(body, answer, c, ctx.eps)
@@ -281,9 +279,7 @@ def _run_opt_from_mem(ctx) -> tuple[str, float | None]:
                      eps=ctx.eps * 1e-2, rho=0.1, mode=ctx.slack_mode,
                      retries=ctx.overrides.get("retries", 3))
     sep = wrap_with_ledger(sep, ctx.ledger)
-    cfg = OptimizerConfig(
-        eps=ctx.eps,
-        sep_delta_exponent=ctx.overrides.get("sep_delta_exponent", 3))
+    cfg = OptimizerConfig(eps=ctx.eps)
     c = unit(ctx.rng.child("obj").generator().normal(size=body.dim))
     answer = optimize_linear(cfg, sep, body.geometry, c)
     return _grade_opt(body, answer, c, ctx.eps)

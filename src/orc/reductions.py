@@ -329,15 +329,13 @@ class _ChainLedgers:
 
 
 def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float, sep_eps: float | None = None,
-                 rho: float | None = None,
-                 sep_delta_exponent: int = 3):
+                 eps: float, sep_eps: float, rho: float = 0.1):
     """OPT(K) = cutting-plane over SEP(K) built from MEM(K)."""
     ledgers = _ChainLedgers("mem", "sep")
     counted_mem = wrap_with_ledger(mem, ledgers.mem)
     sep = SepFromMem(counted_mem, geometry, rng, eps=sep_eps, rho=rho)
     counted_sep = wrap_with_ledger(sep, ledgers.sep)
-    cfg = OptimizerConfig(eps=eps, sep_delta_exponent=sep_delta_exponent)
+    cfg = OptimizerConfig(eps=eps)
 
     def opt(c, delta):
         check_precision(delta)
@@ -350,8 +348,8 @@ def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *,
 
 def _optimize_over_support_epigraph(eval_support, geometry: ProblemGeometry,
                                     rng: RandomStream, direction, *,
-                                    eps: float, sep_eps: float | None,
-                                    rho: float | None, ledgers):
+                                    eps: float, sep_eps: float, rho: float,
+                                    ledgers):
     """Maximize <direction, .> over K_{1_K*} via MEM -> SEP -> cutting plane.
 
     This is the inner engine shared by the VAL -> OPT and OPT -> SEP
@@ -371,8 +369,7 @@ def _optimize_over_support_epigraph(eval_support, geometry: ProblemGeometry,
 
 
 def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float = 0.01, sep_eps: float | None = None,
-                 rho: float | None = None):
+                 eps: float = 0.01, sep_eps: float, rho: float = 0.1):
     """OPT(K) from VAL(K).
 
     Chain: VAL recovers EVAL(1_K*) by bisection; the epigraph body of
@@ -410,8 +407,7 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
 
 
 def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float = 0.01, sep_eps: float | None = None,
-                 rho: float | None = None):
+                 eps: float = 0.01, sep_eps: float, rho: float = 0.1):
     """SEP(K) from OPT(K).
 
     Chain: OPT gives EVAL(1_K*) directly; optimizing <(x, -1), .> over

@@ -138,51 +138,31 @@ class SepFromMem:
     """Packaged separation oracle built on a membership oracle.
 
     Handles the recentering wrapper (shift by -x0, scale by 1/R) and
-    maps answers back to the caller's coordinates.  By default each
-    query derives eps and rho from the queried precision eta via the
-    theoretical schedule (floored for 64-bit feasibility); passing
-    eps/rho pins practical values instead.
+    maps answers back to the caller's coordinates.  The membership
+    precision eps is fixed for the body, in the rescaled coordinates;
+    every query runs at that eps whatever its precision eta.  rho enters
+    only the theoretical slack; in anchored mode it is only validated.
     """
 
     kind = SEP
-    EPS_FLOOR = 1e-12
 
     def __init__(self, mem, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float | None = None, rho: float | None = None,
-                 mode: str = ANCHORED, retries: int = 3):
+                 eps: float, rho: float = 0.1, mode: str = ANCHORED,
+                 retries: int = 3):
         self.geometry = geometry
         self._mem = _AffineMem(mem, geometry.center, geometry.R)
-        self._scaled_geom = geometry.rescaled()
+        self._cfg = SeparatorConfig(eps=eps, rho=rho, geometry=geometry.rescaled(),
+                                    retries=retries, mode=mode)
         self._rng = rng
-        self._eps = eps
-        self._rho = rho
-        self._mode = mode
-        self._retries = retries
         self._queries = 0
-
-    def _schedule(self, eta: float) -> tuple[float, float]:
-        g = self._scaled_geom
-        if self._eps is not None:
-            eps = self._eps
-        else:
-            eps = eta ** 6 / (g.n ** 3.5 * g.kappa ** 6)
-            eps = min(max(eps, self.EPS_FLOOR), g.r)
-        if self._rho is not None:
-            rho = self._rho
-        else:
-            rho = min(0.4, math.sqrt(g.n ** (7 / 6) * g.kappa ** 2 * eps ** (1 / 3)))
-        return eps, rho
 
     def __call__(self, y, eta) -> SeparationAnswer:
         check_precision(eta)
-        eps, rho = self._schedule(eta)
-        cfg = SeparatorConfig(eps=eps, rho=rho, geometry=self._scaled_geom,
-                              retries=self._retries, mode=self._mode)
         y = as_vector(y)
         g = self.geometry
         y_scaled = (y - g.center) / g.R
         self._queries += 1
-        ans = separate(cfg, self._mem, y_scaled, self._rng.child(self._queries))
+        ans = separate(self._cfg, self._mem, y_scaled, self._rng.child(self._queries))
         if ans.inside:
             return ans
         h = ans.halfspace

@@ -121,6 +121,14 @@ def test_validate_config_rejects_r1_override(tmp_path, capsys):
     assert main(["validate-config", _write(tmp_path, cfg)]) == 2
 
 
+def test_validate_config_rejects_sep_delta_exponent_override(tmp_path, capsys):
+    # the optimizer's SEP precision exponent is fixed at 3; no chain reads it
+    cfg = _config(chain="opt_from_sep", overrides={"sep_delta_exponent": 3})
+    path = _write(tmp_path, cfg)
+    assert main(["validate-config", path]) == 2
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+
+
 @pytest.mark.parametrize("key, template", [
     pytest.param("body", {"kind": "dodecahedron"}, id="unknown-body-kind"),
     pytest.param("body", {"kind": "ball", "radius": -1}, id="negative-radius"),

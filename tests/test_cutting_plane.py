@@ -165,7 +165,7 @@ def test_config_validation():
 
 
 def test_sep_delta_schedule_floor():
-    cfg = OptimizerConfig(eps=1e-6, sep_delta_exponent=3)
+    cfg = OptimizerConfig(eps=1e-6)
     geom = ProblemGeometry(5, 1.0, 10.0)
     assert cfg.resolved_sep_delta(geom) == 1e-12
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orc.bodies import Ball, ExactMembership, FlipNoise
-from orc.core import (MEM, SEP, MembershipAnswer, ProblemGeometry,
+from orc.core import (MEM, OPT, SEP, MembershipAnswer, ProblemGeometry,
                       QueryLedger, RandomStream, SeparationAnswer, amplify,
                       check_precision, wrap_with_ledger)
 from orc.geometry import HalfSpace
@@ -44,23 +44,25 @@ def test_separation_answer_variants():
 
 
 def test_ledger_counts_by_kind_and_delta():
+    # queries at different deltas land in one count per kind
     ledger = QueryLedger()
-    ledger.record(MEM, 0.01)
-    ledger.record(MEM, 0.01)
-    ledger.record(MEM, 0.02)
-    ledger.record(SEP, 0.01, count=5)
-    assert ledger.count(MEM, 0.01) == 2
+    mem = wrap_with_ledger(ExactMembership(Ball(np.zeros(2), 1.0)), ledger)
+    for delta in (0.01, 0.01, 0.02):
+        mem(np.zeros(2), delta)
+    ledger.record(SEP, count=5)
     assert ledger.count(MEM) == 3
+    assert ledger.count(SEP) == 5
+    assert ledger.count(OPT) == 0
     assert ledger.totals() == {MEM: 3, SEP: 5}
 
 
 def test_ledger_merge_folds_counts():
     a, b = QueryLedger(), QueryLedger()
-    a.record(MEM, 0.01, 2)
-    b.record(MEM, 0.01, 3)
-    b.record(SEP, 0.1, 1)
+    a.record(MEM, 2)
+    b.record(MEM, 3)
+    b.record(SEP, 1)
     a.merge(b)
-    assert a.count(MEM, 0.01) == 5
+    assert a.count(MEM) == 5
     assert a.count(SEP) == 1
 
 
@@ -69,7 +71,7 @@ def test_wrap_with_ledger_counts_every_call():
     mem = wrap_with_ledger(ExactMembership(Ball(np.zeros(2), 1.0)), ledger)
     for _ in range(7):
         mem(np.zeros(2), 0.01)
-    assert ledger.count(MEM, 0.01) == 7
+    assert ledger.count(MEM) == 7
 
 
 def test_random_stream_same_path_same_draws():

@@ -1,0 +1,24 @@
+"""The library names the benchmark harness in `perfbench/` reads.
+
+The harness imports `orc` by name and patches the functions listed in
+`spans.TARGETS`.  Deleting one of them breaks the benchmark run, so this
+test fails first.  It only reads `perfbench/`.
+"""
+
+import importlib
+from pathlib import Path
+
+from orc import kernels
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_perfbench_imports_and_every_span_target_resolves(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    spans = importlib.import_module("perfbench.spans")
+    assert set(workloads.WORKLOADS) == {"sep_mem", "opt_sep", "web"}
+    missing = [(name, attr) for name, owner, attr, _ in spans.TARGETS
+               if not hasattr(owner, attr)]
+    assert not missing
+    assert hasattr(kernels, "NUMBA_ENABLED")

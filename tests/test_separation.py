@@ -234,6 +234,30 @@ def test_stack_path_gives_per_ray_normal_and_mem_count(make):
         np.testing.assert_array_equal(stacked, per_ray)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Simplex(4, 1.0),
+    lambda: Ellipsoid(np.zeros(4), np.diag([0.3, 0.6, 1.0, 1.5])),
+], ids=["simplex", "ellipsoid"])
+def test_query_precision_leaves_fixed_eps_answer_unchanged(make):
+    # the membership precision is fixed for the body: a query's eta is
+    # validated, and changes neither the cut nor the MEM queries spent
+    spec = make()
+    gen = np.random.default_rng(5)
+    for trial in range(3):
+        u = gen.normal(size=spec.dim)
+        u /= np.linalg.norm(u)
+        y = spec.geometry.center + 1.2 * spec.radial_scale(u) * u
+        answers = []
+        for eta in (0.01, 1e-9):
+            ledger = QueryLedger()
+            sep = SepFromMem(wrap_with_ledger(ExactMembership(spec), ledger),
+                             spec.geometry, RandomStream(trial), eps=1e-8)
+            answers.append((sep(y, eta).halfspace.normal, ledger.count(MEM)))
+        (coarse, coarse_mem), (fine, fine_mem) = answers
+        assert coarse_mem == fine_mem > 1  # the height branch ran
+        np.testing.assert_array_equal(coarse, fine)
+
+
 def test_flip_noise_sees_queries_in_per_point_order():
     # the per-point estimator: each chord endpoint evaluated in turn,
     # hi before lo, one full bisection each
