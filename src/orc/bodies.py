@@ -10,6 +10,13 @@ the `Exact*` classes, `exact_eval`, `exact_grad`) check their vectors
 with `as_vector`.  The methods of bodies and functions (`contains`,
 `support`, `radial_scale`, `value`, `grad`) and `separating_normal` take
 float64 1-d arrays and trust them.
+
+Stack forms answer k queries in one call and trust their float64 (k, n)
+stacks the same way: `BodySpec.support_rows`, and the `rows` methods of
+`ExactOptimization` (a stack of maximizers) and `ExactValidity` (a bool
+array, True where the answer is SOME_ABOVE).  Each row's answer is
+bitwise the one a single call gives: row dots use `np.vecdot` and row
+norms `sqrt(vecdot)`, the computations of `c @ y` and `np.linalg.norm`.
 """
 
 from __future__ import annotations
@@ -58,6 +65,14 @@ class BodySpec:
         """Exact support value max_{x in K} <c, x> and a maximizer."""
         raise UnsupportedVariant(type(self).__name__)
 
+    def support_rows(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`support` at every row of the (k, n) stack C, k >= 1: the k
+        values and the (k, n) stack of maximizers, bitwise equal to k
+        `support` calls.  This default makes those calls; the ball, box
+        and simplex answer the stack in one pass."""
+        values, args = zip(*(self.support(c) for c in C))
+        return np.array(values), np.array(args)
+
     def radial_scale(self, u: np.ndarray) -> float:
         """Largest t with geometry.center + t*u in K (u a unit vector)."""
         raise UnsupportedVariant(type(self).__name__)
@@ -81,6 +96,14 @@ class Ball(BodySpec):
     def support(self, c):
         return float(c @ self.center) + self.radius * float(np.linalg.norm(c)), \
             self.center + self.radius * unit(c)
+
+    def support_rows(self, C):
+        # sqrt(vecdot) is np.linalg.norm's computation, row by row
+        norms = np.sqrt(np.vecdot(C, C))
+        if not norms.all():
+            raise ValueError("cannot normalize the zero vector")
+        return (np.vecdot(C, self.center) + self.radius * norms,
+                self.center + self.radius * (C / norms[:, None]))
 
     def radial_scale(self, u):
         return self.radius
@@ -108,6 +131,10 @@ class BoxBody(BodySpec):
         sgn = np.where(c >= 0.0, 1.0, -1.0)
         arg = self.center + self.radius * sgn
         return float(c @ arg), arg
+
+    def support_rows(self, C):
+        args = self.center + self.radius * np.where(C >= 0.0, 1.0, -1.0)
+        return np.vecdot(C, args), args
 
     def radial_scale(self, u):
         return self.radius / float(np.max(np.abs(u)))
@@ -144,6 +171,15 @@ class Simplex(BodySpec):
         arg = np.zeros(self.dim)
         arg[i] = self.scale
         return self.scale * float(c[i]), arg
+
+    def support_rows(self, C):
+        k = np.arange(C.shape[0])
+        i = np.argmax(C, axis=1)
+        top = C[k, i]
+        pos = top > 0.0
+        args = np.zeros(C.shape)
+        args[k[pos], i[pos]] = self.scale
+        return np.where(pos, self.scale * top, 0.0), args
 
     def radial_scale(self, u):
         x0 = self.geometry.center
@@ -520,6 +556,17 @@ class ExactOptimization:
         _, arg = self.spec.support(c)
         return OptimizationAnswer(arg)
 
+    def rows(self, C, delta):
+        """One query per row of the float64 (k, n) stack C, taken as
+        given: the (k, n) stack of the maximizers `__call__` returns."""
+        nonzero = C.any(axis=1)
+        if nonzero.all():
+            return self.spec.support_rows(C)[1]
+        out = np.repeat(self.spec.geometry.center[None, :], C.shape[0], axis=0)
+        if nonzero.any():
+            out[nonzero] = self.spec.support_rows(C[nonzero])[1]
+        return out
+
 
 class ExactViolation:
     kind = VIOL
@@ -546,6 +593,18 @@ class ExactValidity:
         c = as_vector(c)
         val = 0.0 if not np.any(c) else self.spec.support(c)[0]
         return ValidityAnswer.SOME_ABOVE if val >= gamma else ValidityAnswer.ALL_BELOW
+
+    def rows(self, C, gammas, delta):
+        """One query per row of the float64 (k, n) stack C against its
+        own threshold gammas[i], taken as given: a bool array, True where
+        `__call__` answers SOME_ABOVE."""
+        nonzero = C.any(axis=1)
+        if nonzero.all():
+            return self.spec.support_rows(C)[0] >= gammas
+        values = np.zeros(C.shape[0])
+        if nonzero.any():
+            values[nonzero] = self.spec.support_rows(C[nonzero])[0]
+        return values >= gammas
 
 
 def random_hpolytope(n: int, rng, extra_facets: int = 3,

@@ -213,6 +213,20 @@ class _LedgeredOracle:
 
         return fast
 
+    @property
+    def rows(self):
+        """The wrapped oracle's stack form, recording one query per row
+        in one record; an AttributeError when it has none."""
+        inner = getattr(self._oracle, "rows", None)
+        if inner is None:
+            raise AttributeError("wrapped oracle has no rows stack form")
+
+        def stacked(C, *args):
+            self.ledger.record(self.kind, len(C))
+            return inner(C, *args)
+
+        return stacked
+
 
 def wrap_with_ledger(oracle, ledger: QueryLedger, kind: str | None = None):
     """Wrap `oracle` so every query increments `ledger` exactly once."""

@@ -131,6 +131,9 @@ def validate_config(config: dict) -> dict:
     unknown = set(overrides) - OVERRIDE_KEYS
     if unknown:
         raise ConfigError(f"unknown override keys: {sorted(unknown)}")
+    retries = overrides.get("retries", 0)
+    if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+        raise ConfigError("'retries' must be a non-negative int")
     out = dict(config)
     out["slack_mode"] = slack_mode
     out["overrides"] = overrides

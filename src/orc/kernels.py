@@ -4,10 +4,12 @@ ellipsoid update, a rank-one update of the shape matrix's factor.
 
 All of it is numpy code.  `inside` tests one point and `inside_rows`
 every row of a (k, n) stack.  `bisect_rows` is the one bisection loop:
-it bisects k rays in lockstep, one containment test of the whole stack
-per round, so one subgradient estimate's 2n height evaluations cost one
-numpy loop instead of 2n.  It takes the stack containment test as a
-callable, so a body without a kernel encoding bisects through the same
+it bisects k rays in lockstep, one containment test per round of the
+rows still bisecting, so one subgradient estimate's 2n height
+evaluations cost one numpy loop instead of 2n, and exactly the sum of
+their round counts in row tests.  It takes the stack containment test
+as a callable, so a body without a kernel encoding, or the epigraph
+body whose every test is an oracle query, bisects through the same
 loop.  `bisect_alpha` is a stack of one through it.
 
 Reference bodies are encoded for the kernels as a tuple
@@ -76,25 +78,34 @@ def bisect_rows(contains_rows, D: np.ndarray, x: np.ndarray, hi, iters) -> np.nd
 
     contains_rows maps a (k, n) stack to a bool array, one entry per
     row.  x is one (n,) direction shared by all rows; hi and iters give
-    each row its own bracket [0, hi[i]] and round count.  All rows are
-    tested together each round.  Row i's answer is taken after its own
-    iters[i] rounds, so every row gets exactly the midpoints,
-    containment answers and alpha of its single-ray bisection.
-    Precondition per row: D[i] is inside and D[i] + hi[i]*x is outside.
+    each row its own bracket [0, hi[i]] and round count.  Each round
+    tests the rows still bisecting (iters[i] >= round) together, so a
+    stack costs exactly sum(iters) row tests: a row that is done is not
+    tested again, which matters when a test costs an oracle query.
+    Every row gets exactly the midpoints, containment answers and alpha
+    of its single-ray bisection.  Precondition per row: D[i] is inside
+    and D[i] + hi[i]*x is outside.
     """
     hi = np.array(hi, dtype=np.float64)
     iters = np.asarray(iters)
     lo = np.zeros_like(hi)
     mid = 0.5 * (lo + hi)
-    alpha = mid.copy()
-    shortest = int(iters.min()) if iters.size else 0
+    alpha = np.empty_like(mid)
+    rows = np.arange(mid.size)  # the rows still bisecting
+    ends = set(iters.tolist())
     for step in range(1, int(iters.max(initial=0)) + 1):
+        if step - 1 in ends:
+            # rows whose last round has passed leave the stack
+            done = iters < step
+            alpha[rows[done]] = mid[done]
+            keep = ~done
+            rows, D, iters = rows[keep], D[keep], iters[keep]
+            lo, hi, mid = lo[keep], hi[keep], mid[keep]
         inside = contains_rows(D + mid[:, None] * x)
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
         mid = 0.5 * (lo + hi)
-        if step >= shortest:
-            np.copyto(alpha, mid, where=iters == step)
+    alpha[rows] = mid
     return alpha
 
 

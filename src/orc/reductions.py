@@ -15,6 +15,23 @@ Composing these with the membership-to-separation estimator and the
 cutting-plane optimizer yields every pairwise reduction among the set
 oracles; the composed constructors at the bottom of this module package
 the useful chains.
+
+Stack forms.  `support_eval_from_opt`, `eval_support_from_val` and the
+normalized support function carry a `rows(C, delta)` form, one answer
+per row of a (k, n) stack, whenever their inner oracle has one (the
+exact oracles do; `amplify`'s voters and plain callables do not).  The
+VAL form runs its threshold bisections in lockstep, one stacked VAL
+query per round.  Over such an f, `EpigraphBody.as_mem` carries an
+`alpha_bisect_rows` fast path: the 2(n+1) height bisections of one
+subgradient estimate run in lockstep, one stacked OPT or VAL query per
+round for the rows still bisecting.  Answers and query counts equal the
+row-by-row path's, with two exceptions.  SEP-from-MEM's recentring
+maps a stack's base points and direction separately, so a bisection
+point can differ from the row path's in the last bit, which changes a
+membership answer only for a point within rounding of the boundary.
+And an f value outside the epigraph's range raises the range check's
+ValueError on both paths, but the ledgers then count the lockstep
+rounds run until then.
 """
 
 from __future__ import annotations
@@ -23,6 +40,7 @@ import math
 
 import numpy as np
 
+from . import kernels
 from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, GradAnswer,
                    MembershipAnswer, OptimizationAnswer, ProblemGeometry,
                    QueryLedger, RandomStream, SeparationAnswer,
@@ -157,11 +175,51 @@ class EpigraphBody:
         value = self._checked_eval(query, delta / 10.0)
         return INSIDE if value <= t + margin else OUTSIDE
 
+    def membership_rows(self, P: np.ndarray, delta) -> np.ndarray:
+        """`membership` of every row of the float64 (k, n+1) stack P,
+        taken as given, as a bool array (True for INSIDE), for an f_eval
+        with a `rows(X, delta)` stack form.  The same gate, range check
+        and comparison, with the norms computed as `membership` computes
+        them, so every row gets its single-point answer; f is evaluated
+        in one stacked call, at the rows that pass the gate."""
+        check_precision(delta)
+        X = 2.0 * P[:, :-1]
+        t = 4.0 * P[:, -1]
+        margin = 4.0 * delta
+        # sqrt(vecdot) is np.linalg.norm's computation, row by row
+        norms = np.sqrt(np.vecdot(X, X))
+        gate = (norms <= 1.0 + margin) & (t <= 2.0 + margin)
+        inside = np.zeros(P.shape[0], dtype=bool)
+        if gate.any():
+            # x / max(||x||, 1) is x itself inside the unit ball
+            query = X[gate] / np.maximum(norms[gate], 1.0)[:, None]
+            values = self.f_eval.rows(query, delta / 10.0)
+            bad = ~((values >= -self.RANGE_SLACK) & (values <= 1.0 + self.RANGE_SLACK))
+            if bad.any():
+                raise ValueError(
+                    f"epigraph construction requires values in [0, 1]; got {values[bad][0]}")
+            inside[gate] = values <= t[gate] + margin
+        return inside
+
+    def alpha_bisect_rows(self, D, x, hi, iters, delta):
+        """The membership bisection for max{a : D[i] + a*x in K_f} at
+        every row of D, in lockstep through `kernels.bisect_rows`: one
+        `membership_rows` test of the rows still bisecting per round."""
+        return kernels.bisect_rows(lambda P: self.membership_rows(P, delta), D, x, hi, iters)
+
     def as_mem(self):
+        """MEM view of the body.  When f_eval has a `rows` stack form it
+        carries the `alpha_bisect_rows` fast path, so a height estimate
+        over it bisects in lockstep with one stacked f query per round.
+        Over any other f_eval it has none, and every f query is made one
+        at a time, in the order of separate bisections: the draws of a
+        randomized f stay where they were."""
         def mem(point, delta):
             return self.membership(point, delta)
 
         mem.kind = MEM
+        if hasattr(self.f_eval, "rows"):
+            mem.alpha_bisect_rows = self.alpha_bisect_rows
         return mem
 
 
@@ -242,6 +300,14 @@ def support_eval_from_opt(opt, geometry: ProblemGeometry):
         return float(c @ answer.maximizer)
 
     eval_support.kind = EVAL
+    opt_rows = getattr(opt, "rows", None)
+    if opt_rows is not None:
+        def rows(C, delta):
+            check_precision(delta)
+            # vecdot of two rows is the c @ y of eval_support
+            return np.vecdot(C, opt_rows(C, delta / (3.0 + geometry.kappa)))
+
+        eval_support.rows = rows
     return eval_support
 
 
@@ -282,14 +348,17 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
     delta)) validity queries per call.
     """
 
+    def rounds(delta):
+        iters = math.ceil(math.log2(2.0 * geometry.kappa / delta))
+        return iters, max(delta / (geometry.kappa * iters), 1e-15)
+
     def eval_support(c, delta):
         check_precision(delta)
         c = as_vector(c)
         c_norm = float(np.linalg.norm(c))
         if c_norm == 0.0:
             return 0.0
-        iters = math.ceil(math.log2(2.0 * geometry.kappa / delta))
-        inner_delta = max(delta / (geometry.kappa * iters), 1e-15)
+        iters, inner_delta = rounds(delta)
         lo, hi = 0.0, geometry.R * c_norm
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
@@ -300,6 +369,29 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
         return 0.5 * (lo + hi)
 
     eval_support.kind = EVAL
+    val_rows = getattr(val, "rows", None)
+    if val_rows is not None:
+        def rows(C, delta):
+            """The threshold bisections of all nonzero rows of C in
+            lockstep, one stacked VAL query per round."""
+            check_precision(delta)
+            out = np.zeros(C.shape[0])
+            # sqrt(vecdot) is np.linalg.norm's computation, row by row
+            norms = np.sqrt(np.vecdot(C, C))
+            nonzero = np.flatnonzero(norms != 0.0)
+            if nonzero.size:
+                C = C[nonzero]
+                iters, inner_delta = rounds(delta)
+                lo, hi = np.zeros(nonzero.size), geometry.R * norms[nonzero]
+                for _ in range(iters):
+                    mid = 0.5 * (lo + hi)
+                    above = val_rows(C, mid, inner_delta)
+                    lo = np.where(above, mid, lo)
+                    hi = np.where(above, hi, mid)
+                out[nonzero] = 0.5 * (lo + hi)
+            return out
+
+        eval_support.rows = rows
     return eval_support
 
 
@@ -314,6 +406,9 @@ def _normalized_support_eval(eval_support, geometry: ProblemGeometry):
         return eval_support(c, delta * geometry.R) / geometry.R
 
     f.kind = EVAL
+    inner_rows = getattr(eval_support, "rows", None)
+    if inner_rows is not None:
+        f.rows = lambda C, delta: inner_rows(C, delta * geometry.R) / geometry.R
     return f
 
 

@@ -56,6 +56,9 @@ class SeparatorConfig:
             raise ValueError("rho must lie in (0, 1)")
         if self.mode not in (THEORETICAL, ANCHORED):
             raise ValueError(f"unknown slack mode {self.mode!r}")
+        if (isinstance(self.retries, bool)
+                or not isinstance(self.retries, (int, np.integer)) or self.retries < 0):
+            raise ValueError(f"retries must be a non-negative int, got {self.retries!r}")
 
     def r1(self) -> float:
         g = self.geometry

@@ -222,6 +222,50 @@ def test_exact_violation_and_validity_threshold():
     assert val(c, 1.1, 1e-6) is ValidityAnswer.ALL_BELOW
 
 
+def _stack_specs(n, gen):
+    return [Ball(gen.normal(size=n), 1.3), BoxBody(gen.normal(size=n), 0.7),
+            Simplex(n, 2.0),
+            Ellipsoid(gen.normal(size=n), np.diag(gen.uniform(0.5, 2.0, size=n))),
+            random_hpolytope(n, gen)]
+
+
+def _direction_stack(n, gen):
+    """Directions of many scales, with a zero row and a row whose every
+    entry is nonpositive (the simplex's zero-support case)."""
+    C = gen.normal(size=(200, n)) * gen.uniform(1e-3, 10.0, size=(200, 1))
+    C[7] = 0.0
+    C[11] = -np.abs(C[11])
+    return C
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_stack_forms_match_per_row_calls_bitwise(n):
+    gen = np.random.default_rng(40 + n)
+    for spec in _stack_specs(n, gen):
+        C = _direction_stack(n, gen)
+        gammas = gen.normal(size=C.shape[0])
+        opt, val = ExactOptimization(spec), ExactValidity(spec)
+        np.testing.assert_array_equal(
+            opt.rows(C, 1e-6), np.array([opt(c, 1e-6).maximizer for c in C]))
+        np.testing.assert_array_equal(
+            val.rows(C, gammas, 1e-6),
+            [val(c, g, 1e-6) is ValidityAnswer.SOME_ABOVE for c, g in zip(C, gammas)])
+        # the ball's support has no maximizer at c = 0, row or stack
+        nonzero = C[C.any(axis=1)] if isinstance(spec, Ball) else C
+        values, args = spec.support_rows(nonzero)
+        expected = [spec.support(c) for c in nonzero]
+        np.testing.assert_array_equal(values, [v for v, _ in expected])
+        np.testing.assert_array_equal(args, np.array([a for _, a in expected]))
+
+
+def test_ball_support_rows_refuses_a_zero_row_like_support():
+    ball = Ball(np.zeros(2), 1.0)
+    with pytest.raises(ValueError):
+        ball.support(np.zeros(2))
+    with pytest.raises(ValueError):
+        ball.support_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
 def test_support_unsupported_for_intersection():
     from orc.bodies import Intersection
     inter = Intersection((Ball(np.zeros(2), 1.0), BoxBody(np.zeros(2), 0.9)),

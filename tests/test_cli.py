@@ -291,3 +291,18 @@ def test_fit_scaling_zero_mean_column_exits_1(tmp_path, capsys):
 
 def test_missing_config_file_exits_2():
     assert main(["run", "/nonexistent/config.json"]) == 2
+
+
+@pytest.mark.parametrize("retries", ["x", -1, True, 1.5, None])
+def test_bad_retries_override_exits_2_from_validate_and_run(tmp_path, retries):
+    # a bad count used to validate, then grade every trial error:...
+    cfg = _config(dims=[4], body={"kind": "simplex"}, overrides={"retries": retries})
+    path = _write(tmp_path, cfg)
+    assert main(["validate-config", path]) == 2
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("retries", [0, 5])
+def test_retries_override_accepts_non_negative_ints(tmp_path, retries):
+    cfg = _config(overrides={"retries": retries})
+    assert main(["validate-config", _write(tmp_path, cfg)]) == 0

@@ -121,6 +121,27 @@ def test_lockstep_rows_stop_after_their_own_rounds():
     assert abs(lockstep[-1] - 2.0) <= 8.0 / 2.0 ** 30
 
 
+def test_lockstep_tests_only_the_rows_still_bisecting():
+    # a row that is done costs no further test: sum(iters) in total,
+    # not k * max(iters), and each row sees its own rounds only
+    ball = Ball(np.zeros(2), 1.0)
+    iters = np.array([3, 9, 1, 9, 5, 0, 2])
+    D = np.zeros((iters.size, 2))
+    x = np.array([0.25, 0.5])
+    tested = []
+
+    def counting(P):
+        tested.append(P.shape[0])
+        return _rows_test(ball)(P)
+
+    hi = np.linspace(4.0, 7.0, iters.size)
+    alpha = kernels.bisect_rows(counting, D, x, hi, iters)
+    assert sum(tested) == iters.sum()
+    assert tested == [int(np.sum(iters >= step)) for step in range(1, iters.max() + 1)]
+    np.testing.assert_array_equal(
+        alpha, [_scalar_bisect(ball, d, x, h, int(t)) for d, h, t in zip(D, hi, iters)])
+
+
 def _reference_cut(center, P, g):
     """The classical central cut of {y : (y-c)^T P^-1 (y-c) <= 1} by
     {<g, y-c> <= 0}, in shape-matrix form, dilated to the calibrated

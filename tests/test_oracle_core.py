@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from orc.bodies import Ball, ExactMembership, FlipNoise
+from orc.bodies import Ball, ExactMembership, ExactOptimization, FlipNoise
 from orc.core import (MEM, OPT, SEP, MembershipAnswer, ProblemGeometry,
                       QueryLedger, RandomStream, SeparationAnswer, amplify,
                       check_precision, wrap_with_ledger)
@@ -72,6 +72,17 @@ def test_wrap_with_ledger_counts_every_call():
     for _ in range(7):
         mem(np.zeros(2), 0.01)
     assert ledger.count(MEM) == 7
+
+
+def test_wrap_with_ledger_counts_a_stack_as_one_query_per_row():
+    ledger = QueryLedger()
+    opt = wrap_with_ledger(ExactOptimization(Ball(np.zeros(2), 1.0)), ledger)
+    opt.rows(np.eye(2), 0.01)
+    opt.rows(np.ones((3, 2)), 0.01)
+    opt(np.ones(2), 0.01)
+    assert ledger.count(OPT) == 6
+    # feature detection sees no stack form where the oracle has none
+    assert not hasattr(wrap_with_ledger(ExactMembership(Ball(np.zeros(2), 1.0)), ledger), "rows")
 
 
 def test_random_stream_same_path_same_draws():

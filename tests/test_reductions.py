@@ -108,6 +108,50 @@ def test_epigraph_rejects_out_of_range_values():
         body.membership(np.array([0.1, 0.0, 0.3]), 1e-6)
 
 
+def _stacked_quadratic():
+    f = lambda y, delta: float(y @ y)
+    f.rows = lambda Y, delta: np.vecdot(Y, Y)
+    return f
+
+
+def _epigraph_points(n, delta, gen):
+    """(x/2, t/4) rows inside, past the ||x|| wall, at ||x|| in
+    (1, 1 + margin], above the lid and below the graph."""
+    margin = 4.0 * delta
+    u = gen.normal(size=(60, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    norms = np.concatenate([gen.uniform(0.0, 1.0, 20), gen.uniform(1.0 + 2.0 * margin, 2.0, 10),
+                            1.0 + margin * gen.uniform(1e-3, 1.0, 20), np.ones(10)])
+    t = np.concatenate([gen.uniform(-0.5, 2.0, 50), 2.0 + margin * gen.uniform(1.01, 50.0, 10)])
+    return np.column_stack([0.5 * norms[:, None] * u, 0.25 * t])
+
+
+def test_epigraph_membership_rows_matches_membership():
+    gen = np.random.default_rng(12)
+    for n in (2, 3):
+        body = EpigraphBody(_stacked_quadratic(), n)
+        for delta in (1e-3, 0.05):
+            P = _epigraph_points(n, delta, gen)
+            expected = [body.membership(p, delta) is INSIDE for p in P]
+            assert body.membership_rows(P, delta).tolist() == expected
+            assert 0 < sum(expected) < len(expected)
+
+
+def test_epigraph_membership_rows_rejects_out_of_range_values():
+    f = lambda y, d: 7.0
+    f.rows = lambda Y, d: np.full(len(Y), 7.0)
+    body = EpigraphBody(f, 2)
+    with pytest.raises(ValueError, match="values in"):
+        body.membership_rows(np.array([[0.1, 0.0, 0.3], [0.0, 0.0, 0.3]]), 1e-6)
+
+
+def test_epigraph_fast_path_only_over_a_stacked_f():
+    # over a plain f every f query stays a single call, in row order
+    assert not hasattr(EpigraphBody(_quadratic_eval, 2).as_mem(), "alpha_bisect_rows")
+    mem = wrap_with_ledger(EpigraphBody(_stacked_quadratic(), 2).as_mem(), QueryLedger())
+    assert hasattr(mem, "alpha_bisect_rows")
+
+
 def test_eval_from_mem_epigraph_recovers_function():
     body = EpigraphBody(_quadratic_eval, 2)
     ev = eval_from_mem_epigraph(body.as_mem(), 2)
@@ -250,6 +294,41 @@ def test_val_round_trip_through_support():
     assert ev(np.zeros(2), 1e-6) == 0.0
 
 
+def _with_ledger(oracle):
+    ledger = QueryLedger()
+    return wrap_with_ledger(oracle, ledger), ledger
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_support_eval_rows_match_single_calls_and_counts(n):
+    gen = np.random.default_rng(30 + n)
+    C = gen.normal(size=(40, n)) * gen.uniform(0.01, 2.0, size=(40, 1))
+    C[3] = 0.0
+    C[4] = -np.abs(C[4])
+    for spec in (Ball(np.zeros(n), 1.0), BoxBody(gen.normal(size=n), 0.5), Simplex(n),
+                 random_hpolytope(n, gen)):
+        g = spec.geometry
+        for factory, make in ((support_eval_from_opt, ExactOptimization),
+                              (eval_support_from_val, ExactValidity)):
+            stacked, stack_ledger = _with_ledger(make(spec))
+            single, row_ledger = _with_ledger(make(spec))
+            ev_stack, ev_row = factory(stacked, g), factory(single, g)
+            for delta in (1e-6, 0.01):
+                np.testing.assert_array_equal(ev_stack.rows(C, delta),
+                                              [ev_row(c, delta) for c in C])
+            assert stack_ledger.totals() == row_ledger.totals()
+            assert sum(row_ledger.totals().values()) > 0
+
+
+def test_support_eval_has_rows_only_over_a_stacked_oracle():
+    spec = BoxBody(np.zeros(2), 1.0)
+    plain_opt = lambda c, d: ExactOptimization(spec)(c, d)
+    plain_val = lambda c, gamma, d: ExactValidity(spec)(c, gamma, d)
+    assert not hasattr(support_eval_from_opt(plain_opt, spec.geometry), "rows")
+    assert not hasattr(eval_support_from_val(plain_val, spec.geometry), "rows")
+    assert hasattr(support_eval_from_opt(ExactOptimization(spec), spec.geometry), "rows")
+
+
 def test_val_from_eval_support_thresholds():
     spec = Ball(np.zeros(2), 1.0)
     ev = support_eval_from_opt(ExactOptimization(spec), spec.geometry)
@@ -350,3 +429,67 @@ def test_chain_round_trip_mem_sep_opt_val():
         ok_high = val(c, 1.2, 0.01) is ValidityAnswer.ALL_BELOW
         hits += ok_low and ok_high
     assert hits >= 19
+
+
+def _hidden(oracle):
+    """The oracle behind a plain wrapper that has no stack form: the
+    row-by-row path a tracing wrapper takes."""
+    plain = lambda *args: oracle(*args)
+    plain.kind = oracle.kind
+    return plain
+
+
+def _chain_answer(chain, spec, seed, hide):
+    rng = RandomStream(seed)
+    c = unit(rng.child("c").generator().normal(size=spec.dim))
+    if chain == "sep_from_opt":
+        base = ExactOptimization(spec)
+        oracle = sep_from_opt(_hidden(base) if hide else base, spec.geometry,
+                              rng.child("chain"), eps=0.02, sep_eps=1e-4)
+        query = lambda: oracle(spec.geometry.center + 1.5 * spec.radial_scale(c) * c, 0.02)
+    else:
+        base = ExactValidity(spec)
+        oracle = opt_from_val(_hidden(base) if hide else base, spec.geometry,
+                              rng.child("chain"), eps=0.02, sep_eps=1e-4)
+        query = lambda: oracle(c, 0.02)
+    try:
+        answer = query()
+    except Exception as exc:  # compared like any other answer
+        answer = exc
+    counts = {name: ledger.totals() for name, ledger in vars(oracle.ledgers).items()}
+    return answer, counts
+
+
+def _reply(answer):
+    """What a caller sees of an answer, down to the bytes."""
+    if isinstance(answer, Exception):
+        return f"{type(answer).__name__}: {answer}"
+    if hasattr(answer, "halfspace"):
+        h = answer.halfspace
+        return None if h is None else (h.normal.tobytes(), h.anchor.tobytes(), h.slack)
+    return answer.maximizer.tobytes()
+
+
+@pytest.mark.parametrize("chain", ["sep_from_opt", "opt_from_val"])
+@pytest.mark.parametrize("make", [lambda n: Ball(np.zeros(n), 1.0),
+                                  lambda n: BoxBody(np.zeros(n), 1.0), Simplex],
+                         ids=["ball", "box", "simplex"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_epigraph_chains_stack_path_matches_row_path(chain, make, n):
+    spec = make(n)
+    stack_answer, stack_counts = _chain_answer(chain, spec, 60 + n, hide=False)
+    row_answer, row_counts = _chain_answer(chain, spec, 60 + n, hide=True)
+    assert _reply(stack_answer) == _reply(row_answer)
+    assert stack_counts == row_counts
+
+
+def test_epigraph_range_error_is_the_same_on_both_paths():
+    # Simplex(2)'s support reaches 1/R = 1.31 > 1.25 at c = e_i (the body
+    # is centred at its Chebyshev centre), so this query ends in the range
+    # check.  Both paths raise the same error; the stack path's ledgers
+    # count the lockstep rounds it ran, not the row path's queries.
+    spec = Simplex(2)
+    stack_answer, _ = _chain_answer("sep_from_opt", spec, 2, hide=False)
+    row_answer, _ = _chain_answer("sep_from_opt", spec, 2, hide=True)
+    assert isinstance(row_answer, ValueError)
+    assert _reply(stack_answer) == _reply(row_answer)

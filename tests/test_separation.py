@@ -155,6 +155,15 @@ def test_config_validation():
         _cfg(mode="bogus")
 
 
+@pytest.mark.parametrize("retries", ["x", -1, True, 1.5, None])
+def test_config_rejects_bad_retries(retries):
+    with pytest.raises(ValueError, match="retries"):
+        _cfg(retries=retries)
+    with pytest.raises(ValueError, match="retries"):
+        SepFromMem(ExactMembership(Ball(np.zeros(2), 1.0)), BALL_GEOM, RandomStream(0),
+                   eps=1e-4, retries=retries)
+
+
 def test_r1_schedule_clamped_to_sampling_safety():
     geom = ProblemGeometry(4, 1.0, 1.0)
     cfg = _cfg(eps=0.5, geometry=geom)
