@@ -14,9 +14,11 @@ float64 1-d arrays and trust them.
 Stack forms answer k queries in one call and trust their float64 (k, n)
 stacks the same way: `BodySpec.support_rows`, and the `rows` methods of
 `ExactOptimization` (a stack of maximizers) and `ExactValidity` (a bool
-array, True where the answer is SOME_ABOVE).  Each row's answer is
-bitwise the one a single call gives: row dots use `np.vecdot` and row
-norms `sqrt(vecdot)`, the computations of `c @ y` and `np.linalg.norm`.
+array, True where the answer is SOME_ABOVE).  A single OPT or VAL call
+is its `rows` on a stack of one, so the rule for a zero direction lives
+in one place.  `support_rows` answers each row bitwise as `support`
+does: row dots use `np.vecdot` and row norms `sqrt(vecdot)`, the
+computations of `c @ y` and `np.linalg.norm`.
 """
 
 from __future__ import annotations
@@ -549,16 +551,12 @@ class ExactOptimization:
         self.spec = spec
 
     def __call__(self, c, delta):
-        c = as_vector(c)
-        if not np.any(c):
-            # <0, y> = 0 everywhere; any point of the body maximizes
-            return OptimizationAnswer(self.spec.geometry.center.copy())
-        _, arg = self.spec.support(c)
-        return OptimizationAnswer(arg)
+        return OptimizationAnswer(self.rows(as_vector(c)[None, :], delta)[0])
 
     def rows(self, C, delta):
         """One query per row of the float64 (k, n) stack C, taken as
-        given: the (k, n) stack of the maximizers `__call__` returns."""
+        given: the (k, n) stack of maximizers.  A zero row gets the
+        body's center: <0, y> = 0 everywhere, so any point maximizes."""
         nonzero = C.any(axis=1)
         if nonzero.all():
             return self.spec.support_rows(C)[1]
@@ -590,14 +588,13 @@ class ExactValidity:
         self.spec = spec
 
     def __call__(self, c, gamma, delta):
-        c = as_vector(c)
-        val = 0.0 if not np.any(c) else self.spec.support(c)[0]
-        return ValidityAnswer.SOME_ABOVE if val >= gamma else ValidityAnswer.ALL_BELOW
+        some_above = self.rows(as_vector(c)[None, :], gamma, delta)[0]
+        return ValidityAnswer.SOME_ABOVE if some_above else ValidityAnswer.ALL_BELOW
 
     def rows(self, C, gammas, delta):
         """One query per row of the float64 (k, n) stack C against its
         own threshold gammas[i], taken as given: a bool array, True where
-        `__call__` answers SOME_ABOVE."""
+        the answer is SOME_ABOVE.  A zero row's support value is 0."""
         nonzero = C.any(axis=1)
         if nonzero.all():
             return self.spec.support_rows(C)[0] >= gammas

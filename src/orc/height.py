@@ -4,7 +4,8 @@ For a query x and a direction point d inside the body, alpha_x(d) is
 the largest alpha with d + alpha*x still in K, and the height is
 h_x(d) = -alpha_x(d) * ||x||_2.  The height is convex and Lipschitz
 near the origin, so its finite-difference subgradient separates x from
-K.  alpha is evaluated by bisection against the membership oracle.
+K.  alpha is evaluated by bisection against the membership oracle,
+through `kernels.bisect_rows`; a single evaluation is a stack of one.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .core import EVAL, ProblemGeometry
 from .geometry import as_vector
 
@@ -50,20 +52,18 @@ class HeightOracle:
     def iterations_for(self, d: np.ndarray) -> tuple[float, int]:
         return self._bracket(float(np.linalg.norm(d)))
 
+    def _bisect_by_mem(self, D, x, hi, iters, delta):
+        """`alpha_bisect_rows` for a membership oracle without one: one
+        MEM query per point."""
+        contains = lambda P: np.array([self.mem(p, delta).inside for p in P])
+        return kernels.bisect_rows(contains, D, x, hi, iters)
+
     def alpha_x(self, d) -> float:
+        """alpha_x at one point: a stack of one."""
         d = as_vector(d)
         hi, iters = self.iterations_for(d)
-        fast = getattr(self.mem, "alpha_bisect_rows", None)
-        if fast is not None:
-            return float(fast(d[None, :], self.x, (hi,), (iters,), self.mem_delta)[0])
-        lo = 0.0
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if self.mem(d + mid * self.x, self.mem_delta).inside:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        bisect = getattr(self.mem, "alpha_bisect_rows", self._bisect_by_mem)
+        return float(bisect(d[None, :], self.x, (hi,), (iters,), self.mem_delta)[0])
 
     def alpha_rows(self, D) -> np.ndarray:
         """alpha_x at every row of the (k, n) stack D.

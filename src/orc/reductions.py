@@ -16,22 +16,24 @@ cutting-plane optimizer yields every pairwise reduction among the set
 oracles; the composed constructors at the bottom of this module package
 the useful chains.
 
-Stack forms.  `support_eval_from_opt`, `eval_support_from_val` and the
-normalized support function carry a `rows(C, delta)` form, one answer
-per row of a (k, n) stack, whenever their inner oracle has one (the
-exact oracles do; `amplify`'s voters and plain callables do not).  The
-VAL form runs its threshold bisections in lockstep, one stacked VAL
-query per round.  Over such an f, `EpigraphBody.as_mem` carries an
-`alpha_bisect_rows` fast path: the 2(n+1) height bisections of one
-subgradient estimate run in lockstep, one stacked OPT or VAL query per
-round for the rows still bisecting.  Answers and query counts equal the
-row-by-row path's, with two exceptions.  SEP-from-MEM's recentring
-maps a stack's base points and direction separately, so a bisection
-point can differ from the row path's in the last bit, which changes a
-membership answer only for a point within rounding of the boundary.
-And an f value outside the epigraph's range raises the range check's
-ValueError on both paths, but the ledgers then count the lockstep
-rounds run until then.
+Stack forms.  `support_eval_from_opt`, `eval_support_from_val` and
+`EpigraphBody.membership_rows` answer a (k, n) stack of queries, and a
+single call is the stack form on a stack of one.  They ask an inner
+oracle with a `rows` form (the exact oracles) once per stack, and any
+other (`amplify`'s voters, plain callables) one row at a time, in row
+order; the VAL form bisects its thresholds in lockstep.  They offer a
+`rows` attribute only over an inner `rows` form, and so does
+`EpigraphBody.as_mem` its `alpha_bisect_rows` fast path, which bisects
+the 2(n+1) rows of a subgradient estimate in lockstep, one stacked OPT
+or VAL query per round for the rows still bisecting: lockstep never
+reorders the queries of a randomized oracle.  Answers and query counts
+equal the row-by-row path's, with two exceptions.  SEP-from-MEM's
+recentring maps a stack's base points and direction separately, so a
+bisection point can differ from the row path's in the last bit, which
+changes a membership answer only for a point within rounding of the
+boundary.  And an f value outside the epigraph's range raises the range
+check's ValueError on both paths, but the ledgers then count the
+lockstep rounds run until then.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ OUTSIDE = MembershipAnswer.OUTSIDE_ERODED
 #: only takes the values 0 and +inf, so any finite cutoff in between works;
 #: 1/2 keeps maximal slack against evaluation noise on both sides.
 INDICATOR_THRESHOLD = 0.5
+
+#: Queries below the graph that `grad_from_sep_epigraph` makes, at
+#: doubling depth, before it gives up on a nearly vertical cut.
+VERTICAL_CUT_RETRIES = 3
 
 
 class VerticalCut(RuntimeError):
@@ -151,40 +157,24 @@ class EpigraphBody:
         self.geometry = ProblemGeometry(dim + 1, self.INNER_RADIUS,
                                         self.OUTER_RADIUS, center)
 
-    def _checked_eval(self, x: np.ndarray, delta: float) -> float:
-        value = float(self.f_eval(x, delta))
-        if not -self.RANGE_SLACK <= value <= 1.0 + self.RANGE_SLACK:
-            raise ValueError(
-                f"epigraph construction requires values in [0, 1]; got {value}")
-        return value
-
     def membership(self, point, delta):
-        check_precision(delta)
+        """MEM(K_f) at one point: `membership_rows` on a stack of one."""
         point = as_vector(point)
         if point.size != self.dim + 1:
             raise ValueError("epigraph point must live in R^{n+1}")
-        x = 2.0 * point[:-1]
-        t = 4.0 * point[-1]
-        # a delta-ball around the query maps to at most a 4*delta margin
-        # in the unscaled (x, t) coordinates
-        margin = 4.0 * delta
-        x_norm = float(np.linalg.norm(x))
-        if x_norm > 1.0 + margin or t > 2.0 + margin:
-            return OUTSIDE
-        query = x if x_norm <= 1.0 else x / x_norm
-        value = self._checked_eval(query, delta / 10.0)
-        return INSIDE if value <= t + margin else OUTSIDE
+        return INSIDE if self.membership_rows(point[None, :], delta)[0] else OUTSIDE
 
     def membership_rows(self, P: np.ndarray, delta) -> np.ndarray:
-        """`membership` of every row of the float64 (k, n+1) stack P,
-        taken as given, as a bool array (True for INSIDE), for an f_eval
-        with a `rows(X, delta)` stack form.  The same gate, range check
-        and comparison, with the norms computed as `membership` computes
-        them, so every row gets its single-point answer; f is evaluated
-        in one stacked call, at the rows that pass the gate."""
+        """Membership of every row of the float64 (k, n+1) stack P, taken
+        as given, as a bool array (True for INSIDE).  f is evaluated at
+        the rows that pass the cylinder and lid gate: in one stacked call
+        when f_eval has a `rows(X, delta)` form, otherwise one row at a
+        time, in row order.  Every f value is range-checked."""
         check_precision(delta)
         X = 2.0 * P[:, :-1]
         t = 4.0 * P[:, -1]
+        # a delta-ball around the query maps to at most a 4*delta margin
+        # in the unscaled (x, t) coordinates
         margin = 4.0 * delta
         # sqrt(vecdot) is np.linalg.norm's computation, row by row
         norms = np.sqrt(np.vecdot(X, X))
@@ -193,7 +183,11 @@ class EpigraphBody:
         if gate.any():
             # x / max(||x||, 1) is x itself inside the unit ball
             query = X[gate] / np.maximum(norms[gate], 1.0)[:, None]
-            values = self.f_eval.rows(query, delta / 10.0)
+            f_rows = getattr(self.f_eval, "rows", None)
+            if f_rows is not None:
+                values = f_rows(query, delta / 10.0)
+            else:
+                values = np.array([float(self.f_eval(x, delta / 10.0)) for x in query])
             bad = ~((values >= -self.RANGE_SLACK) & (values <= 1.0 + self.RANGE_SLACK))
             if bad.any():
                 raise ValueError(
@@ -211,9 +205,9 @@ class EpigraphBody:
         """MEM view of the body.  When f_eval has a `rows` stack form it
         carries the `alpha_bisect_rows` fast path, so a height estimate
         over it bisects in lockstep with one stacked f query per round.
-        Over any other f_eval it has none, and every f query is made one
-        at a time, in the order of separate bisections: the draws of a
-        randomized f stay where they were."""
+        Over any other f_eval it has none, and a height estimate bisects
+        its rows one after another, one f query per membership test: the
+        draws of a randomized f stay where they were."""
         def mem(point, delta):
             return self.membership(point, delta)
 
@@ -252,14 +246,15 @@ def eval_from_mem_epigraph(mem_kf, dim: int):
     return eval_f
 
 
-def grad_from_sep_epigraph(sep_kf, dim: int, retries: int = 3):
+def grad_from_sep_epigraph(sep_kf, dim: int):
     """GRAD(f) from SEP(K_f).
 
     Evaluates f(y) by bisection through the separation oracle's
     membership side, then queries just below the graph at
     (y/2, (alpha - depth)/4) and unpacks the returned halfspace normal
     (c_x, c_t) into the subgradient -2 c_x / c_t.  Nearly vertical
-    cuts (|c_t| < 1e-9) are retried at doubled depth, then rejected.
+    cuts (|c_t| < 1e-9) are retried at doubled depth, then rejected
+    after `VERTICAL_CUT_RETRIES` queries.
     """
     eval_f = eval_from_mem_epigraph(mem_from_sep(sep_kf), dim)
 
@@ -270,7 +265,7 @@ def grad_from_sep_epigraph(sep_kf, dim: int, retries: int = 3):
         if not math.isfinite(alpha):
             raise ValueError("cannot take a subgradient where f is infinite")
         depth = delta
-        for _ in range(retries):
+        for _ in range(VERTICAL_CUT_RETRIES):
             point = np.append(0.5 * y, (alpha - depth) / 4.0)
             answer = sep_kf(point, delta / 10.0)
             h = answer.halfspace
@@ -289,24 +284,28 @@ def grad_from_sep_epigraph(sep_kf, dim: int, retries: int = 3):
 # support function 1_K*
 
 def support_eval_from_opt(opt, geometry: ProblemGeometry):
-    """EVAL(1_K*) from one optimization query at precision delta/(3+kappa)."""
+    """EVAL(1_K*) from one optimization query at precision delta/(3+kappa);
+    `rows(C, delta)` evaluates a stack, over an opt with a `rows` form."""
+    opt_rows = getattr(opt, "rows", None)
+
+    def rows(C, delta):
+        check_precision(delta)
+        delta /= 3.0 + geometry.kappa
+        if opt_rows is not None:
+            Y = opt_rows(C, delta)
+        else:
+            answers = [opt(c, delta) for c in C]
+            if any(answer.empty_interior for answer in answers):
+                raise EmptyInteriorPropagated("support evaluation")
+            Y = np.array([answer.maximizer for answer in answers])
+        # vecdot of two contiguous rows is their c @ y
+        return np.vecdot(C, Y)
 
     def eval_support(c, delta):
-        check_precision(delta)
-        c = as_vector(c)
-        answer = opt(c, delta / (3.0 + geometry.kappa))
-        if answer.empty_interior:
-            raise EmptyInteriorPropagated("support evaluation")
-        return float(c @ answer.maximizer)
+        return float(rows(as_vector(c)[None, :], delta)[0])
 
     eval_support.kind = EVAL
-    opt_rows = getattr(opt, "rows", None)
     if opt_rows is not None:
-        def rows(C, delta):
-            check_precision(delta)
-            # vecdot of two rows is the c @ y of eval_support
-            return np.vecdot(C, opt_rows(C, delta / (3.0 + geometry.kappa)))
-
         eval_support.rows = rows
     return eval_support
 
@@ -345,52 +344,42 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
 
     The support value lies in [r||c||, R||c||] whenever B(0, r) is inside
     the body, so gamma is bracketed in [0, R||c||]; ceil(log2(2 kappa /
-    delta)) validity queries per call.
+    delta)) validity queries per call.  `rows(C, delta)` bisects a
+    stack in lockstep, one round of VAL queries at a time, over a val
+    with a `rows` form.
     """
+    val_rows = getattr(val, "rows", None)
 
-    def rounds(delta):
-        iters = math.ceil(math.log2(2.0 * geometry.kappa / delta))
-        return iters, max(delta / (geometry.kappa * iters), 1e-15)
+    def above(C, gammas, delta):
+        if val_rows is not None:
+            return val_rows(C, gammas, delta)
+        return np.array([val(c, gamma, delta) is ValidityAnswer.SOME_ABOVE
+                         for c, gamma in zip(C, gammas)])
+
+    def rows(C, delta):
+        check_precision(delta)
+        out = np.zeros(C.shape[0])
+        # sqrt(vecdot) is np.linalg.norm's computation, row by row
+        norms = np.sqrt(np.vecdot(C, C))
+        nonzero = np.flatnonzero(norms != 0.0)
+        if nonzero.size:
+            C = C[nonzero]
+            iters = math.ceil(math.log2(2.0 * geometry.kappa / delta))
+            inner_delta = max(delta / (geometry.kappa * iters), 1e-15)
+            lo, hi = np.zeros(nonzero.size), geometry.R * norms[nonzero]
+            for _ in range(iters):
+                mid = 0.5 * (lo + hi)
+                some_above = above(C, mid, inner_delta)
+                lo = np.where(some_above, mid, lo)
+                hi = np.where(some_above, hi, mid)
+            out[nonzero] = 0.5 * (lo + hi)
+        return out
 
     def eval_support(c, delta):
-        check_precision(delta)
-        c = as_vector(c)
-        c_norm = float(np.linalg.norm(c))
-        if c_norm == 0.0:
-            return 0.0
-        iters, inner_delta = rounds(delta)
-        lo, hi = 0.0, geometry.R * c_norm
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            if val(c, mid, inner_delta) is ValidityAnswer.SOME_ABOVE:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return float(rows(as_vector(c)[None, :], delta)[0])
 
     eval_support.kind = EVAL
-    val_rows = getattr(val, "rows", None)
     if val_rows is not None:
-        def rows(C, delta):
-            """The threshold bisections of all nonzero rows of C in
-            lockstep, one stacked VAL query per round."""
-            check_precision(delta)
-            out = np.zeros(C.shape[0])
-            # sqrt(vecdot) is np.linalg.norm's computation, row by row
-            norms = np.sqrt(np.vecdot(C, C))
-            nonzero = np.flatnonzero(norms != 0.0)
-            if nonzero.size:
-                C = C[nonzero]
-                iters, inner_delta = rounds(delta)
-                lo, hi = np.zeros(nonzero.size), geometry.R * norms[nonzero]
-                for _ in range(iters):
-                    mid = 0.5 * (lo + hi)
-                    above = val_rows(C, mid, inner_delta)
-                    lo = np.where(above, mid, lo)
-                    hi = np.where(above, hi, mid)
-                out[nonzero] = 0.5 * (lo + hi)
-            return out
-
         eval_support.rows = rows
     return eval_support
 
@@ -441,26 +430,16 @@ def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *,
     return opt
 
 
-def _optimize_over_support_epigraph(eval_support, geometry: ProblemGeometry,
-                                    rng: RandomStream, direction, *,
-                                    eps: float, sep_eps: float, rho: float,
-                                    ledgers):
-    """Maximize <direction, .> over K_{1_K*} via MEM -> SEP -> cutting plane.
-
-    This is the inner engine shared by the VAL -> OPT and OPT -> SEP
-    chains: both reduce to a linear optimization over the epigraph body
-    of the (normalized) support function.
-    """
-    f = _normalized_support_eval(eval_support, geometry)
-    body = EpigraphBody(f, geometry.n)
+def _support_epigraph_sep(eval_support, geometry: ProblemGeometry,
+                          rng: RandomStream, *, sep_eps: float, rho: float, ledgers):
+    """SEP of the epigraph body of the normalized support function, built
+    from its MEM, with the MEM and SEP queries counted in `ledgers.mem`
+    and `ledgers.sep`: the VAL -> OPT and OPT -> SEP chains both run on
+    it.  Returns the body's geometry and the counted SEP oracle."""
+    body = EpigraphBody(_normalized_support_eval(eval_support, geometry), geometry.n)
     counted_mem = wrap_with_ledger(body.as_mem(), ledgers.mem)
     sep = SepFromMem(counted_mem, body.geometry, rng, eps=sep_eps, rho=rho)
-    counted_sep = wrap_with_ledger(sep, ledgers.sep)
-    cfg = OptimizerConfig(eps=eps)
-    answer = optimize_linear(cfg, counted_sep, body.geometry, direction)
-    if answer.empty_interior:
-        raise EmptyInteriorPropagated("support epigraph optimization")
-    return answer.maximizer
+    return body.geometry, wrap_with_ledger(sep, ledgers.sep)
 
 
 def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
@@ -475,15 +454,10 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
     is the maximizer of <c, x> over the body, restored to scale by R.
     """
     ledgers = _ChainLedgers("val", "mem", "sep")
-    counted_val = wrap_with_ledger(val, ledgers.val)
-    eval_support = eval_support_from_val(counted_val, geometry)
-    f = _normalized_support_eval(eval_support, geometry)
-    body = EpigraphBody(f, geometry.n)
-    counted_mem = wrap_with_ledger(body.as_mem(), ledgers.mem)
-    sep = SepFromMem(counted_mem, body.geometry, rng.child("opt_from_val"),
-                     eps=sep_eps, rho=rho)
-    counted_sep = wrap_with_ledger(sep, ledgers.sep)
-    grad = grad_from_sep_epigraph(counted_sep, geometry.n)
+    eval_support = eval_support_from_val(wrap_with_ledger(val, ledgers.val), geometry)
+    _, sep = _support_epigraph_sep(eval_support, geometry, rng.child("opt_from_val"),
+                                   sep_eps=sep_eps, rho=rho, ledgers=ledgers)
+    grad = grad_from_sep_epigraph(sep, geometry.n)
 
     def opt(c, delta):
         check_precision(delta)
@@ -491,9 +465,14 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
         c_norm = float(np.linalg.norm(c))
         if c_norm == 0.0:
             return OptimizationAnswer(geometry.center.copy())
+        direction = c / c_norm
+        if np.linalg.norm(direction) > 1.0:
+            # rounding left c / ||c|| a last bit outside the unit ball,
+            # which eval_from_mem_epigraph refuses
+            direction = c / np.nextafter(c_norm, math.inf)
         # the inner subgradient precision is floored at eps: the chain's
         # practical accuracy is set by the separation estimator anyway
-        answer = grad(c / c_norm, max(delta, eps))
+        answer = grad(direction, max(delta, eps))
         return OptimizationAnswer(geometry.R * answer.subgrad)
 
     opt.kind = OPT
@@ -514,16 +493,21 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
     ledgers = _ChainLedgers("opt", "mem", "sep")
     counted_opt = wrap_with_ledger(opt, ledgers.opt)
     eval_support = support_eval_from_opt(counted_opt, geometry)
+    cfg = OptimizerConfig(eps=eps)
     tol = 3.0 * eps
 
     def sep(y, delta):
         check_precision(delta)
         y = as_vector(y)
         scaled = y / geometry.R
-        direction = np.append(scaled, -1.0)
-        point = _optimize_over_support_epigraph(
-            eval_support, geometry, rng.child("sep_from_opt"), direction,
-            eps=eps, sep_eps=sep_eps, rho=rho, ledgers=ledgers)
+        # maximize <(x, -1), .> over the epigraph body, through its SEP
+        body_geometry, sep_kf = _support_epigraph_sep(
+            eval_support, geometry, rng.child("sep_from_opt"),
+            sep_eps=sep_eps, rho=rho, ledgers=ledgers)
+        answer = optimize_linear(cfg, sep_kf, body_geometry, np.append(scaled, -1.0))
+        if answer.empty_interior:
+            raise EmptyInteriorPropagated("support epigraph optimization")
+        point = answer.maximizer
         c_star = 2.0 * point[:-1]
         value = float(scaled @ c_star) - 4.0 * float(point[-1])
         if value <= tol:

@@ -238,6 +238,17 @@ def _direction_stack(n, gen):
     return C
 
 
+def _reference_opt(spec, c):
+    """One OPT query answered from `support` alone: the body's center
+    for c = 0, where every point maximizes."""
+    return spec.geometry.center if not np.any(c) else spec.support(c)[1]
+
+
+def _reference_val(spec, c, gamma):
+    """One VAL query answered from `support` alone: True for SOME_ABOVE."""
+    return (0.0 if not np.any(c) else spec.support(c)[0]) >= gamma
+
+
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_stack_forms_match_per_row_calls_bitwise(n):
     gen = np.random.default_rng(40 + n)
@@ -250,6 +261,13 @@ def test_stack_forms_match_per_row_calls_bitwise(n):
         np.testing.assert_array_equal(
             val.rows(C, gammas, 1e-6),
             [val(c, g, 1e-6) is ValidityAnswer.SOME_ABOVE for c, g in zip(C, gammas)])
+        # a single call is a stack of one, so also check both against
+        # the per-query answers built from `support` in this test
+        np.testing.assert_array_equal(
+            opt.rows(C, 1e-6), np.array([_reference_opt(spec, c) for c in C]))
+        np.testing.assert_array_equal(
+            val.rows(C, gammas, 1e-6),
+            [_reference_val(spec, c, g) for c, g in zip(C, gammas)])
         # the ball's support has no maximizer at c = 0, row or stack
         nonzero = C[C.any(axis=1)] if isinstance(spec, Ball) else C
         values, args = spec.support_rows(nonzero)

@@ -84,6 +84,20 @@ def _stack(spec, gen, k):
     return spec.geometry.center + 0.05 * gen.normal(size=(k, spec.dim))
 
 
+def _reference_height(spec, h, d):
+    """h_x(d) by a plain bisection loop over exact containment, with the
+    bracket written out: independent of `kernels.bisect_rows`."""
+    hi = (h.geometry.R + float(np.linalg.norm(d)) + h.mem_delta) / h.x_norm
+    lo = 0.0
+    for _ in range(max(1, math.ceil(math.log2(hi / h.bin_tol)))):
+        mid = 0.5 * (lo + hi)
+        if spec.contains(d + mid * h.x):
+            lo = mid
+        else:
+            hi = mid
+    return -0.5 * (lo + hi) * h.x_norm
+
+
 def test_stack_heights_equal_per_row_heights():
     gen = np.random.default_rng(8)
     for spec in (Simplex(4, 1.0), BoxBody(np.zeros(4), 1.0)):
@@ -91,6 +105,13 @@ def test_stack_heights_equal_per_row_heights():
         D = _stack(spec, gen, 8)
         np.testing.assert_array_equal(h.h_rows(D), [h.h_x(d) for d in D])
         np.testing.assert_array_equal(h.as_eval().rows(D, 0.1), h.h_rows(D))
+        # a single height is a stack of one, so also check against a
+        # loop written here, over the fast path and over a plain MEM
+        reference = [_reference_height(spec, h, d) for d in D]
+        np.testing.assert_array_equal(h.h_rows(D), reference)
+        plain = lambda y, delta: exact_membership(spec, y, delta)
+        h_plain = HeightOracle(plain, spec.geometry, h.x, h.bin_tol, h.mem_delta)
+        np.testing.assert_array_equal(h_plain.h_rows(D), reference)
 
 
 def test_stack_records_per_row_mem_count_once():

@@ -7,7 +7,7 @@ from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
                         ExactOptimization, ExactSeparation, ExactValidity,
                         HPolytope, Linear, Quadratic, Simplex, brute_force_lp,
                         exact_eval, random_hpolytope)
-from orc.core import (GRAD, MEM, SEP, GradAnswer, MembershipAnswer,
+from orc.core import (GRAD, MEM, OPT, SEP, VAL, GradAnswer, MembershipAnswer,
                       ProblemGeometry, QueryLedger, RandomStream,
                       ValidityAnswer, wrap_with_ledger)
 from orc.geometry import unit
@@ -126,15 +126,33 @@ def _epigraph_points(n, delta, gen):
     return np.column_stack([0.5 * norms[:, None] * u, 0.25 * t])
 
 
+def _reference_membership(f, p, delta):
+    """Membership of one point of K_f, written out per point: the cylinder
+    and lid gate, then one f evaluation, with a 4*delta margin."""
+    x, t = 2.0 * p[:-1], 4.0 * p[-1]
+    margin = 4.0 * delta
+    x_norm = float(np.linalg.norm(x))
+    if x_norm > 1.0 + margin or t > 2.0 + margin:
+        return False
+    query = x if x_norm <= 1.0 else x / x_norm
+    return f(query, delta / 10.0) <= t + margin
+
+
 def test_epigraph_membership_rows_matches_membership():
     gen = np.random.default_rng(12)
     for n in (2, 3):
-        body = EpigraphBody(_stacked_quadratic(), n)
+        f = _stacked_quadratic()
+        body = EpigraphBody(f, n)
         for delta in (1e-3, 0.05):
             P = _epigraph_points(n, delta, gen)
             expected = [body.membership(p, delta) is INSIDE for p in P]
             assert body.membership_rows(P, delta).tolist() == expected
             assert 0 < sum(expected) < len(expected)
+            # membership is a stack of one: check it against the per-point
+            # rule written here, over the stacked and over a plain f
+            assert expected == [_reference_membership(f, p, delta) for p in P]
+            plain = EpigraphBody(_quadratic_eval, n)
+            assert plain.membership_rows(P, delta).tolist() == expected
 
 
 def test_epigraph_membership_rows_rejects_out_of_range_values():
@@ -299,6 +317,27 @@ def _with_ledger(oracle):
     return wrap_with_ledger(oracle, ledger), ledger
 
 
+def _reference_support_eval(spec, kind, c, delta):
+    """1_K*(c) by the per-query algorithms, written out here over exact
+    `support` answers: one OPT query, or a threshold bisection over VAL
+    with its query count.  Returns (value, queries)."""
+    g = spec.geometry
+    if kind == OPT:
+        return float(c @ (g.center if not np.any(c) else spec.support(c)[1])), 1
+    c_norm = float(np.linalg.norm(c))
+    if c_norm == 0.0:
+        return 0.0, 0
+    iters = math.ceil(math.log2(2.0 * g.kappa / delta))
+    lo, hi = 0.0, g.R * c_norm
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if spec.support(c)[0] >= mid:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), iters
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_support_eval_rows_match_single_calls_and_counts(n):
     gen = np.random.default_rng(30 + n)
@@ -313,11 +352,17 @@ def test_support_eval_rows_match_single_calls_and_counts(n):
             stacked, stack_ledger = _with_ledger(make(spec))
             single, row_ledger = _with_ledger(make(spec))
             ev_stack, ev_row = factory(stacked, g), factory(single, g)
+            queries = 0
             for delta in (1e-6, 0.01):
-                np.testing.assert_array_equal(ev_stack.rows(C, delta),
-                                              [ev_row(c, delta) for c in C])
+                values = ev_stack.rows(C, delta)
+                np.testing.assert_array_equal(values, [ev_row(c, delta) for c in C])
+                # a single call is a stack of one: check both against
+                # the per-query algorithm written out in this test
+                reference = [_reference_support_eval(spec, stacked.kind, c, delta) for c in C]
+                np.testing.assert_array_equal(values, [value for value, _ in reference])
+                queries += sum(count for _, count in reference)
             assert stack_ledger.totals() == row_ledger.totals()
-            assert sum(row_ledger.totals().values()) > 0
+            assert sum(row_ledger.totals().values()) == queries > 0
 
 
 def test_support_eval_has_rows_only_over_a_stacked_oracle():
@@ -327,6 +372,48 @@ def test_support_eval_has_rows_only_over_a_stacked_oracle():
     assert not hasattr(support_eval_from_opt(plain_opt, spec.geometry), "rows")
     assert not hasattr(eval_support_from_val(plain_val, spec.geometry), "rows")
     assert hasattr(support_eval_from_opt(ExactOptimization(spec), spec.geometry), "rows")
+
+
+def _recording(oracle, log):
+    """A plain oracle with no stack form that logs every query it gets."""
+    def plain(*args):
+        log.append(tuple(a.tobytes() if isinstance(a, np.ndarray) else float(a) for a in args))
+        return oracle(*args)
+
+    plain.kind = oracle.kind
+    return plain
+
+
+def test_plain_opt_and_val_get_the_per_query_sequence():
+    # a plain inner oracle sees exactly the queries of the per-query
+    # algorithms, in their order: one OPT at delta/(3+kappa), or the
+    # threshold bisection's VAL queries, one after another
+    gen = np.random.default_rng(14)
+    spec = BoxBody(gen.normal(size=3), 0.7)
+    g = spec.geometry
+    C = gen.normal(size=(6, 3))
+    C[2] = 0.0
+    for delta in (1e-6, 0.01):
+        opt_log, val_log = [], []
+        ev_opt = support_eval_from_opt(_recording(ExactOptimization(spec), opt_log), g)
+        ev_val = eval_support_from_val(_recording(ExactValidity(spec), val_log), g)
+        for c in C:
+            ev_opt(c, delta)
+            ev_val(c, delta)
+        assert opt_log == [(c.tobytes(), delta / (3.0 + g.kappa)) for c in C]
+        iters = math.ceil(math.log2(2.0 * g.kappa / delta))
+        inner_delta = max(delta / (g.kappa * iters), 1e-15)
+        expected = []
+        for c in C[C.any(axis=1)]:
+            lo, hi = 0.0, g.R * float(np.linalg.norm(c))
+            for _ in range(iters):
+                mid = 0.5 * (lo + hi)
+                expected.append((c.tobytes(), mid, inner_delta))
+                if spec.support(c)[0] >= mid:
+                    lo = mid
+                else:
+                    hi = mid
+        assert val_log == expected
 
 
 def test_val_from_eval_support_thresholds():
@@ -393,6 +480,19 @@ def test_opt_from_val_box():
     ans = opt(c, 0.01)
     # maximizer of <e_1, .> over the box has first coordinate 1
     assert abs(float(c @ ans.maximizer) - 1.0) <= 0.1
+
+
+def test_opt_from_val_direction_normalized_past_the_unit_ball():
+    # c / ||c|| has norm 1 + 2^-52 here, which the epigraph's evaluation
+    # refuses; the direction must be pulled back inside the unit ball
+    c = np.array([1.4748226520869099, -0.049755760296968106, -0.3674025993780988])
+    assert np.linalg.norm(c / np.linalg.norm(c)) > 1.0
+    spec = BoxBody(np.zeros(3), 1.0)
+    opt = opt_from_val(ExactValidity(spec), spec.geometry, RandomStream(6),
+                       eps=0.01, sep_eps=1e-4)
+    ans = opt(c, 0.01)
+    assert opt.ledgers.val.count(VAL) > 0
+    assert float(c @ ans.maximizer) >= spec.support(c)[0] - 0.1 * np.linalg.norm(c)
 
 
 def test_opt_from_val_zero_direction():
