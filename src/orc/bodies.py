@@ -8,8 +8,15 @@ construction.
 Constructors and the exact oracles (`exact_membership`, `exact_support`,
 the `Exact*` classes, `exact_eval`, `exact_grad`) check their vectors
 with `as_vector`.  The methods of bodies and functions (`contains`,
-`support`, `radial_scale`, `value`, `grad`) and `separating_normal` take
-float64 1-d arrays and trust them.
+`separate`, `support`, `radial_scale`, `value`, `grad`) take float64
+1-d arrays and trust them.
+
+`separate` is exact separation in one pass: it decides containment
+exactly as `contains` does and builds the separating normal from the
+quantities that decision computed (the ball's y - center, the box's
+excess q - clip(q), the ellipsoid's M q, the polytope's A y, the
+simplex's projection), so `ExactSeparation` runs one containment test
+per query, not a test and then a second pass for the normal.
 
 Stack forms answer k queries in one call and trust their float64 (k, n)
 stacks the same way: `BodySpec.support_rows`, and the `rows` methods of
@@ -34,7 +41,7 @@ from .core import (INSIDE_DILATED, MEM, OPT, OUTSIDE_ERODED, SEP, VAL, VIOL,
                    GradAnswer, MembershipAnswer, OptimizationAnswer,
                    ProblemGeometry, SeparationAnswer, ValidityAnswer,
                    ViolationAnswer, check_precision)
-from .geometry import HalfSpace, as_vector, unit
+from .geometry import HalfSpace, as_vector, normalized, unit
 
 _FEAS_TOL = 1e-9
 
@@ -62,6 +69,11 @@ class BodySpec:
     def contains(self, y: np.ndarray) -> bool:
         code, M, v, s = self.kernel_args()
         return bool(kernels.inside(code, np.asarray(y, dtype=np.float64), M, v, s))
+
+    def separate(self, y: np.ndarray) -> np.ndarray | None:
+        """None when y is in K (exactly when `contains(y)`), otherwise a
+        unit c with sup_{x in K} <c, x> <= <c, y>."""
+        raise UnsupportedVariant(type(self).__name__)
 
     def support(self, c: np.ndarray) -> tuple[float, np.ndarray]:
         """Exact support value max_{x in K} <c, x> and a maximizer."""
@@ -94,6 +106,12 @@ class Ball(BodySpec):
 
     def kernel_args(self):
         return kernels.BALL, kernels._EMPTY_M, self.center, self.radius
+
+    def separate(self, y):
+        q = y - self.center
+        if q @ q <= self.radius * self.radius:
+            return None
+        return normalized(q)
 
     def support(self, c):
         return float(c @ self.center) + self.radius * float(np.linalg.norm(c)), \
@@ -128,6 +146,15 @@ class BoxBody(BodySpec):
 
     def kernel_args(self):
         return kernels.BOX, kernels._EMPTY_M, self.center, self.radius
+
+    def separate(self, y):
+        q = y - self.center
+        # zero exactly where |q_i| <= radius: float subtraction of two
+        # distinct numbers is never zero
+        excess = q - np.clip(q, -self.radius, self.radius)
+        if not excess.any():
+            return None
+        return normalized(excess)
 
     def support(self, c):
         sgn = np.where(c >= 0.0, 1.0, -1.0)
@@ -165,6 +192,19 @@ class Simplex(BodySpec):
 
     def kernel_args(self):
         return kernels.SIMPLEX, kernels._EMPTY_M, kernels._EMPTY_V, self.scale
+
+    def separate(self, y):
+        """The normal is y minus y's Euclidean projection onto K."""
+        s = self.scale
+        if y.min() >= 0.0:
+            if y.sum() <= s:
+                return None
+            # y >= 0 lies beyond the face sum x = s
+            return normalized(y - _project_simplex_face(y, s))
+        p = np.maximum(y, 0.0)
+        if p.sum() > s:
+            p = _project_simplex_face(y, s)
+        return normalized(y - p)
 
     def support(self, c):
         i = int(np.argmax(c))
@@ -231,6 +271,13 @@ class HPolytope(BodySpec):
     def kernel_args(self):
         return kernels.HPOLY, self.A, self.b, 0.0
 
+    def separate(self, y):
+        """The most violated facet's normal; valid in any dimension."""
+        Ay = self.A @ y
+        if (Ay <= self.b).all():
+            return None
+        return self.A[int(np.argmax(Ay - self.b))].copy()
+
     def support(self, c):
         vals = self.vertices @ c
         i = int(np.argmax(vals))
@@ -266,6 +313,13 @@ class Ellipsoid(BodySpec):
     def kernel_args(self):
         return kernels.ELLIPSOID, self._inv, self.center, 0.0
 
+    def separate(self, y):
+        q = y - self.center
+        Mq = self._inv @ q
+        if q @ Mq <= 1.0:
+            return None
+        return normalized(Mq)
+
     def support(self, c):
         Sc = self.shape @ c
         w = math.sqrt(float(c @ Sc))
@@ -294,6 +348,14 @@ class Intersection(BodySpec):
 
     def contains(self, y):
         return all(p.contains(y) for p in self.parts)
+
+    def separate(self, y):
+        """The normal of the first part that does not contain y."""
+        for part in self.parts:
+            normal = part.separate(y)
+            if normal is not None:
+                return normal
+        return None
 
     def radial_scale(self, u):
         return min(_radial_from(p, self.geometry.center, u) for p in self.parts)
@@ -333,20 +395,15 @@ def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.unique(np.round(np.array(out), 12), axis=0)
 
 
-def _project_simplex(y: np.ndarray, s: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x <= s}."""
-    p = np.maximum(y, 0.0)
-    if np.sum(p) <= s:
-        return p
-    # project onto {x >= 0, sum x = s} (sorted-threshold algorithm)
-    n = y.size
+def _project_simplex_face(y: np.ndarray, s: float) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum x = s}, the projection onto
+    the simplex of a y whose positive part sums past s (sorted-threshold
+    algorithm)."""
     u_srt = np.sort(y)[::-1]
     css = np.cumsum(u_srt) - s
-    ks = np.arange(1, n + 1)
-    cond = u_srt - css / ks > 0
-    k = int(ks[cond][-1])
-    tau = css[k - 1] / k
-    return np.maximum(y - tau, 0.0)
+    cond = u_srt - css / np.arange(1, y.size + 1) > 0
+    k = int(np.flatnonzero(cond)[-1]) + 1
+    return np.maximum(y - css[k - 1] / k, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,28 +567,9 @@ def exact_grad(spec: FuncSpec, y) -> GradAnswer:
 # ---------------------------------------------------------------------------
 # exact set oracles (analytic SEP/OPT/VIOL/VAL for the test ground truth)
 
-def separating_normal(spec: BodySpec, y: np.ndarray) -> np.ndarray:
-    """A unit c with sup_{x in K} <c, x> <= <c, y>, for y outside K."""
-    if isinstance(spec, Ball):
-        return unit(y - spec.center)
-    if isinstance(spec, BoxBody):
-        q = y - spec.center
-        return unit(q - np.clip(q, -spec.radius, spec.radius))
-    if isinstance(spec, Simplex):
-        return unit(y - _project_simplex(y, spec.scale))
-    if isinstance(spec, HPolytope):
-        # most-violated facet normal; valid for any dimension
-        return spec.A[int(np.argmax(spec.A @ y - spec.b))].copy()
-    if isinstance(spec, Ellipsoid):
-        return unit(spec._inv @ (y - spec.center))
-    if isinstance(spec, Intersection):
-        for part in spec.parts:
-            if not part.contains(y):
-                return separating_normal(part, y)
-    raise UnsupportedVariant(type(spec).__name__)
-
-
 class ExactSeparation:
+    """Exact SEP: one `separate` pass per query."""
+
     kind = SEP
 
     def __init__(self, spec: BodySpec):
@@ -539,9 +577,10 @@ class ExactSeparation:
 
     def __call__(self, y, delta):
         y = as_vector(y)
-        if self.spec.contains(y):
+        normal = self.spec.separate(y)
+        if normal is None:
             return SeparationAnswer()
-        return SeparationAnswer(HalfSpace(separating_normal(self.spec, y), y, 0.0))
+        return SeparationAnswer(HalfSpace(normal, y, 0.0))
 
 
 class ExactOptimization:

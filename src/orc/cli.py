@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--no-timing", action="store_true",
                      help="blank the wall_ms column for byte-stable output")
     run.add_argument("--jobs", type=_positive_int, default=1,
-                     help="concurrent trials (default 1)")
+                     help="worker processes running trials (default 1)")
     run.set_defaults(func=_cmd_run)
 
     fit = sub.add_parser("fit-scaling", help="fit a log-log scaling slope")

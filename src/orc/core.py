@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 import zlib
 from dataclasses import dataclass, field
 
@@ -134,25 +133,18 @@ class GradAnswer:
 
 
 class QueryLedger:
-    """Per-oracle-kind call counters.
-
-    Increments are lock-protected so concurrently running trials can
-    share a ledger; counters are monotone nondecreasing.
-    """
+    """Per-oracle-kind call counters; counters are monotone nondecreasing."""
 
     def __init__(self):
         self._counts: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def record(self, kind: str, count: int = 1) -> None:
         if count < 0:
             raise ValueError("ledger counts are monotone")
-        with self._lock:
-            self._counts[kind] = self._counts.get(kind, 0) + count
+        self._counts[kind] = self._counts.get(kind, 0) + count
 
     def count(self, kind: str) -> int:
-        with self._lock:
-            return self._counts.get(kind, 0)
+        return self._counts.get(kind, 0)
 
     def merge(self, other: "QueryLedger") -> None:
         """Fold another ledger's counts into this one."""
@@ -160,8 +152,7 @@ class QueryLedger:
             self.record(kind, count)
 
     def totals(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,14 @@ The ellipsoid is kept in factored form, {c + J z : ||z|| <= 1}, and each
 cut is a rank-one update of J (Goldfarb & Todd, Math. Programming 23,
 1982).  The shape matrix J J^T is positive definite by construction, so
 there is no factorization, no definiteness check and no repair.
+
+One iteration of `optimize_linear` is a SEP query, one normalization of
+the cut normal and one `ellipsoid_cut_py`: the loop keeps the center and
+J as locals, not as an `EllipsoidState`, normalizes a separating normal
+with `normalized` (bitwise `unit`, without re-checking a vector the
+oracle already checked) and normalizes the objective cut once per call.
+`EllipsoidState` and `ellipsoid_cut` are the same cut for callers that
+hold an ellipsoid.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 
 from .core import (OPT, VIOL, OptimizationAnswer, ProblemGeometry,
                    ViolationAnswer, check_precision)
-from .geometry import HalfSpace, as_vector, unit
+from .geometry import HalfSpace, as_vector, normalized, unit
 from .kernels import ellipsoid_cut_py
 
 
@@ -100,11 +108,12 @@ def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
     1/(2(n+1)), so the floor test reads a running sum, not the factor.
     """
     c = as_vector(c)
-    cu = unit(c)
+    # a feasible center's cut: -c/||c||, normalized as every cut normal is
+    objective_cut = normalized(-normalized(c))
     n = geometry.n
     sep_delta = cfg.resolved_sep_delta(geometry)
     max_iters = cfg.resolved_iters(geometry)
-    state = EllipsoidState.ball(geometry.center, geometry.R)
+    center, J = geometry.center, geometry.R * np.eye(n)
     log_volume = n * math.log(geometry.R)
     drop = 1.0 / (2.0 * (n + 1))
     floor_logvol = n * math.log(geometry.r * cfg.eps)
@@ -112,15 +121,15 @@ def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
     best = None
     best_val = -math.inf
     for _ in range(max_iters):
-        ans = sep(state.center, sep_delta)
-        if ans.inside:
-            val = float(c @ state.center)
+        h = sep(center, sep_delta).halfspace
+        if h is None:
+            val = float(c @ center)
             if val > best_val:
-                best, best_val = state.center, val
-            cut_normal = -cu
+                best, best_val = center, val
+            g = objective_cut
         else:
-            cut_normal = ans.halfspace.normal
-        state = ellipsoid_cut(state, cut_normal)
+            g = normalized(h.normal)
+        center, J = ellipsoid_cut_py(center, J, g)
         log_volume -= drop
         if log_volume < floor_logvol:
             break

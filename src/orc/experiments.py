@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import itertools
 import json
 import math
+import multiprocessing
 import operator
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,12 +249,16 @@ def _grade_halfspace(body: bodies.BodySpec, answer) -> tuple[str, None]:
 
 def _grade_opt(body: bodies.BodySpec, answer, c: np.ndarray,
                eps: float) -> tuple[str, float | None]:
+    """Sound when the maximizer's objective is within tol of the support
+    on both sides: a weak-OPT answer lies in B(K, delta), so it cannot
+    beat the support by more than tol, and one far outside the body
+    that does is violated."""
     if answer.empty_interior:
         return "error:empty_interior", None
     sup, _ = body.support(c)
     gap = sup - float(c @ answer.maximizer)
     tol = eps * float(np.linalg.norm(c)) * (1.0 + body.geometry.kappa)
-    return ("sound" if gap <= tol else "violated"), gap
+    return ("sound" if abs(gap) <= tol else "violated"), gap
 
 
 def _run_sep_from_mem(ctx) -> tuple[str, float | None]:
@@ -404,15 +411,26 @@ def run_trial(config: dict, n: int, eps: float, seed: int,
         opt_calls=totals.get(OPT, 0) + totals.get(VIOL, 0), wall_ms=wall_ms)
 
 
+def _pool_size(jobs: int, trials: int) -> int:
+    """Worker processes for `jobs`: no more than there are trials to run
+    or CPUs to run them on."""
+    return max(1, min(jobs, trials, os.cpu_count() or 1))
+
+
 def run_experiment(config: dict, jobs: int = 1) -> list[TrialRecord]:
+    """Every trial of the grid, in (n, eps, seed, trial) order.  With
+    jobs > 1 the trials run in a pool of `_pool_size` spawned worker
+    processes; each trial owns its seed path and ledger, so the records
+    are the same as a sequential run's."""
     config = validate_config(config)
     cells = [(n, eps, seed, trial)
              for n in config["dims"] for eps in config["eps"]
              for seed in config["seeds"] for trial in range(config["trials"])]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(
-                lambda cell: run_trial(config, *cell), cells))
+    workers = _pool_size(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            records = list(pool.map(run_trial, itertools.repeat(config), *zip(*cells)))
     else:
         records = [run_trial(config, *cell) for cell in cells]
     records.sort(key=lambda r: (r.n, r.eps, r.seed, r.trial))

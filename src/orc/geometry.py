@@ -4,7 +4,19 @@ Vectors are plain 1-d float64 numpy arrays throughout the package.
 A vector is checked once, by `as_vector`, where it enters the library:
 in a constructor, an oracle's `__call__` or another public entry point.
 Body methods and internal helpers take float64 1-d arrays as given and
-do not check them again; `as_vector` returns such an array unchanged.
+do not check them again; `as_vector` returns such an array unchanged,
+and `normalized` scales one the library made to unit length without a
+check.
+
+The finiteness check reads one reduction, v.v: a finite v.v proves
+every entry finite, since an infinite or NaN entry makes it infinite
+or NaN.  Only when it is not finite, which also happens when a vector
+of finite entries overflows it (entries beyond about 1e154, where numpy
+reports the overflow as a RuntimeWarning), does the entrywise test
+decide.  A norm is sqrt(v.v), np.linalg.norm's own computation for a
+1-d float64 array, so `normalized`, `unit` and the unit-norm test of
+`as_unit_vector` round exactly as np.linalg.norm does.
+
 Boundary comparisons are non-strict everywhere (all the bodies we work
 with are closed), and all tolerances are absolute: bodies are assumed
 normalized inside the unit ball by the time tolerances matter.
@@ -12,36 +24,48 @@ normalized inside the unit ball by the time tolerances matter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def as_vector(coords) -> np.ndarray:
-    """Coerce to a finite 1-d float64 array of dimension >= 1."""
+def _checked(coords) -> tuple[np.ndarray, float]:
+    """The finite 1-d float64 array of `coords` and its v.v."""
     v = np.asarray(coords, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    square = float(v @ v)
+    if not math.isfinite(square) and not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
-    return v
+    return v, square
+
+
+def as_vector(coords) -> np.ndarray:
+    """Coerce to a finite 1-d float64 array of dimension >= 1."""
+    return _checked(coords)[0]
 
 
 def as_unit_vector(coords) -> np.ndarray:
-    v = as_vector(coords)
-    nrm = float(np.linalg.norm(v))
+    v, square = _checked(coords)
+    nrm = math.sqrt(square)
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError(f"not a unit vector: ||v|| = {nrm!r}")
     return v
 
 
-def unit(v) -> np.ndarray:
-    """Normalize to a unit vector; errors on (near-)zero input."""
-    v = as_vector(v)
-    nrm = float(np.linalg.norm(v))
+def normalized(v: np.ndarray) -> np.ndarray:
+    """v / ||v|| for a float64 1-d array taken as given: bitwise `unit(v)`
+    without the entry check.  Errors on the zero vector."""
+    nrm = math.sqrt(v @ v)
     if nrm <= 0.0:
         raise ValueError("cannot normalize the zero vector")
     return v / nrm
+
+
+def unit(v) -> np.ndarray:
+    """Normalize to a unit vector; errors on (near-)zero input."""
+    return normalized(as_vector(v))
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -61,7 +85,8 @@ class HalfSpace:
         object.__setattr__(self, "normal", as_unit_vector(self.normal))
         object.__setattr__(self, "anchor", as_vector(self.anchor))
         _check_same_dim(self.normal, self.anchor)
-        if not np.isfinite(self.slack) or self.slack < 0.0:
+        # fails for NaN, infinite and negative slacks alike
+        if not 0.0 <= self.slack < math.inf:
             raise ValueError(f"slack must be finite and >= 0, got {self.slack!r}")
 
 

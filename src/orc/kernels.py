@@ -1,6 +1,8 @@
 """Hot numeric kernels: exact-body membership tests, the membership
 bisection that evaluates the height function, and the central-cut
 ellipsoid update, a rank-one update of the shape matrix's factor.
+A cut costs a handful of numpy calls: its constants depend on the
+dimension alone and are computed once per dimension.
 
 All of it is numpy code.  `inside` tests one point and `inside_rows`
 every row of a (k, n) stack.  `bisect_rows` is the one bisection loop:
@@ -26,6 +28,7 @@ All inside tests are closed (non-strict <=).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -118,6 +121,19 @@ def bisect_alpha(code: int, d: np.ndarray, x: np.ndarray, M: np.ndarray,
     return float(bisect_rows(rows, d[None, :], x, (hi,), (iters,))[0])
 
 
+@functools.cache
+def _cut_constants(n: int) -> tuple[float, float]:
+    """(beta, sigma) of a central cut in dimension n >= 2: the rank-one
+    step and the dilation up to the calibrated volume ratio."""
+    target = math.exp(-1.0 / (2.0 * (n + 1)))
+    beta = 1.0 - math.sqrt((n - 1.0) / (n + 1.0))
+    # dilate the minimum-volume ellipsoid up to the calibrated ratio
+    ratio_min = (n / (n + 1.0)) * (n * n / (n * n - 1.0)) ** ((n - 1) / 2.0)
+    scale = (target / ratio_min) ** (2.0 / n)
+    sigma = math.sqrt(n * n / (n * n - 1.0) * scale)
+    return beta, sigma
+
+
 def ellipsoid_cut_py(center: np.ndarray, J: np.ndarray,
                      g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Central cut of {c + J z : ||z|| <= 1} by {y : <g, y - c> <= 0}.
@@ -131,18 +147,14 @@ def ellipsoid_cut_py(center: np.ndarray, J: np.ndarray,
     interval bisection with the same calibrated ratio.
     """
     n = center.size
-    target = math.exp(-1.0 / (2.0 * (n + 1)))
     if n == 1:
         w = abs(J[0, 0])
         sign = 1.0 if g[0] > 0.0 else -1.0
+        target = math.exp(-1.0 / (2.0 * (n + 1)))
         return center - sign * (w / 2.0), np.array([[w * target]])
+    beta, sigma = _cut_constants(n)
     a = J.T @ g
     u = a / math.sqrt(a @ a)
     Ju = J @ u
-    new_center = center - Ju / (n + 1.0)
-    beta = 1.0 - math.sqrt((n - 1.0) / (n + 1.0))
-    # dilate the minimum-volume ellipsoid up to the calibrated ratio
-    ratio_min = (n / (n + 1.0)) * (n * n / (n * n - 1.0)) ** ((n - 1) / 2.0)
-    scale = (target / ratio_min) ** (2.0 / n)
-    sigma = math.sqrt(n * n / (n * n - 1.0) * scale)
-    return new_center, sigma * (J - beta * np.outer(Ju, u))
+    # Ju[:, None] * u is np.outer(Ju, u), the same products
+    return center - Ju / (n + 1.0), sigma * (J - beta * (Ju[:, None] * u))

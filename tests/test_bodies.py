@@ -5,11 +5,11 @@ import pytest
 
 from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
                         ExactOptimization, ExactSeparation, ExactValidity,
-                        ExactViolation, HPolytope, Indicator, Linear,
-                        MaxOfLinear, Quadratic, Simplex, UnsupportedVariant,
-                        brute_force_lp, exact_eval, exact_grad,
-                        exact_membership, exact_support, random_hpolytope,
-                        separating_normal)
+                        ExactViolation, HPolytope, Indicator, Intersection,
+                        Linear, MaxOfLinear, Quadratic, Simplex,
+                        UnsupportedVariant, brute_force_lp, exact_eval,
+                        exact_grad, exact_membership, exact_support,
+                        random_hpolytope)
 from orc.core import MembershipAnswer, RandomStream, ValidityAnswer
 from orc.geometry import unit
 
@@ -189,13 +189,137 @@ def test_exact_separation_halfspace_contains_body(spec):
             assert sup <= float(h.normal @ y) + 1e-9
 
 
+def _separation_bodies(n):
+    gen = np.random.default_rng(n)
+    Q, _ = np.linalg.qr(gen.normal(size=(n, n)))
+    shifted = gen.uniform(-0.3, 0.3, size=n)
+    return [Ball(shifted, 1.2), BoxBody(shifted, 0.8), Simplex(n, 1.5),
+            random_hpolytope(n, RandomStream(n).child("poly")),
+            Ellipsoid(shifted, (Q * gen.uniform(0.3, 2.0, size=n)) @ Q.T),
+            Intersection([Ball(np.zeros(n), 1.0), BoxBody(np.zeros(n), 0.8)],
+                         np.zeros(n), 0.5)]
+
+
+def _ulp_neighbours(x0, t, u):
+    """Points one ulp on either side of the boundary point x0 + t*u: the
+    point itself, every coordinate one ulp outward or inward along u,
+    and the ray parameter one ulp below or above t."""
+    b = x0 + t * u
+    return [b, np.nextafter(b, b + u), np.nextafter(b, b - u),
+            x0 + np.nextafter(t, 0.0) * u, x0 + np.nextafter(t, np.inf) * u]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_exact_separation_inside_exactly_when_membership_is(n):
+    gen = np.random.default_rng(20 + n)
+    for spec in _separation_bodies(n):
+        sep, mem = ExactSeparation(spec), ExactMembership(spec)
+        x0 = spec.geometry.center
+        points = []
+        for _ in range(60):
+            u = unit(gen.normal(size=n))
+            points += _ulp_neighbours(x0, spec.radial_scale(u), u)
+        if isinstance(spec, BoxBody):
+            # a coordinate on the face and one ulp either side of it
+            for face in (spec.center[0] + spec.radius, spec.center[0] - spec.radius):
+                for value in (face, np.nextafter(face, np.inf), np.nextafter(face, -np.inf)):
+                    p = spec.center.copy()
+                    p[0] = value
+                    points.append(p)
+        if isinstance(spec, Simplex):
+            # a vertex, the sum one ulp past the scale, and a coordinate
+            # at signed zeros, the least subnormal and just below zero
+            # (by more than a square that underflows: the normal of a
+            # point outside by less has no representable length)
+            vertex = np.zeros(n)
+            vertex[0] = spec.scale
+            points += [vertex, np.nextafter(vertex, 2.0 * vertex)]
+            for zero in (0.0, -0.0, 5e-324, -1e-150):
+                p = np.full(n, spec.scale / (2 * n))
+                p[-1] = zero
+                points.append(p)
+        answers = []
+        for p in points:
+            inside = mem(p, 0.01).inside
+            try:
+                assert sep(p, 0.01).inside == inside, (type(spec).__name__, p)
+            except ValueError:
+                # a point outside by less than about 1e-154 has a normal
+                # whose length underflows, which `unit` refuses
+                assert not inside and _reference_underflows(spec, p)
+            answers.append(inside)
+        assert any(answers) and not all(answers), type(spec).__name__
+
+
+def _reference_underflows(spec, y):
+    """True when the reference normal's direction has zero length."""
+    try:
+        _reference_normal(spec, y)
+    except ZeroDivisionError:
+        return True
+    return False
+
+
+def _reference_unit(v):
+    nrm = float(np.linalg.norm(v))
+    if nrm == 0.0:
+        raise ZeroDivisionError("zero-length normal")
+    return v / nrm
+
+
+def _reference_project_simplex(y, s):
+    p = np.maximum(y, 0.0)
+    if np.sum(p) <= s:
+        return p
+    u_srt = np.sort(y)[::-1]
+    css = np.cumsum(u_srt) - s
+    ks = np.arange(1, y.size + 1)
+    k = int(ks[u_srt - css / ks > 0][-1])
+    return np.maximum(y - css[k - 1] / k, 0.0)
+
+
+def _reference_normal(spec, y):
+    """The separating normal by the per-body formulas written out, for y
+    outside the body."""
+    if isinstance(spec, Ball):
+        return _reference_unit(y - spec.center)
+    if isinstance(spec, BoxBody):
+        q = y - spec.center
+        return _reference_unit(q - np.clip(q, -spec.radius, spec.radius))
+    if isinstance(spec, Simplex):
+        return _reference_unit(y - _reference_project_simplex(y, spec.scale))
+    if isinstance(spec, HPolytope):
+        return spec.A[int(np.argmax(spec.A @ y - spec.b))]
+    if isinstance(spec, Ellipsoid):
+        return _reference_unit(spec._inv @ (y - spec.center))
+    part = next(p for p in spec.parts if not p.contains(y))
+    return _reference_normal(part, y)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_exact_separation_normal_matches_reference_formulas_bitwise(n):
+    gen = np.random.default_rng(30 + n)
+    for spec in _separation_bodies(n):
+        sep = ExactSeparation(spec)
+        outside = 0
+        for scale in (0.5, 1.0, 3.0):
+            for y in scale * gen.normal(size=(100, n)):
+                h = sep(y, 0.01).halfspace
+                assert (h is None) == spec.contains(y)
+                if h is not None:
+                    outside += 1
+                    assert h.normal.tobytes() == _reference_normal(spec, y).tobytes()
+                    assert h.anchor.tobytes() == y.tobytes() and h.slack == 0.0
+        assert outside >= 50, type(spec).__name__
+
+
 def test_separating_normal_is_unit():
     spec = Simplex(4, 1.0)
     gen = np.random.default_rng(11)
     for _ in range(100):
         y = gen.normal(size=4)
         if not spec.contains(y):
-            assert abs(np.linalg.norm(separating_normal(spec, y)) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(spec.separate(y)) - 1.0) < 1e-12
 
 
 def test_exact_optimization_matches_support():

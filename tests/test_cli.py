@@ -3,10 +3,15 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
+from orc import experiments
+from orc.bodies import BoxBody
 from orc.cli import main
+from orc.core import OptimizationAnswer
 from orc.experiments import CSV_COLUMNS, evaluate_log_factor
+from orc.geometry import unit
 
 
 def _config(**overrides):
@@ -68,6 +73,28 @@ def test_run_jobs_matches_sequential(tmp_path):
                  "--jobs", "4"]) == 0
     assert (out1 / "jobs-test.csv").read_bytes() == \
         (out2 / "jobs-test.csv").read_bytes()
+
+
+def test_pool_size_is_capped_by_trials_and_cpus(monkeypatch):
+    for cpus, jobs, trials, workers in [(2, 4, 24, 2), (8, 4, 24, 4), (8, 64, 3, 3),
+                                        (None, 4, 24, 1), (16, 1, 24, 1), (4, 4, 0, 1)]:
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        assert experiments._pool_size(jobs, trials) == workers
+
+
+def test_opt_grade_is_two_sided():
+    n, eps = 3, 0.01
+    box = BoxBody(np.zeros(n), 1.0)
+    c = unit(np.ones(n))
+    corner = np.ones(n)
+
+    def stub_opt(point):
+        return lambda c, delta: OptimizationAnswer(point)
+
+    outcome, gap = experiments._grade_opt(box, stub_opt(10.0 * corner)(c, eps), c, eps)
+    assert outcome == "violated" and gap < 0.0
+    assert experiments._grade_opt(box, stub_opt(corner)(c, eps), c, eps) == ("sound", 0.0)
+    assert experiments._grade_opt(box, stub_opt(0.5 * corner)(c, eps), c, eps)[0] == "violated"
 
 
 def test_malformed_json_exits_2(tmp_path):

@@ -155,6 +155,45 @@ def test_sep_count_is_the_resolved_iteration_budget():
             assert ledger.count(SEP) == cfg.resolved_iters(spec.geometry)
 
 
+def _reference_optimize(cfg, sep, geometry, c):
+    """optimize_linear's loop on an `EllipsoidState`, cut by
+    `ellipsoid_cut`, with the objective cut normalized on every cut."""
+    n = geometry.n
+    cu = unit(c)
+    state = EllipsoidState.ball(geometry.center, geometry.R)
+    log_volume = n * math.log(geometry.R)
+    floor_logvol = n * math.log(geometry.r * cfg.eps)
+    best, best_val = None, -math.inf
+    for _ in range(cfg.resolved_iters(geometry)):
+        ans = sep(state.center, cfg.resolved_sep_delta(geometry))
+        if ans.inside:
+            val = float(c @ state.center)
+            if val > best_val:
+                best, best_val = state.center, val
+            cut_normal = -cu
+        else:
+            cut_normal = ans.halfspace.normal
+        state = ellipsoid_cut(state, cut_normal)
+        log_volume -= 1.0 / (2.0 * (n + 1))
+        if log_volume < floor_logvol:
+            break
+    return best
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_optimize_linear_matches_reference_loop_bitwise(n):
+    gen = np.random.default_rng(40 + n)
+    Q, _ = np.linalg.qr(gen.normal(size=(n, n)))
+    ellipsoid = Ellipsoid(np.zeros(n), (Q * gen.uniform(0.25, 2.0, size=n)) @ Q.T)
+    cfg = OptimizerConfig(eps=1e-3)
+    for spec in (BoxBody(np.zeros(n), 1.0), Simplex(n, 1.0), ellipsoid):
+        for _ in range(2):
+            c = unit(gen.normal(size=n))
+            sep = ExactSeparation(spec)
+            got = optimize_linear(cfg, sep, spec.geometry, c).maximizer
+            assert got.tobytes() == _reference_optimize(cfg, sep, spec.geometry, c).tobytes()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(eps=0.0)

@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from orc.geometry import (Box, HalfSpace, as_unit_vector, as_vector,
                           coordinate_segment_endpoints, halfspace_contains,
-                          linf_ball_contains, unit)
+                          linf_ball_contains, normalized, unit)
+
+# v.v of a vector with entries near 1e200 overflows, by design of the check
+pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+NOT_FINITE = [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 0.0], [np.inf, -np.inf],
+              [1e200, np.nan], [1e200, np.inf]]
 
 
 def test_as_vector_accepts_lists_and_arrays():
@@ -17,6 +25,59 @@ def test_as_vector_rejects_matrices_and_scalars():
         as_vector(np.eye(2))
     with pytest.raises(ValueError):
         as_vector(3.0)
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE)
+def test_as_vector_rejects_nan_and_inf(bad):
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        as_vector(bad)
+
+
+def test_as_vector_accepts_entries_whose_square_sum_overflows():
+    v = np.full(4, 1e200)
+    assert not math.isfinite(float(v @ v))
+    assert as_vector(v) is v
+    assert as_vector([-1e200, 1e300]).tolist() == [-1e200, 1e300]
+
+
+def _unit_vector_error(coords):
+    """The message of the parent's checks: entrywise finiteness, then the
+    unit-norm test on np.linalg.norm."""
+    v = np.asarray(coords, dtype=np.float64)
+    if not np.isfinite(v).all():
+        return "vector entries must be finite"
+    return f"not a unit vector: ||v|| = {float(np.linalg.norm(v))!r}"
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE + [[0.6, 0.81], [1e200, 0.0], [1e-200, 0.0]])
+def test_as_unit_vector_and_halfspace_raise_the_entry_errors(bad):
+    expected = _unit_vector_error(bad)
+    with pytest.raises(ValueError) as err:
+        as_unit_vector(bad)
+    assert str(err.value) == expected
+    with pytest.raises(ValueError) as err:
+        HalfSpace(bad, [0.0, 0.0], 0.0)
+    assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("slack", [np.nan, np.inf, -np.inf, -0.1, -5e-324])
+def test_halfspace_rejects_bad_slack(slack):
+    with pytest.raises(ValueError, match="slack must be finite and >= 0"):
+        HalfSpace([1.0, 0.0], [0.0, 0.0], slack)
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        HalfSpace([1.0, 0.0], [np.nan, 0.0], 0.0)
+
+
+def test_normalized_is_unit_and_norm_bitwise():
+    gen = np.random.default_rng(0)
+    for n in (1, 2, 3, 4, 7, 8, 16, 33, 64):
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            for v in scale * gen.normal(size=(50, n)):
+                expected = v / float(np.linalg.norm(v))
+                assert normalized(v).tobytes() == expected.tobytes()
+                assert unit(v).tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="zero vector"):
+        normalized(np.zeros(3))
 
 
 def test_unit_normalizes():

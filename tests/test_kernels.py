@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from orc import kernels
@@ -208,3 +210,32 @@ def test_ellipsoid_cut_matches_shape_matrix_reference():
             ratio = np.linalg.slogdet(J2)[1] - np.linalg.slogdet(J)[1]
             assert abs(ratio + 1.0 / (2.0 * (n + 1))) < 1e-12
             assert g @ (c2 - center) < 0.0  # moved away from the cut normal
+
+
+def _reference_factor_cut(center, J, g):
+    """The central cut with its constants computed per call and the
+    rank-one term by np.outer."""
+    n = center.size
+    target = math.exp(-1.0 / (2.0 * (n + 1)))
+    a = J.T @ g
+    u = a / math.sqrt(a @ a)
+    Ju = J @ u
+    beta = 1.0 - math.sqrt((n - 1.0) / (n + 1.0))
+    ratio_min = (n / (n + 1.0)) * (n * n / (n * n - 1.0)) ** ((n - 1) / 2.0)
+    scale = (target / ratio_min) ** (2.0 / n)
+    sigma = math.sqrt(n * n / (n * n - 1.0) * scale)
+    return center - Ju / (n + 1.0), sigma * (J - beta * np.outer(Ju, u))
+
+
+def test_ellipsoid_cut_matches_reference_bitwise():
+    gen = np.random.default_rng(12)
+    for n in (2, 3, 7, 16):
+        center, J = gen.normal(size=n), 2.0 * np.eye(n)
+        for _ in range(60):
+            g = gen.normal(size=n)
+            g /= np.linalg.norm(g)
+            new_center, new_J = kernels.ellipsoid_cut_py(center, J, g)
+            ref_center, ref_J = _reference_factor_cut(center, J, g)
+            assert new_center.tobytes() == ref_center.tobytes()
+            assert new_J.tobytes() == ref_J.tobytes()
+            center, J = new_center, new_J
