@@ -15,7 +15,8 @@ of finite entries overflows it (entries beyond about 1e154, where numpy
 reports the overflow as a RuntimeWarning), does the entrywise test
 decide.  A norm is sqrt(v.v), np.linalg.norm's own computation for a
 1-d float64 array, so `normalized`, `unit` and the unit-norm test of
-`as_unit_vector` round exactly as np.linalg.norm does.
+`as_unit_vector` round exactly as np.linalg.norm does (`normalized`
+except where v.v underflows, where it rescales first).
 
 Boundary comparisons are non-strict everywhere (all the bodies we work
 with are closed), and all tolerances are absolute: bodies are assumed
@@ -28,6 +29,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 
 def _checked(coords) -> tuple[np.ndarray, float]:
@@ -56,15 +59,25 @@ def as_unit_vector(coords) -> np.ndarray:
 
 def normalized(v: np.ndarray) -> np.ndarray:
     """v / ||v|| for a float64 1-d array taken as given: bitwise `unit(v)`
-    without the entry check.  Errors on the zero vector."""
+    without the entry check.  Errors on the zero vector.
+
+    A nonzero v whose v.v underflows below the least normal float (every
+    entry below about 1e-154) is first divided by max|v_i|, so it still
+    gets a unit vector in its direction; at any other v that branch is
+    not taken and the result is v / sqrt(v.v)."""
     nrm = math.sqrt(v @ v)
-    if nrm <= 0.0:
-        raise ValueError("cannot normalize the zero vector")
+    # below sqrt(tiny) only when v.v is below tiny
+    if nrm < _SQRT_TINY:
+        top = np.max(np.abs(v))
+        if top == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        v = v / top
+        nrm = math.sqrt(v @ v)
     return v / nrm
 
 
 def unit(v) -> np.ndarray:
-    """Normalize to a unit vector; errors on (near-)zero input."""
+    """Normalize to a unit vector; errors on the zero vector."""
     return normalized(as_vector(v))
 
 

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from orc import bodies
 from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
                         ExactOptimization, ExactSeparation, ExactValidity,
                         ExactViolation, HPolytope, Indicator, Intersection,
@@ -228,36 +230,25 @@ def test_exact_separation_inside_exactly_when_membership_is(n):
                     points.append(p)
         if isinstance(spec, Simplex):
             # a vertex, the sum one ulp past the scale, and a coordinate
-            # at signed zeros, the least subnormal and just below zero
-            # (by more than a square that underflows: the normal of a
-            # point outside by less has no representable length)
+            # at signed zeros, the least subnormal and below zero, by
+            # more or less than a normal whose squared length underflows
             vertex = np.zeros(n)
             vertex[0] = spec.scale
             points += [vertex, np.nextafter(vertex, 2.0 * vertex)]
-            for zero in (0.0, -0.0, 5e-324, -1e-150):
+            for zero in (0.0, -0.0, 5e-324, -5e-324, -1e-160, -1e-150):
                 p = np.full(n, spec.scale / (2 * n))
                 p[-1] = zero
                 points.append(p)
         answers = []
         for p in points:
             inside = mem(p, 0.01).inside
-            try:
-                assert sep(p, 0.01).inside == inside, (type(spec).__name__, p)
-            except ValueError:
-                # a point outside by less than about 1e-154 has a normal
-                # whose length underflows, which `unit` refuses
-                assert not inside and _reference_underflows(spec, p)
+            h = sep(p, 0.01).halfspace
+            assert (h is None) == inside, (type(spec).__name__, p)
+            if h is not None:
+                # also at a point outside by less than about 1e-154
+                assert abs(float(np.linalg.norm(h.normal)) - 1.0) <= 1e-12
             answers.append(inside)
         assert any(answers) and not all(answers), type(spec).__name__
-
-
-def _reference_underflows(spec, y):
-    """True when the reference normal's direction has zero length."""
-    try:
-        _reference_normal(spec, y)
-    except ZeroDivisionError:
-        return True
-    return False
 
 
 def _reference_unit(v):
@@ -311,6 +302,23 @@ def test_exact_separation_normal_matches_reference_formulas_bitwise(n):
                     assert h.normal.tobytes() == _reference_normal(spec, y).tobytes()
                     assert h.anchor.tobytes() == y.tobytes() and h.slack == 0.0
         assert outside >= 50, type(spec).__name__
+
+
+def test_simplex_separates_points_past_the_face_by_less_than_the_projection_resolves():
+    # y >= 0 one ulp past the face sum x = s, where y - proj(y) rounds
+    # to zero: the normal is the face's own, and the cut is valid
+    spec = Simplex(3, 1.5)
+    gen = np.random.default_rng(0)
+    hits = 0
+    for _ in range(200):
+        y = np.nextafter(gen.dirichlet(np.ones(3)) * spec.scale, 2.0)
+        if spec.contains(y) or (y - _reference_project_simplex(y, spec.scale)).any():
+            continue
+        hits += 1
+        normal = spec.separate(y)
+        np.testing.assert_allclose(normal, np.full(3, 1.0 / math.sqrt(3.0)), rtol=1e-15)
+        assert spec.support(normal)[0] <= float(normal @ y) + 1e-15
+    assert hits >= 3
 
 
 def test_separating_normal_is_unit():
@@ -416,6 +424,16 @@ def test_support_unsupported_for_intersection():
         exact_support(inter, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hpolytope_rejects_non_finite_facets(bad):
+    A = np.vstack([np.eye(2), -np.eye(2)])
+    A[1, 0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        HPolytope(A, np.ones(4), np.zeros(2))
+    with pytest.raises(ValueError, match="must be finite"):
+        HPolytope(np.vstack([np.eye(2), -np.eye(2)]), [1.0, bad, 1.0, 1.0], np.zeros(2))
+
+
 def test_random_hpolytope_geometry_certified():
     for seed in range(5):
         for n in (2, 5, 10):
@@ -428,3 +446,105 @@ def test_random_hpolytope_geometry_certified():
                 u = unit(gen.normal(size=n))
                 assert P.contains(g.center + 0.99 * g.r * u)
                 assert not P.contains(g.center + 1.01 * g.R * u)
+
+
+# ---------------------------------------------------------------------------
+# vertex enumeration
+
+def _per_subset_vertices(A, b):
+    """The vertices by the plain per-subset loop: one det, one solve and
+    one A @ v for each n-subset of the facets."""
+    m, n = A.shape
+    out = []
+    for idx in itertools.combinations(range(m), n):
+        sub = A[list(idx)]
+        if abs(np.linalg.det(sub)) < 1e-12:
+            continue
+        v = np.linalg.solve(sub, b[list(idx)])
+        if np.all(A @ v <= b + 1e-9):
+            out.append(v)
+    if not out:
+        return np.zeros((0, n))
+    return np.unique(np.round(np.array(out), 12), axis=0)
+
+
+def _enumeration_polytopes():
+    """(A, b) of bounded, unbounded, k < n, k >= n and degenerate cases,
+    k = m - n."""
+    for n in range(1, 9):
+        yield random_hpolytope(n, RandomStream(n).child("poly"))
+    for seed in (1, 2):
+        yield random_hpolytope(16, RandomStream(seed).child("poly"))
+    for n in (2, 5, 8):
+        gen = np.random.default_rng(n)
+        yield random_hpolytope(n, gen, jitter=50.0)
+        yield random_hpolytope(n, gen, extra_facets=0)
+        yield random_hpolytope(n, gen, extra_facets=8)
+    for n in range(1, 5):
+        box = np.vstack([np.eye(n), -np.eye(n)])
+        yield HPolytope(box, np.ones(2 * n), np.zeros(n))
+        yield HPolytope(np.vstack([box, box[:1]]), np.ones(2 * n + 1), np.zeros(n))
+    # k < n with exactly singular subsets: {x >= -1, sum x <= 1,
+    # x_1 <= 1, x_2 <= 1}, and a polytope with a repeated facet
+    for n in (4, 6):
+        A = np.vstack([-np.eye(n), np.ones((1, n)), np.eye(n)[:2]])
+        yield HPolytope(A, np.ones(n + 3), np.zeros(n))
+        # the redundant facet sum x >= -n - 1e-7 meets n - 1 of the
+        # facets x_i >= -1 at points 1e-7 outside the last: rejected,
+        # as the feasibility tolerance is 1e-9
+        A = np.vstack([-np.eye(n), np.ones((1, n)), -np.ones((1, n))])
+        yield HPolytope(A, np.append(np.ones(n + 1), n + 1e-7), np.zeros(n))
+        P = random_hpolytope(n, RandomStream(n).child("poly"))
+        yield HPolytope(np.vstack([P.A, P.A[:1]]), np.append(P.b, P.b[0]), np.zeros(n))
+
+
+def test_vertex_enumeration_is_bitwise_the_per_subset_loop():
+    cases = screened = 0
+    for P in _enumeration_polytopes():
+        m, n = P.A.shape
+        expected = _per_subset_vertices(P.A, P.b)
+        assert np.array_equal(P.vertices, expected), (m, n)
+        assert np.array_equal(bodies._enumerate_vertices(P.A, P.b), expected), (m, n)
+        cases += 1
+        screened += 0 < m - n < n
+    assert cases == 33 and screened >= 16
+
+
+def _screened_candidates(A, b):
+    """The n-subsets the documented screen passes: from the left null
+    space basis N, the complement T's slack solves N_T^T s_T = N^T b; a
+    subset is dropped only when |det N_T| >= 1e-8 and min s_T is below
+    -(1e-9 + 1e-3 (max|b| + max|s_T|))."""
+    m, n = A.shape
+    N = np.linalg.svd(A, full_matrices=True)[0][:, n:]
+    out = []
+    for T in itertools.combinations(range(m), m - n):
+        NtT = N[list(T)].T
+        if abs(np.linalg.det(NtT)) >= 1e-8:
+            s = np.linalg.solve(NtT, N.T @ b)
+            if s.min() < -(1e-9 + 1e-3 * (np.abs(b).max() + np.abs(s).max())):
+                continue
+        out.append([i for i in range(m) if i not in T])
+    return out
+
+
+def test_vertex_enumeration_solves_only_the_screened_candidates(monkeypatch):
+    P = random_hpolytope(16, RandomStream(3).child("poly"))
+    A, b = P.A, P.b
+    candidates = [S for S in _screened_candidates(A, b)
+                  if abs(np.linalg.det(A[S])) >= 1e-12]
+    solve, systems = np.linalg.solve, []
+
+    def counting_solve(a, rhs):
+        if a.shape[-1] == 16:
+            systems.append(a.reshape(-1, 16, 16).shape[0])
+        return solve(a, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    vertices = bodies._enumerate_vertices(A, b)
+    monkeypatch.undo()
+    assert np.array_equal(vertices, P.vertices)
+    assert sum(systems) == len(candidates)
+    # far below the math.comb(20, 16) = 4845 subsets, and above the
+    # vertex count, since every vertex is some candidate's solution
+    assert vertices.shape[0] <= len(candidates) < 4845 // 4

@@ -80,6 +80,20 @@ def test_normalized_is_unit_and_norm_bitwise():
         normalized(np.zeros(3))
 
 
+@pytest.mark.parametrize("v, expected", [
+    ([0.0, -5e-324, 0.0], [0.0, -1.0, 0.0]),
+    ([3e-170, -4e-170], [0.6, -0.8]),
+    ([1e-160, 1e-160, 1e-160, 1e-160], [0.5, 0.5, 0.5, 0.5]),
+])
+def test_normalized_keeps_the_direction_when_the_square_underflows(v, expected):
+    v = np.array(v)
+    assert v @ v < np.finfo(float).tiny
+    np.testing.assert_allclose(normalized(v), expected, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(unit(v), expected, rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError, match="zero vector"):
+        normalized(np.array([0.0, -0.0]))
+
+
 def test_unit_normalizes():
     np.testing.assert_allclose(unit([3.0, 4.0]), [0.6, 0.8])
     with pytest.raises(ValueError):
