@@ -14,7 +14,11 @@ Three identifications carry the whole web:
 Composing these with the membership-to-separation estimator and the
 cutting-plane optimizer yields every pairwise reduction among the set
 oracles; the composed constructors at the bottom of this module package
-the useful chains.
+the useful chains.  Each step asks the cheapest oracle that answers it:
+`opt_from_val` evaluates f through the MEM of K_f, one f evaluation per
+query, and asks SEP of K_f only for the one cut below the graph that
+carries the subgradient.  It runs on the body translated to its centre,
+where the normalized support function is 1-Lipschitz and in [0, 1].
 
 Stack forms.  `support_eval_from_opt`, `eval_support_from_val` and
 `EpigraphBody.membership_rows` answer a (k, n) stack of queries, and a
@@ -246,17 +250,24 @@ def eval_from_mem_epigraph(mem_kf, dim: int):
     return eval_f
 
 
-def grad_from_sep_epigraph(sep_kf, dim: int):
-    """GRAD(f) from SEP(K_f).
+def grad_from_sep_epigraph(sep_kf, dim: int, mem_kf=None, lipschitz: float = math.inf):
+    """GRAD(f) from SEP(K_f), and MEM(K_f) when there is one.
 
-    Evaluates f(y) by bisection through the separation oracle's
-    membership side, then queries just below the graph at
-    (y/2, (alpha - depth)/4) and unpacks the returned halfspace normal
-    (c_x, c_t) into the subgradient -2 c_x / c_t.  Nearly vertical
-    cuts (|c_t| < 1e-9) are retried at doubled depth, then rejected
-    after `VERTICAL_CUT_RETRIES` queries.
+    Evaluates f(y) by bisecting the t axis with `eval_from_mem_epigraph`
+    over `mem_kf`, or, without one, over the separation oracle's
+    membership side (`mem_from_sep`), so that GRAD from SEP alone keeps
+    its meaning.  Then makes the one separation query of the reduction,
+    just below the graph at (y/2, (alpha - depth)/4), and unpacks the
+    returned halfspace normal (c_x, c_t) into the subgradient
+    -2 c_x / c_t.  A cut that carries no slope information is retried
+    at doubled depth, and after `VERTICAL_CUT_RETRIES` queries the
+    reduction gives up with `VerticalCut`.  A cut counts as such when it
+    is nearly vertical (|c_t| < 1e-9) or, for an f the caller knows to
+    be `lipschitz`-Lipschitz, when the subgradient is steeper than that:
+    at ||y|| = 1 the body's cylinder wall puts horizontal normals in the
+    normal cone, and no bound on f's slope follows from K_f alone.
     """
-    eval_f = eval_from_mem_epigraph(mem_from_sep(sep_kf), dim)
+    eval_f = eval_from_mem_epigraph(mem_from_sep(sep_kf) if mem_kf is None else mem_kf, dim)
 
     def grad(y, delta):
         check_precision(delta)
@@ -270,8 +281,9 @@ def grad_from_sep_epigraph(sep_kf, dim: int):
             answer = sep_kf(point, delta / 10.0)
             h = answer.halfspace
             if h is not None and abs(h.normal[-1]) >= 1e-9:
-                c_x, c_t = h.normal[:-1], h.normal[-1]
-                return GradAnswer(alpha, -2.0 * c_x / c_t)
+                subgrad = -2.0 * h.normal[:-1] / h.normal[-1]
+                if np.linalg.norm(subgrad) <= lipschitz:
+                    return GradAnswer(alpha, subgrad)
             depth *= 2.0
         raise VerticalCut(
             f"no usable cut below the graph at depth {depth / 2.0}")
@@ -387,8 +399,12 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
 def _normalized_support_eval(eval_support, geometry: ProblemGeometry):
     """Rescale 1_K* so its values land in [0, 1] on the unit ball.
 
-    With K inside B(0, R), the support satisfies 1_K*(c) <= R||c||, so
-    dividing by R gives an admissible epigraph function.
+    Precondition: `eval_support` evaluates the support function of a
+    body centred at the origin, B(0, r) inside K inside B(0, R).  Then
+    r||c|| <= 1_K*(c) <= R||c||, so dividing by R gives an admissible
+    epigraph function, and a 1-Lipschitz one.  For a body off the
+    origin the values can leave [0, 1] (`opt_from_val` translates its
+    body first; `sep_from_opt` does not yet).
     """
 
     def f(c, delta):
@@ -432,32 +448,56 @@ def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *,
 
 def _support_epigraph_sep(eval_support, geometry: ProblemGeometry,
                           rng: RandomStream, *, sep_eps: float, rho: float, ledgers):
-    """SEP of the epigraph body of the normalized support function, built
-    from its MEM, with the MEM and SEP queries counted in `ledgers.mem`
-    and `ledgers.sep`: the VAL -> OPT and OPT -> SEP chains both run on
-    it.  Returns the body's geometry and the counted SEP oracle."""
+    """SEP and MEM of the epigraph body of the normalized support
+    function, SEP built from MEM, with the MEM and SEP queries counted in
+    `ledgers.mem` and `ledgers.sep`: the VAL -> OPT and OPT -> SEP chains
+    both run on it.  Returns the body's geometry, the counted SEP oracle
+    and the counted MEM oracle."""
     body = EpigraphBody(_normalized_support_eval(eval_support, geometry), geometry.n)
     counted_mem = wrap_with_ledger(body.as_mem(), ledgers.mem)
     sep = SepFromMem(counted_mem, body.geometry, rng, eps=sep_eps, rho=rho)
-    return body.geometry, wrap_with_ledger(sep, ledgers.sep)
+    return body.geometry, wrap_with_ledger(sep, ledgers.sep), counted_mem
+
+
+def _translated_val(val, shift: np.ndarray):
+    """VAL of K - x0 from VAL of K: c . (x - x0) <= gamma exactly when
+    c . x <= gamma + c . x0.  It has a `rows` stack form only over a val
+    with one."""
+    val_rows = getattr(val, "rows", None)
+
+    def translated(c, gamma, delta):
+        # vecdot, as in the stack form, so both give the same threshold
+        return val(c, gamma + float(np.vecdot(c, shift)), delta)
+
+    translated.kind = VAL
+    if val_rows is not None:
+        translated.rows = lambda C, gammas, delta: val_rows(C, gammas + np.vecdot(C, shift), delta)
+    return translated
 
 
 def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
                  eps: float = 0.01, sep_eps: float, rho: float = 0.1):
     """OPT(K) from VAL(K).
 
-    Chain: VAL recovers EVAL(1_K*) by bisection; the epigraph body of
-    the normalized support function turns that into a membership oracle;
-    separation-from-membership gives SEP of the epigraph body, and the
-    just-below-the-graph separation query unpacks into a subgradient of
-    the support function at c.  The subgradient of a support function
-    is the maximizer of <c, x> over the body, restored to scale by R.
+    Chain: the base VAL is viewed as VAL of K - x0, with x0 the centre
+    of `geometry`, so the rest runs on a body centred at the origin.  VAL
+    recovers EVAL(1_K*) by bisection; the epigraph body K_f of the
+    normalized support function f turns that into a membership oracle,
+    and separation-from-membership gives SEP of K_f.  f is evaluated
+    through the MEM of K_f, and the one SEP query just below the graph
+    unpacks into a subgradient of f at c.  The subgradient of a support
+    function is the maximizer of <c, x> over the body: x0 + R times it.
+    On the centred body f is 1-Lipschitz, so a steeper subgradient is a
+    cut that carries no slope information; the bound allows the chain's
+    accuracy, three times its precision.
     """
     ledgers = _ChainLedgers("val", "mem", "sep")
-    eval_support = eval_support_from_val(wrap_with_ledger(val, ledgers.val), geometry)
-    _, sep = _support_epigraph_sep(eval_support, geometry, rng.child("opt_from_val"),
-                                   sep_eps=sep_eps, rho=rho, ledgers=ledgers)
-    grad = grad_from_sep_epigraph(sep, geometry.n)
+    centred = ProblemGeometry(geometry.n, geometry.r, geometry.R)
+    translated = _translated_val(wrap_with_ledger(val, ledgers.val), geometry.center)
+    eval_support = eval_support_from_val(translated, centred)
+    _, sep, mem = _support_epigraph_sep(eval_support, centred, rng.child("opt_from_val"),
+                                        sep_eps=sep_eps, rho=rho, ledgers=ledgers)
+    grad = grad_from_sep_epigraph(sep, geometry.n, mem, lipschitz=1.0 + 3.0 * eps)
 
     def opt(c, delta):
         check_precision(delta)
@@ -473,7 +513,7 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
         # the inner subgradient precision is floored at eps: the chain's
         # practical accuracy is set by the separation estimator anyway
         answer = grad(direction, max(delta, eps))
-        return OptimizationAnswer(geometry.R * answer.subgrad)
+        return OptimizationAnswer(geometry.center + geometry.R * answer.subgrad)
 
     opt.kind = OPT
     opt.ledgers = ledgers
@@ -501,7 +541,7 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
         y = as_vector(y)
         scaled = y / geometry.R
         # maximize <(x, -1), .> over the epigraph body, through its SEP
-        body_geometry, sep_kf = _support_epigraph_sep(
+        body_geometry, sep_kf, _ = _support_epigraph_sep(
             eval_support, geometry, rng.child("sep_from_opt"),
             sep_eps=sep_eps, rho=rho, ledgers=ledgers)
         answer = optimize_linear(cfg, sep_kf, body_geometry, np.append(scaled, -1.0))

@@ -9,9 +9,9 @@ from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
                         exact_eval, random_hpolytope)
 from orc.core import (GRAD, MEM, OPT, SEP, VAL, GradAnswer, MembershipAnswer,
                       ProblemGeometry, QueryLedger, RandomStream,
-                      ValidityAnswer, wrap_with_ledger)
-from orc.geometry import unit
-from orc.reductions import (EpigraphBody, VerticalCut,
+                      SeparationAnswer, ValidityAnswer, wrap_with_ledger)
+from orc.geometry import HalfSpace, unit
+from orc.reductions import (VERTICAL_CUT_RETRIES, EpigraphBody, VerticalCut,
                             eval_from_mem_epigraph, eval_from_mem_indicator,
                             eval_support_from_val, grad_conjugate_from_opt,
                             grad_from_sep_epigraph, grad_from_sep_indicator,
@@ -19,6 +19,7 @@ from orc.reductions import (EpigraphBody, VerticalCut,
                             opt_from_mem, opt_from_val,
                             sep_from_grad_indicator, sep_from_opt,
                             support_eval_from_opt, val_from_eval_support)
+from orc.separation import SepFromMem
 
 INSIDE = MembershipAnswer.INSIDE_DILATED
 OUTSIDE = MembershipAnswer.OUTSIDE_ERODED
@@ -223,6 +224,48 @@ def test_grad_from_sep_epigraph_vertical_cut():
     grad = grad_from_sep_epigraph(vertical_sep, 2)
     with pytest.raises(VerticalCut):
         grad(np.array([0.2, 0.0]), 1e-3)
+
+
+def _stub_sep(normals):
+    """A SEP stub that cuts every query with the next of `normals` and
+    records the points it was asked."""
+    asked = []
+
+    def sep(point, delta):
+        asked.append(np.array(point, dtype=float))
+        return SeparationAnswer(HalfSpace(unit(np.array(normals[len(asked) - 1])),
+                                          asked[-1], 0.0))
+
+    return sep, asked
+
+
+def test_grad_from_sep_epigraph_retries_a_steep_cut_deeper():
+    # f = 0.5 + 0.1 x_1 is 1-Lipschitz; the first cut has slope 10
+    body = EpigraphBody(lambda y, d: 0.5 + 0.1 * float(y[0]), 2)
+    sep, asked = _stub_sep([[5.0, 0.0, -1.0], [1.0, 0.0, -4.0]])
+    grad = grad_from_sep_epigraph(sep, 2, body.as_mem(), lipschitz=1.0)
+    delta = 1e-3
+    ans = grad(np.array([0.2, 0.0]), delta)
+    np.testing.assert_allclose(ans.subgrad, [0.5, 0.0])
+    assert len(asked) == 2
+    # the retry sits twice as deep below the graph
+    assert (ans.value - 4.0 * asked[0][-1], ans.value - 4.0 * asked[1][-1]) == \
+        pytest.approx((delta, 2.0 * delta))
+
+
+def test_grad_from_sep_epigraph_steep_cuts_end_in_vertical_cut():
+    body = EpigraphBody(lambda y, d: 0.5 + 0.1 * float(y[0]), 2)
+    normals = [[5.0, 0.0, -1.0]] * VERTICAL_CUT_RETRIES
+    sep, asked = _stub_sep(normals)
+    grad = grad_from_sep_epigraph(sep, 2, body.as_mem(), lipschitz=1.0)
+    with pytest.raises(VerticalCut):
+        grad(np.array([0.2, 0.0]), 1e-3)
+    assert len(asked) == VERTICAL_CUT_RETRIES
+    # without a Lipschitz bound the reduction takes the first cut as it is
+    sep, asked = _stub_sep(normals)
+    ans = grad_from_sep_epigraph(sep, 2, body.as_mem())(np.array([0.2, 0.0]), 1e-3)
+    np.testing.assert_allclose(ans.subgrad, [10.0, 0.0])
+    assert len(asked) == 1
 
 
 class ExactSeparationEpigraph:
@@ -503,6 +546,51 @@ def test_opt_from_val_zero_direction():
                                   np.zeros(2))
 
 
+def test_opt_from_val_evaluates_f_through_mem_and_spends_one_sep(monkeypatch):
+    # f is bisected through the epigraph body's MEM, ceil(log2(2/delta))
+    # queries; SEP is asked once, just below the graph, unless it retries
+    spec = BoxBody(np.zeros(2), 1.0)
+    opt = opt_from_val(ExactValidity(spec), spec.geometry, RandomStream(6),
+                       eps=0.02, sep_eps=1e-4)
+    mem_in_sep = []
+    original = SepFromMem.__call__
+
+    def counted(self, y, eta):
+        before = opt.ledgers.mem.count(MEM)
+        answer = original(self, y, eta)
+        mem_in_sep.append(opt.ledgers.mem.count(MEM) - before)
+        return answer
+
+    monkeypatch.setattr(SepFromMem, "__call__", counted)
+    for c in ([1.0, 0.3], [-0.2, 1.0], [-1.0, -0.7]):
+        before = opt.ledgers.mem.count(MEM)
+        mem_in_sep.clear()
+        opt(np.array(c), 0.02)
+        assert len(mem_in_sep) == 1
+        assert (opt.ledgers.mem.count(MEM) - before
+                == math.ceil(math.log2(2.0 / 0.02)) + mem_in_sep[0])
+    assert opt.ledgers.sep.count(SEP) == 3
+
+
+@pytest.mark.parametrize("make", [Simplex,
+                                  lambda n: BoxBody(np.array([1.5, -0.5, 0.75][:n]), 0.5)],
+                         ids=["simplex", "shifted_box"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_opt_from_val_sound_off_the_origin(make, n):
+    spec = make(n)
+    eps = 0.01
+    sound = 0
+    for seed in range(10):
+        rng = RandomStream(seed)
+        c = unit(rng.child("c").generator().normal(size=n))
+        opt = opt_from_val(ExactValidity(spec), spec.geometry, rng.child("chain"),
+                           eps=eps, sep_eps=1e-4)
+        gap = spec.support(c)[0] - float(c @ opt(c, eps).maximizer)
+        # the experiment harness's two-sided tolerance for this chain
+        sound += abs(gap) <= 3.0 * eps * (1.0 + spec.geometry.kappa)
+    assert sound >= 9
+
+
 def test_sep_from_opt_ball():
     spec = Ball(np.zeros(2), 1.0)
     sep = sep_from_opt(ExactOptimization(spec), spec.geometry,
@@ -572,8 +660,9 @@ def _reply(answer):
 
 @pytest.mark.parametrize("chain", ["sep_from_opt", "opt_from_val"])
 @pytest.mark.parametrize("make", [lambda n: Ball(np.zeros(n), 1.0),
-                                  lambda n: BoxBody(np.zeros(n), 1.0), Simplex],
-                         ids=["ball", "box", "simplex"])
+                                  lambda n: BoxBody(np.zeros(n), 1.0), Simplex,
+                                  lambda n: BoxBody(np.full(n, 0.1), 1.0)],
+                         ids=["ball", "box", "simplex", "shifted_box"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_epigraph_chains_stack_path_matches_row_path(chain, make, n):
     spec = make(n)
