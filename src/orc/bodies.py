@@ -8,15 +8,23 @@ construction.
 Constructors and the exact oracles (`exact_membership`, `exact_support`,
 the `Exact*` classes, `exact_eval`, `exact_grad`) check their vectors
 with `as_vector`.  The methods of bodies and functions (`contains`,
-`separate`, `support`, `radial_scale`, `value`, `grad`) take float64
-1-d arrays and trust them.
+`contains_rows`, `separate`, `support`, `radial_scale`, `value`, `grad`)
+take float64 1-d arrays, or (k, n) stacks, and trust them.
 
-`separate` is exact separation in one pass: it decides containment
-exactly as `contains` does and builds the separating normal from the
-quantities that decision computed (the ball's y - center, the box's
-excess q - clip(q), the ellipsoid's M q, the polytope's A y, the
-simplex's projection), so `ExactSeparation` runs one containment test
-per query, not a test and then a second pass for the normal.
+Each body writes its closed containment test twice, and nowhere else.
+`separate` is exact separation in one pass: it decides containment and
+builds the separating normal from the quantities that decision computed
+(the ball's y - center, the box's excess q - clip(q), the ellipsoid's
+M q, the polytope's A y, the simplex's projection), so `ExactSeparation`
+runs one containment test per query, not a test and then a second pass
+for the normal.  `contains(y)` is `separate(y) is None`, defined once on
+`BodySpec`, so MEM and SEP agree at every point.  `contains_rows` tests
+every row of a (k, n) stack in one pass; it is the test the α-bisection
+runs (`ExactMembership.alpha_bisect_rows`, `_radial_from`), and an
+`Intersection` answers it as the conjunction of its parts' answers.
+The ball and the ellipsoid sum their rows with `einsum`, which rounds
+differently from `separate`'s dot, so a row within an ulp of the
+boundary may get the other answer than `contains`.
 
 Stack forms answer k queries in one call and trust their float64 (k, n)
 stacks the same way: `BodySpec.support_rows`, and the `rows` methods of
@@ -54,7 +62,7 @@ class UnsupportedVariant(TypeError):
 # bodies
 
 class BodySpec:
-    """Common surface: exact containment, support, geometry, kernel codes."""
+    """Common surface: exact containment, separation, support, geometry."""
 
     geometry: ProblemGeometry
 
@@ -62,17 +70,18 @@ class BodySpec:
     def dim(self) -> int:
         return self.geometry.n
 
-    def kernel_args(self):
-        """(code, M, v, s) encoding for the membership kernels."""
+    def contains(self, y: np.ndarray) -> bool:
+        """Closed containment, y in K: the decision `separate` makes."""
+        return self.separate(y) is None
+
+    def contains_rows(self, P: np.ndarray) -> np.ndarray:
+        """Closed containment of every row of the (k, n) stack P, as a
+        bool array."""
         raise UnsupportedVariant(type(self).__name__)
 
-    def contains(self, y: np.ndarray) -> bool:
-        code, M, v, s = self.kernel_args()
-        return bool(kernels.inside(code, np.asarray(y, dtype=np.float64), M, v, s))
-
     def separate(self, y: np.ndarray) -> np.ndarray | None:
-        """None when y is in K (exactly when `contains(y)`), otherwise a
-        unit c with sup_{x in K} <c, x> <= <c, y>."""
+        """None when y is in K (closed), otherwise a unit c with
+        sup_{x in K} <c, x> <= <c, y>."""
         raise UnsupportedVariant(type(self).__name__)
 
     def support(self, c: np.ndarray) -> tuple[float, np.ndarray]:
@@ -104,8 +113,9 @@ class Ball(BodySpec):
         object.__setattr__(self, "geometry", ProblemGeometry(
             self.center.size, self.radius, self.radius, self.center))
 
-    def kernel_args(self):
-        return kernels.BALL, kernels._EMPTY_M, self.center, self.radius
+    def contains_rows(self, P):
+        Q = P - self.center
+        return np.einsum("ij,ij->i", Q, Q) <= self.radius * self.radius
 
     def separate(self, y):
         q = y - self.center
@@ -144,8 +154,8 @@ class BoxBody(BodySpec):
         object.__setattr__(self, "geometry", ProblemGeometry(
             n, self.radius, self.radius * math.sqrt(n), self.center))
 
-    def kernel_args(self):
-        return kernels.BOX, kernels._EMPTY_M, self.center, self.radius
+    def contains_rows(self, P):
+        return np.abs(P - self.center).max(axis=1) <= self.radius
 
     def separate(self, y):
         q = y - self.center
@@ -190,8 +200,8 @@ class Simplex(BodySpec):
         R = max(float(np.linalg.norm(v - x0)) for v in verts)
         object.__setattr__(self, "geometry", ProblemGeometry(n, t, R, x0))
 
-    def kernel_args(self):
-        return kernels.SIMPLEX, kernels._EMPTY_M, kernels._EMPTY_V, self.scale
+    def contains_rows(self, P):
+        return (P.min(axis=1) >= 0.0) & (P.sum(axis=1) <= self.scale)
 
     def separate(self, y):
         """The normal is y minus y's Euclidean projection onto K."""
@@ -292,8 +302,8 @@ class HPolytope(BodySpec):
         R = float(np.max(np.linalg.norm(self.vertices - x0, axis=1)))
         self.geometry = ProblemGeometry(A.shape[1], r, R, x0)
 
-    def kernel_args(self):
-        return kernels.HPOLY, self.A, self.b, 0.0
+    def contains_rows(self, P):
+        return (P @ self.A.T <= self.b).all(axis=1)
 
     def separate(self, y):
         """The most violated facet's normal; valid in any dimension."""
@@ -332,8 +342,9 @@ class Ellipsoid(BodySpec):
         object.__setattr__(self, "geometry", ProblemGeometry(
             self.center.size, math.sqrt(eigs[0]), math.sqrt(eigs[-1]), self.center))
 
-    def kernel_args(self):
-        return kernels.ELLIPSOID, self._inv, self.center, 0.0
+    def contains_rows(self, P):
+        Q = P - self.center
+        return np.einsum("ij,ij->i", Q @ self._inv.T, Q) <= 1.0
 
     def separate(self, y):
         q = y - self.center
@@ -368,8 +379,8 @@ class Intersection(BodySpec):
                 for p in parts)
         self.geometry = ProblemGeometry(x0.size, inner_radius, R, x0)
 
-    def contains(self, y):
-        return all(p.contains(y) for p in self.parts)
+    def contains_rows(self, P):
+        return np.logical_and.reduce([p.contains_rows(P) for p in self.parts])
 
     def separate(self, y):
         """The normal of the first part that does not contain y."""
@@ -388,18 +399,7 @@ def _radial_from(body: BodySpec, x0: np.ndarray, u: np.ndarray) -> float:
     if np.array_equal(x0, body.geometry.center):
         return body.radial_scale(u)
     hi = body.geometry.R + float(np.linalg.norm(x0 - body.geometry.center))
-    return float(kernels.bisect_rows(_contains_rows(body), x0[None, :], u, (hi,), (80,))[0])
-
-
-def _contains_rows(spec: BodySpec):
-    """Exact containment of every row of a (k, n) stack, as a bool array:
-    the kernel's row test for a body with a kernel encoding, otherwise
-    `spec.contains` row by row."""
-    try:
-        code, M, v, s = spec.kernel_args()
-    except UnsupportedVariant:
-        return lambda P: np.array([spec.contains(p) for p in P], dtype=bool)
-    return lambda P: kernels.inside_rows(code, P, M, v, s)
+    return kernels.bisect_alpha(body.contains_rows, x0, u, hi, 80)
 
 
 # float64 values per stacked matrix chunk of the vertex enumeration
@@ -543,7 +543,6 @@ class ExactMembership:
 
     def __init__(self, spec: BodySpec):
         self.spec = spec
-        self._contains_rows = _contains_rows(spec)
 
     def __call__(self, y, delta):
         return exact_membership(self.spec, y, delta)
@@ -552,11 +551,11 @@ class ExactMembership:
         """Run the full membership bisection for max{a : D[i] + a*x in K}
         at every row of the (k, n) stack D, with per-row brackets hi and
         round counts iters, as one lockstep bisection."""
-        return kernels.bisect_rows(self._contains_rows, D, x, hi, iters)
+        return kernels.bisect_rows(self.spec.contains_rows, D, x, hi, iters)
 
     def alpha_bisect(self, d, x, hi, iters, delta):
         """`alpha_bisect_rows` for the single ray d + a*x."""
-        return float(self.alpha_bisect_rows(d[None, :], x, (hi,), (iters,), delta)[0])
+        return kernels.bisect_alpha(self.spec.contains_rows, d, x, hi, iters)
 
 
 def exact_support(spec: BodySpec, c) -> tuple[float, np.ndarray]:

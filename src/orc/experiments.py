@@ -110,7 +110,7 @@ def validate_config(config: dict) -> dict:
             f"chain {chain!r} needs a {CHAIN_INPUT[chain]!r} template")
     dims = config.get("dims")
     if (not isinstance(dims, list) or not dims
-            or not all(isinstance(n, int) and n >= 1 for n in dims)):
+            or not all(_is_int(n) and n >= 1 for n in dims)):
         raise ConfigError("'dims' must be a non-empty list of positive ints")
     _check_template(CHAIN_INPUT[chain], template, dims)
     eps_list = config.get("eps")
@@ -120,10 +120,10 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("'eps' must be a non-empty list of floats in (0,1)")
     seeds = config.get("seeds")
     if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) for s in seeds)):
+            or not all(_is_int(s) for s in seeds)):
         raise ConfigError("'seeds' must be a non-empty list of ints")
     trials = config.get("trials")
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ConfigError("'trials' must be a positive int")
     slack_mode = config.get("slack_mode", "anchored")
     if slack_mode not in SLACK_MODES:
@@ -135,12 +135,17 @@ def validate_config(config: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown override keys: {sorted(unknown)}")
     retries = overrides.get("retries", 0)
-    if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+    if not _is_int(retries) or retries < 0:
         raise ConfigError("'retries' must be a non-negative int")
     out = dict(config)
     out["slack_mode"] = slack_mode
     out["overrides"] = overrides
     return out
+
+
+def _is_int(x) -> bool:
+    """An int that is not a bool: JSON true/false load as bool, an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:
@@ -162,7 +167,7 @@ def _check_template(role: str, template: dict, dims: list) -> None:
         if key in template and not (_is_number(template[key]) and template[key] > 0):
             raise ConfigError(f"{kind} {key!r} must be a positive number")
     extra = template.get("extra_facets", 3)  # make_body's default
-    if not (isinstance(extra, int) and not isinstance(extra, bool) and extra >= 0):
+    if not (_is_int(extra) and extra >= 0):
         raise ConfigError("'extra_facets' must be a non-negative int")
     if not _is_number(template.get("jitter", 0.0)):
         raise ConfigError("'jitter' must be a finite number")
@@ -284,7 +289,8 @@ def _run_opt_from_sep(ctx) -> tuple[str, float | None]:
 def _run_opt_from_mem(ctx) -> tuple[str, float | None]:
     body = ctx.body
     mem = wrap_with_ledger(bodies.ExactMembership(body), ctx.ledger)
-    # inner estimator precision rides two decades below the target gap
+    # inner estimator precision two decades below the target gap: a
+    # choice, not derived from eps, n and kappa (see README's complexity note)
     sep = SepFromMem(mem, body.geometry, ctx.rng.child("sep"),
                      eps=ctx.eps * 1e-2, rho=0.1, mode=ctx.slack_mode,
                      retries=ctx.overrides.get("retries", 3))

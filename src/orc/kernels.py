@@ -1,29 +1,16 @@
-"""Hot numeric kernels: exact-body membership tests, the membership
-bisection that evaluates the height function, and the central-cut
-ellipsoid update, a rank-one update of the shape matrix's factor.
-A cut costs a handful of numpy calls: its constants depend on the
-dimension alone and are computed once per dimension.
+"""Hot numeric kernels: the membership bisection that evaluates the
+height function, and the central-cut ellipsoid update, a rank-one update
+of the shape matrix's factor.  A cut costs a handful of numpy calls: its
+constants depend on the dimension alone and are computed once per
+dimension.
 
-All of it is numpy code.  `inside` tests one point and `inside_rows`
-every row of a (k, n) stack.  `bisect_rows` is the one bisection loop:
-it bisects k rays in lockstep, one containment test per round of the
-rows still bisecting, so one subgradient estimate's 2n height
-evaluations cost one numpy loop instead of 2n, and exactly the sum of
-their round counts in row tests.  It takes the stack containment test
-as a callable, so a body without a kernel encoding, or the epigraph
-body whose every test is an oracle query, bisects through the same
-loop.  `bisect_alpha` is a stack of one through it.
-
-Reference bodies are encoded for the kernels as a tuple
-(code, M, v, s):
-
-    code 0  ball       v = center, s = radius
-    code 1  box        v = center, s = l-infinity radius
-    code 2  simplex    s = scale           (x >= 0, sum x <= s)
-    code 3  h-polytope M = facet normals (unit rows), v = offsets
-    code 4  ellipsoid  M = inverse shape matrix, v = center
-
-All inside tests are closed (non-strict <=).
+All of it is numpy code.  `bisect_rows` is the one bisection loop: it
+bisects k rays in lockstep, one containment test per round of the rows
+still bisecting, so one subgradient estimate's 2n height evaluations
+cost one numpy loop instead of 2n, and exactly the sum of their round
+counts in row tests.  It takes the stack containment test as a
+callable: a body's `contains_rows`, or the epigraph body's, whose every
+test is an oracle query.  `bisect_alpha` is a stack of one through it.
 """
 
 from __future__ import annotations
@@ -33,47 +20,8 @@ import math
 
 import numpy as np
 
-BALL, BOX, SIMPLEX, HPOLY, ELLIPSOID = 0, 1, 2, 3, 4
-
-_EMPTY_M = np.zeros((0, 0))
-_EMPTY_V = np.zeros(0)
-
 # There is no compiled build; perfbench/run.py's provenance reads this flag.
 NUMBA_ENABLED = False
-
-
-def inside(code: int, p: np.ndarray, M: np.ndarray, v: np.ndarray, s: float) -> bool:
-    if code == BALL:
-        q = p - v
-        return bool(q @ q <= s * s)
-    if code == BOX:
-        return bool(np.max(np.abs(p - v)) <= s)
-    if code == SIMPLEX:
-        return bool(np.min(p) >= 0.0 and np.sum(p) <= s)
-    if code == HPOLY:
-        return bool(np.all(M @ p <= v))
-    if code == ELLIPSOID:
-        q = p - v
-        return bool(q @ (M @ q) <= 1.0)
-    raise ValueError(f"unknown body code {code}")
-
-
-def inside_rows(code: int, P: np.ndarray, M: np.ndarray, v: np.ndarray,
-                s: float) -> np.ndarray:
-    """`inside` for every row of the (k, n) stack P, as a bool array."""
-    if code == BALL:
-        Q = P - v
-        return np.einsum("ij,ij->i", Q, Q) <= s * s
-    if code == BOX:
-        return np.abs(P - v).max(axis=1) <= s
-    if code == SIMPLEX:
-        return (P.min(axis=1) >= 0.0) & (P.sum(axis=1) <= s)
-    if code == HPOLY:
-        return (P @ M.T <= v).all(axis=1)
-    if code == ELLIPSOID:
-        Q = P - v
-        return np.einsum("ij,ij->i", Q @ M.T, Q) <= 1.0
-    raise ValueError(f"unknown body code {code}")
 
 
 def bisect_rows(contains_rows, D: np.ndarray, x: np.ndarray, hi, iters) -> np.ndarray:
@@ -112,13 +60,12 @@ def bisect_rows(contains_rows, D: np.ndarray, x: np.ndarray, hi, iters) -> np.nd
     return alpha
 
 
-def bisect_alpha(code: int, d: np.ndarray, x: np.ndarray, M: np.ndarray,
-                 v: np.ndarray, s: float, hi: float, iters: int) -> float:
-    """Largest alpha with d + alpha*x inside the body coded (code, M, v, s),
-    after `iters` rounds from the bracket [0, hi]: a stack of one through
-    `bisect_rows`."""
-    rows = lambda P: inside_rows(code, P, M, v, s)
-    return float(bisect_rows(rows, d[None, :], x, (hi,), (iters,))[0])
+def bisect_alpha(contains_rows, d: np.ndarray, x: np.ndarray, hi: float,
+                 iters: int) -> float:
+    """Largest alpha with d + alpha*x inside the body whose stack test is
+    contains_rows, after `iters` rounds from the bracket [0, hi]: a stack
+    of one through `bisect_rows`."""
+    return float(bisect_rows(contains_rows, d[None, :], x, (hi,), (iters,))[0])
 
 
 @functools.cache

@@ -14,20 +14,20 @@ from orc.core import RandomStream
 from orc.ellipsoid import OptimizerConfig, opt_from_viol, optimize_linear
 from orc.separation import SepFromMem
 
-BALL = Ball(np.zeros(2), 1.0)
+UNIT_BALL = Ball(np.zeros(2), 1.0)
 
 ENTRIES = {
-    "ExactSeparation": lambda v: ExactSeparation(BALL)(v, 0.01),
-    "ExactOptimization": lambda v: ExactOptimization(BALL)(v, 0.01),
-    "ExactViolation": lambda v: ExactViolation(BALL)(v, 0.5, 0.01),
-    "ExactValidity": lambda v: ExactValidity(BALL)(v, 0.5, 0.01),
-    "exact_membership": lambda v: exact_membership(BALL, v, 0.01),
-    "exact_support": lambda v: exact_support(BALL, v),
-    "SepFromMem": lambda v: SepFromMem(ExactMembership(BALL), BALL.geometry,
+    "ExactSeparation": lambda v: ExactSeparation(UNIT_BALL)(v, 0.01),
+    "ExactOptimization": lambda v: ExactOptimization(UNIT_BALL)(v, 0.01),
+    "ExactViolation": lambda v: ExactViolation(UNIT_BALL)(v, 0.5, 0.01),
+    "ExactValidity": lambda v: ExactValidity(UNIT_BALL)(v, 0.5, 0.01),
+    "exact_membership": lambda v: exact_membership(UNIT_BALL, v, 0.01),
+    "exact_support": lambda v: exact_support(UNIT_BALL, v),
+    "SepFromMem": lambda v: SepFromMem(ExactMembership(UNIT_BALL), UNIT_BALL.geometry,
                                        RandomStream(0), eps=1e-6, rho=0.1)(v, 0.01),
     "optimize_linear": lambda v: optimize_linear(
-        OptimizerConfig(eps=0.1), ExactSeparation(BALL), BALL.geometry, v),
-    "opt_from_viol": lambda v: opt_from_viol(ExactViolation(BALL), 0.01)(v, 0.01),
+        OptimizerConfig(eps=0.1), ExactSeparation(UNIT_BALL), UNIT_BALL.geometry, v),
+    "opt_from_viol": lambda v: opt_from_viol(ExactViolation(UNIT_BALL), 0.01)(v, 0.01),
 }
 
 # bad input -> the message `as_vector` refuses it with

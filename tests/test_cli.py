@@ -333,3 +333,16 @@ def test_bad_retries_override_exits_2_from_validate_and_run(tmp_path, retries):
 def test_retries_override_accepts_non_negative_ints(tmp_path, retries):
     cfg = _config(overrides={"retries": retries})
     assert main(["validate-config", _write(tmp_path, cfg)]) == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dims", [True]), ("dims", [2, True]), ("seeds", [False]), ("seeds", [1, True]),
+    ("trials", True)])
+def test_boolean_counts_exit_2_from_validate_and_run(tmp_path, field, value):
+    # JSON true/false load as bool, an int subclass: "dims": [true] used to
+    # validate and then fail the run, and "seeds": [false] wrote False
+    # into the CSV's seed column
+    path = _write(tmp_path, _config(**{field: value}))
+    assert main(["validate-config", path]) == 2
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "cli-test.csv").exists()

@@ -161,8 +161,8 @@ def test_stack_without_fast_path_falls_back_row_by_row():
 
 
 def test_intersection_bisects_like_a_per_query_oracle():
-    # an Intersection has no kernel encoding: ExactMembership bisects it
-    # through the row loop over its exact containment test
+    # ExactMembership bisects an Intersection through its contains_rows,
+    # the conjunction of its parts' stack tests
     spec = Intersection([Ball(np.zeros(3), 1.0), BoxBody(np.zeros(3), 0.8),
                          Ellipsoid(np.zeros(3), np.diag([0.5, 1.0, 2.0]))],
                         np.zeros(3), 0.5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from orc import kernels
-from orc.bodies import Ball, BoxBody, Ellipsoid, HPolytope, Simplex
+from orc.bodies import Ball, BoxBody, Ellipsoid, HPolytope, Intersection, Simplex
 
 
 def _specs(n):
@@ -22,54 +22,75 @@ def _specs(n):
     return specs
 
 
+def _reference_contains(spec, p):
+    """Closed containment of one point, from each body's definition."""
+    if isinstance(spec, Ball):
+        q = p - spec.center
+        return bool(q @ q <= spec.radius * spec.radius)
+    if isinstance(spec, BoxBody):
+        return bool(np.max(np.abs(p - spec.center)) <= spec.radius)
+    if isinstance(spec, Simplex):
+        return bool(np.min(p) >= 0.0 and np.sum(p) <= spec.scale)
+    if isinstance(spec, HPolytope):
+        return bool(np.all(spec.A @ p <= spec.b))
+    if isinstance(spec, Ellipsoid):
+        q = p - spec.center
+        return bool(q @ np.linalg.solve(spec.shape, q) <= 1.0)
+    if isinstance(spec, Intersection):
+        return all(_reference_contains(part, p) for part in spec.parts)
+    raise TypeError(type(spec).__name__)
+
+
 def _scalar_bisect(spec, d, x, hi, iters):
-    """Reference single-ray bisection: a plain loop over `kernels.inside`,
-    independent of `bisect_rows`."""
-    code, M, v, s = spec.kernel_args()
+    """Reference single-ray bisection: a plain loop over
+    `_reference_contains`, independent of `bisect_rows`."""
     lo = 0.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if kernels.inside(code, d + mid * x, M, v, s):
+        if _reference_contains(spec, d + mid * x):
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def _rows_test(spec):
-    code, M, v, s = spec.kernel_args()
-    return lambda P: kernels.inside_rows(code, P, M, v, s)
-
-
 def test_inside_matches_python_reference():
+    # contains_rows and contains of every body, an Intersection included
     gen = np.random.default_rng(0)
     for n in (2, 3, 6):
-        for spec in _specs(n):
-            code, M, v, s = spec.kernel_args()
-            P = gen.normal(size=(300, n)) * 1.2
-            expected = [kernels.inside(code, p, M, v, s) for p in P]
-            assert kernels.inside_rows(code, P, M, v, s).tolist() == expected
+        specs = _specs(n)
+        specs.append(Intersection(specs[:2] + specs[3:], np.zeros(n), 0.5))
+        for spec in specs:
+            # points at up to 1.5 R from the center, so both answers occur
+            U = gen.normal(size=(300, n))
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            t = gen.uniform(0.0, 1.5 * spec.geometry.R, size=(300, 1))
+            P = spec.geometry.center + t * U
+            expected = [_reference_contains(spec, p) for p in P]
+            rows = spec.contains_rows(P)
+            assert rows.dtype == bool and rows.shape == (300,)
+            assert rows.tolist() == expected
+            assert [spec.contains(p) for p in P] == expected
+            assert 0 < sum(expected) < len(expected)
 
 
 def test_bisect_matches_python_reference_bitwise():
     gen = np.random.default_rng(1)
     for n in (2, 5):
         for spec in (BoxBody(np.zeros(n), 0.8), Simplex(n, 1.0)):
-            code, M, v, s = spec.kernel_args()
             for _ in range(100):
                 d = gen.normal(size=n) * 0.05
                 x = gen.normal(size=n)
                 x /= np.linalg.norm(x)
-                assert (kernels.bisect_alpha(code, d, x, M, v, s, 4.0, 40)
+                assert (kernels.bisect_alpha(spec.contains_rows, d, x, 4.0, 40)
                         == _scalar_bisect(spec, d, x, 4.0, 40))
 
 
 def test_bisect_ball_closed_form():
     # ray from origin along x exits Ball(0,1) at alpha = 1/||x||
     ball = Ball(np.zeros(3), 1.0)
-    code, M, v, s = ball.kernel_args()
     x = np.array([0.5, 0.0, 0.0])
-    alpha = kernels.bisect_alpha(code, np.zeros(3), x, M, v, s, 8.0, 50)
+    alpha = kernels.bisect_alpha(ball.contains_rows, np.zeros(3), x, 8.0, 50)
     assert abs(alpha - 2.0) < 1e-9
 
 
@@ -95,7 +116,7 @@ def test_lockstep_matches_per_ray_bitwise_on_box_and_simplex():
     for n in (2, 5, 16):
         for spec in (BoxBody(np.zeros(n), 0.8), Simplex(n, 1.0)):
             D, x, hi, iters = _rays(spec, gen, 2 * n)
-            lockstep = kernels.bisect_rows(_rows_test(spec), D, x, hi, iters)
+            lockstep = kernels.bisect_rows(spec.contains_rows, D, x, hi, iters)
             np.testing.assert_array_equal(lockstep, _per_ray(spec, D, x, hi, iters))
 
 
@@ -106,7 +127,7 @@ def test_lockstep_within_final_bracket_on_ball_ellipsoid_polytope():
             if isinstance(spec, (BoxBody, Simplex)):
                 continue
             D, x, hi, iters = _rays(spec, gen, 2 * n)
-            lockstep = kernels.bisect_rows(_rows_test(spec), D, x, hi, iters)
+            lockstep = kernels.bisect_rows(spec.contains_rows, D, x, hi, iters)
             width = hi / 2.0 ** iters
             assert np.all(np.abs(lockstep - _per_ray(spec, D, x, hi, iters)) <= width)
 
@@ -117,7 +138,7 @@ def test_lockstep_rows_stop_after_their_own_rounds():
     iters = np.arange(1, 31)
     D = np.zeros((iters.size, 3))
     x = np.array([0.5, 0.0, 0.0])
-    lockstep = kernels.bisect_rows(_rows_test(ball), D, x, np.full(iters.size, 8.0), iters)
+    lockstep = kernels.bisect_rows(ball.contains_rows, D, x, np.full(iters.size, 8.0), iters)
     for t, alpha in zip(iters, lockstep):
         assert alpha == _scalar_bisect(ball, np.zeros(3), x, 8.0, int(t))
     assert abs(lockstep[-1] - 2.0) <= 8.0 / 2.0 ** 30
@@ -134,7 +155,7 @@ def test_lockstep_tests_only_the_rows_still_bisecting():
 
     def counting(P):
         tested.append(P.shape[0])
-        return _rows_test(ball)(P)
+        return ball.contains_rows(P)
 
     hi = np.linspace(4.0, 7.0, iters.size)
     alpha = kernels.bisect_rows(counting, D, x, hi, iters)
