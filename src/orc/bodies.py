@@ -7,24 +7,33 @@ construction.
 
 Constructors and the exact oracles (`exact_membership`, `exact_support`,
 the `Exact*` classes, `exact_eval`, `exact_grad`) check their vectors
-with `as_vector`.  The methods of bodies and functions (`contains`,
-`contains_rows`, `separate`, `support`, `radial_scale`, `value`, `grad`)
-take float64 1-d arrays, or (k, n) stacks, and trust them.
+with `as_vector`; `exact_membership` and the `Exact*` set oracles also
+refuse a query whose dimension is not the body's (`as_vector_of`).  The
+methods of bodies and functions (`contains`, `contains_rows`,
+`separate`, `support`, `radial_scale`, `value`, `grad`) take float64
+1-d arrays, or (k, n) stacks, and trust them.
 
-Each body writes its closed containment test twice, and nowhere else.
-`separate` is exact separation in one pass: it decides containment and
-builds the separating normal from the quantities that decision computed
-(the ball's y - center, the box's excess q - clip(q), the ellipsoid's
-M q, the polytope's A y, the simplex's projection), so `ExactSeparation`
-runs one containment test per query, not a test and then a second pass
-for the normal.  `contains(y)` is `separate(y) is None`, defined once on
-`BodySpec`, so MEM and SEP agree at every point.  `contains_rows` tests
-every row of a (k, n) stack in one pass; it is the test the α-bisection
-runs (`ExactMembership.alpha_bisect_rows`, `_radial_from`), and an
+Each body writes its closed containment test in two forms, and nowhere
+else.  `separate` is exact separation in one pass: it decides
+containment and builds the separating normal from the quantities that
+decision computed (the ball's y - center, the box's excess
+q - clip(q), the ellipsoid's M q, the polytope's A y, the simplex's
+projection), so `ExactSeparation` runs one containment test per query,
+not a test and then a second pass for the normal.  `contains(y)` is the
+same decision, from the same expressions, without the normal, so MEM
+and SEP agree at every point and an exact MEM query costs no more
+outside the body than inside.  `contains_rows` tests every row of a
+(k, n) stack in one pass; it is the test the α-bisection runs
+(`ExactMembership.alpha_bisect_rows`, `_radial_from`), and an
 `Intersection` answers it as the conjunction of its parts' answers.
 The ball and the ellipsoid sum their rows with `einsum`, which rounds
 differently from `separate`'s dot, so a row within an ulp of the
 boundary may get the other answer than `contains`.
+
+The single-point forms run once per oracle query, so they call numpy's
+ufuncs and their reductions (`np.minimum.reduce`, `np.add.reduce`,
+`np.logical_and.reduce`) directly, not the Python wrappers around them
+(`ndarray.min`, `sum`, `all`, `np.clip`); each computes the same values.
 
 Stack forms answer k queries in one call and trust their float64 (k, n)
 stacks the same way: `BodySpec.support_rows`, and the `rows` methods of
@@ -38,6 +47,7 @@ computations of `c @ y` and `np.linalg.norm`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,7 +59,7 @@ from .core import (INSIDE_DILATED, MEM, OPT, OUTSIDE_ERODED, SEP, VAL, VIOL,
                    GradAnswer, MembershipAnswer, OptimizationAnswer,
                    ProblemGeometry, SeparationAnswer, ValidityAnswer,
                    ViolationAnswer, check_precision)
-from .geometry import HalfSpace, as_vector, normalized, unit
+from .geometry import _halfspace, as_vector, as_vector_of, normalized, unit
 
 _FEAS_TOL = 1e-9
 
@@ -72,7 +82,7 @@ class BodySpec:
 
     def contains(self, y: np.ndarray) -> bool:
         """Closed containment, y in K: the decision `separate` makes."""
-        return self.separate(y) is None
+        raise UnsupportedVariant(type(self).__name__)
 
     def contains_rows(self, P: np.ndarray) -> np.ndarray:
         """Closed containment of every row of the (k, n) stack P, as a
@@ -112,6 +122,10 @@ class Ball(BodySpec):
             raise ValueError("radius must be positive")
         object.__setattr__(self, "geometry", ProblemGeometry(
             self.center.size, self.radius, self.radius, self.center))
+
+    def contains(self, y):
+        q = y - self.center
+        return bool(q @ q <= self.radius * self.radius)
 
     def contains_rows(self, P):
         Q = P - self.center
@@ -154,15 +168,22 @@ class BoxBody(BodySpec):
         object.__setattr__(self, "geometry", ProblemGeometry(
             n, self.radius, self.radius * math.sqrt(n), self.center))
 
+    def _excess(self, y):
+        """q - clip(q) for q = y - center: zero exactly where |q_i| <=
+        radius, since float subtraction of two distinct numbers is never
+        zero."""
+        q = y - self.center
+        return q - np.minimum(np.maximum(q, -self.radius), self.radius)
+
+    def contains(self, y):
+        return not np.logical_or.reduce(self._excess(y))
+
     def contains_rows(self, P):
         return np.abs(P - self.center).max(axis=1) <= self.radius
 
     def separate(self, y):
-        q = y - self.center
-        # zero exactly where |q_i| <= radius: float subtraction of two
-        # distinct numbers is never zero
-        excess = q - np.clip(q, -self.radius, self.radius)
-        if not excess.any():
+        excess = self._excess(y)
+        if not np.logical_or.reduce(excess):
             return None
         return normalized(excess)
 
@@ -200,14 +221,17 @@ class Simplex(BodySpec):
         R = max(float(np.linalg.norm(v - x0)) for v in verts)
         object.__setattr__(self, "geometry", ProblemGeometry(n, t, R, x0))
 
+    def contains(self, y):
+        return bool(np.minimum.reduce(y) >= 0.0 and np.add.reduce(y) <= self.scale)
+
     def contains_rows(self, P):
         return (P.min(axis=1) >= 0.0) & (P.sum(axis=1) <= self.scale)
 
     def separate(self, y):
         """The normal is y minus y's Euclidean projection onto K."""
         s = self.scale
-        if y.min() >= 0.0:
-            if y.sum() <= s:
+        if np.minimum.reduce(y) >= 0.0:
+            if np.add.reduce(y) <= s:
                 return None
             # y >= 0 lies beyond the face sum x = s
             d = y - _project_simplex_face(y, s)
@@ -219,7 +243,7 @@ class Simplex(BodySpec):
                 d = (y > 0.0).astype(np.float64)
             return normalized(d)
         p = np.maximum(y, 0.0)
-        if p.sum() > s:
+        if np.add.reduce(p) > s:
             p = _project_simplex_face(y, s)
         return normalized(y - p)
 
@@ -302,13 +326,16 @@ class HPolytope(BodySpec):
         R = float(np.max(np.linalg.norm(self.vertices - x0, axis=1)))
         self.geometry = ProblemGeometry(A.shape[1], r, R, x0)
 
+    def contains(self, y):
+        return bool(np.logical_and.reduce(self.A @ y <= self.b))
+
     def contains_rows(self, P):
         return (P @ self.A.T <= self.b).all(axis=1)
 
     def separate(self, y):
         """The most violated facet's normal; valid in any dimension."""
         Ay = self.A @ y
-        if (Ay <= self.b).all():
+        if np.logical_and.reduce(Ay <= self.b):
             return None
         return self.A[int(np.argmax(Ay - self.b))].copy()
 
@@ -325,7 +352,12 @@ class HPolytope(BodySpec):
 
 @dataclass(frozen=True)
 class Ellipsoid(BodySpec):
-    """{x : (x - center)^T shape^-1 (x - center) <= 1}, shape PD."""
+    """{x : (x - center)^T shape^-1 (x - center) <= 1}, shape PD.
+
+    The containment tests compare |q^T M q| with 1, for q = x - center
+    and M = shape^-1: the form is >= 0 up to rounding, but where its
+    terms overflow (x far outside) it can sum to -inf, which the
+    absolute value sends outside."""
 
     center: np.ndarray
     shape: np.ndarray
@@ -342,14 +374,18 @@ class Ellipsoid(BodySpec):
         object.__setattr__(self, "geometry", ProblemGeometry(
             self.center.size, math.sqrt(eigs[0]), math.sqrt(eigs[-1]), self.center))
 
+    def contains(self, y):
+        q = y - self.center
+        return bool(abs(q @ (self._inv @ q)) <= 1.0)
+
     def contains_rows(self, P):
         Q = P - self.center
-        return np.einsum("ij,ij->i", Q @ self._inv.T, Q) <= 1.0
+        return np.abs(np.einsum("ij,ij->i", Q @ self._inv.T, Q)) <= 1.0
 
     def separate(self, y):
         q = y - self.center
         Mq = self._inv @ q
-        if q @ Mq <= 1.0:
+        if abs(q @ Mq) <= 1.0:
             return None
         return normalized(Mq)
 
@@ -378,6 +414,9 @@ class Intersection(BodySpec):
         R = min(float(np.linalg.norm(p.geometry.center - x0)) + p.geometry.R
                 for p in parts)
         self.geometry = ProblemGeometry(x0.size, inner_radius, R, x0)
+
+    def contains(self, y):
+        return all(part.contains(y) for part in self.parts)
 
     def contains_rows(self, P):
         return np.logical_and.reduce([p.contains_rows(P) for p in self.parts])
@@ -516,14 +555,25 @@ def _tight_vertices(A: np.ndarray, b: np.ndarray, S: np.ndarray):
         yield V[feasible, :, 0]
 
 
+@functools.cache
+def _ranks(n: int) -> np.ndarray:
+    """The read-only float64 vector 1, 2, ..., n."""
+    ranks = np.arange(1.0, n + 1.0)
+    ranks.flags.writeable = False
+    return ranks
+
+
 def _project_simplex_face(y: np.ndarray, s: float) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = s}, the projection onto
     the simplex of a y whose positive part sums past s (sorted-threshold
-    algorithm)."""
+    algorithm: k is the last rank whose threshold condition holds)."""
     u_srt = np.sort(y)[::-1]
-    css = np.cumsum(u_srt) - s
-    cond = u_srt - css / np.arange(1, y.size + 1) > 0
-    k = int(np.flatnonzero(cond)[-1]) + 1
+    css = np.add.accumulate(u_srt) - s
+    (held,) = (u_srt - css / _ranks(y.size) > 0).nonzero()
+    # The first condition, u_1 - (u_1 - s) = s > 0, holds in exact
+    # arithmetic, but for y far outside (an entry near 1e16 or beyond)
+    # rounding can fail every one; k = 1 is taken then.
+    k = int(held[-1]) + 1 if held.size else 1
     return np.maximum(y - css[k - 1] / k, 0.0)
 
 
@@ -533,7 +583,7 @@ def _project_simplex_face(y: np.ndarray, s: float) -> np.ndarray:
 def exact_membership(spec: BodySpec, y, delta: float) -> MembershipAnswer:
     """Answer by exact containment: always a valid MEM answer at any delta."""
     check_precision(delta)
-    return INSIDE_DILATED if spec.contains(as_vector(y)) else OUTSIDE_ERODED
+    return INSIDE_DILATED if spec.contains(as_vector_of(y, spec.dim)) else OUTSIDE_ERODED
 
 
 class ExactMembership:
@@ -698,11 +748,12 @@ class ExactSeparation:
         self.spec = spec
 
     def __call__(self, y, delta):
-        y = as_vector(y)
+        y = as_vector_of(y, self.spec.dim)
         normal = self.spec.separate(y)
         if normal is None:
             return SeparationAnswer()
-        return SeparationAnswer(HalfSpace(normal, y, 0.0))
+        # a unit normal from `separate` and the checked y
+        return SeparationAnswer(_halfspace(normal, y, 0.0))
 
 
 class ExactOptimization:
@@ -712,7 +763,7 @@ class ExactOptimization:
         self.spec = spec
 
     def __call__(self, c, delta):
-        return OptimizationAnswer(self.rows(as_vector(c)[None, :], delta)[0])
+        return OptimizationAnswer(self.rows(as_vector_of(c, self.spec.dim)[None, :], delta)[0])
 
     def rows(self, C, delta):
         """One query per row of the float64 (k, n) stack C, taken as
@@ -734,7 +785,7 @@ class ExactViolation:
         self.spec = spec
 
     def __call__(self, c, gamma, delta):
-        c = as_vector(c)
+        c = as_vector_of(c, self.spec.dim)
         if not np.any(c):
             center = self.spec.geometry.center.copy()
             return ViolationAnswer(center) if 0.0 >= gamma else ViolationAnswer(None)
@@ -749,7 +800,7 @@ class ExactValidity:
         self.spec = spec
 
     def __call__(self, c, gamma, delta):
-        some_above = self.rows(as_vector(c)[None, :], gamma, delta)[0]
+        some_above = self.rows(as_vector_of(c, self.spec.dim)[None, :], gamma, delta)[0]
         return ValidityAnswer.SOME_ABOVE if some_above else ValidityAnswer.ALL_BELOW
 
     def rows(self, C, gammas, delta):

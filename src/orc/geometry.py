@@ -16,7 +16,19 @@ reports the overflow as a RuntimeWarning), does the entrywise test
 decide.  A norm is sqrt(v.v), np.linalg.norm's own computation for a
 1-d float64 array, so `normalized`, `unit` and the unit-norm test of
 `as_unit_vector` round exactly as np.linalg.norm does (`normalized`
-except where v.v underflows, where it rescales first).
+except where v.v underflows or overflows, where it rescales first).
+
+A `HalfSpace` built by its public constructor checks its normal, anchor
+and slack.  Library code that builds one from vectors it has already
+checked uses the private constructor `_halfspace` instead, which stores
+them as given.  Its precondition: the normal is a float64 1-d array of
+unit length to 1e-12 (one that `normalized` or `unit` returned, or a
+unit facet row), the anchor a finite float64 1-d array of the same
+dimension, and the slack a finite float >= 0, so that the public
+constructor would accept the same three values.  Its call sites are
+`bodies.ExactSeparation.__call__`, the far branch and the estimate of
+`separation.separate`, `separation.SepFromMem.__call__` and the answer
+of `reductions.sep_from_opt`.
 
 Boundary comparisons are non-strict everywhere (all the bodies we work
 with are closed), and all tolerances are absolute: bodies are assumed
@@ -49,6 +61,14 @@ def as_vector(coords) -> np.ndarray:
     return _checked(coords)[0]
 
 
+def as_vector_of(coords, n: int) -> np.ndarray:
+    """`as_vector` for a vector of dimension n; errors on any other."""
+    v = as_vector(coords)
+    if v.size != n:
+        raise ValueError(f"expected a vector of dimension {n}, got {v.size}")
+    return v
+
+
 def as_unit_vector(coords) -> np.ndarray:
     v, square = _checked(coords)
     nrm = math.sqrt(square)
@@ -59,18 +79,24 @@ def as_unit_vector(coords) -> np.ndarray:
 
 def normalized(v: np.ndarray) -> np.ndarray:
     """v / ||v|| for a float64 1-d array taken as given: bitwise `unit(v)`
-    without the entry check.  Errors on the zero vector.
+    without the entry check.  The result is a unit vector, or it errors:
+    on the zero vector, and on a v with an infinite or NaN entry (one
+    that overflowed where the library computed it).
 
     A nonzero v whose v.v underflows below the least normal float (every
-    entry below about 1e-154) is first divided by max|v_i|, so it still
-    gets a unit vector in its direction; at any other v that branch is
-    not taken and the result is v / sqrt(v.v)."""
+    entry below about 1e-154) or overflows to infinity (some entry
+    beyond about 1e154) is first divided by max|v_i|, so it still gets a
+    unit vector in its direction; at any other v that branch is not
+    taken and the result is v / sqrt(v.v)."""
     nrm = math.sqrt(v @ v)
-    # below sqrt(tiny) only when v.v is below tiny
-    if nrm < _SQRT_TINY:
+    # outside [sqrt(tiny), inf) only when v.v underflows below tiny or
+    # overflows, or an entry of v is not finite
+    if not _SQRT_TINY <= nrm < math.inf:
         top = np.max(np.abs(v))
         if top == 0.0:
             raise ValueError("cannot normalize the zero vector")
+        if not top < math.inf:
+            raise ValueError("cannot normalize a vector with a non-finite entry")
         v = v / top
         nrm = math.sqrt(v @ v)
     return v / nrm
@@ -101,6 +127,14 @@ class HalfSpace:
         # fails for NaN, infinite and negative slacks alike
         if not 0.0 <= self.slack < math.inf:
             raise ValueError(f"slack must be finite and >= 0, got {self.slack!r}")
+
+
+def _halfspace(normal: np.ndarray, anchor: np.ndarray, slack: float = 0.0) -> HalfSpace:
+    """The `HalfSpace` of the three values as given, without the public
+    constructor's checks; see the module docstring for the precondition."""
+    h = object.__new__(HalfSpace)
+    h.__dict__.update(normal=normal, anchor=anchor, slack=slack)
+    return h
 
 
 @dataclass(frozen=True)

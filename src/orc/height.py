@@ -44,13 +44,16 @@ class HeightOracle:
         if not self.bin_tol > 0.0:
             raise ValueError("bin_tol must be positive")
 
-    def _bracket(self, d_norm: float) -> tuple[float, int]:
-        hi = (self.geometry.R + d_norm + self.mem_delta) / self.x_norm
-        iters = max(1, math.ceil(math.log2(hi / self.bin_tol)))
+    def _brackets(self, d_norms: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """The bracket ends and round counts of points with norms d_norms;
+        log2 is math's, one point at a time."""
+        hi = (self.geometry.R + d_norms + self.mem_delta) / self.x_norm
+        iters = [max(1, math.ceil(math.log2(h / self.bin_tol))) for h in hi.tolist()]
         return hi, iters
 
     def iterations_for(self, d: np.ndarray) -> tuple[float, int]:
-        return self._bracket(float(np.linalg.norm(d)))
+        hi, iters = self._brackets(np.array([np.linalg.norm(d)]))
+        return float(hi[0]), iters[0]
 
     def _bisect_by_mem(self, D, x, hi, iters, delta):
         """`alpha_bisect_rows` for a membership oracle without one: one
@@ -81,10 +84,10 @@ class HeightOracle:
         fast = getattr(self.mem, "alpha_bisect_rows", None)
         if fast is None:
             return np.array([self.alpha_x(d) for d in D])
-        # d.dot(d) of a contiguous row is what np.linalg.norm computes,
-        # so every row gets the bracket iterations_for gives it
-        hi, iters = zip(*(self._bracket(math.sqrt(d.dot(d))) for d in D))
-        return fast(D, self.x, np.array(hi), np.array(iters), self.mem_delta)
+        # sqrt(vecdot) of a contiguous row is np.linalg.norm's
+        # computation, so every row gets the bracket iterations_for gives it
+        hi, iters = self._brackets(np.sqrt(np.vecdot(D, D)))
+        return fast(D, self.x, hi, np.array(iters), self.mem_delta)
 
     def h_x(self, d) -> float:
         return -self.alpha_x(d) * self.x_norm

@@ -53,9 +53,12 @@ def bisect_rows(contains_rows, D: np.ndarray, x: np.ndarray, hi, iters) -> np.nd
             rows, D, iters = rows[keep], D[keep], iters[keep]
             lo, hi, mid = lo[keep], hi[keep], mid[keep]
         inside = contains_rows(D + mid[:, None] * x)
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-        mid = 0.5 * (lo + hi)
+        # in place: lo = where(inside, mid, lo), hi = where(inside, hi,
+        # mid), mid = 0.5 * (lo + hi)
+        np.copyto(lo, mid, where=inside)
+        np.copyto(hi, mid, where=~inside)
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
     alpha[rows] = mid
     return alpha
 
@@ -103,5 +106,10 @@ def ellipsoid_cut_py(center: np.ndarray, J: np.ndarray,
     a = J.T @ g
     u = a / math.sqrt(a @ a)
     Ju = J @ u
-    # Ju[:, None] * u is np.outer(Ju, u), the same products
-    return center - Ju / (n + 1.0), sigma * (J - beta * (Ju[:, None] * u))
+    # sigma * (J - beta * (Ju[:, None] * u)) in one buffer: the same
+    # products in the same order; Ju[:, None] * u is np.outer(Ju, u)
+    step = Ju[:, None] * u
+    step *= beta
+    np.subtract(J, step, out=step)
+    step *= sigma
+    return center - Ju / (n + 1.0), step

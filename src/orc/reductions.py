@@ -52,7 +52,7 @@ from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, GradAnswer,
                    QueryLedger, RandomStream, SeparationAnswer,
                    ValidityAnswer, check_precision, wrap_with_ledger)
 from .ellipsoid import OptimizerConfig, optimize_linear
-from .geometry import HalfSpace, as_vector, unit
+from .geometry import HalfSpace, _halfspace, as_vector, unit
 from .separation import SepFromMem
 
 INSIDE = MembershipAnswer.INSIDE_DILATED
@@ -552,7 +552,7 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
         value = float(scaled @ c_star) - 4.0 * float(point[-1])
         if value <= tol:
             return SeparationAnswer()
-        return SeparationAnswer(HalfSpace(unit(c_star), y, 0.0))
+        return SeparationAnswer(_halfspace(unit(c_star), y, 0.0))
 
     sep.kind = SEP
     sep.ledgers = ledgers

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (MEM, SEP, ProblemGeometry, RandomStream, SeparationAnswer,
                    check_precision)
-from .geometry import HalfSpace, as_vector, unit
+from .geometry import _halfspace, as_vector, as_vector_of, normalized
 from .height import HeightOracle
 from .subgrad import EstimatorParams, separate_convex_func
 
@@ -81,7 +81,8 @@ def separate(cfg: SeparatorConfig, mem, x, rng: RandomStream) -> SeparationAnswe
         return SeparationAnswer()
     x_norm = float(np.linalg.norm(x))
     if x_norm > g.R:
-        return SeparationAnswer(HalfSpace(x / x_norm, x, 0.0))
+        # x / ||x||, also where x.x overflows
+        return SeparationAnswer(_halfspace(normalized(x), x, 0.0))
 
     kappa = g.kappa
     r1 = cfg.r1()
@@ -107,7 +108,7 @@ def separate(cfg: SeparatorConfig, mem, x, rng: RandomStream) -> SeparationAnswe
             f"||g|| < 1/(4 kappa) after {cfg.retries + 1} attempts (eps={cfg.eps})")
     g_norm = float(np.linalg.norm(gtilde))
     slack = 0.0 if cfg.mode == ANCHORED else theoretical_slack(cfg) / g_norm
-    return SeparationAnswer(HalfSpace(gtilde / g_norm, x, slack))
+    return SeparationAnswer(_halfspace(gtilde / g_norm, x, slack))
 
 
 class _AffineMem:
@@ -161,7 +162,7 @@ class SepFromMem:
 
     def __call__(self, y, eta) -> SeparationAnswer:
         check_precision(eta)
-        y = as_vector(y)
+        y = as_vector_of(y, self.geometry.n)
         g = self.geometry
         y_scaled = (y - g.center) / g.R
         self._queries += 1
@@ -169,4 +170,4 @@ class SepFromMem:
         if ans.inside:
             return ans
         h = ans.halfspace
-        return SeparationAnswer(HalfSpace(h.normal, y, h.slack * g.R))
+        return SeparationAnswer(_halfspace(h.normal, y, h.slack * g.R))

@@ -13,7 +13,7 @@ from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
                         exact_grad, exact_membership, exact_support,
                         random_hpolytope)
 from orc.core import MembershipAnswer, RandomStream, ValidityAnswer
-from orc.geometry import unit
+from orc.geometry import HalfSpace, unit
 
 INSIDE = MembershipAnswer.INSIDE_DILATED
 OUTSIDE = MembershipAnswer.OUTSIDE_ERODED
@@ -319,6 +319,59 @@ def test_simplex_separates_points_past_the_face_by_less_than_the_projection_reso
         np.testing.assert_allclose(normal, np.full(3, 1.0 / math.sqrt(3.0)), rtol=1e-15)
         assert spec.support(normal)[0] <= float(normal @ y) + 1e-15
     assert hits >= 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("spec", [
+    Ball(np.array([0.1, -0.2]), 1.0), BoxBody(np.array([0.1, -0.2]), 0.5),
+    Ellipsoid(np.array([0.1, -0.2]), np.array([[2.0, 0.3], [0.3, 0.5]])), Simplex(2)])
+def test_exact_oracles_answer_points_far_outside(spec):
+    # v.v of the normal's source overflows at 1e200; the simplex's
+    # sorted-threshold conditions all round to false from 1e16 on
+    sep = ExactSeparation(spec)
+    for y in ([1e200, 3e200], [-1e200, 5e-324], [1e16, 0.5], [1e17, -1.0], [-1e17, 2e17]):
+        y = np.array(y)
+        assert exact_membership(spec, y, 0.01) is OUTSIDE
+        h = sep(y, 0.01).halfspace
+        assert abs(float(np.linalg.norm(h.normal)) - 1.0) <= 1e-12
+        HalfSpace(h.normal, h.anchor, h.slack)
+        assert spec.support(h.normal)[0] <= float(h.normal @ y)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: y - proj(y) is rounding noise "
+                   "for y a few ulps past the simplex face sum x = s")
+def test_simplex_separation_is_sound_a_few_ulps_past_the_face():
+    spec = Simplex(2, 1.5)
+    gen = np.random.default_rng(2)
+    unsound = 0
+    for _ in range(200):
+        u = unit(gen.normal(size=2))
+        y = np.nextafter(spec.geometry.center + spec.radial_scale(u) * u, 2.0)
+        h = ExactSeparation(spec)(y, 0.01).halfspace
+        if h is not None:
+            unsound += spec.support(h.normal)[0] > float(h.normal @ y) + 1e-9
+    assert unsound == 0
+
+
+ASK = {
+    "SEP": lambda spec, y: ExactSeparation(spec)(y, 0.01),
+    "MEM": lambda spec, y: ExactMembership(spec)(y, 0.01),
+    "exact_membership": lambda spec, y: exact_membership(spec, y, 0.01),
+    "OPT": lambda spec, y: ExactOptimization(spec)(y, 0.01),
+    "VIOL": lambda spec, y: ExactViolation(spec)(y, 0.0, 0.01),
+    "VAL": lambda spec, y: ExactValidity(spec)(y, 0.0, 0.01),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ASK))
+def test_exact_oracles_refuse_a_query_of_another_dimension(kind):
+    for spec in _separation_bodies(3):
+        if kind in ("OPT", "VIOL", "VAL") and isinstance(spec, Intersection):
+            continue  # no support function
+        ASK[kind](spec, np.full(3, 0.1))
+        for m in (1, 2, 4):
+            with pytest.raises(ValueError, match="expected a vector of dimension 3"):
+                ASK[kind](spec, np.full(m, 0.1))
 
 
 def test_separating_normal_is_unit():

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from orc.geometry import (Box, HalfSpace, as_unit_vector, as_vector,
-                          coordinate_segment_endpoints, halfspace_contains,
-                          linf_ball_contains, normalized, unit)
+from orc.geometry import (Box, HalfSpace, _halfspace, as_unit_vector,
+                          as_vector, as_vector_of, coordinate_segment_endpoints,
+                          halfspace_contains, linf_ball_contains, normalized,
+                          unit)
 
 # v.v of a vector with entries near 1e200 overflows, by design of the check
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -38,6 +39,16 @@ def test_as_vector_accepts_entries_whose_square_sum_overflows():
     assert not math.isfinite(float(v @ v))
     assert as_vector(v) is v
     assert as_vector([-1e200, 1e300]).tolist() == [-1e200, 1e300]
+
+
+def test_as_vector_of_checks_the_dimension():
+    v = np.array([1.0, 2.0])
+    assert as_vector_of(v, 2) is v
+    for bad in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="expected a vector of dimension 2, got"):
+            as_vector_of(bad, 2)
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        as_vector_of([np.nan, 0.0], 2)
 
 
 def _unit_vector_error(coords):
@@ -92,6 +103,34 @@ def test_normalized_keeps_the_direction_when_the_square_underflows(v, expected):
     np.testing.assert_allclose(unit(v), expected, rtol=1e-15, atol=0.0)
     with pytest.raises(ValueError, match="zero vector"):
         normalized(np.array([0.0, -0.0]))
+
+
+@pytest.mark.parametrize("v", [[1e200, 3e200], [1e308, -1e308], [-1e155, 0.0, 1e155],
+                               [1e160] * 16, [1e200, 5e-324]])
+def test_normalized_keeps_the_direction_when_the_square_overflows(v):
+    v = np.array(v)
+    assert not math.isfinite(float(v @ v))
+    expected = v / np.max(np.abs(v))
+    expected /= np.linalg.norm(expected)
+    for w in (normalized(v), unit(v)):
+        np.testing.assert_allclose(w, expected, rtol=1e-15, atol=0.0)
+        assert as_unit_vector(w) is w
+
+
+@pytest.mark.parametrize("v", [[np.inf, 1.0], [1.0, -np.inf], [np.nan, 0.0], [1e300, np.nan]])
+def test_normalized_refuses_a_vector_with_a_non_finite_entry(v):
+    # what an overflowed normal looks like: never a non-unit result
+    with pytest.raises(ValueError, match="non-finite entry"):
+        normalized(np.array(v))
+
+
+def test_private_halfspace_stores_its_values_as_given():
+    normal, anchor = np.array([0.6, 0.8]), np.array([1.0, -2.0])
+    h = _halfspace(normal, anchor, 0.25)
+    assert isinstance(h, HalfSpace) and h == HalfSpace(normal, anchor, 0.25)
+    assert h.normal is normal and h.anchor is anchor and h.slack == 0.25
+    with pytest.raises(AttributeError):
+        h.slack = 1.0
 
 
 def test_unit_normalizes():

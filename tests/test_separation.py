@@ -300,3 +300,11 @@ def test_flip_noise_sees_queries_in_per_point_order():
     assert len(seen) == len(seen_ref) > 0
     np.testing.assert_array_equal(np.array(seen), np.array(seen_ref))
     np.testing.assert_array_equal(g, g_ref)
+
+
+@pytest.mark.parametrize("spec", [Ball(np.zeros(3), 1.0), BoxBody(np.zeros(3), 0.5), Simplex(3)])
+def test_sep_from_mem_refuses_a_query_of_another_dimension(spec):
+    sep = SepFromMem(ExactMembership(spec), spec.geometry, RandomStream(0), eps=1e-6)
+    for m in (1, 2, 4):
+        with pytest.raises(ValueError, match="expected a vector of dimension 3"):
+            sep(np.full(m, 0.1), 0.01)
