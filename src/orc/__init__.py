@@ -4,8 +4,9 @@ The package implements the seven classical oracle contracts (membership,
 separation, optimization, violation, validity, evaluation, subgradient)
 over sandwiched convex bodies, a separation-from-membership reduction
 via randomized finite-difference subgradients of a height function, a
-central-cut ellipsoid optimizer, and the web of indicator / support
-function / epigraph-body correspondences connecting the rest.
+central-cut ellipsoid optimizer, an analytic-centre cutting-plane
+optimizer, and the web of indicator / support function / epigraph-body
+correspondences connecting the rest.
 """
 
 from .bodies import (Ball, BodySpec, BoxBody, Ellipsoid, ExactMembership,

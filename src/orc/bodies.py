@@ -63,6 +63,11 @@ from .geometry import _halfspace, as_vector, as_vector_of, normalized, unit
 
 _FEAS_TOL = 1e-9
 
+#: Simplex.separate takes y - proj(y) as min(y, theta) where the
+#: projection's threshold theta is below this many times max(y): 2^10
+#: ulps of max(y), where y - proj(y) keeps fewer than 10 significant bits
+_ROUNDING_THETA = 1024.0 * np.finfo(np.float64).eps
+
 
 class UnsupportedVariant(TypeError):
     pass
@@ -135,7 +140,12 @@ class Ball(BodySpec):
         q = y - self.center
         if q @ q <= self.radius * self.radius:
             return None
-        return normalized(q)
+        try:
+            return normalized(q)
+        except ValueError:
+            # y - center overflowed (the only way q can have an infinite
+            # entry); its halves do not, and point the same way
+            return normalized(0.5 * y - 0.5 * self.center)
 
     def support(self, c):
         return float(c @ self.center) + self.radius * float(np.linalg.norm(c)), \
@@ -185,7 +195,13 @@ class BoxBody(BodySpec):
         excess = self._excess(y)
         if not np.logical_or.reduce(excess):
             return None
-        return normalized(excess)
+        try:
+            return normalized(excess)
+        except ValueError:
+            # y - center overflowed; at half scale the excess is halved
+            q = 0.5 * y - 0.5 * self.center
+            half = 0.5 * self.radius
+            return normalized(q - np.minimum(np.maximum(q, -half), half))
 
     def support(self, c):
         sgn = np.where(c >= 0.0, 1.0, -1.0)
@@ -234,17 +250,20 @@ class Simplex(BodySpec):
             if np.add.reduce(y) <= s:
                 return None
             # y >= 0 lies beyond the face sum x = s
-            d = y - _project_simplex_face(y, s)
-            if not d.any():
-                # y sums past s by less than the projection resolves (its
-                # sorted running sum reaches s exactly).  y - proj(y) is
-                # min(y, theta) for a threshold theta > 0, so its
-                # direction tends to the indicator of y > 0 as theta -> 0
-                d = (y > 0.0).astype(np.float64)
-            return normalized(d)
+            theta = _simplex_threshold(y, s)
+            if theta >= _ROUNDING_THETA * np.maximum.reduce(y):
+                return normalized(y - np.maximum(y - theta, 0.0))
+            # y sums past s by a few ulps: each y_i - theta is rounded by
+            # up to eps max(y) / 2, so y - proj(y), which is min(y, theta),
+            # is rounding noise.  min(y, theta) itself has no cancellation,
+            # and a theta that rounded to <= 0 leaves the face indicator,
+            # its limit as theta -> 0
+            if theta > 0.0:
+                return normalized(np.minimum(y, theta))
+            return normalized((y > 0.0).astype(np.float64))
         p = np.maximum(y, 0.0)
         if np.add.reduce(p) > s:
-            p = _project_simplex_face(y, s)
+            p = np.maximum(y - _simplex_threshold(y, s), 0.0)
         return normalized(y - p)
 
     def support(self, c):
@@ -387,7 +406,13 @@ class Ellipsoid(BodySpec):
         Mq = self._inv @ q
         if abs(q @ Mq) <= 1.0:
             return None
-        return normalized(Mq)
+        try:
+            return normalized(Mq)
+        except ValueError:
+            # q or M q overflowed: M q points as M (q / max|q_i|) does,
+            # and q's halves do not overflow
+            q = 0.5 * y - 0.5 * self.center
+            return normalized(self._inv @ (q / np.maximum.reduce(np.abs(q))))
 
     def support(self, c):
         Sc = self.shape @ c
@@ -563,10 +588,11 @@ def _ranks(n: int) -> np.ndarray:
     return ranks
 
 
-def _project_simplex_face(y: np.ndarray, s: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = s}, the projection onto
-    the simplex of a y whose positive part sums past s (sorted-threshold
-    algorithm: k is the last rank whose threshold condition holds)."""
+def _simplex_threshold(y: np.ndarray, s: float) -> float:
+    """The threshold theta of the Euclidean projection max(y - theta, 0)
+    onto {x >= 0, sum x = s}, the projection onto the simplex of a y whose
+    positive part sums past s (sorted-threshold algorithm: k is the last
+    rank whose threshold condition holds)."""
     u_srt = np.sort(y)[::-1]
     css = np.add.accumulate(u_srt) - s
     (held,) = (u_srt - css / _ranks(y.size) > 0).nonzero()
@@ -574,7 +600,7 @@ def _project_simplex_face(y: np.ndarray, s: float) -> np.ndarray:
     # arithmetic, but for y far outside (an entry near 1e16 or beyond)
     # rounding can fail every one; k = 1 is taken then.
     k = int(held[-1]) + 1 if held.size else 1
-    return np.maximum(y - css[k - 1] / k, 0.0)
+    return css[k - 1] / k
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
 """Optimization from separation: a central-cut ellipsoid engine.
 
-This is the deliberate stand-in for the nearly-linear-query
-cutting-plane method the source theorem cites as a black box: it costs
-O(n^2 log(1/eps)) separation queries instead of O(n log), trading the
-headline query complexity for a simple, exactly-accountable volume
+It costs O(n^2 log(1/eps)) separation queries, not the O(n log) of
+the nearly-linear-query cutting-plane method the source theorem cites
+as a black box, and it runs its whole budget, with no early stop; in
+exchange every step follows a simple, exactly-accountable volume
 argument.  Each cut is the classical central cut, dilated so the
-log-volume decrement per iteration is exactly 1/(2(n+1)).
+log-volume decrement per iteration is exactly 1/(2(n+1)).  It is the
+engine of `opt_from_sep` and `opt_from_mem`, and the reference the
+acceptance criteria measure.  `accpm.optimize_linear_accpm`, an
+analytic-centre engine with the same contract, is the engine of
+`sep_from_opt`: on exact SEP it spends 19-26 queries per OPT at n = 2
+and 114-171 at n = 16 (eps 1e-3, ball, box and simplex), against this
+engine's 88 and 4512 on the box, and inside `sep_from_opt` 18-29 SEP
+of the epigraph body per answer at n = 2 and 3, against 138 and 230.
 
 The ellipsoid is kept in factored form, {c + J z : ||z|| <= 1}, and each
 cut is a rank-one update of J (Goldfarb & Todd, Math. Programming 23,

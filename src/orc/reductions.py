@@ -17,8 +17,11 @@ oracles; the composed constructors at the bottom of this module package
 the useful chains.  Each step asks the cheapest oracle that answers it:
 `opt_from_val` evaluates f through the MEM of K_f, one f evaluation per
 query, and asks SEP of K_f only for the one cut below the graph that
-carries the subgradient.  It runs on the body translated to its centre,
-where the normalized support function is 1-Lipschitz and in [0, 1].
+carries the subgradient.  `opt_from_val` and `sep_from_opt` run on the
+body translated to its centre, where the normalized support function
+is 1-Lipschitz and in [0, 1].  `sep_from_opt` optimizes over K_f with
+the analytic-centre engine (`accpm`), which stops once its certificate
+holds; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).
 
 Stack forms.  `support_eval_from_opt`, `eval_support_from_val` and
 `EpigraphBody.membership_rows` answer a (k, n) stack of queries, and a
@@ -51,6 +54,7 @@ from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, GradAnswer,
                    MembershipAnswer, OptimizationAnswer, ProblemGeometry,
                    QueryLedger, RandomStream, SeparationAnswer,
                    ValidityAnswer, check_precision, wrap_with_ledger)
+from .accpm import optimize_linear_accpm
 from .ellipsoid import OptimizerConfig, optimize_linear
 from .geometry import HalfSpace, _halfspace, as_vector, unit
 from .separation import SepFromMem
@@ -403,8 +407,9 @@ def _normalized_support_eval(eval_support, geometry: ProblemGeometry):
     body centred at the origin, B(0, r) inside K inside B(0, R).  Then
     r||c|| <= 1_K*(c) <= R||c||, so dividing by R gives an admissible
     epigraph function, and a 1-Lipschitz one.  For a body off the
-    origin the values can leave [0, 1] (`opt_from_val` translates its
-    body first; `sep_from_opt` does not yet).
+    origin the values can leave [0, 1], so both callers, `opt_from_val`
+    and `sep_from_opt`, translate the body to its centre first
+    (`_translated_val`, `_translated_opt`).
     """
 
     def f(c, delta):
@@ -520,37 +525,73 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
     return opt
 
 
+def _translated_opt(opt, shift: np.ndarray):
+    """OPT of K - x0 from OPT of K: the maximizers move by -x0.  It has a
+    `rows` stack form only over an opt with one."""
+    opt_rows = getattr(opt, "rows", None)
+
+    def translated(c, delta):
+        answer = opt(c, delta)
+        if answer.empty_interior:
+            return answer
+        return OptimizationAnswer(answer.maximizer - shift)
+
+    translated.kind = OPT
+    if opt_rows is not None:
+        translated.rows = lambda C, delta: opt_rows(C, delta) - shift
+    return translated
+
+
 def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
                  eps: float = 0.01, sep_eps: float, rho: float = 0.1):
     """SEP(K) from OPT(K).
 
-    Chain: OPT gives EVAL(1_K*) directly; optimizing <(x, -1), .> over
-    the epigraph body of the normalized support function computes
-    sup_c <x, c> - 1_K*(c) — the biconjugate 1_K** = 1_K at x, restricted
-    to ||c|| <= 1.  A near-zero optimum certifies x in K; otherwise the
-    maximizing direction c separates.
+    Chain: the base OPT is viewed as OPT of K - x0, with x0 the centre
+    of `geometry`, and a query y as y - x0, so the rest runs on a body
+    centred at the origin, where the normalized support function f is
+    in [0, 1] on the unit ball.  OPT gives EVAL(f) directly.  With
+    s = (y - x0)/R, the value v(c) = <s, c> - f(c) has its maximum over
+    ||c|| <= 1 at dist(y, K)/R (the biconjugate 1_K** = 1_K, restricted
+    to the unit ball).  At a point (c/2, t/4) of the epigraph body K_f,
+    <(s, -2), .> is (<s, c> - t)/2, so the analytic-centre engine
+    (`accpm.optimize_linear_accpm`) maximizes it over K_f through SEP
+    of K_f.  A value <s, c> - t of at most 3 eps at the engine's answer
+    reads as y in K; otherwise the direction c separates.
+
+    The answer is feasible, t >= f(c) up to the epigraph's margins, so a
+    value above 3 eps bounds v(c) above 0 and the cut through y keeps K
+    whatever the engine's accuracy.  That accuracy decides which points
+    count as inside, and it is derived from the same threshold: the
+    engine's error in <s, c> - t is held to 3 eps, so "inside" means
+    dist(y, K) <= 6 eps R, and every y farther out is cut.  The engine
+    at precision eps' returns a point within eps' ||C|| (R_f + r_f) of
+    the maximum of <C, .>, C = (s, -2), for K_f's radii R_f and r_f (up
+    to the error of the SEP-from-MEM cuts it trusts), and <s, c> - t is
+    2 <C, .>, so eps' = 3 eps / (2 ||C|| (R_f + r_f)).
     """
     ledgers = _ChainLedgers("opt", "mem", "sep")
-    counted_opt = wrap_with_ledger(opt, ledgers.opt)
-    eval_support = support_eval_from_opt(counted_opt, geometry)
-    cfg = OptimizerConfig(eps=eps)
-    tol = 3.0 * eps
+    centred = ProblemGeometry(geometry.n, geometry.r, geometry.R)
+    translated = _translated_opt(wrap_with_ledger(opt, ledgers.opt), geometry.center)
+    eval_support = support_eval_from_opt(translated, centred)
+    threshold = 3.0 * eps
 
     def sep(y, delta):
         check_precision(delta)
         y = as_vector(y)
-        scaled = y / geometry.R
-        # maximize <(x, -1), .> over the epigraph body, through its SEP
+        scaled = (y - geometry.center) / geometry.R
         body_geometry, sep_kf, _ = _support_epigraph_sep(
-            eval_support, geometry, rng.child("sep_from_opt"),
+            eval_support, centred, rng.child("sep_from_opt"),
             sep_eps=sep_eps, rho=rho, ledgers=ledgers)
-        answer = optimize_linear(cfg, sep_kf, body_geometry, np.append(scaled, -1.0))
+        objective = np.append(scaled, -2.0)
+        cfg = OptimizerConfig(eps=threshold / (2.0 * float(np.linalg.norm(objective))
+                                               * (body_geometry.R + body_geometry.r)))
+        answer = optimize_linear_accpm(cfg, sep_kf, body_geometry, objective)
         if answer.empty_interior:
             raise EmptyInteriorPropagated("support epigraph optimization")
         point = answer.maximizer
         c_star = 2.0 * point[:-1]
         value = float(scaled @ c_star) - 4.0 * float(point[-1])
-        if value <= tol:
+        if value <= threshold:
             return SeparationAnswer()
         return SeparationAnswer(_halfspace(unit(c_star), y, 0.0))
 

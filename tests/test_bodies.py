@@ -338,8 +338,26 @@ def test_exact_oracles_answer_points_far_outside(spec):
         assert spec.support(h.normal)[0] <= float(h.normal @ y)
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: y - proj(y) is rounding noise "
-                   "for y a few ulps past the simplex face sum x = s")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("make, y", [
+    (lambda: Ball(np.array([-1e308, 0.0]), 1.0), [1e308, 0.0]),
+    (lambda: BoxBody(np.array([-1e308, 0.0]), 1.0), [1e308, 0.0]),
+    (lambda: Ellipsoid(np.zeros(2), np.diag([0.01, 0.04])), [1e307, 0.0]),
+    (lambda: Ellipsoid(np.array([-1e308, 1.0]), np.array([[0.01, 0.003], [0.003, 0.04]])),
+     [1e308, -1e308])], ids=["ball", "box", "ellipsoid", "far_ellipsoid"])
+def test_exact_separation_where_the_normals_source_overflows(make, y):
+    # y - center, or M (y - center), is infinite at these finite points
+    spec = make()
+    y = np.array(y)
+    assert exact_membership(spec, y, 0.01) is OUTSIDE
+    h = ExactSeparation(spec)(y, 0.01).halfspace
+    HalfSpace(h.normal, h.anchor, h.slack)
+    if spec.dim == 2 and y[1] == 0.0:
+        assert h.normal.tolist() == [1.0, 0.0]
+    assert spec.support(h.normal)[0] <= float(h.normal @ y)
+
+
 def test_simplex_separation_is_sound_a_few_ulps_past_the_face():
     spec = Simplex(2, 1.5)
     gen = np.random.default_rng(2)

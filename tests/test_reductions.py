@@ -672,13 +672,25 @@ def test_epigraph_chains_stack_path_matches_row_path(chain, make, n):
     assert stack_counts == row_counts
 
 
-def test_epigraph_range_error_is_the_same_on_both_paths():
-    # Simplex(2)'s support reaches 1/R = 1.31 > 1.25 at c = e_i (the body
-    # is centred at its Chebyshev centre), so this query ends in the range
-    # check.  Both paths raise the same error; the stack path's ledgers
-    # count the lockstep rounds it ran, not the row path's queries.
-    spec = Simplex(2)
-    stack_answer, _ = _chain_answer("sep_from_opt", spec, 2, hide=False)
-    row_answer, _ = _chain_answer("sep_from_opt", spec, 2, hide=True)
-    assert isinstance(row_answer, ValueError)
-    assert _reply(stack_answer) == _reply(row_answer)
+@pytest.mark.parametrize("make", [lambda n: Ball(np.zeros(n), 1.0),
+                                  lambda n: BoxBody(np.zeros(n), 1.0), Simplex,
+                                  lambda n: BoxBody(np.array([1.5, -0.5, 0.75][:n]), 0.5)],
+                         ids=["ball", "box", "simplex", "shifted_box"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sep_from_opt_answers_inside_and_cuts_soundly(make, n):
+    # The chain runs on the body translated to its centre, where the
+    # normalized support function stays in [0, 1]: Simplex(2)'s, taken
+    # about the origin, reached 1/R = 1.31 at c = e_i and ended in the
+    # epigraph's range check.
+    spec = make(n)
+    for seed in range(10):
+        rng = RandomStream(seed)
+        u = unit(rng.child("dir").generator().normal(size=n))
+        sep = sep_from_opt(ExactOptimization(spec), spec.geometry, rng.child("chain"),
+                           eps=0.02, sep_eps=1e-4)
+        at = lambda scale: spec.geometry.center + scale * spec.radial_scale(u) * u
+        assert sep(at(0.5), 0.02).inside
+        for scale in (1.5, 3.0):
+            h = sep(at(scale), 0.02).halfspace
+            assert h is not None
+            assert spec.support(h.normal)[0] <= float(h.normal @ h.anchor) + 1e-9
