@@ -23,9 +23,9 @@ not a test and then a second pass for the normal.  `contains(y)` is the
 same decision, from the same expressions, without the normal, so MEM
 and SEP agree at every point and an exact MEM query costs no more
 outside the body than inside.  `contains_rows` tests every row of a
-(k, n) stack in one pass; it is the test the α-bisection runs
-(`ExactMembership.alpha_bisect_rows`, `_radial_from`), and an
-`Intersection` answers it as the conjunction of its parts' answers.
+(k, n) stack in one pass; it is the test the α-bisection runs (as
+`ExactMembership.rows`, MEM's stack form, and in `_radial_from`), and
+an `Intersection` answers it as the conjunction of its parts' answers.
 The ball and the ellipsoid sum their rows with `einsum`, which rounds
 differently from `separate`'s dot, so a row within an ulp of the
 boundary may get the other answer than `contains`.
@@ -613,7 +613,7 @@ def exact_membership(spec: BodySpec, y, delta: float) -> MembershipAnswer:
 
 
 class ExactMembership:
-    """Callable MEM oracle for a reference body, with a bisection fast path."""
+    """Callable MEM oracle for a reference body, with a stack form."""
 
     kind = MEM
 
@@ -623,14 +623,15 @@ class ExactMembership:
     def __call__(self, y, delta):
         return exact_membership(self.spec, y, delta)
 
-    def alpha_bisect_rows(self, D, x, hi, iters, delta):
-        """Run the full membership bisection for max{a : D[i] + a*x in K}
-        at every row of the (k, n) stack D, with per-row brackets hi and
-        round counts iters, as one lockstep bisection."""
-        return kernels.bisect_rows(self.spec.contains_rows, D, x, hi, iters)
+    def rows(self, P, delta):
+        """One query per row of the float64 (k, n) stack P, taken as
+        given: a bool array, True where the answer is INSIDE."""
+        return self.spec.contains_rows(P)
 
     def alpha_bisect(self, d, x, hi, iters, delta):
-        """`alpha_bisect_rows` for the single ray d + a*x."""
+        """max{a : d + a*x in K} by `iters` rounds of bisection from the
+        bracket [0, hi], a stack of one through `kernels.bisect_rows`.
+        No library code calls it; perfbench's span table names it."""
         return kernels.bisect_alpha(self.spec.contains_rows, d, x, hi, iters)
 
 

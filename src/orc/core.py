@@ -16,6 +16,14 @@ probability, following the GLS convention.  Oracles advertise their
 kind through a `.kind` attribute so they can be ledger-wrapped and
 amplified generically.  A `QueryLedger` counts queries by kind only;
 the delta of a query is not recorded.
+
+An oracle may also offer a stack form, a `rows` attribute that answers
+a (k, n) stack of queries in one call, one query per row: MEM's
+`rows(P, delta)` and VAL's `rows(C, gammas, delta)` return bool arrays
+(True for INSIDE and for SOME_ABOVE), OPT's `rows(C, delta)` a stack
+of maximizers and EVAL's `rows(P, delta)` an array of values.  The
+ledger wrapper passes a stack form through and counts each of its calls
+as one query per row.
 """
 
 from __future__ import annotations
@@ -190,24 +198,10 @@ class _LedgeredOracle:
         return self._oracle(*args)
 
     @property
-    def alpha_bisect_rows(self):
-        """The wrapped oracle's stack bisection, recording sum(iters)
-        queries in one record.  A property, so getattr-based feature
-        detection sees AttributeError when the wrapped oracle has none."""
-        inner = getattr(self._oracle, "alpha_bisect_rows", None)
-        if inner is None:
-            raise AttributeError("wrapped oracle has no alpha_bisect_rows fast path")
-
-        def fast(D, x, hi, iters, delta):
-            self.ledger.record(self.kind, int(np.sum(iters)))
-            return inner(D, x, hi, iters, delta)
-
-        return fast
-
-    @property
     def rows(self):
         """The wrapped oracle's stack form, recording one query per row
-        in one record; an AttributeError when it has none."""
+        in one record.  A property, so getattr-based feature detection
+        sees AttributeError when the wrapped oracle has none."""
         inner = getattr(self._oracle, "rows", None)
         if inner is None:
             raise AttributeError("wrapped oracle has no rows stack form")

@@ -1,11 +1,22 @@
 """The height function of a query point over a membership oracle.
 
-For a query x and a direction point d inside the body, alpha_x(d) is
-the largest alpha with d + alpha*x still in K, and the height is
+The height oracle works on the body normalized by its geometry: shifted
+by -center and divided by R, so that it lies in the unit ball.  For a
+query x and a direction point d inside the normalized body, alpha_x(d)
+is the largest alpha with d + alpha*x still in it, and the height is
 h_x(d) = -alpha_x(d) * ||x||_2.  The height is convex and Lipschitz
 near the origin, so its finite-difference subgradient separates x from
-K.  alpha is evaluated by bisection against the membership oracle,
-through `kernels.bisect_rows`; a single evaluation is a stack of one.
+the body.
+
+alpha is evaluated by bisection against the membership oracle, which
+answers in the body's own frame.  `HeightOracle` is the one place that
+maps between the two: a stack of base points D is mapped to
+center + R*D once, the direction to R*x and the precision to
+mem_delta*R, and `kernels.bisect_rows` bisects the mapped rays.  A
+membership oracle's stack form `rows(P, delta)` (a bool array, True
+for INSIDE) answers each round of the lockstep; an oracle without one
+is asked one point at a time, one row after another.  A single
+evaluation is a stack of one.
 """
 
 from __future__ import annotations
@@ -17,17 +28,19 @@ import numpy as np
 
 from . import kernels
 from .core import EVAL, ProblemGeometry
-from .geometry import as_vector
+from .geometry import as_vector, as_vector_of
 
 
 @dataclass
 class HeightOracle:
-    """Evaluates alpha_x / h_x to additive bisection tolerance bin_tol.
+    """Evaluates alpha_x / h_x of the normalized body to additive
+    bisection tolerance bin_tol.
 
-    The bisection bracket is [0, (R + ||d|| + delta)/||x||]: alpha = 0
+    The bisection bracket is [0, (1 + ||d|| + delta)/||x||]: alpha = 0
     keeps the point at d (inside by precondition) and the upper end is
-    guaranteed outside the delta-dilated body.  Noisy membership
-    answers are taken as authoritative per query - no re-querying.
+    guaranteed outside the delta-dilated normalized body.  Noisy
+    membership answers are taken as authoritative per query - no
+    re-querying.
     """
 
     mem: object
@@ -43,11 +56,19 @@ class HeightOracle:
             raise ValueError("height direction x must be nonzero")
         if not self.bin_tol > 0.0:
             raise ValueError("bin_tol must be positive")
+        delta = self.mem_delta * self.geometry.R
+        rows = getattr(self.mem, "rows", None)
+        self._stacked = rows is not None
+        if self._stacked:
+            self._contains = lambda P: rows(P, delta)
+        else:
+            mem = self.mem
+            self._contains = lambda P: np.array([mem(p, delta).inside for p in P])
 
     def _brackets(self, d_norms: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """The bracket ends and round counts of points with norms d_norms;
         log2 is math's, one point at a time."""
-        hi = (self.geometry.R + d_norms + self.mem_delta) / self.x_norm
+        hi = (1.0 + d_norms + self.mem_delta) / self.x_norm
         iters = [max(1, math.ceil(math.log2(h / self.bin_tol))) for h in hi.tolist()]
         return hi, iters
 
@@ -55,39 +76,37 @@ class HeightOracle:
         hi, iters = self._brackets(np.array([np.linalg.norm(d)]))
         return float(hi[0]), iters[0]
 
-    def _bisect_by_mem(self, D, x, hi, iters, delta):
-        """`alpha_bisect_rows` for a membership oracle without one: one
-        MEM query per point."""
-        contains = lambda P: np.array([self.mem(p, delta).inside for p in P])
-        return kernels.bisect_rows(contains, D, x, hi, iters)
+    def _alpha(self, D: np.ndarray) -> np.ndarray:
+        """alpha_x at every row of a checked (k, n) stack.  The rows are
+        mapped into the body's frame once; a membership oracle with a
+        `rows` form bisects them in lockstep, any other one row after
+        another, so its queries (and the draws of a noisy oracle) come
+        in the same order as k separate evaluations."""
+        # sqrt(vecdot) of a contiguous row is np.linalg.norm's
+        # computation, so every row gets the bracket iterations_for gives it
+        hi, iters = self._brackets(np.sqrt(np.vecdot(D, D)))
+        iters = np.array(iters)
+        g = self.geometry
+        P, x = g.center + g.R * D, g.R * self.x
+        if self._stacked:
+            return kernels.bisect_rows(self._contains, P, x, hi, iters)
+        return np.concatenate([kernels.bisect_rows(self._contains, P[i:i + 1], x,
+                                                   hi[i:i + 1], iters[i:i + 1])
+                               for i in range(len(P))])
 
     def alpha_x(self, d) -> float:
         """alpha_x at one point: a stack of one."""
-        d = as_vector(d)
-        hi, iters = self.iterations_for(d)
-        bisect = getattr(self.mem, "alpha_bisect_rows", self._bisect_by_mem)
-        return float(bisect(d[None, :], self.x, (hi,), (iters,), self.mem_delta)[0])
+        d = as_vector_of(d, self.x.size)
+        return float(self._alpha(d[None, :])[0])
 
     def alpha_rows(self, D) -> np.ndarray:
-        """alpha_x at every row of the (k, n) stack D.
-
-        A membership oracle with an `alpha_bisect_rows` fast path bisects
-        the whole stack in lockstep; any other oracle gets `alpha_x` row
-        by row, in row order, so its queries (and the draws of a noisy
-        oracle) come in the same order as k separate calls.
-        """
+        """alpha_x at every row of the (k, n) stack D."""
         D = np.ascontiguousarray(D, dtype=np.float64)
         if (D.ndim != 2 or D.shape[0] == 0 or D.shape[1] != self.x.size
                 or not np.isfinite(D).all()):
             raise ValueError(f"expected a finite (k, {self.x.size}) stack with k >= 1, "
                              f"got shape {D.shape}")
-        fast = getattr(self.mem, "alpha_bisect_rows", None)
-        if fast is None:
-            return np.array([self.alpha_x(d) for d in D])
-        # sqrt(vecdot) of a contiguous row is np.linalg.norm's
-        # computation, so every row gets the bracket iterations_for gives it
-        hi, iters = self._brackets(np.sqrt(np.vecdot(D, D)))
-        return fast(D, self.x, hi, np.array(iters), self.mem_delta)
+        return self._alpha(D)
 
     def h_x(self, d) -> float:
         return -self.alpha_x(d) * self.x_norm

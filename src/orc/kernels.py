@@ -9,8 +9,10 @@ bisects k rays in lockstep, one containment test per round of the rows
 still bisecting, so one subgradient estimate's 2n height evaluations
 cost one numpy loop instead of 2n, and exactly the sum of their round
 counts in row tests.  It takes the stack containment test as a
-callable: a body's `contains_rows`, or the epigraph body's, whose every
-test is an oracle query.  `bisect_alpha` is a stack of one through it.
+callable: a body's `contains_rows`, or, from `height.HeightOracle`, a
+membership oracle's stack form `rows` (or one MEM query per point for
+an oracle without one), whose every test is an oracle query.
+`bisect_alpha` is a stack of one through it.
 """
 
 from __future__ import annotations

@@ -30,17 +30,13 @@ oracle with a `rows` form (the exact oracles) once per stack, and any
 other (`amplify`'s voters, plain callables) one row at a time, in row
 order; the VAL form bisects its thresholds in lockstep.  They offer a
 `rows` attribute only over an inner `rows` form, and so does
-`EpigraphBody.as_mem` its `alpha_bisect_rows` fast path, which bisects
-the 2(n+1) rows of a subgradient estimate in lockstep, one stacked OPT
-or VAL query per round for the rows still bisecting: lockstep never
+`EpigraphBody.as_mem`, whose `rows` lets the height oracle bisect the
+2(n+1) rows of a subgradient estimate in lockstep, one stacked OPT or
+VAL query per round for the rows still bisecting: lockstep never
 reorders the queries of a randomized oracle.  Answers and query counts
-equal the row-by-row path's, with two exceptions.  SEP-from-MEM's
-recentring maps a stack's base points and direction separately, so a
-bisection point can differ from the row path's in the last bit, which
-changes a membership answer only for a point within rounding of the
-boundary.  And an f value outside the epigraph's range raises the range
-check's ValueError on both paths, but the ledgers then count the
-lockstep rounds run until then.
+equal the row-by-row path's, with one exception: an f value outside the
+epigraph's range raises the range check's ValueError on both paths, but
+the ledgers then count the lockstep rounds run until then.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ import math
 
 import numpy as np
 
-from . import kernels
 from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, GradAnswer,
                    MembershipAnswer, OptimizationAnswer, ProblemGeometry,
                    QueryLedger, RandomStream, SeparationAnswer,
@@ -203,15 +198,9 @@ class EpigraphBody:
             inside[gate] = values <= t[gate] + margin
         return inside
 
-    def alpha_bisect_rows(self, D, x, hi, iters, delta):
-        """The membership bisection for max{a : D[i] + a*x in K_f} at
-        every row of D, in lockstep through `kernels.bisect_rows`: one
-        `membership_rows` test of the rows still bisecting per round."""
-        return kernels.bisect_rows(lambda P: self.membership_rows(P, delta), D, x, hi, iters)
-
     def as_mem(self):
         """MEM view of the body.  When f_eval has a `rows` stack form it
-        carries the `alpha_bisect_rows` fast path, so a height estimate
+        carries `membership_rows` as its own `rows`, so a height estimate
         over it bisects in lockstep with one stacked f query per round.
         Over any other f_eval it has none, and a height estimate bisects
         its rows one after another, one f query per membership test: the
@@ -221,7 +210,7 @@ class EpigraphBody:
 
         mem.kind = MEM
         if hasattr(self.f_eval, "rows"):
-            mem.alpha_bisect_rows = self.alpha_bisect_rows
+            mem.rows = self.membership_rows
         return mem
 
 

@@ -2,8 +2,10 @@
 
 The query point is tested for membership first; far-out points get the
 trivial halfspace through themselves.  Otherwise a subgradient of the
-height function h_x is estimated by randomized finite differences and
-normalized into the separating normal.  Two slack modes: the
+height function h_x of the body normalized by its geometry is estimated
+by randomized finite differences and normalized into the separating
+normal; `HeightOracle` maps its bisection points into the body's frame,
+so the membership oracle is always asked in the caller's coordinates.  Two slack modes: the
 theoretical slack term (sound by analysis, astronomically loose at
 practical parameters) and anchored mode (slack zero through the query
 point, soundness established empirically), the default.
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MEM, SEP, ProblemGeometry, RandomStream, SeparationAnswer,
+from .core import (SEP, ProblemGeometry, RandomStream, SeparationAnswer,
                    check_precision)
-from .geometry import _halfspace, as_vector, as_vector_of, normalized
+from .geometry import _halfspace, as_vector_of, normalized
 from .height import HeightOracle
 from .subgrad import EstimatorParams, separate_convex_func
 
@@ -40,8 +42,14 @@ class DegenerateGradient(RuntimeError):
 
 @dataclass
 class SeparatorConfig:
-    """Knobs for one separation run on a body recentered to
-    B(0, r) <= K <= B(0, R)."""
+    """Knobs for one separation run on a body with the sandwich
+    B(center, r) <= K <= B(center, R) that `geometry` gives.
+
+    The separator estimates its cut on the body normalized by that
+    geometry (shifted by -center and divided by R), so eps is a
+    membership precision in that frame, and r1 and the theoretical
+    slack are derived from `geometry.rescaled()`.
+    """
 
     eps: float
     rho: float
@@ -50,8 +58,10 @@ class SeparatorConfig:
     mode: str = ANCHORED
 
     def __post_init__(self):
-        if not 0.0 < self.eps <= self.geometry.r:
-            raise ValueError(f"need 0 < eps <= r, got eps={self.eps!r} r={self.geometry.r!r}")
+        self._scaled = self.geometry.rescaled()
+        if not 0.0 < self.eps <= self._scaled.r:
+            raise ValueError(f"need 0 < eps <= r/R, got eps={self.eps!r} "
+                             f"r/R={self._scaled.r!r}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
         if self.mode not in (THEORETICAL, ANCHORED):
@@ -61,7 +71,7 @@ class SeparatorConfig:
             raise ValueError(f"retries must be a non-negative int, got {self.retries!r}")
 
     def r1(self) -> float:
-        g = self.geometry
+        g = self._scaled
         n = g.n
         schedule = n ** (1 / 6) * self.eps ** (1 / 3) * g.R ** (2 / 3) / g.kappa
         # clamp keeps the sampling box B_inf(0, 2 r1) inside B_2(0, r/2)
@@ -69,22 +79,31 @@ class SeparatorConfig:
 
 
 def theoretical_slack(cfg: SeparatorConfig) -> float:
-    g = cfg.geometry
+    """The theoretical slack term in the normalized frame."""
+    g = cfg._scaled
     return (50.0 / cfg.rho) * g.n ** (7 / 6) * g.R ** (2 / 3) * g.kappa * cfg.eps ** (1 / 3)
 
 
-def separate(cfg: SeparatorConfig, mem, x, rng: RandomStream) -> SeparationAnswer:
-    """One separation query for x against the recentered body."""
-    x = as_vector(x)
-    g = cfg.geometry
-    if mem(x, cfg.eps).inside:
-        return SeparationAnswer()
-    x_norm = float(np.linalg.norm(x))
-    if x_norm > g.R:
-        # x / ||x||, also where x.x overflows
-        return SeparationAnswer(_halfspace(normalized(x), x, 0.0))
+def separate(cfg: SeparatorConfig, mem, y, rng: RandomStream) -> SeparationAnswer:
+    """One separation query for y against the body that mem answers for
+    and cfg.geometry describes.
 
-    kappa = g.kappa
+    y is tested at precision eps*R.  The estimate runs at
+    x = (y - center)/R in the normalized frame, through a `HeightOracle`
+    that maps its points back into the body's frame; the cut is
+    anchored at y, with its slack scaled back by R.
+    """
+    g = cfg.geometry
+    y = as_vector_of(y, g.n)
+    if mem(y, cfg.eps * g.R).inside:
+        return SeparationAnswer()
+    x = (y - g.center) / g.R
+    x_norm = float(np.linalg.norm(x))
+    if x_norm > 1.0:
+        # x / ||x||, also where x.x overflows
+        return SeparationAnswer(_halfspace(normalized(x), y, 0.0))
+
+    kappa = cfg._scaled.kappa
     r1 = cfg.r1()
     eval_eps = 4.0 * cfg.eps
     params = EstimatorParams(np.zeros(g.n), r1, eval_eps, 3.0 * kappa)
@@ -108,44 +127,17 @@ def separate(cfg: SeparatorConfig, mem, x, rng: RandomStream) -> SeparationAnswe
             f"||g|| < 1/(4 kappa) after {cfg.retries + 1} attempts (eps={cfg.eps})")
     g_norm = float(np.linalg.norm(gtilde))
     slack = 0.0 if cfg.mode == ANCHORED else theoretical_slack(cfg) / g_norm
-    return SeparationAnswer(_halfspace(gtilde / g_norm, x, slack))
-
-
-class _AffineMem:
-    """View of a membership oracle in recentered coordinates:
-    y' = (y - x0)/R, distances and precisions scale by R."""
-
-    kind = MEM
-
-    def __init__(self, inner, center: np.ndarray, scale: float):
-        self._inner = inner
-        self._center = center
-        self._scale = scale
-
-    def __call__(self, y, delta):
-        return self._inner(self._center + self._scale * y, delta * self._scale)
-
-    @property
-    def alpha_bisect_rows(self):
-        inner = getattr(self._inner, "alpha_bisect_rows", None)
-        if inner is None:
-            raise AttributeError("inner oracle has no alpha_bisect_rows fast path")
-
-        def fast(D, x, hi, iters, delta):
-            return inner(self._center + self._scale * D, self._scale * x,
-                         hi, iters, delta * self._scale)
-
-        return fast
+    return SeparationAnswer(_halfspace(gtilde / g_norm, y, slack * g.R))
 
 
 class SepFromMem:
-    """Packaged separation oracle built on a membership oracle.
+    """Packaged separation oracle built on a membership oracle: `separate`
+    with one config for the body and a child random stream per query.
 
-    Handles the recentering wrapper (shift by -x0, scale by 1/R) and
-    maps answers back to the caller's coordinates.  The membership
-    precision eps is fixed for the body, in the rescaled coordinates;
-    every query runs at that eps whatever its precision eta.  rho enters
-    only the theoretical slack; in anchored mode it is only validated.
+    The membership precision eps is fixed for the body, in the
+    normalized frame; every query runs at that eps whatever its
+    precision eta.  rho enters only the theoretical slack; in anchored
+    mode it is only validated.
     """
 
     kind = SEP
@@ -154,20 +146,13 @@ class SepFromMem:
                  eps: float, rho: float = 0.1, mode: str = ANCHORED,
                  retries: int = 3):
         self.geometry = geometry
-        self._mem = _AffineMem(mem, geometry.center, geometry.R)
-        self._cfg = SeparatorConfig(eps=eps, rho=rho, geometry=geometry.rescaled(),
+        self._mem = mem
+        self._cfg = SeparatorConfig(eps=eps, rho=rho, geometry=geometry,
                                     retries=retries, mode=mode)
         self._rng = rng
         self._queries = 0
 
     def __call__(self, y, eta) -> SeparationAnswer:
         check_precision(eta)
-        y = as_vector_of(y, self.geometry.n)
-        g = self.geometry
-        y_scaled = (y - g.center) / g.R
         self._queries += 1
-        ans = separate(self._cfg, self._mem, y_scaled, self._rng.child(self._queries))
-        if ans.inside:
-            return ans
-        h = ans.halfspace
-        return SeparationAnswer(_halfspace(h.normal, y, h.slack * g.R))
+        return separate(self._cfg, self._mem, y, self._rng.child(self._queries))

@@ -33,9 +33,15 @@ def test_height_ball_origin():
 
 
 def test_height_box_corner_direction():
-    h = _height(BoxBody(np.zeros(2), 1.0), [1.0, 1.0],
-                geometry=ProblemGeometry(2, 1.0, math.sqrt(2.0)))
-    assert abs(h.h_x(np.zeros(2)) - (-math.sqrt(2.0))) <= 1e-8
+    # the height is that of the body normalized by its geometry: a box
+    # of radius 1 off the origin, with R = sqrt(2), becomes a box of
+    # radius 1/sqrt(2) about the origin, whose corners lie on the unit
+    # sphere
+    spec = BoxBody(np.array([2.0, -1.0]), 1.0)
+    assert spec.geometry.R == math.sqrt(2.0)
+    h = _height(spec, [0.5, 0.5], geometry=spec.geometry)
+    assert abs(h.alpha_x(np.zeros(2)) - math.sqrt(2.0)) <= 2e-9
+    assert abs(h.h_x(np.zeros(2)) - (-1.0)) <= 1e-8
 
 
 def test_height_is_convex_along_segments():
@@ -43,7 +49,7 @@ def test_height_is_convex_along_segments():
     spec = Simplex(3, 1.0)
     h = _height(spec, [0.4, 0.1, 0.2], bin_tol=1e-10,
                 geometry=spec.geometry)
-    base = spec.geometry.center
+    base = np.zeros(3)  # the center, normalized
     for _ in range(60):
         d0 = base + 0.05 * gen.normal(size=3)
         d1 = base + 0.05 * gen.normal(size=3)
@@ -81,17 +87,21 @@ def test_iteration_count_and_mem_calls_match():
 
 
 def _stack(spec, gen, k):
-    return spec.geometry.center + 0.05 * gen.normal(size=(k, spec.dim))
+    """k points near the center of the normalized body."""
+    return 0.05 * gen.normal(size=(k, spec.dim))
 
 
 def _reference_height(spec, h, d):
     """h_x(d) by a plain bisection loop over exact containment, with the
-    bracket written out: independent of `kernels.bisect_rows`."""
-    hi = (h.geometry.R + float(np.linalg.norm(d)) + h.mem_delta) / h.x_norm
+    bracket and the map into the body's frame written out: independent
+    of `kernels.bisect_rows`."""
+    g = h.geometry
+    hi = (1.0 + float(np.linalg.norm(d)) + h.mem_delta) / h.x_norm
+    p, x = g.center + g.R * d, g.R * h.x
     lo = 0.0
     for _ in range(max(1, math.ceil(math.log2(hi / h.bin_tol)))):
         mid = 0.5 * (lo + hi)
-        if spec.contains(d + mid * h.x):
+        if spec.contains(p + mid * x):
             lo = mid
         else:
             hi = mid
@@ -99,14 +109,17 @@ def _reference_height(spec, h, d):
 
 
 def test_stack_heights_equal_per_row_heights():
+    # bodies off the origin with R != 1, so the map into the body's
+    # frame runs
     gen = np.random.default_rng(8)
-    for spec in (Simplex(4, 1.0), BoxBody(np.zeros(4), 1.0)):
+    for spec in (Simplex(4, 1.0), BoxBody(np.array([1.0, -2.0, 0.5, 3.0]), 0.7)):
+        assert spec.geometry.R != 1.0 and spec.geometry.center.any()
         h = _height(spec, [0.4, -0.1, 0.2, 0.3], geometry=spec.geometry)
         D = _stack(spec, gen, 8)
         np.testing.assert_array_equal(h.h_rows(D), [h.h_x(d) for d in D])
         np.testing.assert_array_equal(h.as_eval().rows(D, 0.1), h.h_rows(D))
         # a single height is a stack of one, so also check against a
-        # loop written here, over the fast path and over a plain MEM
+        # loop written here, over MEM's stack form and over a plain MEM
         reference = [_reference_height(spec, h, d) for d in D]
         np.testing.assert_array_equal(h.h_rows(D), reference)
         plain = lambda y, delta: exact_membership(spec, y, delta)
@@ -137,8 +150,9 @@ def test_stack_records_per_row_mem_count_once():
     for d in D:
         h_row.alpha_x(d)
     assert stacked.count(MEM) == per_row.count(MEM) == sum(h.iterations_for(d)[1] for d in D)
-    # the ledger took the stack as one record
-    assert stacked.records == 1
+    # the ledger took each lockstep round, the rows still bisecting, as
+    # one record
+    assert stacked.records == max(h.iterations_for(d)[1] for d in D)
 
 
 def test_stack_without_fast_path_falls_back_row_by_row():
@@ -190,6 +204,15 @@ def test_stack_rejects_malformed_input():
     for bad in (np.zeros(2), np.zeros((0, 2)), np.zeros((3, 3)), np.array([[0.0, np.nan]])):
         with pytest.raises(ValueError):
             h.alpha_rows(bad)
+
+
+def test_single_point_of_another_dimension_is_refused():
+    # a base point is not broadcast against x: (0.3,) is not (0.3, 0.3)
+    h = _height(Ball(np.zeros(2), 1.0), [0.5, 0.0])
+    for bad in (np.array([0.3]), np.zeros(3)):
+        for evaluate in (h.alpha_x, h.h_x, lambda d: h.as_eval()(d, 0.1)):
+            with pytest.raises(ValueError, match="dimension 2"):
+                evaluate(bad)
 
 
 def test_rejects_degenerate_inputs():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from orc.bodies import Ball, ExactMembership, ExactOptimization, FlipNoise
+from orc.bodies import (Ball, ExactMembership, ExactOptimization, ExactSeparation,
+                        FlipNoise)
 from orc.core import (MEM, OPT, SEP, MembershipAnswer, ProblemGeometry,
                       QueryLedger, RandomStream, SeparationAnswer, amplify,
                       check_precision, wrap_with_ledger)
@@ -82,7 +83,12 @@ def test_wrap_with_ledger_counts_a_stack_as_one_query_per_row():
     opt(np.ones(2), 0.01)
     assert ledger.count(OPT) == 6
     # feature detection sees no stack form where the oracle has none
-    assert not hasattr(wrap_with_ledger(ExactMembership(Ball(np.zeros(2), 1.0)), ledger), "rows")
+    assert not hasattr(wrap_with_ledger(ExactSeparation(Ball(np.zeros(2), 1.0)), ledger), "rows")
+    # MEM's stack form counts the same way: one query per row
+    mem = wrap_with_ledger(ExactMembership(Ball(np.zeros(2), 1.0)), ledger)
+    assert mem.rows(np.array([[0.1, 0.0], [2.0, 0.0], [0.0, -0.5]]), 0.01).tolist() == [
+        True, False, True]
+    assert ledger.count(MEM) == 3
 
 
 def test_random_stream_same_path_same_draws():

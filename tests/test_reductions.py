@@ -166,9 +166,9 @@ def test_epigraph_membership_rows_rejects_out_of_range_values():
 
 def test_epigraph_fast_path_only_over_a_stacked_f():
     # over a plain f every f query stays a single call, in row order
-    assert not hasattr(EpigraphBody(_quadratic_eval, 2).as_mem(), "alpha_bisect_rows")
+    assert not hasattr(EpigraphBody(_quadratic_eval, 2).as_mem(), "rows")
     mem = wrap_with_ledger(EpigraphBody(_stacked_quadratic(), 2).as_mem(), QueryLedger())
-    assert hasattr(mem, "alpha_bisect_rows")
+    assert hasattr(mem, "rows")
 
 
 def test_eval_from_mem_epigraph_recovers_function():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership, FlipNoise,
-                        Simplex, random_hpolytope)
+                        Simplex, exact_membership, random_hpolytope)
 from orc.core import (MEM, ProblemGeometry, QueryLedger, RandomStream,
                       wrap_with_ledger)
 from orc.geometry import Box, coordinate_segment_endpoints
@@ -203,29 +203,33 @@ def test_sep_from_mem_recenters_anchor_to_caller_frame():
     assert float(h.normal @ np.array([1.0, 0.0])) > 0.9
 
 
-class _PerRayMem:
-    """ExactMembership whose stack path bisects one ray per call."""
-
-    kind = MEM
+class _RecordingSpec:
+    """A body that records every point its containment tests see."""
 
     def __init__(self, spec):
-        self._mem = ExactMembership(spec)
+        self.spec, self.dim, self.points = spec, spec.dim, []
 
-    def __call__(self, y, delta):
-        return self._mem(y, delta)
+    def contains(self, y):
+        self.points.append(y.copy())
+        return self.spec.contains(y)
 
-    def alpha_bisect_rows(self, D, x, hi, iters, delta):
-        return np.concatenate([self._mem.alpha_bisect_rows(D[i:i + 1], x, hi[i:i + 1],
-                                                           iters[i:i + 1], delta)
-                               for i in range(len(D))])
+    def contains_rows(self, P):
+        self.points.extend(P.copy())
+        return self.spec.contains_rows(P)
 
 
 @pytest.mark.parametrize("make", [
     lambda: Simplex(6, 1.0),
+    lambda: BoxBody(np.array([1.0, -2.0, 0.5]), 0.5),
     lambda: Ellipsoid(np.zeros(5), np.diag([0.3, 0.6, 1.0, 1.5, 2.0])),
     lambda: random_hpolytope(5, RandomStream(4)),
-], ids=["simplex", "ellipsoid", "hpoly"])
+], ids=["simplex", "box", "ellipsoid", "hpoly"])
 def test_stack_path_gives_per_ray_normal_and_mem_count(make):
+    # MEM with a stack form (lockstep bisection) against a plain MEM
+    # (one query per point, row after row): the base oracle is asked
+    # bitwise the same points, in another order, and the cut and the
+    # MEM count agree.  The simplex and the box sit off the origin with
+    # R != 1, so the height oracle's map into the body's frame runs.
     spec = make()
     gen = np.random.default_rng(12)
     for trial in range(5):
@@ -233,14 +237,22 @@ def test_stack_path_gives_per_ray_normal_and_mem_count(make):
         u /= np.linalg.norm(u)
         y = spec.geometry.center + 1.2 * spec.radial_scale(u) * u
         answers = []
-        for mem in (ExactMembership(spec), _PerRayMem(spec)):
+        for stacked in (True, False):
+            recording = _RecordingSpec(spec)
+            if stacked:
+                mem = ExactMembership(recording)
+            else:
+                mem = lambda p, delta, recording=recording: exact_membership(recording, p, delta)
+                mem.kind = MEM
             ledger = QueryLedger()
             sep = SepFromMem(wrap_with_ledger(mem, ledger), spec.geometry,
                              RandomStream(trial), eps=1e-8, rho=0.1)
-            answers.append((sep(y, 0.01).halfspace.normal, ledger.count(MEM)))
-        (stacked, stacked_mem), (per_ray, per_ray_mem) = answers
-        assert stacked_mem == per_ray_mem > 1  # the height branch ran
-        np.testing.assert_array_equal(stacked, per_ray)
+            answers.append((sep(y, 0.01).halfspace.normal, ledger.count(MEM),
+                            sorted(map(tuple, recording.points))))
+        (stacked, stacked_mem, stacked_points), (per_row, per_row_mem, per_row_points) = answers
+        assert stacked_mem == per_row_mem == len(stacked_points) > 1  # the height branch ran
+        assert stacked_points == per_row_points
+        np.testing.assert_array_equal(stacked, per_row)
 
 
 @pytest.mark.parametrize("make", [
@@ -280,9 +292,8 @@ def test_flip_noise_sees_queries_in_per_point_order():
         return g
 
     spec = Simplex(3, 1.0)
-    geom = spec.geometry.rescaled()
     x = np.array([0.4, 0.3, 0.2])
-    params = EstimatorParams(np.zeros(3), 0.02, 4e-6, 3.0 * geom.kappa)
+    params = EstimatorParams(np.zeros(3), 0.02, 4e-6, 3.0 * spec.geometry.rescaled().kappa)
     runs = []
     for estimate in (lambda ho, rng: separate_convex_func(ho.as_eval(), params, rng),
                      lambda ho, rng: per_point_estimate(ho, params, rng)):
@@ -290,11 +301,10 @@ def test_flip_noise_sees_queries_in_per_point_order():
 
         def recording(y, delta, seen=seen):
             seen.append(np.array(y))
-            return ExactMembership(spec)(spec.geometry.center + spec.geometry.R * y,
-                                         delta)
+            return ExactMembership(spec)(y, delta)
 
         noisy = FlipNoise(recording, 0.05, RandomStream(3))
-        ho = HeightOracle(noisy, geom, x, 1e-6, 1e-6)
+        ho = HeightOracle(noisy, spec.geometry, x, 1e-6, 1e-6)
         runs.append((estimate(ho, RandomStream(7)), seen))
     (g, seen), (g_ref, seen_ref) = runs
     assert len(seen) == len(seen_ref) > 0
