@@ -64,9 +64,10 @@ from .geometry import _halfspace, as_vector, as_vector_of, normalized, unit
 _FEAS_TOL = 1e-9
 
 #: Simplex.separate takes y - proj(y) as min(y, theta) where the
-#: projection's threshold theta is below this many times max(y): 2^10
-#: ulps of max(y), where y - proj(y) keeps fewer than 10 significant bits
-_ROUNDING_THETA = 1024.0 * np.finfo(np.float64).eps
+#: projection's threshold theta is below this many times max(y): sqrt(eps),
+#: where y - proj(y), rounded by up to eps max(y) per entry, keeps fewer
+#: than half its bits and its direction tilts by up to eps max(y) / theta
+_ROUNDING_THETA = math.sqrt(np.finfo(np.float64).eps)
 
 
 class UnsupportedVariant(TypeError):
@@ -253,11 +254,11 @@ class Simplex(BodySpec):
             theta = _simplex_threshold(y, s)
             if theta >= _ROUNDING_THETA * np.maximum.reduce(y):
                 return normalized(y - np.maximum(y - theta, 0.0))
-            # y sums past s by a few ulps: each y_i - theta is rounded by
+            # y lies just past the face: each y_i - theta is rounded by
             # up to eps max(y) / 2, so y - proj(y), which is min(y, theta),
-            # is rounding noise.  min(y, theta) itself has no cancellation,
-            # and a theta that rounded to <= 0 leaves the face indicator,
-            # its limit as theta -> 0
+            # is mostly rounding noise.  min(y, theta) itself has no
+            # cancellation, and a theta that rounded to <= 0 leaves the
+            # face indicator, its limit as theta -> 0
             if theta > 0.0:
                 return normalized(np.minimum(y, theta))
             return normalized((y > 0.0).astype(np.float64))

@@ -17,15 +17,17 @@ of the epigraph body per answer at n = 2 and 3, against 138 and 230.
 The ellipsoid is kept in factored form, {c + J z : ||z|| <= 1}, and each
 cut is a rank-one update of J (Goldfarb & Todd, Math. Programming 23,
 1982).  The shape matrix J J^T is positive definite by construction, so
-there is no factorization, no definiteness check and no repair.
+there is no factorization, no definiteness check and no repair.  J is
+held as scale * M: the cut's dilation goes to the scalar, and
+`kernels.ellipsoid_cut_py` updates M in place.
 
-One iteration of `optimize_linear` is a SEP query, one normalization of
-the cut normal and one `ellipsoid_cut_py`: the loop keeps the center and
-J as locals, not as an `EllipsoidState`, normalizes a separating normal
-with `normalized` (bitwise `unit`, without re-checking a vector the
-oracle already checked) and normalizes the objective cut once per call.
-`EllipsoidState` and `ellipsoid_cut` are the same cut for callers that
-hold an ellipsoid.
+One iteration of `optimize_linear` is a SEP query and one
+`ellipsoid_cut_py`: the loop keeps the center, M and scale as locals,
+not as an `EllipsoidState`, and cuts with the oracle's normal as
+returned.  The cut reads only the normal's direction, so it is not
+normalized again; the objective cut is normalized once per call.
+`EllipsoidState` and `ellipsoid_cut` run the same kernel on a copy of M
+for callers that hold an ellipsoid, bitwise the loop's cut.
 """
 
 from __future__ import annotations
@@ -55,14 +57,21 @@ class OracleInconsistency(RuntimeError):
 
 @dataclass(frozen=True)
 class EllipsoidState:
-    """{center + J z : ||z|| <= 1}, the ellipsoid with shape matrix J J^T."""
+    """{center + J z : ||z|| <= 1}, the ellipsoid with shape matrix J J^T,
+    with its factor held as J = scale * M, the form
+    `kernels.ellipsoid_cut_py` updates."""
 
     center: np.ndarray
-    J: np.ndarray
+    M: np.ndarray
+    scale: float = 1.0
+
+    @property
+    def J(self) -> np.ndarray:
+        return self.scale * self.M
 
     def log_volume(self) -> float:
         """log vol(E) up to the dimension-only additive constant."""
-        return float(np.linalg.slogdet(self.J)[1])
+        return self.center.size * math.log(self.scale) + float(np.linalg.slogdet(self.M)[1])
 
     @classmethod
     def ball(cls, center, radius: float) -> "EllipsoidState":
@@ -77,7 +86,9 @@ def ellipsoid_cut(state: EllipsoidState, h: HalfSpace | np.ndarray) -> Ellipsoid
     center, keeping {y : <normal, y - center> <= 0}.
     """
     normal = h.normal if isinstance(h, HalfSpace) else unit(h)
-    return EllipsoidState(*ellipsoid_cut_py(state.center, state.J, normal))
+    M = state.M.copy()
+    center, scale = ellipsoid_cut_py(state.center, M, state.scale, normal)
+    return EllipsoidState(center, M, scale)
 
 
 @dataclass
@@ -115,12 +126,13 @@ def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
     1/(2(n+1)), so the floor test reads a running sum, not the factor.
     """
     c = as_vector(c)
-    # a feasible center's cut: -c/||c||, normalized as every cut normal is
+    # a feasible center's cut: -c/||c||, as the unit normal
+    # `ellipsoid_cut` makes of the array -unit(c)
     objective_cut = normalized(-normalized(c))
     n = geometry.n
     sep_delta = cfg.resolved_sep_delta(geometry)
     max_iters = cfg.resolved_iters(geometry)
-    center, J = geometry.center, geometry.R * np.eye(n)
+    center, M, scale = geometry.center, geometry.R * np.eye(n), 1.0
     log_volume = n * math.log(geometry.R)
     drop = 1.0 / (2.0 * (n + 1))
     floor_logvol = n * math.log(geometry.r * cfg.eps)
@@ -135,8 +147,8 @@ def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
                 best, best_val = center, val
             g = objective_cut
         else:
-            g = normalized(h.normal)
-        center, J = ellipsoid_cut_py(center, J, g)
+            g = h.normal
+        center, scale = ellipsoid_cut_py(center, M, scale, g)
         log_volume -= drop
         if log_volume < floor_logvol:
             break

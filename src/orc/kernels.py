@@ -1,8 +1,10 @@
 """Hot numeric kernels: the membership bisection that evaluates the
 height function, and the central-cut ellipsoid update, a rank-one update
-of the shape matrix's factor.  A cut costs a handful of numpy calls: its
-constants depend on the dimension alone and are computed once per
-dimension.
+of the shape matrix's factor.  The factor is kept as scale * M, and a
+cut updates M in place and returns the new center and scale: about
+eight numpy calls, with constants that depend on the dimension alone
+and are computed once per dimension.  The cut normal need not be unit:
+the update reads only its direction.
 
 All of it is numpy code.  `bisect_rows` is the one bisection loop: it
 bisects k rays in lockstep, one containment test per round of the rows
@@ -73,6 +75,10 @@ def bisect_alpha(contains_rows, d: np.ndarray, x: np.ndarray, hi: float,
     return float(bisect_rows(contains_rows, d[None, :], x, (hi,), (iters,))[0])
 
 
+#: the power of two `ellipsoid_cut_py` moves from its scale into M
+_FOLD = 2.0 ** 32
+
+
 @functools.cache
 def _cut_constants(n: int) -> tuple[float, float]:
     """(beta, sigma) of a central cut in dimension n >= 2: the rank-one
@@ -86,32 +92,42 @@ def _cut_constants(n: int) -> tuple[float, float]:
     return beta, sigma
 
 
-def ellipsoid_cut_py(center: np.ndarray, J: np.ndarray,
-                     g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central cut of {c + J z : ||z|| <= 1} by {y : <g, y - c> <= 0}.
+def ellipsoid_cut_py(center: np.ndarray, M: np.ndarray, scale: float,
+                     g: np.ndarray) -> tuple[np.ndarray, float]:
+    """Central cut of {c + scale M z : ||z|| <= 1} by {y : <g, y - c> <= 0}.
 
-    The ellipsoid is kept as the factor J of its shape matrix P = J J^T.
-    The classical minimum-volume update of P is the rank-one update
-    J (I - beta u u^T) of J, with u = J^T g / ||J^T g||, so the new shape
-    is positive definite by construction.  It is then dilated so the
+    The ellipsoid is kept as the factor J = scale * M of its shape matrix
+    P = J J^T.  M is updated in place and the new center and scale are
+    returned.  The classical minimum-volume update of P is the rank-one
+    update J (I - beta u u^T) of J, with u = J^T g / ||J^T g||, so the new
+    shape is positive definite by construction; u does not depend on
+    g's length or on scale, so g need not be unit and the scale rides
+    outside the update.  The factor is then dilated by sigma so the
     volume ratio is exactly exp(-1/(2(n+1))) (containment is preserved;
-    the dilation only grows the ellipsoid).  n == 1 degenerates to
-    interval bisection with the same calibrated ratio.
+    the dilation only grows the ellipsoid); the dilation goes to scale.
+    M shrinks along the cut normals while scale grows by sigma per cut,
+    so once scale passes 2^32 that power of two moves into M: exact, so
+    the bits of J do not depend on when it happens.  n == 1 degenerates
+    to interval bisection with the same calibrated ratio.
     """
     n = center.size
     if n == 1:
-        w = abs(J[0, 0])
+        w = scale * abs(M[0, 0])
         sign = 1.0 if g[0] > 0.0 else -1.0
-        target = math.exp(-1.0 / (2.0 * (n + 1)))
-        return center - sign * (w / 2.0), np.array([[w * target]])
+        M[0, 0] = abs(M[0, 0]) * math.exp(-0.25)  # exp(-1/(2(n+1))) at n = 1
+        return center - sign * (w / 2.0), scale
     beta, sigma = _cut_constants(n)
-    a = J.T @ g
-    u = a / math.sqrt(a @ a)
-    Ju = J @ u
-    # sigma * (J - beta * (Ju[:, None] * u)) in one buffer: the same
-    # products in the same order; Ju[:, None] * u is np.outer(Ju, u)
-    step = Ju[:, None] * u
-    step *= beta
-    np.subtract(J, step, out=step)
-    step *= sigma
-    return center - Ju / (n + 1.0), step
+    # the ndarray methods and ufunc.outer cost less per call than @ and
+    # broadcasting, which dominate at these sizes
+    a = g.dot(M)  # M^T g
+    aa = a.dot(a)
+    Ma = M.dot(a)
+    # M - beta (M u) u^T, with u = a / sqrt(aa), as M - outer(Ma, beta a / aa)
+    a *= beta / aa
+    M -= np.multiply.outer(Ma, a)
+    Ma *= scale / ((n + 1.0) * math.sqrt(aa))
+    scale *= sigma
+    if scale > _FOLD:
+        M *= _FOLD
+        scale /= _FOLD
+    return center - Ma, scale

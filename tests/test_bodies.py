@@ -321,6 +321,20 @@ def test_simplex_separates_points_past_the_face_by_less_than_the_projection_reso
     assert hits >= 3
 
 
+@pytest.mark.parametrize("level", [1e-12, 1e-10, 1e-9])
+def test_simplex_cut_does_not_slice_the_body_just_past_the_face(level):
+    # y = p + theta (1, 1, 1), p on the face sum x = s, lies theta past
+    # it; y - proj(y) = theta (1, 1, 1) is computed with cancellation
+    # below sqrt(eps) max(y), and the cut must still keep all of K
+    spec = Simplex(3, 1.5)
+    gen = np.random.default_rng(0)
+    for _ in range(300):
+        p = gen.dirichlet(np.ones(3)) * spec.scale
+        y = p + level * p.max()
+        normal = spec.separate(y)
+        assert spec.support(normal)[0] <= float(normal @ y)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("spec", [
     Ball(np.array([0.1, -0.2]), 1.0), BoxBody(np.array([0.1, -0.2]), 0.5),

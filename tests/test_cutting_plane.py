@@ -157,41 +157,77 @@ def test_sep_count_is_the_resolved_iteration_budget():
 
 def _reference_optimize(cfg, sep, geometry, c):
     """optimize_linear's loop on an `EllipsoidState`, cut by
-    `ellipsoid_cut`, with the objective cut normalized on every cut."""
+    `ellipsoid_cut` with the oracle's halfspace as returned, and with the
+    objective cut normalized on every cut."""
     n = geometry.n
     cu = unit(c)
     state = EllipsoidState.ball(geometry.center, geometry.R)
     log_volume = n * math.log(geometry.R)
     floor_logvol = n * math.log(geometry.r * cfg.eps)
     best, best_val = None, -math.inf
+    folds = 0
     for _ in range(cfg.resolved_iters(geometry)):
         ans = sep(state.center, cfg.resolved_sep_delta(geometry))
         if ans.inside:
             val = float(c @ state.center)
             if val > best_val:
                 best, best_val = state.center, val
-            cut_normal = -cu
+            new = ellipsoid_cut(state, -cu)
         else:
-            cut_normal = ans.halfspace.normal
-        state = ellipsoid_cut(state, cut_normal)
+            new = ellipsoid_cut(state, ans.halfspace)
+        folds += new.scale < state.scale
+        state = new
         log_volume -= 1.0 / (2.0 * (n + 1))
         if log_volume < floor_logvol:
             break
-    return best
+    return best, folds
 
 
-@pytest.mark.parametrize("n", [4, 8])
-def test_optimize_linear_matches_reference_loop_bitwise(n):
+@pytest.mark.parametrize("n, eps", [(4, 1e-3), (8, 1e-3), (2, 1e-9)],
+                         ids=["4", "8", "2-folds"])
+def test_optimize_linear_matches_reference_loop_bitwise(n, eps):
     gen = np.random.default_rng(40 + n)
     Q, _ = np.linalg.qr(gen.normal(size=(n, n)))
     ellipsoid = Ellipsoid(np.zeros(n), (Q * gen.uniform(0.25, 2.0, size=n)) @ Q.T)
-    cfg = OptimizerConfig(eps=1e-3)
+    cfg = OptimizerConfig(eps=eps)
     for spec in (BoxBody(np.zeros(n), 1.0), Simplex(n, 1.0), ellipsoid):
         for _ in range(2):
             c = unit(gen.normal(size=n))
             sep = ExactSeparation(spec)
             got = optimize_linear(cfg, sep, spec.geometry, c).maximizer
-            assert got.tobytes() == _reference_optimize(cfg, sep, spec.geometry, c).tobytes()
+            best, folds = _reference_optimize(cfg, sep, spec.geometry, c)
+            assert got.tobytes() == best.tobytes()
+            # at eps 1e-9 the run crosses a fold of 2^32 from the scale into M
+            assert (folds > 0) == (eps < 1e-6)
+
+
+def test_folded_cuts_match_an_unfolded_reference():
+    # 3000 cuts at n = 2 grow the scale by sigma^3000 ~ 2^830, so M is
+    # folded many times; without the folds M would underflow.  The
+    # reference runs the textbook J-form cut, with no scale at all.
+    n = 2
+    gen = np.random.default_rng(7)
+    state = EllipsoidState.ball(np.zeros(n), 1.0)
+    center, J = np.zeros(n), np.eye(n)
+    target = math.exp(-1.0 / (2.0 * (n + 1)))
+    beta = 1.0 - math.sqrt((n - 1.0) / (n + 1.0))
+    ratio_min = (n / (n + 1.0)) * (n * n / (n * n - 1.0)) ** ((n - 1) / 2.0)
+    sigma = math.sqrt(n * n / (n * n - 1.0) * (target / ratio_min) ** (2.0 / n))
+    folds = 0
+    for _ in range(3000):
+        g = unit(gen.normal(size=n))
+        new = ellipsoid_cut(state, g)
+        folds += new.scale < state.scale
+        state = new
+        a = J.T @ g
+        u = a / np.linalg.norm(a)
+        Ju = J @ u
+        center = center - Ju / (n + 1.0)
+        J = sigma * (J - beta * np.outer(Ju, u))
+        assert np.linalg.norm(state.center - center) <= 1e-12 * np.linalg.norm(center)
+        assert np.linalg.norm(state.J - J) <= 1e-12 * np.linalg.norm(J)
+    assert folds >= 5
+    assert abs(state.log_volume() + 3000 / (2.0 * (n + 1))) < 1e-9
 
 
 def test_config_validation():

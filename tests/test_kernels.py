@@ -191,25 +191,33 @@ def _reference_cut(center, P, g):
     return new_center, (n * n / (n * n - 1.0)) * scale * (P - 2.0 / (n + 1.0) * np.outer(b, b))
 
 
+def _log_det_J(M, scale):
+    """log |det(scale * M)|, the log-volume up to a dimension constant."""
+    return M.shape[0] * math.log(scale) + np.linalg.slogdet(M)[1]
+
+
 def test_ellipsoid_cut_volume_ratio():
     n = 4
     center = np.zeros(n)
-    J = np.eye(n)
+    M = np.eye(n)
     g = np.array([1.0, 0.0, 0.0, 0.0])
-    c2, J2 = kernels.ellipsoid_cut_py(center, J, g)
-    # the volume is proportional to |det J|
-    ratio = np.linalg.slogdet(J2)[1] - np.linalg.slogdet(J)[1]
+    c2, scale2 = kernels.ellipsoid_cut_py(center, M, 1.0, g)
+    # the volume is proportional to |det J|, J = scale * M
+    ratio = _log_det_J(M, scale2) - _log_det_J(np.eye(n), 1.0)
     assert abs(ratio + 1.0 / (2.0 * (n + 1))) < 1e-12
     assert c2[0] < 0.0  # moved away from the cut normal
+    J2 = scale2 * M
     P2 = J2 @ J2.T
     np.testing.assert_allclose(P2, P2.T)
 
 
 def test_ellipsoid_cut_one_dimensional():
-    c2, J2 = kernels.ellipsoid_cut_py(np.array([0.0]), np.eye(1),
-                                      np.array([1.0]))
-    ratio = np.linalg.slogdet(J2)[1]
+    M = np.eye(1)
+    c2, scale2 = kernels.ellipsoid_cut_py(np.array([0.0]), M, 1.0,
+                                          np.array([1.0]))
+    ratio = _log_det_J(M, scale2)
     assert abs(ratio + 0.25) < 1e-12
+    assert c2[0] == -0.5
 
 
 def _assert_rel_close(actual, reference, rtol=1e-12):
@@ -222,41 +230,56 @@ def test_ellipsoid_cut_matches_shape_matrix_reference():
         for _ in range(20):
             center = gen.normal(size=n)
             J = gen.normal(size=(n, n))
+            scale = gen.uniform(0.5, 4.0)
             g = gen.normal(size=n)
             g /= np.linalg.norm(g)
-            c2, J2 = kernels.ellipsoid_cut_py(center, J, g)
             ref_center, ref_P = _reference_cut(center, J @ J.T, g)
-            _assert_rel_close(c2, ref_center)
-            _assert_rel_close(J2 @ J2.T, ref_P)
-            ratio = np.linalg.slogdet(J2)[1] - np.linalg.slogdet(J)[1]
-            assert abs(ratio + 1.0 / (2.0 * (n + 1))) < 1e-12
-            assert g @ (c2 - center) < 0.0  # moved away from the cut normal
+            # the cut reads only g's direction: a unit g and a scaled one
+            for length in (1.0, 3.7):
+                M = J / scale
+                c2, scale2 = kernels.ellipsoid_cut_py(center, M, scale, length * g)
+                J2 = scale2 * M
+                _assert_rel_close(c2, ref_center)
+                _assert_rel_close(J2 @ J2.T, ref_P)
+                ratio = _log_det_J(M, scale2) - np.linalg.slogdet(J)[1]
+                assert abs(ratio + 1.0 / (2.0 * (n + 1))) < 1e-12
+                assert g @ (c2 - center) < 0.0  # moved away from the cut normal
 
 
-def _reference_factor_cut(center, J, g):
-    """The central cut with its constants computed per call and the
-    rank-one term by np.outer."""
+def _reference_factor_cut(center, M, scale, g):
+    """The central cut on J = scale * M, restated: constants computed per
+    call, the rank-one term by np.outer, and 2^32 folded from scale into
+    M once scale passes it.  Returns new arrays; M is not touched."""
     n = center.size
     target = math.exp(-1.0 / (2.0 * (n + 1)))
-    a = J.T @ g
-    u = a / math.sqrt(a @ a)
-    Ju = J @ u
     beta = 1.0 - math.sqrt((n - 1.0) / (n + 1.0))
     ratio_min = (n / (n + 1.0)) * (n * n / (n * n - 1.0)) ** ((n - 1) / 2.0)
-    scale = (target / ratio_min) ** (2.0 / n)
-    sigma = math.sqrt(n * n / (n * n - 1.0) * scale)
-    return center - Ju / (n + 1.0), sigma * (J - beta * np.outer(Ju, u))
+    sigma = math.sqrt(n * n / (n * n - 1.0) * (target / ratio_min) ** (2.0 / n))
+    a = g.dot(M)
+    aa = a.dot(a)
+    Ma = M.dot(a)
+    new_M = M - np.outer(Ma, a * (beta / aa))
+    new_center = center - Ma * (scale / ((n + 1.0) * math.sqrt(aa)))
+    new_scale = scale * sigma
+    if new_scale > 2.0 ** 32:
+        new_M, new_scale = new_M * 2.0 ** 32, new_scale / 2.0 ** 32
+    return new_center, new_M, new_scale
 
 
 def test_ellipsoid_cut_matches_reference_bitwise():
     gen = np.random.default_rng(12)
     for n in (2, 3, 7, 16):
-        center, J = gen.normal(size=n), 2.0 * np.eye(n)
-        for _ in range(60):
+        center, M, scale = gen.normal(size=n), 2.0 * np.eye(n), 1.0
+        folds = 0
+        for _ in range(400):
             g = gen.normal(size=n)
             g /= np.linalg.norm(g)
-            new_center, new_J = kernels.ellipsoid_cut_py(center, J, g)
-            ref_center, ref_J = _reference_factor_cut(center, J, g)
+            ref_center, ref_M, ref_scale = _reference_factor_cut(center, M, scale, g)
+            new_center, new_scale = kernels.ellipsoid_cut_py(center, M, scale, g)
             assert new_center.tobytes() == ref_center.tobytes()
-            assert new_J.tobytes() == ref_J.tobytes()
-            center, J = new_center, new_J
+            assert M.tobytes() == ref_M.tobytes()
+            assert new_scale == ref_scale
+            folds += new_scale < scale
+            center, scale = new_center, new_scale
+        # sigma^400 passes 2^32 at n = 2 and 3, not at n = 7 and 16
+        assert (folds > 0) == (n <= 3)
