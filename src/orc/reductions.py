@@ -8,19 +8,21 @@ Three identifications carry the whole web:
   single optimization query, and its subgradient is the maximizer;
 * epigraph body ``K_f = {(x/2, t/4) : ||x|| <= 1, f(x) <= t <= 2}`` for a
   convex f on the unit ball with values in [0, 1]: membership in K_f is
-  one evaluation of f, and conversely f can be recovered from K_f by
-  bisection along the t axis.
+  one question "is f(x) <= t?", and conversely f can be recovered from
+  K_f by bisection along the t axis.  When f is a support function that
+  question is one VAL query: (x, t) lies in the epigraph exactly when
+  VAL(x, t) answers ALL_BELOW.
 
 Composing these with the membership-to-separation estimator and the
 cutting-plane optimizer yields every pairwise reduction among the set
 oracles; the composed constructors at the bottom of this module package
 the useful chains.  Each step asks the cheapest oracle that answers it:
-`opt_from_val` evaluates f through the MEM of K_f, one f evaluation per
-query, and asks SEP of K_f only for the one cut below the graph that
-carries the subgradient.  `opt_from_val` and `sep_from_opt` run on the
-body translated to its centre, where the normalized support function
-is 1-Lipschitz and in [0, 1].  `sep_from_opt` optimizes over K_f with
-the analytic-centre engine (`accpm`), which stops once its certificate
+`opt_from_val` answers each containment test of K_f with one VAL query,
+and asks SEP of K_f only for the one cut below the graph that carries
+the subgradient.  `opt_from_val` and `sep_from_opt` run on the body
+translated to its centre, where the normalized support function is
+1-Lipschitz and in [0, 1].  `sep_from_opt` optimizes over K_f with the
+analytic-centre engine (`accpm`), which stops once its certificate
 holds; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).
 
 Stack forms.  `support_eval_from_opt`, `eval_support_from_val` and
@@ -28,13 +30,14 @@ Stack forms.  `support_eval_from_opt`, `eval_support_from_val` and
 single call is the stack form on a stack of one.  They ask an inner
 oracle with a `rows` form (the exact oracles) once per stack, and any
 other (`amplify`'s voters, plain callables) one row at a time, in row
-order; the VAL form bisects its thresholds in lockstep.  They offer a
+order; `eval_support_from_val` bisects its thresholds in lockstep, and
+the epigraph asks one VAL query per containment test.  They offer a
 `rows` attribute only over an inner `rows` form, and so does
 `EpigraphBody.as_mem`, whose `rows` lets the height oracle bisect the
 2(n+1) rows of a subgradient estimate in lockstep, one stacked OPT or
 VAL query per round for the rows still bisecting: lockstep never
 reorders the queries of a randomized oracle.  Answers and query counts
-equal the row-by-row path's, with one exception: an f value outside the
+equal the row-by-row path's, with one exception: an f outside the
 epigraph's range raises the range check's ValueError on both paths, but
 the ledgers then count the lockstep rounds run until then.
 """
@@ -144,8 +147,16 @@ class EpigraphBody:
     point of the body is within 0.625 of c*.  This certifies
     B(c*, 0.1) ⊆ K_f ⊆ B(c*, 0.625) with kappa = 6.25 regardless of f.
     (No ball around the origin fits: points with negative t coordinate
-    are always outside when f >= 0.)  The range requirement is enforced
-    lazily: every evaluation answer is checked.
+    are always outside when f >= 0.)
+
+    f is given by `f_eval`, an EVAL oracle (x, delta) -> f(x), or, for
+    the support function of a body, that body's VAL oracle (kind `VAL`):
+    f(x) <= T exactly when VAL(x, T) answers ALL_BELOW, so each
+    containment test is one VAL query and f is never evaluated.  The
+    range requirement is enforced lazily: every f value is checked, and
+    a VAL answer that proves f out of range (SOME_ABOVE at
+    T >= 1 + `RANGE_SLACK`, ALL_BELOW at T < -`RANGE_SLACK`) raises the
+    same ValueError.
     """
 
     INNER_RADIUS = 0.1
@@ -169,10 +180,10 @@ class EpigraphBody:
 
     def membership_rows(self, P: np.ndarray, delta) -> np.ndarray:
         """Membership of every row of the float64 (k, n+1) stack P, taken
-        as given, as a bool array (True for INSIDE).  f is evaluated at
-        the rows that pass the cylinder and lid gate: in one stacked call
-        when f_eval has a `rows(X, delta)` form, otherwise one row at a
-        time, in row order.  Every f value is range-checked."""
+        as given, as a bool array (True for INSIDE).  The rows that pass
+        the cylinder and lid gate ask "f(x) <= t + margin?" at precision
+        delta/10 (`_below`): in one stacked call when f_eval has a `rows`
+        form, otherwise one row at a time, in row order."""
         check_precision(delta)
         X = 2.0 * P[:, :-1]
         t = 4.0 * P[:, -1]
@@ -186,25 +197,39 @@ class EpigraphBody:
         if gate.any():
             # x / max(||x||, 1) is x itself inside the unit ball
             query = X[gate] / np.maximum(norms[gate], 1.0)[:, None]
-            f_rows = getattr(self.f_eval, "rows", None)
-            if f_rows is not None:
-                values = f_rows(query, delta / 10.0)
-            else:
-                values = np.array([float(self.f_eval(x, delta / 10.0)) for x in query])
-            bad = ~((values >= -self.RANGE_SLACK) & (values <= 1.0 + self.RANGE_SLACK))
-            if bad.any():
-                raise ValueError(
-                    f"epigraph construction requires values in [0, 1]; got {values[bad][0]}")
-            inside[gate] = values <= t[gate] + margin
+            inside[gate] = self._below(query, t[gate] + margin, delta / 10.0)
         return inside
+
+    def _below(self, X: np.ndarray, T: np.ndarray, delta) -> np.ndarray:
+        """f(x) <= T row by row, range-checked: one VAL query per row
+        over a VAL f_eval, else one f value per row."""
+        if getattr(self.f_eval, "kind", None) == VAL:
+            above = _some_above(self.f_eval, X, T, delta)
+            bad = np.where(above, T >= 1.0 + self.RANGE_SLACK, T < -self.RANGE_SLACK)
+            if bad.any():
+                relation = ">" if above[bad][0] else "<="
+                raise ValueError("epigraph construction requires values in [0, 1]; "
+                                 f"got f {relation} {T[bad][0]}")
+            return ~above
+        f_rows = getattr(self.f_eval, "rows", None)
+        if f_rows is not None:
+            values = f_rows(X, delta)
+        else:
+            values = np.array([float(self.f_eval(x, delta)) for x in X])
+        bad = ~((values >= -self.RANGE_SLACK) & (values <= 1.0 + self.RANGE_SLACK))
+        if bad.any():
+            raise ValueError(
+                f"epigraph construction requires values in [0, 1]; got {values[bad][0]}")
+        return values <= T
 
     def as_mem(self):
         """MEM view of the body.  When f_eval has a `rows` stack form it
         carries `membership_rows` as its own `rows`, so a height estimate
-        over it bisects in lockstep with one stacked f query per round.
-        Over any other f_eval it has none, and a height estimate bisects
-        its rows one after another, one f query per membership test: the
-        draws of a randomized f stay where they were."""
+        over it bisects in lockstep with one stacked f_eval query per
+        round.  Over any other f_eval it has none, and a height estimate
+        bisects its rows one after another, one f_eval query per
+        membership test: the draws of a randomized f stay where they
+        were."""
         def mem(point, delta):
             return self.membership(point, delta)
 
@@ -344,6 +369,17 @@ def val_from_eval_support(eval_support):
     return val
 
 
+def _some_above(val, C, gammas, delta) -> np.ndarray:
+    """VAL of every row of C against its own threshold, True where the
+    answer is SOME_ABOVE: one stacked query over a val with a `rows`
+    form, otherwise one query per row, in row order."""
+    val_rows = getattr(val, "rows", None)
+    if val_rows is not None:
+        return val_rows(C, gammas, delta)
+    return np.array([val(c, gamma, delta) is ValidityAnswer.SOME_ABOVE
+                     for c, gamma in zip(C, gammas)])
+
+
 def eval_support_from_val(val, geometry: ProblemGeometry):
     """EVAL(1_K*) from VAL(K) by bisection on the threshold gamma.
 
@@ -353,14 +389,6 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
     stack in lockstep, one round of VAL queries at a time, over a val
     with a `rows` form.
     """
-    val_rows = getattr(val, "rows", None)
-
-    def above(C, gammas, delta):
-        if val_rows is not None:
-            return val_rows(C, gammas, delta)
-        return np.array([val(c, gamma, delta) is ValidityAnswer.SOME_ABOVE
-                         for c, gamma in zip(C, gammas)])
-
     def rows(C, delta):
         check_precision(delta)
         out = np.zeros(C.shape[0])
@@ -374,7 +402,7 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
             lo, hi = np.zeros(nonzero.size), geometry.R * norms[nonzero]
             for _ in range(iters):
                 mid = 0.5 * (lo + hi)
-                some_above = above(C, mid, inner_delta)
+                some_above = _some_above(val, C, mid, inner_delta)
                 lo = np.where(some_above, mid, lo)
                 hi = np.where(some_above, hi, mid)
             out[nonzero] = 0.5 * (lo + hi)
@@ -384,7 +412,7 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
         return float(rows(as_vector(c)[None, :], delta)[0])
 
     eval_support.kind = EVAL
-    if val_rows is not None:
+    if hasattr(val, "rows"):
         eval_support.rows = rows
     return eval_support
 
@@ -396,9 +424,9 @@ def _normalized_support_eval(eval_support, geometry: ProblemGeometry):
     body centred at the origin, B(0, r) inside K inside B(0, R).  Then
     r||c|| <= 1_K*(c) <= R||c||, so dividing by R gives an admissible
     epigraph function, and a 1-Lipschitz one.  For a body off the
-    origin the values can leave [0, 1], so both callers, `opt_from_val`
-    and `sep_from_opt`, translate the body to its centre first
-    (`_translated_val`, `_translated_opt`).
+    origin the values can leave [0, 1], so `sep_from_opt` translates the
+    body to its centre first (`_translated_opt`); `opt_from_val` asks
+    the same f's threshold form, `_normalized_val`.
     """
 
     def f(c, delta):
@@ -440,56 +468,67 @@ def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *,
     return opt
 
 
-def _support_epigraph_sep(eval_support, geometry: ProblemGeometry,
-                          rng: RandomStream, *, sep_eps: float, rho: float, ledgers):
+def _support_epigraph_sep(f, n: int, rng: RandomStream, *, sep_eps: float,
+                          rho: float, ledgers):
     """SEP and MEM of the epigraph body of the normalized support
-    function, SEP built from MEM, with the MEM and SEP queries counted in
-    `ledgers.mem` and `ledgers.sep`: the VAL -> OPT and OPT -> SEP chains
-    both run on it.  Returns the body's geometry, the counted SEP oracle
-    and the counted MEM oracle."""
-    body = EpigraphBody(_normalized_support_eval(eval_support, geometry), geometry.n)
+    function, given by `f` as `EpigraphBody` takes it (its EVAL oracle,
+    or the VAL oracle of the normalized body), SEP built from MEM, with
+    the MEM and SEP queries counted in `ledgers.mem` and `ledgers.sep`:
+    the VAL -> OPT and OPT -> SEP chains both run on it.  Returns the
+    body's geometry, the counted SEP oracle and the counted MEM oracle."""
+    body = EpigraphBody(f, n)
     counted_mem = wrap_with_ledger(body.as_mem(), ledgers.mem)
     sep = SepFromMem(counted_mem, body.geometry, rng, eps=sep_eps, rho=rho)
     return body.geometry, wrap_with_ledger(sep, ledgers.sep), counted_mem
 
 
-def _translated_val(val, shift: np.ndarray):
-    """VAL of K - x0 from VAL of K: c . (x - x0) <= gamma exactly when
-    c . x <= gamma + c . x0.  It has a `rows` stack form only over a val
-    with one."""
+def _normalized_val(val, geometry: ProblemGeometry):
+    """VAL of (K - x0)/R from VAL of K, for the centre x0 and the outer
+    radius R of `geometry`: c . (x - x0)/R <= gamma exactly when
+    c . x <= R gamma + c . x0, and precision delta on the scaled body is
+    R delta on K.  Its support function is the normalized support
+    function of `_normalized_support_eval`, so this is that f's
+    threshold form: f(c) <= gamma exactly when the answer is ALL_BELOW.
+    It has a `rows` stack form only over a val with one."""
     val_rows = getattr(val, "rows", None)
+    R, shift = geometry.R, geometry.center
 
-    def translated(c, gamma, delta):
+    def normalized(c, gamma, delta):
         # vecdot, as in the stack form, so both give the same threshold
-        return val(c, gamma + float(np.vecdot(c, shift)), delta)
+        return val(c, R * gamma + float(np.vecdot(c, shift)), R * delta)
 
-    translated.kind = VAL
+    normalized.kind = VAL
     if val_rows is not None:
-        translated.rows = lambda C, gammas, delta: val_rows(C, gammas + np.vecdot(C, shift), delta)
-    return translated
+        normalized.rows = lambda C, gammas, delta: val_rows(
+            C, R * gammas + np.vecdot(C, shift), R * delta)
+    return normalized
 
 
 def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
                  eps: float = 0.01, sep_eps: float, rho: float = 0.1):
     """OPT(K) from VAL(K).
 
-    Chain: the base VAL is viewed as VAL of K - x0, with x0 the centre
-    of `geometry`, so the rest runs on a body centred at the origin.  VAL
-    recovers EVAL(1_K*) by bisection; the epigraph body K_f of the
-    normalized support function f turns that into a membership oracle,
-    and separation-from-membership gives SEP of K_f.  f is evaluated
-    through the MEM of K_f, and the one SEP query just below the graph
-    unpacks into a subgradient of f at c.  The subgradient of a support
-    function is the maximizer of <c, x> over the body: x0 + R times it.
-    On the centred body f is 1-Lipschitz, so a steeper subgradient is a
-    cut that carries no slope information; the bound allows the chain's
-    accuracy, three times its precision.
+    Chain: the base VAL is viewed as VAL of (K - x0)/R, with x0 the
+    centre and R the outer radius of `geometry` (`_normalized_val`), so
+    the rest runs on a body centred at the origin, whose support
+    function f is in [0, 1] on the unit ball.  The epigraph body K_f
+    answers each containment test, "f(c) <= t?", with one VAL query at
+    threshold R t + c . x0 and precision R delta/10, so its MEM costs
+    one VAL per test that passes the cylinder and lid gate, and none
+    for the rest; separation-from-membership gives SEP of K_f.  f(c)
+    is bisected along the t axis through the MEM of K_f,
+    ceil(log2(2/delta)) queries, and the one SEP query just below the
+    graph unpacks into a subgradient of f at c.  The subgradient of a
+    support function is the maximizer of <c, x> over the body: x0 + R
+    times it.  On the centred body f is 1-Lipschitz, so a steeper
+    subgradient is a cut that carries no slope information; the bound
+    allows the chain's accuracy, three times its precision.  At eps
+    0.02 on boxes and simplices with n = 2 and 3, an answer costs 98-267
+    VAL, 122-329 MEM and 1-2 SEP queries.
     """
     ledgers = _ChainLedgers("val", "mem", "sep")
-    centred = ProblemGeometry(geometry.n, geometry.r, geometry.R)
-    translated = _translated_val(wrap_with_ledger(val, ledgers.val), geometry.center)
-    eval_support = eval_support_from_val(translated, centred)
-    _, sep, mem = _support_epigraph_sep(eval_support, centred, rng.child("opt_from_val"),
+    f = _normalized_val(wrap_with_ledger(val, ledgers.val), geometry)
+    _, sep, mem = _support_epigraph_sep(f, geometry.n, rng.child("opt_from_val"),
                                         sep_eps=sep_eps, rho=rho, ledgers=ledgers)
     grad = grad_from_sep_epigraph(sep, geometry.n, mem, lipschitz=1.0 + 3.0 * eps)
 
@@ -557,11 +596,16 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
     the maximum of <C, .>, C = (s, -2), for K_f's radii R_f and r_f (up
     to the error of the SEP-from-MEM cuts it trusts), and <s, c> - t is
     2 <C, .>, so eps' = 3 eps / (2 ||C|| (R_f + r_f)).
+
+    The threshold is the chain's eps, fixed at construction: a query's
+    `delta` is checked and otherwise unused, so a finer delta does not
+    tighten "inside", and a caller that needs a finer test builds the
+    chain with a smaller eps.
     """
     ledgers = _ChainLedgers("opt", "mem", "sep")
     centred = ProblemGeometry(geometry.n, geometry.r, geometry.R)
     translated = _translated_opt(wrap_with_ledger(opt, ledgers.opt), geometry.center)
-    eval_support = support_eval_from_opt(translated, centred)
+    f = _normalized_support_eval(support_eval_from_opt(translated, centred), centred)
     threshold = 3.0 * eps
 
     def sep(y, delta):
@@ -569,7 +613,7 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
         y = as_vector(y)
         scaled = (y - geometry.center) / geometry.R
         body_geometry, sep_kf, _ = _support_epigraph_sep(
-            eval_support, centred, rng.child("sep_from_opt"),
+            f, geometry.n, rng.child("sep_from_opt"),
             sep_eps=sep_eps, rho=rho, ledgers=ledgers)
         objective = np.append(scaled, -2.0)
         cfg = OptimizerConfig(eps=threshold / (2.0 * float(np.linalg.norm(objective))

@@ -18,7 +18,8 @@ from orc.reductions import (VERTICAL_CUT_RETRIES, EpigraphBody, VerticalCut,
                             mem_from_eval_indicator, mem_from_sep,
                             opt_from_mem, opt_from_val,
                             sep_from_grad_indicator, sep_from_opt,
-                            support_eval_from_opt, val_from_eval_support)
+                            support_eval_from_opt, val_from_eval_support,
+                            _normalized_val)
 from orc.separation import SepFromMem
 
 INSIDE = MembershipAnswer.INSIDE_DILATED
@@ -162,6 +163,58 @@ def test_epigraph_membership_rows_rejects_out_of_range_values():
     body = EpigraphBody(f, 2)
     with pytest.raises(ValueError, match="values in"):
         body.membership_rows(np.array([[0.1, 0.0, 0.3], [0.0, 0.0, 0.3]]), 1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_epigraph_membership_by_threshold_matches_membership_by_value(n):
+    # over an exact VAL, one threshold query per containment test gives
+    # the answer of the value path at every point more than delta off
+    # the graph, on the stacked and on the row-by-row path
+    gen = np.random.default_rng(40 + n)
+    spec = BoxBody(np.array([1.5, -0.5, 0.75][:n]), 0.5)
+    g = spec.geometry
+
+    def f(x, delta):
+        return (spec.support(x)[0] - float(x @ g.center)) / g.R
+
+    by_value = EpigraphBody(f, n)
+    for delta in (1e-3, 0.05):
+        P = _epigraph_points(n, delta, gen)
+        X, t = 2.0 * P[:, :-1], 4.0 * P[:, -1]
+        norms = np.linalg.norm(X, axis=1)
+        queries = X / np.maximum(norms, 1.0)[:, None]
+        off_graph = np.array([abs(t_i + 4.0 * delta - f(x, 0.0)) > delta
+                              for x, t_i in zip(queries, t)])
+        P = P[off_graph]
+        gate = (norms <= 1.0 + 4.0 * delta) & (t <= 2.0 + 4.0 * delta)
+        gated = int(np.sum(gate[off_graph]))
+        expected = by_value.membership_rows(P, delta).tolist()
+        assert 0 < sum(expected) < len(expected)
+        stacked, stack_ledger = _with_ledger(ExactValidity(spec))
+        plain, row_ledger = _with_ledger(_hidden(ExactValidity(spec)))
+        by_stack = EpigraphBody(_normalized_val(stacked, g), n)
+        by_row = EpigraphBody(_normalized_val(plain, g), n)
+        assert by_stack.membership_rows(P, delta).tolist() == expected
+        assert [by_row.membership(p, delta) is INSIDE for p in P] == expected
+        # one VAL query per row that passes the cylinder and lid gate
+        assert stack_ledger.count(VAL) == row_ledger.count(VAL) == gated > 0
+
+
+def test_epigraph_threshold_form_rejects_out_of_range_values():
+    def constant(value):
+        val = lambda c, gamma, d: (ValidityAnswer.SOME_ABOVE if value >= gamma
+                                   else ValidityAnswer.ALL_BELOW)
+        val.kind = VAL
+        return EpigraphBody(val, 2)
+
+    # f = 7 is only seen to be out of range by a query at t >= 1.25
+    assert constant(7.0).membership(np.array([0.1, 0.0, 0.3]), 1e-6) is OUTSIDE
+    with pytest.raises(ValueError, match="values in"):
+        constant(7.0).membership(np.array([0.1, 0.0, 0.4]), 1e-6)
+    # f = -7 by a query at t < -0.25
+    assert constant(-7.0).membership(np.array([0.1, 0.0, -0.05]), 1e-6) is INSIDE
+    with pytest.raises(ValueError, match="values in"):
+        constant(-7.0).membership(np.array([0.1, 0.0, -0.1]), 1e-6)
 
 
 def test_epigraph_fast_path_only_over_a_stacked_f():
@@ -570,6 +623,45 @@ def test_opt_from_val_evaluates_f_through_mem_and_spends_one_sep(monkeypatch):
         assert (opt.ledgers.mem.count(MEM) - before
                 == math.ceil(math.log2(2.0 / 0.02)) + mem_in_sep[0])
     assert opt.ledgers.sep.count(SEP) == 3
+
+
+@pytest.mark.parametrize("make", [lambda n: BoxBody(np.zeros(n), 1.0), Simplex],
+                         ids=["box", "simplex"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_opt_from_val_asks_one_val_per_gated_epigraph_mem(monkeypatch, make, n):
+    # every membership test of the epigraph body that passes its cylinder
+    # and lid gate costs one VAL query, and a test that fails it none
+    gated = []
+    original = EpigraphBody.membership_rows
+
+    def counted(self, P, delta):
+        X, t = 2.0 * P[:, :-1], 4.0 * P[:, -1]
+        margin = 4.0 * delta
+        gated.append(int(np.sum((np.linalg.norm(X, axis=1) <= 1.0 + margin)
+                                & (t <= 2.0 + margin))))
+        return original(self, P, delta)
+
+    monkeypatch.setattr(EpigraphBody, "membership_rows", counted)
+    spec = make(n)
+    for seed in range(3):
+        rng = RandomStream(seed)
+        opt = opt_from_val(ExactValidity(spec), spec.geometry, rng.child("chain"),
+                           eps=0.02, sep_eps=1e-4)
+        gated.clear()
+        opt(unit(rng.child("c").generator().normal(size=n)), 0.02)
+        val, mem = opt.ledgers.val.count(VAL), opt.ledgers.mem.count(MEM)
+        assert val == sum(gated)
+        assert 0 < val <= mem
+
+
+def test_opt_from_val_refuses_a_body_past_its_stated_radius():
+    # Ball(0, 3) stated with R = 1: f = 1_K*/R reaches 3 on the unit
+    # ball, and a SOME_ABOVE answer at t >= 1.25 proves it out of range
+    spec = Ball(np.zeros(2), 3.0)
+    opt = opt_from_val(ExactValidity(spec), ProblemGeometry(2, 1.0, 1.0), RandomStream(6),
+                       eps=0.02, sep_eps=1e-4)
+    with pytest.raises(ValueError, match="values in"):
+        opt(np.array([1.0, 0.3]), 0.02)
 
 
 @pytest.mark.parametrize("make", [Simplex,
