@@ -18,7 +18,8 @@ from .bodies import (Ball, BodySpec, BoxBody, Ellipsoid, ExactMembership,
 from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, VIOL, GradAnswer,
                    MembershipAnswer, OptimizationAnswer, ProblemGeometry,
                    QueryLedger, RandomStream, SeparationAnswer, ValidityAnswer,
-                   ViolationAnswer, amplify, check_precision, wrap_with_ledger)
+                   ViolationAnswer, amplify, check_precision, rows_of,
+                   wrap_with_ledger)
 from .ellipsoid import (EllipsoidState, MaxItersExhausted, OptimizerConfig,
                         OracleInconsistency, ellipsoid_cut, opt_from_viol,
                         optimize_linear, viol_from_opt)

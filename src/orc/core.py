@@ -17,13 +17,15 @@ kind through a `.kind` attribute so they can be ledger-wrapped and
 amplified generically.  A `QueryLedger` counts queries by kind only;
 the delta of a query is not recorded.
 
-An oracle may also offer a stack form, a `rows` attribute that answers
-a (k, n) stack of queries in one call, one query per row: MEM's
-`rows(P, delta)` and VAL's `rows(C, gammas, delta)` return bool arrays
-(True for INSIDE and for SOME_ABOVE), OPT's `rows(C, delta)` a stack
-of maximizers and EVAL's `rows(P, delta)` an array of values.  The
-ledger wrapper passes a stack form through and counts each of its calls
-as one query per row.
+MEM, VAL, OPT and EVAL have a stack form that answers a (k, n) stack
+of queries in one call, one query per row: MEM's `rows(P, delta)` and
+VAL's `rows(C, gammas, delta)` return bool arrays (True for INSIDE and
+for SOME_ABOVE), OPT's `rows(C, delta)` a stack of maximizers and
+EVAL's `rows(P, delta)` an array of values.  An oracle may offer it as
+a `rows` attribute; `rows_of` is the one fallback for an oracle without
+one, one query per row, in row order.  The ledger wrapper of those four
+kinds has a stack form and counts each of its calls as one query per
+row.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ EVAL = "EVAL"
 GRAD = "GRAD"
 
 ORACLE_KINDS = (MEM, SEP, OPT, VIOL, VAL, EVAL, GRAD)
+#: the kinds with a stack form (`rows_of`)
+STACK_KINDS = (MEM, VAL, OPT, EVAL)
 
 
 def check_precision(delta: float) -> float:
@@ -185,32 +189,63 @@ class RandomStream:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.path))
 
 
+class EmptyInteriorPropagated(RuntimeError):
+    """An inner optimization oracle reported an empty interior."""
+
+
+def rows_of(oracle, kind: str):
+    """The stack form of a MEM, VAL, OPT or EVAL oracle: its `rows` when
+    it has one, otherwise a loop that asks one query per row, in row
+    order, and answers in the stack format above.  OPT's loop raises
+    `EmptyInteriorPropagated` on an empty answer.  Look it up once per
+    construction, not once per query."""
+    if kind not in STACK_KINDS:
+        raise ValueError(f"kind {kind!r} has no stack form; expected MEM, VAL, OPT or EVAL")
+    rows = getattr(oracle, "rows", None)
+    if rows is not None:
+        return rows
+    if kind == MEM:
+        return lambda P, delta: np.array([oracle(p, delta).inside for p in P], dtype=bool)
+    if kind == VAL:
+        return lambda C, gammas, delta: np.array(
+            [oracle(c, gamma, delta) is ValidityAnswer.SOME_ABOVE
+             for c, gamma in zip(C, gammas)], dtype=bool)
+    if kind == EVAL:
+        return lambda P, delta: np.array([float(oracle(p, delta)) for p in P])
+
+    def opt_rows(C, delta):
+        Y = np.empty(C.shape)
+        for i, c in enumerate(C):
+            answer = oracle(c, delta)
+            if answer.empty_interior:
+                raise EmptyInteriorPropagated("optimization oracle reported an empty interior")
+            Y[i] = answer.maximizer
+        return Y
+
+    return opt_rows
+
+
 class _LedgeredOracle:
-    """Transparent counting wrapper; answers are untouched."""
+    """Transparent counting wrapper; answers are untouched.  For MEM, VAL,
+    OPT and EVAL it has a stack form, `rows`, over the wrapped oracle's
+    (`rows_of`), which records one query per row in one record."""
 
     def __init__(self, oracle, ledger: QueryLedger, kind: str):
         self._oracle = oracle
         self.ledger = ledger
         self.kind = kind
+        if kind in STACK_KINDS:
+            inner = rows_of(oracle, kind)
+
+            def rows(C, *args):
+                ledger.record(kind, len(C))
+                return inner(C, *args)
+
+            self.rows = rows
 
     def __call__(self, *args):
         self.ledger.record(self.kind)
         return self._oracle(*args)
-
-    @property
-    def rows(self):
-        """The wrapped oracle's stack form, recording one query per row
-        in one record.  A property, so getattr-based feature detection
-        sees AttributeError when the wrapped oracle has none."""
-        inner = getattr(self._oracle, "rows", None)
-        if inner is None:
-            raise AttributeError("wrapped oracle has no rows stack form")
-
-        def stacked(C, *args):
-            self.ledger.record(self.kind, len(C))
-            return inner(C, *args)
-
-        return stacked
 
 
 def wrap_with_ledger(oracle, ledger: QueryLedger, kind: str | None = None):

@@ -12,11 +12,11 @@ alpha is evaluated by bisection against the membership oracle, which
 answers in the body's own frame.  `HeightOracle` is the one place that
 maps between the two: a stack of base points D is mapped to
 center + R*D once, the direction to R*x and the precision to
-mem_delta*R, and `kernels.bisect_rows` bisects the mapped rays.  A
-membership oracle's stack form `rows(P, delta)` (a bool array, True
-for INSIDE) answers each round of the lockstep; an oracle without one
-is asked one point at a time, one row after another.  A single
-evaluation is a stack of one.
+mem_delta*R, and `kernels.bisect_rows` bisects the mapped rays in
+lockstep.  The membership oracle's stack form (`core.rows_of`: its
+`rows(P, delta)`, a bool array, True for INSIDE, or the one fallback,
+one query per row) answers each round.  A single evaluation is a stack
+of one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import EVAL, ProblemGeometry
+from .core import EVAL, MEM, ProblemGeometry, rows_of
 from .geometry import as_vector, as_vector_of
 
 
@@ -57,13 +57,8 @@ class HeightOracle:
         if not self.bin_tol > 0.0:
             raise ValueError("bin_tol must be positive")
         delta = self.mem_delta * self.geometry.R
-        rows = getattr(self.mem, "rows", None)
-        self._stacked = rows is not None
-        if self._stacked:
-            self._contains = lambda P: rows(P, delta)
-        else:
-            mem = self.mem
-            self._contains = lambda P: np.array([mem(p, delta).inside for p in P])
+        rows = rows_of(self.mem, MEM)
+        self._contains = lambda P: rows(P, delta)
 
     def _brackets(self, d_norms: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """The bracket ends and round counts of points with norms d_norms;
@@ -77,22 +72,15 @@ class HeightOracle:
         return float(hi[0]), iters[0]
 
     def _alpha(self, D: np.ndarray) -> np.ndarray:
-        """alpha_x at every row of a checked (k, n) stack.  The rows are
-        mapped into the body's frame once; a membership oracle with a
-        `rows` form bisects them in lockstep, any other one row after
-        another, so its queries (and the draws of a noisy oracle) come
-        in the same order as k separate evaluations."""
+        """alpha_x at every row of a checked (k, n) stack, mapped into
+        the body's frame once and bisected in lockstep."""
         # sqrt(vecdot) of a contiguous row is np.linalg.norm's
         # computation, so every row gets the bracket iterations_for gives it
         hi, iters = self._brackets(np.sqrt(np.vecdot(D, D)))
         iters = np.array(iters)
         g = self.geometry
-        P, x = g.center + g.R * D, g.R * self.x
-        if self._stacked:
-            return kernels.bisect_rows(self._contains, P, x, hi, iters)
-        return np.concatenate([kernels.bisect_rows(self._contains, P[i:i + 1], x,
-                                                   hi[i:i + 1], iters[i:i + 1])
-                               for i in range(len(P))])
+        return kernels.bisect_rows(self._contains, g.center + g.R * D, g.R * self.x,
+                                   hi, iters)
 
     def alpha_x(self, d) -> float:
         """alpha_x at one point: a stack of one."""

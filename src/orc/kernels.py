@@ -12,8 +12,8 @@ still bisecting, so one subgradient estimate's 2n height evaluations
 cost one numpy loop instead of 2n, and exactly the sum of their round
 counts in row tests.  It takes the stack containment test as a
 callable: a body's `contains_rows`, or, from `height.HeightOracle`, a
-membership oracle's stack form `rows` (or one MEM query per point for
-an oracle without one), whose every test is an oracle query.
+membership oracle's stack form (`core.rows_of`: its `rows`, or one MEM
+query per row), whose every test is an oracle query.
 `bisect_alpha` is a stack of one through it.
 """
 

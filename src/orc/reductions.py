@@ -25,21 +25,17 @@ translated to its centre, where the normalized support function is
 analytic-centre engine (`accpm`), which stops once its certificate
 holds; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).
 
-Stack forms.  `support_eval_from_opt`, `eval_support_from_val` and
-`EpigraphBody.membership_rows` answer a (k, n) stack of queries, and a
-single call is the stack form on a stack of one.  They ask an inner
-oracle with a `rows` form (the exact oracles) once per stack, and any
-other (`amplify`'s voters, plain callables) one row at a time, in row
-order; `eval_support_from_val` bisects its thresholds in lockstep, and
-the epigraph asks one VAL query per containment test.  They offer a
-`rows` attribute only over an inner `rows` form, and so does
-`EpigraphBody.as_mem`, whose `rows` lets the height oracle bisect the
-2(n+1) rows of a subgradient estimate in lockstep, one stacked OPT or
-VAL query per round for the rows still bisecting: lockstep never
-reorders the queries of a randomized oracle.  Answers and query counts
-equal the row-by-row path's, with one exception: an f outside the
-epigraph's range raises the range check's ValueError on both paths, but
-the ledgers then count the lockstep rounds run until then.
+Stack forms.  `support_eval_from_opt`, `eval_support_from_val`,
+`EpigraphBody.as_mem` and the normalizing and translating views answer
+a (k, n) stack of queries as their `rows`, and a single call is the
+stack form on a stack of one.  Each asks its inner oracle through
+`core.rows_of`: one call per stack over an inner `rows` form (the exact
+oracles), one query per row, in row order, over any other (`amplify`'s
+voters, plain callables).  So the height oracle bisects the 2(n+1) rows
+of an epigraph subgradient estimate in lockstep, one stacked OPT or VAL
+query per round for the rows still bisecting, whatever the base oracle;
+`eval_support_from_val` bisects its thresholds in lockstep, and the
+epigraph asks one VAL query per containment test.
 """
 
 from __future__ import annotations
@@ -48,10 +44,11 @@ import math
 
 import numpy as np
 
-from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, GradAnswer,
-                   MembershipAnswer, OptimizationAnswer, ProblemGeometry,
-                   QueryLedger, RandomStream, SeparationAnswer,
-                   ValidityAnswer, check_precision, wrap_with_ledger)
+from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, EmptyInteriorPropagated,
+                   GradAnswer, MembershipAnswer, OptimizationAnswer,
+                   ProblemGeometry, QueryLedger, RandomStream,
+                   SeparationAnswer, ValidityAnswer, check_precision, rows_of,
+                   wrap_with_ledger)
 from .accpm import optimize_linear_accpm
 from .ellipsoid import OptimizerConfig, optimize_linear
 from .geometry import HalfSpace, _halfspace, as_vector, unit
@@ -72,10 +69,6 @@ VERTICAL_CUT_RETRIES = 3
 
 class VerticalCut(RuntimeError):
     """The separating cut carried no slope information (c_t ~ 0)."""
-
-
-class EmptyInteriorPropagated(RuntimeError):
-    """An inner optimization oracle reported an empty interior."""
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +160,8 @@ class EpigraphBody:
     def __init__(self, f_eval, dim: int):
         self.f_eval = f_eval
         self.dim = dim
+        self._val = getattr(f_eval, "kind", None) == VAL
+        self._f_rows = rows_of(f_eval, VAL if self._val else EVAL)
         center = np.append(np.zeros(dim), self.CENTER_T)
         self.geometry = ProblemGeometry(dim + 1, self.INNER_RADIUS,
                                         self.OUTER_RADIUS, center)
@@ -182,8 +177,7 @@ class EpigraphBody:
         """Membership of every row of the float64 (k, n+1) stack P, taken
         as given, as a bool array (True for INSIDE).  The rows that pass
         the cylinder and lid gate ask "f(x) <= t + margin?" at precision
-        delta/10 (`_below`): in one stacked call when f_eval has a `rows`
-        form, otherwise one row at a time, in row order."""
+        delta/10 (`_below`), in one call of f_eval's stack form."""
         check_precision(delta)
         X = 2.0 * P[:, :-1]
         t = 4.0 * P[:, -1]
@@ -203,19 +197,15 @@ class EpigraphBody:
     def _below(self, X: np.ndarray, T: np.ndarray, delta) -> np.ndarray:
         """f(x) <= T row by row, range-checked: one VAL query per row
         over a VAL f_eval, else one f value per row."""
-        if getattr(self.f_eval, "kind", None) == VAL:
-            above = _some_above(self.f_eval, X, T, delta)
+        if self._val:
+            above = self._f_rows(X, T, delta)
             bad = np.where(above, T >= 1.0 + self.RANGE_SLACK, T < -self.RANGE_SLACK)
             if bad.any():
                 relation = ">" if above[bad][0] else "<="
                 raise ValueError("epigraph construction requires values in [0, 1]; "
                                  f"got f {relation} {T[bad][0]}")
             return ~above
-        f_rows = getattr(self.f_eval, "rows", None)
-        if f_rows is not None:
-            values = f_rows(X, delta)
-        else:
-            values = np.array([float(self.f_eval(x, delta)) for x in X])
+        values = self._f_rows(X, delta)
         bad = ~((values >= -self.RANGE_SLACK) & (values <= 1.0 + self.RANGE_SLACK))
         if bad.any():
             raise ValueError(
@@ -223,19 +213,14 @@ class EpigraphBody:
         return values <= T
 
     def as_mem(self):
-        """MEM view of the body.  When f_eval has a `rows` stack form it
-        carries `membership_rows` as its own `rows`, so a height estimate
-        over it bisects in lockstep with one stacked f_eval query per
-        round.  Over any other f_eval it has none, and a height estimate
-        bisects its rows one after another, one f_eval query per
-        membership test: the draws of a randomized f stay where they
-        were."""
+        """MEM view of the body, with `membership_rows` as its `rows`: a
+        height estimate over it bisects in lockstep, one stacked f_eval
+        query per round."""
         def mem(point, delta):
             return self.membership(point, delta)
 
         mem.kind = MEM
-        if hasattr(self.f_eval, "rows"):
-            mem.rows = self.membership_rows
+        mem.rows = self.membership_rows
         return mem
 
 
@@ -315,28 +300,19 @@ def grad_from_sep_epigraph(sep_kf, dim: int, mem_kf=None, lipschitz: float = mat
 
 def support_eval_from_opt(opt, geometry: ProblemGeometry):
     """EVAL(1_K*) from one optimization query at precision delta/(3+kappa);
-    `rows(C, delta)` evaluates a stack, over an opt with a `rows` form."""
-    opt_rows = getattr(opt, "rows", None)
+    `rows(C, delta)` evaluates a stack."""
+    opt_rows = rows_of(opt, OPT)
 
     def rows(C, delta):
         check_precision(delta)
-        delta /= 3.0 + geometry.kappa
-        if opt_rows is not None:
-            Y = opt_rows(C, delta)
-        else:
-            answers = [opt(c, delta) for c in C]
-            if any(answer.empty_interior for answer in answers):
-                raise EmptyInteriorPropagated("support evaluation")
-            Y = np.array([answer.maximizer for answer in answers])
         # vecdot of two contiguous rows is their c @ y
-        return np.vecdot(C, Y)
+        return np.vecdot(C, opt_rows(C, delta / (3.0 + geometry.kappa)))
 
     def eval_support(c, delta):
         return float(rows(as_vector(c)[None, :], delta)[0])
 
     eval_support.kind = EVAL
-    if opt_rows is not None:
-        eval_support.rows = rows
+    eval_support.rows = rows
     return eval_support
 
 
@@ -369,26 +345,16 @@ def val_from_eval_support(eval_support):
     return val
 
 
-def _some_above(val, C, gammas, delta) -> np.ndarray:
-    """VAL of every row of C against its own threshold, True where the
-    answer is SOME_ABOVE: one stacked query over a val with a `rows`
-    form, otherwise one query per row, in row order."""
-    val_rows = getattr(val, "rows", None)
-    if val_rows is not None:
-        return val_rows(C, gammas, delta)
-    return np.array([val(c, gamma, delta) is ValidityAnswer.SOME_ABOVE
-                     for c, gamma in zip(C, gammas)])
-
-
 def eval_support_from_val(val, geometry: ProblemGeometry):
     """EVAL(1_K*) from VAL(K) by bisection on the threshold gamma.
 
     The support value lies in [r||c||, R||c||] whenever B(0, r) is inside
     the body, so gamma is bracketed in [0, R||c||]; ceil(log2(2 kappa /
     delta)) validity queries per call.  `rows(C, delta)` bisects a
-    stack in lockstep, one round of VAL queries at a time, over a val
-    with a `rows` form.
+    stack in lockstep, one round of VAL queries at a time.
     """
+    val_rows = rows_of(val, VAL)
+
     def rows(C, delta):
         check_precision(delta)
         out = np.zeros(C.shape[0])
@@ -402,7 +368,7 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
             lo, hi = np.zeros(nonzero.size), geometry.R * norms[nonzero]
             for _ in range(iters):
                 mid = 0.5 * (lo + hi)
-                some_above = _some_above(val, C, mid, inner_delta)
+                some_above = val_rows(C, mid, inner_delta)
                 lo = np.where(some_above, mid, lo)
                 hi = np.where(some_above, hi, mid)
             out[nonzero] = 0.5 * (lo + hi)
@@ -412,8 +378,7 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
         return float(rows(as_vector(c)[None, :], delta)[0])
 
     eval_support.kind = EVAL
-    if hasattr(val, "rows"):
-        eval_support.rows = rows
+    eval_support.rows = rows
     return eval_support
 
 
@@ -432,10 +397,9 @@ def _normalized_support_eval(eval_support, geometry: ProblemGeometry):
     def f(c, delta):
         return eval_support(c, delta * geometry.R) / geometry.R
 
+    inner_rows = rows_of(eval_support, EVAL)
     f.kind = EVAL
-    inner_rows = getattr(eval_support, "rows", None)
-    if inner_rows is not None:
-        f.rows = lambda C, delta: inner_rows(C, delta * geometry.R) / geometry.R
+    f.rows = lambda C, delta: inner_rows(C, delta * geometry.R) / geometry.R
     return f
 
 
@@ -488,9 +452,8 @@ def _normalized_val(val, geometry: ProblemGeometry):
     c . x <= R gamma + c . x0, and precision delta on the scaled body is
     R delta on K.  Its support function is the normalized support
     function of `_normalized_support_eval`, so this is that f's
-    threshold form: f(c) <= gamma exactly when the answer is ALL_BELOW.
-    It has a `rows` stack form only over a val with one."""
-    val_rows = getattr(val, "rows", None)
+    threshold form: f(c) <= gamma exactly when the answer is ALL_BELOW."""
+    val_rows = rows_of(val, VAL)
     R, shift = geometry.R, geometry.center
 
     def normalized(c, gamma, delta):
@@ -498,9 +461,8 @@ def _normalized_val(val, geometry: ProblemGeometry):
         return val(c, R * gamma + float(np.vecdot(c, shift)), R * delta)
 
     normalized.kind = VAL
-    if val_rows is not None:
-        normalized.rows = lambda C, gammas, delta: val_rows(
-            C, R * gammas + np.vecdot(C, shift), R * delta)
+    normalized.rows = lambda C, gammas, delta: val_rows(
+        C, R * gammas + np.vecdot(C, shift), R * delta)
     return normalized
 
 
@@ -554,9 +516,8 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
 
 
 def _translated_opt(opt, shift: np.ndarray):
-    """OPT of K - x0 from OPT of K: the maximizers move by -x0.  It has a
-    `rows` stack form only over an opt with one."""
-    opt_rows = getattr(opt, "rows", None)
+    """OPT of K - x0 from OPT of K: the maximizers move by -x0."""
+    opt_rows = rows_of(opt, OPT)
 
     def translated(c, delta):
         answer = opt(c, delta)
@@ -565,8 +526,7 @@ def _translated_opt(opt, shift: np.ndarray):
         return OptimizationAnswer(answer.maximizer - shift)
 
     translated.kind = OPT
-    if opt_rows is not None:
-        translated.rows = lambda C, delta: opt_rows(C, delta) - shift
+    translated.rows = lambda C, delta: opt_rows(C, delta) - shift
     return translated
 
 

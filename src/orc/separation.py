@@ -48,7 +48,9 @@ class SeparatorConfig:
     The separator estimates its cut on the body normalized by that
     geometry (shifted by -center and divided by R), so eps is a
     membership precision in that frame, and r1 and the theoretical
-    slack are derived from `geometry.rescaled()`.
+    slack are derived from `geometry.rescaled()`.  The membership oracle
+    is asked at precision eps*R in the body's own frame, which must lie
+    below 1/2 like every precision.
     """
 
     eps: float
@@ -62,6 +64,9 @@ class SeparatorConfig:
         if not 0.0 < self.eps <= self._scaled.r:
             raise ValueError(f"need 0 < eps <= r/R, got eps={self.eps!r} "
                              f"r/R={self._scaled.r!r}")
+        if not self.eps * self.geometry.R < 0.5:
+            raise ValueError(f"need eps*R < 1/2, the membership precision bound; got "
+                             f"eps*R={self.eps * self.geometry.R!r}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
         if self.mode not in (THEORETICAL, ANCHORED):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import FuncSpec, Linear, Quadratic, UnsupportedVariant
-from .core import RandomStream
+from .core import EVAL, RandomStream, rows_of
 from .geometry import as_vector
 
 
@@ -68,9 +68,9 @@ def separate_convex_func(f_eval, params: EstimatorParams, rng: RandomStream) -> 
     f_eval(point, delta) -> float must have additive error at most
     params.eps on B_inf(x, 2*r1).  Exactly two evaluations per
     coordinate, at the endpoints of the axis chord of B_inf(y, r2)
-    through z; no evaluation is reused.  The 2n points are evaluated in
-    the order hi_0, lo_0, hi_1, lo_1, ...: as one (2n, n) stack when
-    f_eval has a `rows(points, delta)` form, otherwise one at a time.
+    through z; no evaluation is reused.  The 2n points are evaluated as
+    one (2n, n) stack in the order hi_0, lo_0, hi_1, lo_1, ...: f_eval's
+    stack form, or one point at a time in that order (`core.rows_of`).
     """
     y, z = sample_box_points(params, rng)
     # rows 2i and 2i+1 are z with coordinate i on the faces y_i +/- r2
@@ -78,11 +78,7 @@ def separate_convex_func(f_eval, params: EstimatorParams, rng: RandomStream) -> 
     points = np.repeat(z[None, :], 2 * params.n, axis=0)
     points[2 * i, i] = y + params.r2
     points[2 * i + 1, i] = y - params.r2
-    rows = getattr(f_eval, "rows", None)
-    if rows is not None:
-        values = rows(points, params.eps)
-    else:
-        values = np.array([f_eval(p, params.eps) for p in points])
+    values = rows_of(f_eval, EVAL)(points, params.eps)
     return (values[0::2] - values[1::2]) * (1.0 / (2.0 * params.r2))
 
 

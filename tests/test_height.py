@@ -155,22 +155,29 @@ def test_stack_records_per_row_mem_count_once():
     assert stacked.records == max(h.iterations_for(d)[1] for d in D)
 
 
-def test_stack_without_fast_path_falls_back_row_by_row():
+def test_stack_without_fast_path_bisects_in_lockstep():
+    # a MEM without `rows` is asked the lockstep's points, round by round:
+    # exactly the stacks an exact oracle's `rows` is asked, one query per
+    # row still bisecting
     spec = Ball(np.zeros(2), 1.0)
-    seen = []
+    seen, stacks = [], []
 
     def mem(y, delta):
         seen.append(np.array(y))
         return ExactMembership(spec)(y, delta)
 
     mem.kind = MEM
-    h = HeightOracle(mem, GEOM2, np.array([0.5, 0.0]), 1e-6, 0.01)
-    D = np.array([[0.1, 0.1], [-0.2, 0.0]])
+    exact = ExactMembership(spec)
+    exact.rows = lambda P, delta, rows=exact.rows: (stacks.append(P.copy()), rows(P, delta))[1]
+    x = np.array([0.5, 0.0])
+    D = np.array([[0.1, 0.1], [0.0, 0.0], [-0.2, 0.0]])
+    h = HeightOracle(mem, GEOM2, x, 1e-6, 0.01)
+    iters = [h.iterations_for(d)[1] for d in D]
+    assert len(set(iters)) > 1  # a row leaves the stack before the others
     alphas = h.alpha_rows(D)
-    first_row_queries = h.iterations_for(D[0])[1]
-    # row order: every query of row 0 comes before any query of row 1
-    assert all(q[1] == 0.1 for q in seen[:first_row_queries])
-    assert all(q[1] == 0.0 for q in seen[first_row_queries:])
+    np.testing.assert_array_equal(alphas, HeightOracle(exact, GEOM2, x, 1e-6, 0.01).alpha_rows(D))
+    np.testing.assert_array_equal(np.array(seen), np.concatenate(stacks))
+    assert len(seen) == sum(iters)
     np.testing.assert_array_equal(alphas, [h.alpha_x(d) for d in D])
 
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from orc.bodies import (Ball, ExactMembership, ExactOptimization, ExactSeparation,
-                        FlipNoise)
-from orc.core import (MEM, OPT, SEP, MembershipAnswer, ProblemGeometry,
-                      QueryLedger, RandomStream, SeparationAnswer, amplify,
-                      check_precision, wrap_with_ledger)
+from orc import reductions
+from orc.bodies import (Ball, BoxBody, ExactMembership, ExactOptimization,
+                        ExactSeparation, ExactValidity, FlipNoise)
+from orc.core import (EVAL, MEM, OPT, SEP, STACK_KINDS, VAL,
+                      EmptyInteriorPropagated, MembershipAnswer,
+                      OptimizationAnswer, ProblemGeometry, QueryLedger,
+                      RandomStream, SeparationAnswer, amplify, check_precision,
+                      rows_of, wrap_with_ledger)
 from orc.geometry import HalfSpace
 
 
@@ -89,6 +92,60 @@ def test_wrap_with_ledger_counts_a_stack_as_one_query_per_row():
     assert mem.rows(np.array([[0.1, 0.0], [2.0, 0.0], [0.0, -0.5]]), 0.01).tolist() == [
         True, False, True]
     assert ledger.count(MEM) == 3
+
+
+def _stack_oracles():
+    """An exact oracle with a `rows` form for each stack kind, and the
+    arguments of one stack query: the same (7, 3) stack for all kinds."""
+    spec = BoxBody(np.array([0.2, -0.1, 0.3]), 0.7)
+    gen = np.random.default_rng(21)
+    S = gen.normal(size=(7, 3))
+    S[2] = 0.0
+    gammas = gen.normal(size=7)
+    exact = {MEM: ExactMembership(spec), VAL: ExactValidity(spec),
+             OPT: ExactOptimization(spec),
+             EVAL: reductions.support_eval_from_opt(ExactOptimization(spec), spec.geometry)}
+    return S, {kind: (oracle, (S, gammas, 0.01) if kind == VAL else (S, 0.01))
+               for kind, oracle in exact.items()}
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_rows_of_falls_back_to_one_query_per_row(kind):
+    S, oracles = _stack_oracles()
+    exact, args = oracles[kind]
+    assert rows_of(exact, kind) == exact.rows
+    log = []
+
+    def plain(c, *rest):
+        log.append(c.tobytes())
+        return exact(c, *rest)
+
+    stack = rows_of(plain, kind)(*args)
+    expected = exact.rows(*args)
+    assert stack.dtype == expected.dtype
+    np.testing.assert_array_equal(stack, expected)
+    assert log == [row.tobytes() for row in S]
+    # the ledger counts one query per row of each stack, over either form
+    for oracle in (plain, exact):
+        ledger = QueryLedger()
+        counted = wrap_with_ledger(oracle, ledger, kind)
+        counted.rows(*args)
+        counted.rows(*args)
+        assert ledger.totals() == {kind: 2 * len(S)}
+
+
+def test_rows_of_opt_raises_on_an_empty_answer_and_refuses_sep():
+    assert reductions.EmptyInteriorPropagated is EmptyInteriorPropagated
+    log = []
+
+    def empty_second(c, delta):
+        log.append(c)
+        return OptimizationAnswer(None if len(log) == 2 else np.zeros(2))
+
+    with pytest.raises(EmptyInteriorPropagated):
+        rows_of(empty_second, OPT)(np.eye(2), 0.01)
+    with pytest.raises(ValueError, match="no stack form"):
+        rows_of(ExactSeparation(Ball(np.zeros(2), 1.0)), SEP)
 
 
 def test_random_stream_same_path_same_draws():

@@ -19,7 +19,8 @@ from orc.reductions import (VERTICAL_CUT_RETRIES, EpigraphBody, VerticalCut,
                             opt_from_mem, opt_from_val,
                             sep_from_grad_indicator, sep_from_opt,
                             support_eval_from_opt, val_from_eval_support,
-                            _normalized_val)
+                            _normalized_support_eval, _normalized_val,
+                            _translated_opt)
 from orc.separation import SepFromMem
 
 INSIDE = MembershipAnswer.INSIDE_DILATED
@@ -217,11 +218,46 @@ def test_epigraph_threshold_form_rejects_out_of_range_values():
         constant(-7.0).membership(np.array([0.1, 0.0, -0.1]), 1e-6)
 
 
-def test_epigraph_fast_path_only_over_a_stacked_f():
-    # over a plain f every f query stays a single call, in row order
-    assert not hasattr(EpigraphBody(_quadratic_eval, 2).as_mem(), "rows")
-    mem = wrap_with_ledger(EpigraphBody(_stacked_quadratic(), 2).as_mem(), QueryLedger())
-    assert hasattr(mem, "rows")
+def test_epigraph_mem_has_rows_over_any_f():
+    # over a plain f the stack form asks f one row at a time and gives
+    # the per-row answers
+    gen = np.random.default_rng(13)
+    for f in (_quadratic_eval, _stacked_quadratic()):
+        mem = EpigraphBody(f, 2).as_mem()
+        counted = wrap_with_ledger(mem, QueryLedger())
+        P = _epigraph_points(2, 1e-3, gen)
+        expected = [mem(p, 1e-3).inside for p in P]
+        assert mem.rows(P, 1e-3).tolist() == counted.rows(P, 1e-3).tolist() == expected
+        assert 0 < sum(expected) < len(expected)
+
+
+def test_range_check_parity_over_a_plain_and_a_stacked_f():
+    # s ||x||^2 with s > 1 leaves the epigraph's range: separation over a
+    # plain f and over a stacked one raises the same ValueError after the
+    # same MEM queries, since both bisect in lockstep
+    def answer(s, n, seed, stacked):
+        f = lambda y, d: s * float(np.vecdot(y, y))
+        if stacked:
+            f.rows = lambda Y, d: s * np.vecdot(Y, Y)
+        body = EpigraphBody(f, n)
+        ledger = QueryLedger()
+        sep = SepFromMem(wrap_with_ledger(body.as_mem(), ledger), body.geometry,
+                         RandomStream(seed), eps=1e-4)
+        u = unit(RandomStream(seed).child("dir").generator().normal(size=n + 1))
+        try:
+            reply = _reply(sep(body.geometry.center + 0.3 * u, 0.01))
+        except ValueError as exc:
+            reply = str(exc)
+        return reply, ledger.count(MEM)
+
+    raised = 0
+    for seed in range(24):
+        s = 1.3 + 2.7 * RandomStream(seed).child("s").generator().random()
+        for n in (2, 3):
+            plain = answer(s, n, seed, stacked=False)
+            assert plain == answer(s, n, seed, stacked=True)
+            raised += isinstance(plain[0], str) and plain[0].startswith("epigraph construction")
+    assert raised >= 3
 
 
 def test_eval_from_mem_epigraph_recovers_function():
@@ -461,13 +497,29 @@ def test_support_eval_rows_match_single_calls_and_counts(n):
             assert sum(row_ledger.totals().values()) == queries > 0
 
 
-def test_support_eval_has_rows_only_over_a_stacked_oracle():
-    spec = BoxBody(np.zeros(2), 1.0)
+def test_support_eval_has_rows_over_any_oracle():
+    # every view answers stacks, and over a plain inner oracle its rows
+    # give the per-row answers, bitwise those over the exact stack form
+    spec = BoxBody(np.array([0.3, -0.2]), 1.0)
+    g = spec.geometry
     plain_opt = lambda c, d: ExactOptimization(spec)(c, d)
     plain_val = lambda c, gamma, d: ExactValidity(spec)(c, gamma, d)
-    assert not hasattr(support_eval_from_opt(plain_opt, spec.geometry), "rows")
-    assert not hasattr(eval_support_from_val(plain_val, spec.geometry), "rows")
-    assert hasattr(support_eval_from_opt(ExactOptimization(spec), spec.geometry), "rows")
+    plain_opt.kind, plain_val.kind = OPT, VAL
+    C = np.random.default_rng(15).normal(size=(6, 2))
+    C[1] = 0.0
+    gammas = np.linspace(-1.0, 2.0, 6)
+    for opt, val in ((plain_opt, plain_val), (ExactOptimization(spec), ExactValidity(spec))):
+        views = [support_eval_from_opt(opt, g), eval_support_from_val(val, g)]
+        views.append(_normalized_support_eval(views[0], g))
+        for ev in views:
+            np.testing.assert_array_equal(ev.rows(C, 1e-6), [ev(c, 1e-6) for c in C])
+        nval = _normalized_val(val, g)
+        assert nval.rows(C, gammas, 1e-6).tolist() == [
+            nval(c, gamma, 1e-6) is ValidityAnswer.SOME_ABOVE for c, gamma in zip(C, gammas)]
+        moved = _translated_opt(opt, g.center)
+        np.testing.assert_array_equal(moved.rows(C, 1e-6), [moved(c, 1e-6).maximizer for c in C])
+    np.testing.assert_array_equal(support_eval_from_opt(plain_opt, g).rows(C, 1e-6),
+                                  support_eval_from_opt(ExactOptimization(spec), g).rows(C, 1e-6))
 
 
 def _recording(oracle, log):
@@ -712,8 +764,8 @@ def test_chain_round_trip_mem_sep_opt_val():
 
 
 def _hidden(oracle):
-    """The oracle behind a plain wrapper that has no stack form: the
-    row-by-row path a tracing wrapper takes."""
+    """The oracle behind a plain wrapper that has no stack form, which
+    `core.rows_of` asks one query per row."""
     plain = lambda *args: oracle(*args)
     plain.kind = oracle.kind
     return plain

@@ -166,7 +166,7 @@ def test_config_rejects_bad_retries(retries):
 
 def test_r1_schedule_clamped_to_sampling_safety():
     geom = ProblemGeometry(4, 1.0, 1.0)
-    cfg = _cfg(eps=0.5, geometry=geom)
+    cfg = _cfg(eps=0.49, geometry=geom)
     assert cfg.r1() <= geom.r / (4.0 * math.sqrt(geom.n))
     cfg_small = _cfg(eps=1e-12, geometry=geom)
     assert cfg_small.r1() == pytest.approx(
@@ -279,9 +279,12 @@ def test_query_precision_leaves_fixed_eps_answer_unchanged(make):
         np.testing.assert_array_equal(coarse, fine)
 
 
-def test_flip_noise_sees_queries_in_per_point_order():
-    # the per-point estimator: each chord endpoint evaluated in turn,
-    # hi before lo, one full bisection each
+def test_flip_noise_sees_the_lockstep_queries():
+    # FlipNoise has no stack form, so the height oracle asks it one query
+    # per row of each lockstep round: at p = 0 exactly the stacks an
+    # exact oracle's `rows` is asked, and the estimate is bitwise the
+    # per-point estimator's, each chord endpoint evaluated in turn, hi
+    # before lo, one full bisection each
     def per_point_estimate(ho, params, rng):
         y, z = sample_box_points(params, rng)
         inner = Box(y, params.r2)
@@ -294,22 +297,41 @@ def test_flip_noise_sees_queries_in_per_point_order():
     spec = Simplex(3, 1.0)
     x = np.array([0.4, 0.3, 0.2])
     params = EstimatorParams(np.zeros(3), 0.02, 4e-6, 3.0 * spec.geometry.rescaled().kappa)
-    runs = []
-    for estimate in (lambda ho, rng: separate_convex_func(ho.as_eval(), params, rng),
-                     lambda ho, rng: per_point_estimate(ho, params, rng)):
+    stacks = []
+    exact = ExactMembership(spec)
+    exact.rows = lambda P, delta, rows=exact.rows: (stacks.append(P.copy()), rows(P, delta))[1]
+    estimate = lambda ho: separate_convex_func(ho.as_eval(), params, RandomStream(7))
+    g_stacked = estimate(HeightOracle(exact, spec.geometry, x, 1e-6, 1e-6))
+    counts = []
+    for p in (0.0, 0.05):
         seen = []
 
         def recording(y, delta, seen=seen):
             seen.append(np.array(y))
             return ExactMembership(spec)(y, delta)
 
-        noisy = FlipNoise(recording, 0.05, RandomStream(3))
-        ho = HeightOracle(noisy, spec.geometry, x, 1e-6, 1e-6)
-        runs.append((estimate(ho, RandomStream(7)), seen))
-    (g, seen), (g_ref, seen_ref) = runs
-    assert len(seen) == len(seen_ref) > 0
-    np.testing.assert_array_equal(np.array(seen), np.array(seen_ref))
-    np.testing.assert_array_equal(g, g_ref)
+        ho = HeightOracle(FlipNoise(recording, p, RandomStream(3)), spec.geometry, x, 1e-6, 1e-6)
+        g = estimate(ho)
+        counts.append(len(seen))
+        if p == 0.0:
+            np.testing.assert_array_equal(np.array(seen), np.concatenate(stacks))
+            np.testing.assert_array_equal(g, g_stacked)
+            np.testing.assert_array_equal(g, per_point_estimate(ho, params, RandomStream(7)))
+    # each row costs its round count whatever the answers
+    assert counts[0] == counts[1] > 0
+
+
+def test_sep_from_mem_refuses_an_eps_it_cannot_ask_mem_at():
+    # the first MEM query is at precision eps*R, which must lie below 1/2
+    far = Ball(np.zeros(2), 100.0)
+    with pytest.raises(ValueError, match=r"eps\*R < 1/2"):
+        SepFromMem(ExactMembership(far), far.geometry, RandomStream(0), eps=0.01)
+    spec = Ball(np.zeros(2), 60.0)
+    sep = SepFromMem(ExactMembership(spec), spec.geometry, RandomStream(0), eps=1e-3)
+    assert sep(np.zeros(2), 0.01).inside
+    y = np.array([90.0, 0.0])
+    h = sep(y, 0.01).halfspace
+    assert spec.support(h.normal)[0] <= float(h.normal @ h.anchor) + 1e-9
 
 
 @pytest.mark.parametrize("spec", [Ball(np.zeros(3), 1.0), BoxBody(np.zeros(3), 0.5), Simplex(3)])
