@@ -21,7 +21,7 @@ import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +44,11 @@ QUERY_DISTANCE_FACTOR = 1.5
 SLACK_MODES = {"theoretical": THEORETICAL, "anchored": ANCHORED}
 
 OVERRIDE_KEYS = {"retries"}
+
+#: the membership precision of each chain's `SepFromMem`, as a multiple of
+#: the trial's eps; opt_from_mem's, two decades below the target gap, is a
+#: choice, not derived from eps, n and kappa (see README's complexity note)
+SEP_EPS_FACTOR = {"sep_from_mem": 1.0, "opt_from_mem": 1e-2}
 
 CONFIG_KEYS = {"experiment", "chain", "body", "function", "dims", "eps",
                "seeds", "trials", "slack_mode", "overrides"}
@@ -140,6 +145,16 @@ def validate_config(config: dict) -> dict:
     out = dict(config)
     out["slack_mode"] = slack_mode
     out["overrides"] = overrides
+    if chain in SEP_EPS_FACTOR:
+        # each n's body as trial (seeds[0], 0) builds it, so a random
+        # template is checked on that one draw only
+        for n in dims:
+            try:
+                ctx = _trial_context(out, n, eps_list[0], seeds[0], 0)
+                for eps in eps_list:
+                    _trial_sep(replace(ctx, eps=eps), chain)
+            except ValueError as exc:
+                raise ConfigError(f"at n = {n}: {exc}") from exc
     return out
 
 
@@ -266,15 +281,19 @@ def _grade_opt(body: bodies.BodySpec, answer, c: np.ndarray,
     return ("sound" if abs(gap) <= tol else "violated"), gap
 
 
-def _run_sep_from_mem(ctx) -> tuple[str, float | None]:
-    body = ctx.body
-    ledgered_mem = wrap_with_ledger(bodies.ExactMembership(body), ctx.ledger)
-    sep = SepFromMem(ledgered_mem, body.geometry, ctx.rng.child("sep"),
-                     eps=ctx.eps, rho=0.1, mode=ctx.slack_mode,
+def _trial_sep(ctx, chain: str):
+    """The trial's SEP from exact MEM for `chain`, both counted."""
+    mem = wrap_with_ledger(bodies.ExactMembership(ctx.body), ctx.ledger)
+    sep = SepFromMem(mem, ctx.body.geometry, ctx.rng.child("sep"),
+                     eps=ctx.eps * SEP_EPS_FACTOR[chain], rho=0.1, mode=ctx.slack_mode,
                      retries=ctx.overrides.get("retries", 3))
-    sep = wrap_with_ledger(sep, ctx.ledger)
-    x = _outside_query(body, ctx.rng.child("query"))
-    return _grade_halfspace(body, sep(x, 0.01))
+    return wrap_with_ledger(sep, ctx.ledger)
+
+
+def _run_sep_from_mem(ctx) -> tuple[str, float | None]:
+    sep = _trial_sep(ctx, "sep_from_mem")
+    x = _outside_query(ctx.body, ctx.rng.child("query"))
+    return _grade_halfspace(ctx.body, sep(x, 0.01))
 
 
 def _run_opt_from_sep(ctx) -> tuple[str, float | None]:
@@ -288,13 +307,7 @@ def _run_opt_from_sep(ctx) -> tuple[str, float | None]:
 
 def _run_opt_from_mem(ctx) -> tuple[str, float | None]:
     body = ctx.body
-    mem = wrap_with_ledger(bodies.ExactMembership(body), ctx.ledger)
-    # inner estimator precision two decades below the target gap: a
-    # choice, not derived from eps, n and kappa (see README's complexity note)
-    sep = SepFromMem(mem, body.geometry, ctx.rng.child("sep"),
-                     eps=ctx.eps * 1e-2, rho=0.1, mode=ctx.slack_mode,
-                     retries=ctx.overrides.get("retries", 3))
-    sep = wrap_with_ledger(sep, ctx.ledger)
+    sep = _trial_sep(ctx, "opt_from_mem")
     cfg = OptimizerConfig(eps=ctx.eps)
     c = unit(ctx.rng.child("obj").generator().normal(size=body.dim))
     answer = optimize_linear(cfg, sep, body.geometry, c)
@@ -388,27 +401,30 @@ class _TrialContext:
     overrides: dict
 
 
-def run_trial(config: dict, n: int, eps: float, seed: int,
-              trial: int) -> TrialRecord:
+def _trial_context(config: dict, n: int, eps: float, seed: int, trial: int) -> _TrialContext:
     rng = RandomStream(seed).child(n, trial)
-    ledger = QueryLedger()
     template = config.get("body", config.get("function"))
     body = function = None
     if "body" in config:
         body = make_body(template, n, rng.child("body"))
     else:
         function = make_function(template, n, rng.child("function"))
-    ctx = _TrialContext(body=body, function=function, n=n, eps=eps, rng=rng,
-                        ledger=ledger,
-                        slack_mode=SLACK_MODES[config["slack_mode"]],
-                        overrides=config["overrides"])
+    return _TrialContext(body=body, function=function, n=n, eps=eps, rng=rng,
+                         ledger=QueryLedger(),
+                         slack_mode=SLACK_MODES[config["slack_mode"]],
+                         overrides=config["overrides"])
+
+
+def run_trial(config: dict, n: int, eps: float, seed: int,
+              trial: int) -> TrialRecord:
+    ctx = _trial_context(config, n, eps, seed, trial)
     start = time.perf_counter()
     try:
         outcome, gap = CHAINS[config["chain"]](ctx)
     except Exception as exc:  # graded, not fatal: errors are data
         outcome, gap = f"error:{type(exc).__name__}", None
     wall_ms = (time.perf_counter() - start) * 1e3
-    totals = ledger.totals()
+    totals = ctx.ledger.totals()
     return TrialRecord(
         experiment=config["experiment"], chain=config["chain"], n=n, eps=eps,
         seed=seed, trial=trial, outcome=outcome, gap=gap,

@@ -19,16 +19,17 @@ oracles; the composed constructors at the bottom of this module package
 the useful chains.  Each step asks the cheapest oracle that answers it:
 `opt_from_val` answers each containment test of K_f with one VAL query,
 and asks SEP of K_f only for the one cut below the graph that carries
-the subgradient.  `opt_from_val` and `sep_from_opt` run on the body
-translated to its centre, where the normalized support function is
-1-Lipschitz and in [0, 1].  `sep_from_opt` optimizes over K_f with the
+the subgradient.  `opt_from_val` and `sep_from_opt` build, once per
+chain, one view of their base oracle as that of the normalized body
+(K - x0)/R, whose support function is 1-Lipschitz and in [0, 1], and
+the SEP of its epigraph.  `sep_from_opt` optimizes over K_f with the
 analytic-centre engine (`accpm`), which stops once its certificate
 holds; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).
 
 Stack forms.  `support_eval_from_opt`, `eval_support_from_val`,
-`EpigraphBody.as_mem` and the normalizing and translating views answer
-a (k, n) stack of queries as their `rows`, and a single call is the
-stack form on a stack of one.  Each asks its inner oracle through
+`EpigraphBody.as_mem` and the two normalized views answer a (k, n)
+stack of queries as their `rows`, and a single call is the stack form
+on a stack of one.  Each asks its inner oracle through
 `core.rows_of`: one call per stack over an inner `rows` form (the exact
 oracles), one query per row, in row order, over any other (`amplify`'s
 voters, plain callables).  So the height oracle bisects the 2(n+1) rows
@@ -51,7 +52,7 @@ from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, EmptyInteriorPropagated,
                    wrap_with_ledger)
 from .accpm import optimize_linear_accpm
 from .ellipsoid import OptimizerConfig, optimize_linear
-from .geometry import HalfSpace, _halfspace, as_vector, unit
+from .geometry import HalfSpace, _halfspace, as_vector, as_vector_of, unit
 from .separation import SepFromMem
 
 INSIDE = MembershipAnswer.INSIDE_DILATED
@@ -168,9 +169,7 @@ class EpigraphBody:
 
     def membership(self, point, delta):
         """MEM(K_f) at one point: `membership_rows` on a stack of one."""
-        point = as_vector(point)
-        if point.size != self.dim + 1:
-            raise ValueError("epigraph point must live in R^{n+1}")
+        point = as_vector_of(point, self.dim + 1)
         return INSIDE if self.membership_rows(point[None, :], delta)[0] else OUTSIDE
 
     def membership_rows(self, P: np.ndarray, delta) -> np.ndarray:
@@ -229,7 +228,7 @@ def eval_from_mem_epigraph(mem_kf, dim: int):
 
     def eval_f(y, delta):
         check_precision(delta)
-        y = as_vector(y)
+        y = as_vector_of(y, dim)
         if np.linalg.norm(y) > 1.0:
             raise ValueError("evaluation point must lie in the unit ball")
         iters = math.ceil(math.log2(2.0 / delta))
@@ -274,7 +273,7 @@ def grad_from_sep_epigraph(sep_kf, dim: int, mem_kf=None, lipschitz: float = mat
 
     def grad(y, delta):
         check_precision(delta)
-        y = as_vector(y)
+        y = as_vector_of(y, dim)
         alpha = eval_f(y, delta)
         if not math.isfinite(alpha):
             raise ValueError("cannot take a subgradient where f is infinite")
@@ -382,25 +381,44 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
     return eval_support
 
 
-def _normalized_support_eval(eval_support, geometry: ProblemGeometry):
-    """Rescale 1_K* so its values land in [0, 1] on the unit ball.
+def _normalized_val(val, geometry: ProblemGeometry):
+    """VAL of (K - x0)/R from VAL of K, for the centre x0 and the outer
+    radius R of `geometry`: c . (x - x0)/R <= gamma exactly when
+    c . x <= R gamma + c . x0, and precision delta there is R delta on
+    K.  The scaled body lies in B(0, 1) around B(0, r/R), so its support
+    function f is in [0, 1] and 1-Lipschitz on the unit ball; f(c) <=
+    gamma exactly when the answer is ALL_BELOW."""
+    val_rows = rows_of(val, VAL)
+    R, shift = geometry.R, geometry.center
 
-    Precondition: `eval_support` evaluates the support function of a
-    body centred at the origin, B(0, r) inside K inside B(0, R).  Then
-    r||c|| <= 1_K*(c) <= R||c||, so dividing by R gives an admissible
-    epigraph function, and a 1-Lipschitz one.  For a body off the
-    origin the values can leave [0, 1], so `sep_from_opt` translates the
-    body to its centre first (`_translated_opt`); `opt_from_val` asks
-    the same f's threshold form, `_normalized_val`.
-    """
+    def rows(C, gammas, delta):
+        return val_rows(C, R * gammas + np.vecdot(C, shift), R * delta)
 
-    def f(c, delta):
-        return eval_support(c, delta * geometry.R) / geometry.R
+    def normalized(c, gamma, delta):
+        some_above = rows(as_vector_of(c, geometry.n)[None, :], np.array([float(gamma)]), delta)
+        return ValidityAnswer.SOME_ABOVE if some_above[0] else ValidityAnswer.ALL_BELOW
 
-    inner_rows = rows_of(eval_support, EVAL)
-    f.kind = EVAL
-    f.rows = lambda C, delta: inner_rows(C, delta * geometry.R) / geometry.R
-    return f
+    normalized.kind = VAL
+    normalized.rows = rows
+    return normalized
+
+
+def _normalized_opt(opt, geometry: ProblemGeometry):
+    """OPT of (K - x0)/R from OPT of K, as in `_normalized_val`: the
+    maximizers map by y -> (y - x0)/R, and precision delta there is
+    R delta on K."""
+    opt_rows = rows_of(opt, OPT)
+    R, shift = geometry.R, geometry.center
+
+    def rows(C, delta):
+        return (opt_rows(C, R * delta) - shift) / R
+
+    def normalized(c, delta):
+        return OptimizationAnswer(rows(as_vector_of(c, geometry.n)[None, :], delta)[0])
+
+    normalized.kind = OPT
+    normalized.rows = rows
+    return normalized
 
 
 # ---------------------------------------------------------------------------
@@ -444,26 +462,6 @@ def _support_epigraph_sep(f, n: int, rng: RandomStream, *, sep_eps: float,
     counted_mem = wrap_with_ledger(body.as_mem(), ledgers.mem)
     sep = SepFromMem(counted_mem, body.geometry, rng, eps=sep_eps, rho=rho)
     return body.geometry, wrap_with_ledger(sep, ledgers.sep), counted_mem
-
-
-def _normalized_val(val, geometry: ProblemGeometry):
-    """VAL of (K - x0)/R from VAL of K, for the centre x0 and the outer
-    radius R of `geometry`: c . (x - x0)/R <= gamma exactly when
-    c . x <= R gamma + c . x0, and precision delta on the scaled body is
-    R delta on K.  Its support function is the normalized support
-    function of `_normalized_support_eval`, so this is that f's
-    threshold form: f(c) <= gamma exactly when the answer is ALL_BELOW."""
-    val_rows = rows_of(val, VAL)
-    R, shift = geometry.R, geometry.center
-
-    def normalized(c, gamma, delta):
-        # vecdot, as in the stack form, so both give the same threshold
-        return val(c, R * gamma + float(np.vecdot(c, shift)), R * delta)
-
-    normalized.kind = VAL
-    normalized.rows = lambda C, gammas, delta: val_rows(
-        C, R * gammas + np.vecdot(C, shift), R * delta)
-    return normalized
 
 
 def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
@@ -515,35 +513,22 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
     return opt
 
 
-def _translated_opt(opt, shift: np.ndarray):
-    """OPT of K - x0 from OPT of K: the maximizers move by -x0."""
-    opt_rows = rows_of(opt, OPT)
-
-    def translated(c, delta):
-        answer = opt(c, delta)
-        if answer.empty_interior:
-            return answer
-        return OptimizationAnswer(answer.maximizer - shift)
-
-    translated.kind = OPT
-    translated.rows = lambda C, delta: opt_rows(C, delta) - shift
-    return translated
-
-
 def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
                  eps: float = 0.01, sep_eps: float, rho: float = 0.1):
     """SEP(K) from OPT(K).
 
-    Chain: the base OPT is viewed as OPT of K - x0, with x0 the centre
-    of `geometry`, and a query y as y - x0, so the rest runs on a body
-    centred at the origin, where the normalized support function f is
-    in [0, 1] on the unit ball.  OPT gives EVAL(f) directly.  With
-    s = (y - x0)/R, the value v(c) = <s, c> - f(c) has its maximum over
-    ||c|| <= 1 at dist(y, K)/R (the biconjugate 1_K** = 1_K, restricted
-    to the unit ball).  At a point (c/2, t/4) of the epigraph body K_f,
-    <(s, -2), .> is (<s, c> - t)/2, so the analytic-centre engine
-    (`accpm.optimize_linear_accpm`) maximizes it over K_f through SEP
-    of K_f.  A value <s, c> - t of at most 3 eps at the engine's answer
+    Chain: the base OPT is viewed as OPT of (K - x0)/R, with x0 the
+    centre and R the outer radius of `geometry` (`_normalized_opt`), and
+    a query y as s = (y - x0)/R, so the rest runs on a body centred at
+    the origin, whose support function f is in [0, 1] on the unit ball.
+    OPT gives EVAL(f) directly.  The epigraph body K_f and its SEP are
+    built once, with the chain, so each query draws fresh streams from
+    `SepFromMem`'s query counter.  The value v(c) = <s, c> - f(c) has
+    its maximum over ||c|| <= 1 at dist(y, K)/R (the biconjugate
+    1_K** = 1_K, restricted to the unit ball).  At a point (c/2, t/4)
+    of K_f, <(s, -2), .> is (<s, c> - t)/2, so the analytic-centre
+    engine (`accpm.optimize_linear_accpm`) maximizes it over K_f through
+    SEP of K_f.  A value <s, c> - t of at most 3 eps at the engine's answer
     reads as y in K; otherwise the direction c separates.
 
     The answer is feasible, t >= f(c) up to the epigraph's margins, so a
@@ -563,18 +548,16 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
     chain with a smaller eps.
     """
     ledgers = _ChainLedgers("opt", "mem", "sep")
-    centred = ProblemGeometry(geometry.n, geometry.r, geometry.R)
-    translated = _translated_opt(wrap_with_ledger(opt, ledgers.opt), geometry.center)
-    f = _normalized_support_eval(support_eval_from_opt(translated, centred), centred)
+    f = support_eval_from_opt(_normalized_opt(wrap_with_ledger(opt, ledgers.opt), geometry),
+                              geometry.rescaled())
+    body_geometry, sep_kf, _ = _support_epigraph_sep(
+        f, geometry.n, rng.child("sep_from_opt"), sep_eps=sep_eps, rho=rho, ledgers=ledgers)
     threshold = 3.0 * eps
 
     def sep(y, delta):
         check_precision(delta)
         y = as_vector(y)
         scaled = (y - geometry.center) / geometry.R
-        body_geometry, sep_kf, _ = _support_epigraph_sep(
-            f, geometry.n, rng.child("sep_from_opt"),
-            sep_eps=sep_eps, rho=rho, ledgers=ledgers)
         objective = np.append(scaled, -2.0)
         cfg = OptimizerConfig(eps=threshold / (2.0 * float(np.linalg.norm(objective))
                                                * (body_geometry.R + body_geometry.r)))

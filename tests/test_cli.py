@@ -200,6 +200,27 @@ def test_template_keys_the_body_reads_are_accepted(tmp_path, template):
     assert main(["validate-config", path]) == 0
 
 
+@pytest.mark.parametrize("chain, radius", [("sep_from_mem", 100), ("opt_from_mem", 10000)])
+def test_separator_precision_past_the_body_exits_2_from_validate_and_run(
+        tmp_path, capsys, chain, radius):
+    # the runner's SepFromMem asks MEM at precision eps*R >= 1/2 here (at
+    # eps * 1e-2 for opt_from_mem): this used to validate, and then every
+    # trial was graded error:ValueError
+    path = _write(tmp_path, _config(chain=chain, body={"kind": "ball", "radius": radius},
+                                    eps=[0.01]))
+    assert main(["validate-config", path]) == 2
+    assert "eps*R" in capsys.readouterr().err
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "cli-test.csv").exists()
+
+
+@pytest.mark.parametrize("chain", ["sep_from_mem", "opt_from_mem"])
+def test_separator_precision_within_the_body_validates(tmp_path, chain):
+    path = _write(tmp_path, _config(chain=chain, body={"kind": "ball", "radius": 60},
+                                    eps=[1e-3]))
+    assert main(["validate-config", path]) == 0
+
+
 def test_run_rejects_jobs_below_one(tmp_path):
     path = _write(tmp_path, _config())
     with pytest.raises(SystemExit) as exc:

@@ -19,8 +19,8 @@ from orc.reductions import (VERTICAL_CUT_RETRIES, EpigraphBody, VerticalCut,
                             opt_from_mem, opt_from_val,
                             sep_from_grad_indicator, sep_from_opt,
                             support_eval_from_opt, val_from_eval_support,
-                            _normalized_support_eval, _normalized_val,
-                            _translated_opt)
+                            _normalized_opt, _normalized_val)
+from orc import separation
 from orc.separation import SepFromMem
 
 INSIDE = MembershipAnswer.INSIDE_DILATED
@@ -29,6 +29,7 @@ OUTSIDE = MembershipAnswer.OUTSIDE_ERODED
 
 # ---------------------------------------------------------------------------
 # indicator identifications
+
 
 def test_indicator_round_trip_is_identity():
     spec = Simplex(3, 1.0)
@@ -285,6 +286,24 @@ def test_eval_from_mem_epigraph_rejects_outside_unit_ball():
         ev(np.array([1.5, 0.0]), 1e-4)
 
 
+@pytest.mark.parametrize("plain", [False, True], ids=["as_mem", "plain_mem"])
+def test_epigraph_eval_and_grad_refuse_a_point_of_another_dimension(plain):
+    # y in R^2 for an f on R^3 is refused at entry, before any MEM query,
+    # also over a MEM that would answer points of any size
+    body = EpigraphBody(_quadratic_eval, 3)
+    mem = body.as_mem()
+    if plain:
+        mem = lambda point, delta: OUTSIDE
+        mem.kind = MEM
+    ledger = QueryLedger()
+    counted = wrap_with_ledger(mem, ledger)
+    for oracle in (eval_from_mem_epigraph(counted, 3),
+                   grad_from_sep_epigraph(ExactSeparationEpigraph(body), 3, counted)):
+        with pytest.raises(ValueError, match="dimension 3"):
+            oracle(np.array([0.2, 0.1]), 0.25)
+    assert ledger.count(MEM) == 0
+
+
 def test_grad_from_sep_epigraph_linear_function():
     a = np.array([0.3, 0.4])
     f = lambda y, d: 0.5 + float(a @ y)
@@ -408,6 +427,7 @@ def test_grad_from_sep_epigraph_quadratic():
 # ---------------------------------------------------------------------------
 # support function
 
+
 def test_support_eval_and_bracket():
     spec = BoxBody(np.zeros(3), 1.0)
     ev = support_eval_from_opt(ExactOptimization(spec), spec.geometry)
@@ -509,17 +529,47 @@ def test_support_eval_has_rows_over_any_oracle():
     C[1] = 0.0
     gammas = np.linspace(-1.0, 2.0, 6)
     for opt, val in ((plain_opt, plain_val), (ExactOptimization(spec), ExactValidity(spec))):
-        views = [support_eval_from_opt(opt, g), eval_support_from_val(val, g)]
-        views.append(_normalized_support_eval(views[0], g))
+        nopt = _normalized_opt(opt, g)
+        views = [support_eval_from_opt(opt, g), eval_support_from_val(val, g),
+                 support_eval_from_opt(nopt, g.rescaled())]
         for ev in views:
             np.testing.assert_array_equal(ev.rows(C, 1e-6), [ev(c, 1e-6) for c in C])
         nval = _normalized_val(val, g)
         assert nval.rows(C, gammas, 1e-6).tolist() == [
             nval(c, gamma, 1e-6) is ValidityAnswer.SOME_ABOVE for c, gamma in zip(C, gammas)]
-        moved = _translated_opt(opt, g.center)
-        np.testing.assert_array_equal(moved.rows(C, 1e-6), [moved(c, 1e-6).maximizer for c in C])
+        np.testing.assert_array_equal(nopt.rows(C, 1e-6), [nopt(c, 1e-6).maximizer for c in C])
     np.testing.assert_array_equal(support_eval_from_opt(plain_opt, g).rows(C, 1e-6),
                                   support_eval_from_opt(ExactOptimization(spec), g).rows(C, 1e-6))
+
+
+def test_normalized_views_answer_for_the_scaled_body():
+    # on a box off the origin, OPT of (K - x0)/R maps each maximizer y of
+    # K to (y - x0)/R, and VAL of it thresholds that point's value; a
+    # single call is its stack of one, and a c of another dimension is
+    # refused before the base oracle is asked
+    spec = BoxBody(np.array([1.5, -0.5, 0.75]), 0.5)
+    g = spec.geometry
+    C = np.random.default_rng(16).normal(size=(5, 3))
+    C[3] = 0.0
+    ledger = QueryLedger()
+    nopt = _normalized_opt(wrap_with_ledger(ExactOptimization(spec), ledger), g)
+    nval = _normalized_val(wrap_with_ledger(ExactValidity(spec), ledger), g)
+    Y = nopt.rows(C, 1e-6)
+    np.testing.assert_array_equal(Y, (ExactOptimization(spec).rows(C, 1e-6) - g.center) / g.R)
+    values = np.vecdot(C, Y)
+    for gap, expected in ((-1e-9, True), (1e-9, False)):
+        np.testing.assert_array_equal(nval.rows(C, values + gap, 1e-6), expected)
+    for i, c in enumerate(C):
+        np.testing.assert_array_equal(nopt(c, 1e-6).maximizer, Y[i])
+        assert nval(c, values[i] - 1e-9, 1e-6) is ValidityAnswer.SOME_ABOVE
+        assert nval(c, values[i] + 1e-9, 1e-6) is ValidityAnswer.ALL_BELOW
+    asked = ledger.totals()
+    for bad in (np.ones(2), np.ones(4)):
+        with pytest.raises(ValueError, match="dimension 3"):
+            nopt(bad, 1e-6)
+        with pytest.raises(ValueError, match="dimension 3"):
+            nval(bad, 0.5, 1e-6)
+    assert ledger.totals() == asked
 
 
 def _recording(oracle, log):
@@ -575,6 +625,7 @@ def test_val_from_eval_support_thresholds():
 
 # ---------------------------------------------------------------------------
 # composed chains
+
 
 def test_opt_from_mem_ball():
     spec = Ball(np.zeros(2), 1.0)
@@ -743,6 +794,29 @@ def test_sep_from_opt_ball():
     h = sep(np.array([1.5, 0.0]), 0.01).halfspace
     assert h is not None
     assert float(h.normal @ np.array([1.0, 0.0])) >= math.cos(math.radians(20))
+
+
+def test_sep_from_opt_queries_draw_fresh_inner_streams(monkeypatch):
+    # the epigraph SEP is built once per chain, so the inner SEP queries
+    # of a later query take new paths from its query counter
+    paths = []
+    original = separation.separate
+
+    def spied(cfg, mem, y, rng):
+        paths.append(rng.path)
+        return original(cfg, mem, y, rng)
+
+    monkeypatch.setattr(separation, "separate", spied)
+    spec = Ball(np.zeros(2), 1.0)
+    sep = sep_from_opt(ExactOptimization(spec), spec.geometry, RandomStream(7),
+                       eps=0.02, sep_eps=1e-4)
+    per_query = []
+    for y in ([1.5, 0.0], [0.0, -1.5]):
+        paths.clear()
+        assert sep(np.array(y), 0.02).halfspace is not None
+        per_query.append(set(paths))
+    assert per_query[0] and per_query[1]
+    assert not per_query[0] & per_query[1]
 
 
 def test_chain_round_trip_mem_sep_opt_val():
