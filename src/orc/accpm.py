@@ -86,7 +86,7 @@ import numpy as np
 
 from .core import OptimizationAnswer, ProblemGeometry
 from .ellipsoid import MaxItersExhausted, OptimizerConfig
-from .geometry import as_vector, normalized
+from .geometry import as_vector_of, normalized
 
 #: The default iteration cap is this many times n log(2R/(r eps)).
 ITER_FACTOR = 4.0
@@ -140,7 +140,7 @@ def optimize_linear_accpm(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
     empty-interior test and the iteration cap.  Returns the best feasible
     centre, or `None` as the maximizer for an empty interior, and raises
     `MaxItersExhausted` when the cap is reached with neither."""
-    c = as_vector(c)
+    c = as_vector_of(c, geometry.n)
     # a feasible centre's cut: -c/||c||, normalized as every cut normal is
     objective_cut = normalized(-normalized(c))
     n = geometry.n

@@ -19,19 +19,21 @@ containment and builds the separating normal from the quantities that
 decision computed (the ball's y - center, the box's excess
 q - clip(q), the ellipsoid's M q, the polytope's A y, the simplex's
 projection), so `ExactSeparation` runs one containment test per query,
-not a test and then a second pass for the normal.  `contains(y)` is the
-same decision, from the same expressions, without the normal, so MEM
-and SEP agree at every point and an exact MEM query costs no more
-outside the body than inside.  `contains_rows` tests every row of a
-(k, n) stack in one pass; it is the test the α-bisection runs (as
-`ExactMembership.rows`, MEM's stack form, and in `_radial_from`), and
-an `Intersection` answers it as the conjunction of its parts' answers.
-The ball and the ellipsoid sum their rows with `einsum`, which rounds
-differently from `separate`'s dot, so a row within an ulp of the
-boundary may get the other answer than `contains`.
+not a test and then a second pass for the normal.  `contains_rows`
+tests every row of a (k, n) stack in one pass; it is the test the
+α-bisection runs (as `ExactMembership.rows`, MEM's stack form, and in
+`_radial_from`), and an `Intersection` answers it as the conjunction of
+its parts' answers.  `contains(y)` is not a third form: `BodySpec`
+derives it as `separate(y) is None`, so exact MEM and exact SEP agree
+at every point by construction.  A single MEM query outside the body
+therefore also builds the normal; the α-bisection, where MEM queries
+are many, asks `contains_rows`.  The ball and the ellipsoid sum their
+rows with `einsum`, which rounds differently from `separate`'s dot, so
+a row within an ulp of the boundary may get the other answer than
+`contains`.
 
-The single-point forms run once per oracle query, so they call numpy's
-ufuncs and their reductions (`np.minimum.reduce`, `np.add.reduce`,
+`separate` runs once per oracle query, so it calls numpy's ufuncs and
+their reductions (`np.minimum.reduce`, `np.add.reduce`,
 `np.logical_and.reduce`) directly, not the Python wrappers around them
 (`ndarray.min`, `sum`, `all`, `np.clip`); each computes the same values.
 
@@ -39,8 +41,9 @@ Stack forms answer k queries in one call and trust their float64 (k, n)
 stacks the same way: `BodySpec.support_rows`, and the `rows` methods of
 `ExactOptimization` (a stack of maximizers) and `ExactValidity` (a bool
 array, True where the answer is SOME_ABOVE).  A single OPT or VAL call
-is its `rows` on a stack of one, so the rule for a zero direction lives
-in one place.  `support_rows` answers each row bitwise as `support`
+is its `rows` on a stack of one.  Exact OPT, VIOL and VAL all answer
+through `_support_or_zero`, so the rule for a zero direction lives in
+one place.  `support_rows` answers each row bitwise as `support`
 does: row dots use `np.vecdot` and row norms `sqrt(vecdot)`, the
 computations of `c @ y` and `np.linalg.norm`.
 """
@@ -88,7 +91,7 @@ class BodySpec:
 
     def contains(self, y: np.ndarray) -> bool:
         """Closed containment, y in K: the decision `separate` makes."""
-        raise UnsupportedVariant(type(self).__name__)
+        return self.separate(y) is None
 
     def contains_rows(self, P: np.ndarray) -> np.ndarray:
         """Closed containment of every row of the (k, n) stack P, as a
@@ -128,10 +131,6 @@ class Ball(BodySpec):
             raise ValueError("radius must be positive")
         object.__setattr__(self, "geometry", ProblemGeometry(
             self.center.size, self.radius, self.radius, self.center))
-
-    def contains(self, y):
-        q = y - self.center
-        return bool(q @ q <= self.radius * self.radius)
 
     def contains_rows(self, P):
         Q = P - self.center
@@ -179,21 +178,15 @@ class BoxBody(BodySpec):
         object.__setattr__(self, "geometry", ProblemGeometry(
             n, self.radius, self.radius * math.sqrt(n), self.center))
 
-    def _excess(self, y):
-        """q - clip(q) for q = y - center: zero exactly where |q_i| <=
-        radius, since float subtraction of two distinct numbers is never
-        zero."""
-        q = y - self.center
-        return q - np.minimum(np.maximum(q, -self.radius), self.radius)
-
-    def contains(self, y):
-        return not np.logical_or.reduce(self._excess(y))
-
     def contains_rows(self, P):
         return np.abs(P - self.center).max(axis=1) <= self.radius
 
     def separate(self, y):
-        excess = self._excess(y)
+        # q - clip(q) for q = y - center: zero exactly where |q_i| <=
+        # radius, since float subtraction of two distinct numbers is
+        # never zero
+        q = y - self.center
+        excess = q - np.minimum(np.maximum(q, -self.radius), self.radius)
         if not np.logical_or.reduce(excess):
             return None
         try:
@@ -237,9 +230,6 @@ class Simplex(BodySpec):
         verts = [np.zeros(n)] + [s * e for e in np.eye(n)]
         R = max(float(np.linalg.norm(v - x0)) for v in verts)
         object.__setattr__(self, "geometry", ProblemGeometry(n, t, R, x0))
-
-    def contains(self, y):
-        return bool(np.minimum.reduce(y) >= 0.0 and np.add.reduce(y) <= self.scale)
 
     def contains_rows(self, P):
         return (P.min(axis=1) >= 0.0) & (P.sum(axis=1) <= self.scale)
@@ -346,9 +336,6 @@ class HPolytope(BodySpec):
         R = float(np.max(np.linalg.norm(self.vertices - x0, axis=1)))
         self.geometry = ProblemGeometry(A.shape[1], r, R, x0)
 
-    def contains(self, y):
-        return bool(np.logical_and.reduce(self.A @ y <= self.b))
-
     def contains_rows(self, P):
         return (P @ self.A.T <= self.b).all(axis=1)
 
@@ -394,10 +381,6 @@ class Ellipsoid(BodySpec):
         object.__setattr__(self, "geometry", ProblemGeometry(
             self.center.size, math.sqrt(eigs[0]), math.sqrt(eigs[-1]), self.center))
 
-    def contains(self, y):
-        q = y - self.center
-        return bool(abs(q @ (self._inv @ q)) <= 1.0)
-
     def contains_rows(self, P):
         Q = P - self.center
         return np.abs(np.einsum("ij,ij->i", Q @ self._inv.T, Q)) <= 1.0
@@ -440,9 +423,6 @@ class Intersection(BodySpec):
         R = min(float(np.linalg.norm(p.geometry.center - x0)) + p.geometry.R
                 for p in parts)
         self.geometry = ProblemGeometry(x0.size, inner_radius, R, x0)
-
-    def contains(self, y):
-        return all(part.contains(y) for part in self.parts)
 
     def contains_rows(self, P):
         return np.logical_and.reduce([p.contains_rows(P) for p in self.parts])
@@ -784,6 +764,21 @@ class ExactSeparation:
         return SeparationAnswer(_halfspace(normal, y, 0.0))
 
 
+def _support_or_zero(spec: BodySpec, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`spec.support_rows(C)`, except at a zero row: <0, y> = 0
+    everywhere, so its support value is 0 and the body's center is a
+    maximizer.  The exact OPT, VIOL and VAL oracles all answer through
+    it, so the rule for a zero direction lives here alone."""
+    nonzero = C.any(axis=1)
+    if nonzero.all():
+        return spec.support_rows(C)
+    values = np.zeros(C.shape[0])
+    args = np.repeat(spec.geometry.center[None, :], C.shape[0], axis=0)
+    if nonzero.any():
+        values[nonzero], args[nonzero] = spec.support_rows(C[nonzero])
+    return values, args
+
+
 class ExactOptimization:
     kind = OPT
 
@@ -795,15 +790,8 @@ class ExactOptimization:
 
     def rows(self, C, delta):
         """One query per row of the float64 (k, n) stack C, taken as
-        given: the (k, n) stack of maximizers.  A zero row gets the
-        body's center: <0, y> = 0 everywhere, so any point maximizes."""
-        nonzero = C.any(axis=1)
-        if nonzero.all():
-            return self.spec.support_rows(C)[1]
-        out = np.repeat(self.spec.geometry.center[None, :], C.shape[0], axis=0)
-        if nonzero.any():
-            out[nonzero] = self.spec.support_rows(C[nonzero])[1]
-        return out
+        given: the (k, n) stack of maximizers (`_support_or_zero`)."""
+        return _support_or_zero(self.spec, C)[1]
 
 
 class ExactViolation:
@@ -813,12 +801,8 @@ class ExactViolation:
         self.spec = spec
 
     def __call__(self, c, gamma, delta):
-        c = as_vector_of(c, self.spec.dim)
-        if not np.any(c):
-            center = self.spec.geometry.center.copy()
-            return ViolationAnswer(center) if 0.0 >= gamma else ViolationAnswer(None)
-        val, arg = self.spec.support(c)
-        return ViolationAnswer(arg) if val >= gamma else ViolationAnswer(None)
+        values, args = _support_or_zero(self.spec, as_vector_of(c, self.spec.dim)[None, :])
+        return ViolationAnswer(args[0]) if values[0] >= gamma else ViolationAnswer(None)
 
 
 class ExactValidity:
@@ -834,14 +818,8 @@ class ExactValidity:
     def rows(self, C, gammas, delta):
         """One query per row of the float64 (k, n) stack C against its
         own threshold gammas[i], taken as given: a bool array, True where
-        the answer is SOME_ABOVE.  A zero row's support value is 0."""
-        nonzero = C.any(axis=1)
-        if nonzero.all():
-            return self.spec.support_rows(C)[0] >= gammas
-        values = np.zeros(C.shape[0])
-        if nonzero.any():
-            values[nonzero] = self.spec.support_rows(C[nonzero])[0]
-        return values >= gammas
+        the answer is SOME_ABOVE (`_support_or_zero`)."""
+        return _support_or_zero(self.spec, C)[0] >= gammas
 
 
 def random_hpolytope(n: int, rng, extra_facets: int = 3,

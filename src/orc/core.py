@@ -22,10 +22,14 @@ of queries in one call, one query per row: MEM's `rows(P, delta)` and
 VAL's `rows(C, gammas, delta)` return bool arrays (True for INSIDE and
 for SOME_ABOVE), OPT's `rows(C, delta)` a stack of maximizers and
 EVAL's `rows(P, delta)` an array of values.  An oracle may offer it as
-a `rows` attribute; `rows_of` is the one fallback for an oracle without
-one, one query per row, in row order.  The ledger wrapper of those four
-kinds has a stack form and counts each of its calls as one query per
-row.
+a `rows` attribute.  Two functions translate between the forms, one in
+each direction: `rows_of` is the stack form of any oracle, its `rows`
+or, for an oracle without one, one query per row, in row order; and
+`single_of` is the oracle of a stack form, which checks the query once
+and asks `rows` on a stack of one.  A view that is written as a stack
+form gets its single query from `single_of`, not by hand.  The ledger
+wrapper of those four kinds has a stack form and counts each of its
+calls as one query per row.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_vector
+from .geometry import as_vector, as_vector_of
 
 MEM = "MEM"
 SEP = "SEP"
@@ -223,6 +227,32 @@ def rows_of(oracle, kind: str):
         return Y
 
     return opt_rows
+
+
+def single_of(kind: str, rows, n: int):
+    """The MEM, VAL, OPT or EVAL oracle of the stack form `rows` over
+    dimension n, the inverse of `rows_of`: a query is checked once, with
+    `as_vector_of`, asked as a stack of one, and answered in the kind's
+    format (`MembershipAnswer`, `ValidityAnswer`, `OptimizationAnswer`,
+    float).  The oracle carries `kind` and `rows`."""
+    if kind not in STACK_KINDS:
+        raise ValueError(f"kind {kind!r} has no stack form; expected MEM, VAL, OPT or EVAL")
+    if kind == MEM:
+        def single(y, delta):
+            return INSIDE_DILATED if rows(as_vector_of(y, n)[None, :], delta)[0] else OUTSIDE_ERODED
+    elif kind == VAL:
+        def single(c, gamma, delta):
+            some_above = rows(as_vector_of(c, n)[None, :], np.array([float(gamma)]), delta)[0]
+            return ValidityAnswer.SOME_ABOVE if some_above else ValidityAnswer.ALL_BELOW
+    elif kind == OPT:
+        def single(c, delta):
+            return OptimizationAnswer(rows(as_vector_of(c, n)[None, :], delta)[0])
+    else:
+        def single(y, delta):
+            return float(rows(as_vector_of(y, n)[None, :], delta)[0])
+    single.kind = kind
+    single.rows = rows
+    return single
 
 
 class _LedgeredOracle:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import (OPT, VIOL, OptimizationAnswer, ProblemGeometry,
                    ViolationAnswer, check_precision)
-from .geometry import HalfSpace, as_vector, normalized, unit
+from .geometry import HalfSpace, as_vector, as_vector_of, normalized, unit
 from .kernels import ellipsoid_cut_py
 
 
@@ -125,7 +125,7 @@ def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
     feasible center.  Every cut drops the log-volume by exactly
     1/(2(n+1)), so the floor test reads a running sum, not the factor.
     """
-    c = as_vector(c)
+    c = as_vector_of(c, geometry.n)
     # a feasible center's cut: -c/||c||, as the unit normal
     # `ellipsoid_cut` makes of the array -unit(c)
     objective_cut = normalized(-normalized(c))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import EVAL, MEM, ProblemGeometry, rows_of
+from .core import EVAL, MEM, ProblemGeometry, rows_of, single_of
 from .geometry import as_vector, as_vector_of
 
 
@@ -72,8 +72,9 @@ class HeightOracle:
         return float(hi[0]), iters[0]
 
     def _alpha(self, D: np.ndarray) -> np.ndarray:
-        """alpha_x at every row of a checked (k, n) stack, mapped into
-        the body's frame once and bisected in lockstep."""
+        """alpha_x at every row of a float64 (k, n) stack, taken as
+        given, mapped into the body's frame once and bisected in
+        lockstep."""
         # sqrt(vecdot) of a contiguous row is np.linalg.norm's
         # computation, so every row gets the bracket iterations_for gives it
         hi, iters = self._brackets(np.sqrt(np.vecdot(D, D)))
@@ -105,9 +106,7 @@ class HeightOracle:
     def as_eval(self):
         """EVAL-oracle view of h_x (the delta argument is ignored: the
         achieved additive error is bin_tol*||x|| plus the membership
-        oracle's geometric blur).  Its `rows` attribute evaluates a
-        (k, n) stack of points in one call."""
-        oracle = lambda d, delta: self.h_x(d)
-        oracle.kind = EVAL
-        oracle.rows = lambda D, delta: self.h_rows(D)
-        return oracle
+        oracle's geometric blur).  Its `rows` evaluates a float64 (k, n)
+        stack of points in one call, taken as given, and a single query
+        is `rows` on a stack of one (`core.single_of`)."""
+        return single_of(EVAL, lambda D, delta: -self._alpha(D) * self.x_norm, self.x.size)

@@ -29,7 +29,9 @@ holds; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).
 Stack forms.  `support_eval_from_opt`, `eval_support_from_val`,
 `EpigraphBody.as_mem` and the two normalized views answer a (k, n)
 stack of queries as their `rows`, and a single call is the stack form
-on a stack of one.  Each asks its inner oracle through
+on a stack of one: `core.single_of` builds it, with the one entry check
+of the query, for every view but `as_mem`, whose single call is
+`EpigraphBody.membership`.  Each asks its inner oracle through
 `core.rows_of`: one call per stack over an inner `rows` form (the exact
 oracles), one query per row, in row order, over any other (`amplify`'s
 voters, plain callables).  So the height oracle bisects the 2(n+1) rows
@@ -49,7 +51,7 @@ from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, EmptyInteriorPropagated,
                    GradAnswer, MembershipAnswer, OptimizationAnswer,
                    ProblemGeometry, QueryLedger, RandomStream,
                    SeparationAnswer, ValidityAnswer, check_precision, rows_of,
-                   wrap_with_ledger)
+                   single_of, wrap_with_ledger)
 from .accpm import optimize_linear_accpm
 from .ellipsoid import OptimizerConfig, optimize_linear
 from .geometry import HalfSpace, _halfspace, as_vector, as_vector_of, unit
@@ -307,12 +309,7 @@ def support_eval_from_opt(opt, geometry: ProblemGeometry):
         # vecdot of two contiguous rows is their c @ y
         return np.vecdot(C, opt_rows(C, delta / (3.0 + geometry.kappa)))
 
-    def eval_support(c, delta):
-        return float(rows(as_vector(c)[None, :], delta)[0])
-
-    eval_support.kind = EVAL
-    eval_support.rows = rows
-    return eval_support
+    return single_of(EVAL, rows, geometry.n)
 
 
 def grad_conjugate_from_opt(opt, geometry: ProblemGeometry):
@@ -373,12 +370,7 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
             out[nonzero] = 0.5 * (lo + hi)
         return out
 
-    def eval_support(c, delta):
-        return float(rows(as_vector(c)[None, :], delta)[0])
-
-    eval_support.kind = EVAL
-    eval_support.rows = rows
-    return eval_support
+    return single_of(EVAL, rows, geometry.n)
 
 
 def _normalized_val(val, geometry: ProblemGeometry):
@@ -394,13 +386,7 @@ def _normalized_val(val, geometry: ProblemGeometry):
     def rows(C, gammas, delta):
         return val_rows(C, R * gammas + np.vecdot(C, shift), R * delta)
 
-    def normalized(c, gamma, delta):
-        some_above = rows(as_vector_of(c, geometry.n)[None, :], np.array([float(gamma)]), delta)
-        return ValidityAnswer.SOME_ABOVE if some_above[0] else ValidityAnswer.ALL_BELOW
-
-    normalized.kind = VAL
-    normalized.rows = rows
-    return normalized
+    return single_of(VAL, rows, geometry.n)
 
 
 def _normalized_opt(opt, geometry: ProblemGeometry):
@@ -413,12 +399,7 @@ def _normalized_opt(opt, geometry: ProblemGeometry):
     def rows(C, delta):
         return (opt_rows(C, R * delta) - shift) / R
 
-    def normalized(c, delta):
-        return OptimizationAnswer(rows(as_vector_of(c, geometry.n)[None, :], delta)[0])
-
-    normalized.kind = OPT
-    normalized.rows = rows
-    return normalized
+    return single_of(OPT, rows, geometry.n)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +537,7 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
 
     def sep(y, delta):
         check_precision(delta)
-        y = as_vector(y)
+        y = as_vector_of(y, geometry.n)
         scaled = (y - geometry.center) / geometry.R
         objective = np.append(scaled, -2.0)
         cfg = OptimizerConfig(eps=threshold / (2.0 * float(np.linalg.norm(objective))

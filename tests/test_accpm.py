@@ -6,7 +6,7 @@ from orc.bodies import (Ball, BoxBody, ExactSeparation, Simplex,
                         brute_force_lp, random_hpolytope)
 from orc.core import (SEP, ProblemGeometry, QueryLedger, RandomStream,
                       SeparationAnswer, wrap_with_ledger)
-from orc.ellipsoid import MaxItersExhausted, OptimizerConfig
+from orc.ellipsoid import MaxItersExhausted, OptimizerConfig, optimize_linear
 from orc.experiments import fit_scaling
 from orc.geometry import HalfSpace, unit
 
@@ -135,3 +135,15 @@ def test_the_answer_stays_within_the_certificate_tolerance_off_the_origin():
     answer, _ = _solve(spec, c, eps=1e-4)
     gap = spec.support(c)[0] - float(c @ answer.maximizer)
     assert 0.0 <= gap <= 1e-4 * float(np.linalg.norm(c)) * spec.geometry.R
+
+
+@pytest.mark.parametrize("engine", [optimize_linear, optimize_linear_accpm],
+                         ids=["ellipsoid", "accpm"])
+def test_an_objective_of_another_dimension_is_refused_before_any_sep_query(engine):
+    body = Ball(np.zeros(2), 1.0)
+    ledger = QueryLedger()
+    sep = wrap_with_ledger(ExactSeparation(body), ledger)
+    for bad in (np.ones(1), np.ones(3)):
+        with pytest.raises(ValueError, match="expected a vector of dimension 2"):
+            engine(OptimizerConfig(eps=EPS), sep, body.geometry, bad)
+    assert ledger.totals() == {}

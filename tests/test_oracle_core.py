@@ -4,11 +4,11 @@ import pytest
 from orc import reductions
 from orc.bodies import (Ball, BoxBody, ExactMembership, ExactOptimization,
                         ExactSeparation, ExactValidity, FlipNoise)
-from orc.core import (EVAL, MEM, OPT, SEP, STACK_KINDS, VAL,
+from orc.core import (EVAL, GRAD, MEM, OPT, SEP, STACK_KINDS, VAL, VIOL,
                       EmptyInteriorPropagated, MembershipAnswer,
                       OptimizationAnswer, ProblemGeometry, QueryLedger,
-                      RandomStream, SeparationAnswer, amplify, check_precision,
-                      rows_of, wrap_with_ledger)
+                      RandomStream, SeparationAnswer, ValidityAnswer, amplify,
+                      check_precision, rows_of, single_of, wrap_with_ledger)
 from orc.geometry import HalfSpace
 
 
@@ -132,6 +132,46 @@ def test_rows_of_falls_back_to_one_query_per_row(kind):
         counted.rows(*args)
         counted.rows(*args)
         assert ledger.totals() == {kind: 2 * len(S)}
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_single_of_is_rows_on_a_stack_of_one(kind):
+    S, oracles = _stack_oracles()
+    exact, args = oracles[kind]
+    asked = []
+
+    def rows(*stack_args):
+        asked.append(stack_args[0].shape)
+        return exact.rows(*stack_args)
+
+    single = single_of(kind, rows, 3)
+    assert single.kind == kind and single.rows is rows
+    for i, s in enumerate(S):
+        row_args = (S[i:i + 1], args[1][i:i + 1], 0.01) if kind == VAL else (S[i:i + 1], 0.01)
+        expected = exact.rows(*row_args)[0]
+        answer = single(s, args[1][i], 0.01) if kind == VAL else single(s, 0.01)
+        if kind == MEM:
+            assert answer is (MembershipAnswer.INSIDE_DILATED if expected
+                              else MembershipAnswer.OUTSIDE_ERODED)
+        elif kind == VAL:
+            assert answer is (ValidityAnswer.SOME_ABOVE if expected else ValidityAnswer.ALL_BELOW)
+        elif kind == OPT:
+            assert isinstance(answer, OptimizationAnswer)
+            assert answer.maximizer.tobytes() == expected.tobytes()
+        else:
+            assert type(answer) is float and answer == expected
+    assert asked == [(1, 3)] * len(S)
+    # the query is checked once, before the stack form is asked
+    for bad in (np.ones(2), np.ones(4), np.array([0.0, np.nan, 0.0])):
+        with pytest.raises(ValueError):
+            single(bad, 0.5, 0.01) if kind == VAL else single(bad, 0.01)
+    assert len(asked) == len(S)
+
+
+def test_single_of_refuses_a_kind_without_a_stack_form():
+    for kind in (SEP, VIOL, GRAD, "nonsense"):
+        with pytest.raises(ValueError, match="no stack form"):
+            single_of(kind, lambda *args: None, 2)
 
 
 def test_rows_of_opt_raises_on_an_empty_answer_and_refuses_sep():

@@ -21,6 +21,7 @@ from orc.reductions import (VERTICAL_CUT_RETRIES, EpigraphBody, VerticalCut,
                             support_eval_from_opt, val_from_eval_support,
                             _normalized_opt, _normalized_val)
 from orc import separation
+from orc.height import HeightOracle
 from orc.separation import SepFromMem
 
 INSIDE = MembershipAnswer.INSIDE_DILATED
@@ -572,6 +573,37 @@ def test_normalized_views_answer_for_the_scaled_body():
     assert ledger.totals() == asked
 
 
+def _counted_views(spec, ledger):
+    """The five stack-form views whose single query `core.single_of`
+    builds, each over a ledger-counted exact oracle of `spec`, with the
+    extra arguments of one single query."""
+    g = spec.geometry
+    counted = lambda make: wrap_with_ledger(make(spec), ledger)
+    height = HeightOracle(counted(ExactMembership), g, np.full(g.n, 0.5), 1e-6, 0.01)
+    return {
+        "support_eval_from_opt": (support_eval_from_opt(counted(ExactOptimization), g), ()),
+        "eval_support_from_val": (eval_support_from_val(counted(ExactValidity), g), ()),
+        "normalized_val": (_normalized_val(counted(ExactValidity), g), (0.5,)),
+        "normalized_opt": (_normalized_opt(counted(ExactOptimization), g), ()),
+        "height_as_eval": (height.as_eval(), ()),
+    }
+
+
+@pytest.mark.parametrize("view", ["support_eval_from_opt", "eval_support_from_val",
+                                  "normalized_val", "normalized_opt", "height_as_eval"])
+def test_views_refuse_a_query_of_another_dimension_before_any_base_query(view):
+    spec = Simplex(3)
+    ledger = QueryLedger()
+    oracle, extra = _counted_views(spec, ledger)[view]
+    for bad in (np.ones(2), np.ones(4)):
+        with pytest.raises(ValueError, match="expected a vector of dimension 3"):
+            oracle(bad, *extra, 0.01)
+    assert ledger.totals() == {}
+    # a query of the right dimension does reach the base oracle
+    oracle(np.full(3, 0.1), *extra, 0.01)
+    assert sum(ledger.totals().values()) > 0
+
+
 def _recording(oracle, log):
     """A plain oracle with no stack form that logs every query it gets."""
     def plain(*args):
@@ -794,6 +826,16 @@ def test_sep_from_opt_ball():
     h = sep(np.array([1.5, 0.0]), 0.01).halfspace
     assert h is not None
     assert float(h.normal @ np.array([1.0, 0.0])) >= math.cos(math.radians(20))
+
+
+def test_sep_from_opt_refuses_a_query_of_another_dimension_before_any_opt_query():
+    spec = Ball(np.zeros(2), 1.0)
+    sep = sep_from_opt(ExactOptimization(spec), spec.geometry,
+                       RandomStream(7), eps=0.02, sep_eps=1e-4)
+    with pytest.raises(ValueError, match="expected a vector of dimension 2"):
+        sep(np.array([5.0]), 0.02)
+    for ledger in (sep.ledgers.opt, sep.ledgers.mem, sep.ledgers.sep):
+        assert ledger.totals() == {}
 
 
 def test_sep_from_opt_queries_draw_fresh_inner_streams(monkeypatch):
