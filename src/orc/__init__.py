@@ -28,7 +28,7 @@ from .height import HeightOracle
 from .reductions import (EmptyInteriorPropagated, EpigraphBody, VerticalCut,
                          eval_from_mem_epigraph, eval_from_mem_indicator,
                          eval_support_from_val, grad_conjugate_from_opt,
-                         grad_from_sep_epigraph, grad_from_sep_indicator,
+                         grad_from_sep_epigraph, grad_from_sep_indicator, inner_sep_eps,
                          mem_from_eval_indicator, mem_from_sep, opt_from_mem,
                          opt_from_val, sep_from_grad_indicator, sep_from_opt,
                          support_eval_from_opt, val_from_eval_support)

@@ -3,7 +3,8 @@
 An experiment config names a reduction chain, a body (or function)
 template, and grids of dimensions, precisions, and seeds.  Every trial
 owns its own seed path and query ledger, runs the chain against the
-exact analytic oracles, grades the answer (sound / violated / inside /
+exact analytic oracles (a composed chain through its `reductions`
+constructor), grades the answer (sound / violated / inside /
 error:<kind>), and reports query counts.  Rows are ordered
 deterministically by (n, eps, seed, trial), so identical configs yield
 byte-identical CSV output (timing column aside).
@@ -30,8 +31,8 @@ from .core import (EVAL, MEM, OPT, SEP, VAL, VIOL, QueryLedger, RandomStream,
                    wrap_with_ledger)
 from .ellipsoid import OptimizerConfig, optimize_linear, opt_from_viol
 from .geometry import unit
-from .reductions import (EpigraphBody, eval_from_mem_epigraph, opt_from_val,
-                         sep_from_opt)
+from .reductions import (EpigraphBody, eval_from_mem_epigraph, opt_from_mem,
+                         opt_from_val, sep_from_opt)
 from .separation import ANCHORED, THEORETICAL, SepFromMem
 
 CSV_COLUMNS = ["experiment", "chain", "n", "eps", "seed", "trial", "outcome",
@@ -41,14 +42,7 @@ CSV_COLUMNS = ["experiment", "chain", "n", "eps", "seed", "trial", "outcome",
 #: outside query points sit at this multiple of the body's radial scale
 QUERY_DISTANCE_FACTOR = 1.5
 
-SLACK_MODES = {"theoretical": THEORETICAL, "anchored": ANCHORED}
-
 OVERRIDE_KEYS = {"retries"}
-
-#: the membership precision of each chain's `SepFromMem`, as a multiple of
-#: the trial's eps; opt_from_mem's, two decades below the target gap, is a
-#: choice, not derived from eps, n and kappa (see README's complexity note)
-SEP_EPS_FACTOR = {"sep_from_mem": 1.0, "opt_from_mem": 1e-2}
 
 CONFIG_KEYS = {"experiment", "chain", "body", "function", "dims", "eps",
                "seeds", "trials", "slack_mode", "overrides"}
@@ -131,7 +125,7 @@ def validate_config(config: dict) -> dict:
     if not _is_int(trials) or trials < 1:
         raise ConfigError("'trials' must be a positive int")
     slack_mode = config.get("slack_mode", "anchored")
-    if slack_mode not in SLACK_MODES:
+    if slack_mode not in (ANCHORED, THEORETICAL):
         raise ConfigError("'slack_mode' must be 'theoretical' or 'anchored'")
     overrides = config.get("overrides", {})
     if not isinstance(overrides, dict):
@@ -142,17 +136,20 @@ def validate_config(config: dict) -> dict:
     retries = overrides.get("retries", 0)
     if not _is_int(retries) or retries < 0:
         raise ConfigError("'retries' must be a non-negative int")
-    out = dict(config)
-    out["slack_mode"] = slack_mode
-    out["overrides"] = overrides
-    if chain in SEP_EPS_FACTOR:
+    # a setting the chain does not read is refused, not ignored
+    if slack_mode == THEORETICAL and chain != "sep_from_mem":
+        raise ConfigError(f"chain {chain!r} does not read slack_mode 'theoretical'")
+    if "retries" in overrides and chain not in BODY_SEP_CHAINS:
+        raise ConfigError(f"chain {chain!r} does not read overrides.retries")
+    out = {**config, "slack_mode": slack_mode, "overrides": overrides}
+    if chain in BODY_SEP_CHAINS:
         # each n's body as trial (seeds[0], 0) builds it, so a random
         # template is checked on that one draw only
         for n in dims:
             try:
                 ctx = _trial_context(out, n, eps_list[0], seeds[0], 0)
                 for eps in eps_list:
-                    _trial_sep(replace(ctx, eps=eps), chain)
+                    BODY_SEP_CHAINS[chain](replace(ctx, eps=eps))
             except ValueError as exc:
                 raise ConfigError(f"at n = {n}: {exc}") from exc
     return out
@@ -281,17 +278,37 @@ def _grade_opt(body: bodies.BodySpec, answer, c: np.ndarray,
     return ("sound" if abs(gap) <= tol else "violated"), gap
 
 
-def _trial_sep(ctx, chain: str):
-    """The trial's SEP from exact MEM for `chain`, both counted."""
+def _ask(ctx, chain, *query):
+    """chain(*query), its stage ledgers merged into the trial's even if it raises."""
+    try:
+        return chain(*query)
+    finally:
+        for ledger in vars(chain.ledgers).values():
+            ctx.ledger.merge(ledger)
+
+
+def _sep_from_mem(ctx):
+    """The trial's SEP from exact MEM at membership precision eps, both counted."""
     mem = wrap_with_ledger(bodies.ExactMembership(ctx.body), ctx.ledger)
-    sep = SepFromMem(mem, ctx.body.geometry, ctx.rng.child("sep"),
-                     eps=ctx.eps * SEP_EPS_FACTOR[chain], rho=0.1, mode=ctx.slack_mode,
-                     retries=ctx.overrides.get("retries", 3))
+    sep = SepFromMem(mem, ctx.body.geometry, ctx.rng.child("sep"), eps=ctx.eps, rho=0.1,
+                     mode=ctx.slack_mode, retries=ctx.overrides.get("retries", 3))
     return wrap_with_ledger(sep, ctx.ledger)
 
 
+def _opt_from_mem(ctx):
+    """The trial's `reductions.opt_from_mem` over exact MEM."""
+    return opt_from_mem(bodies.ExactMembership(ctx.body), ctx.body.geometry,
+                        ctx.rng.child("sep"), eps=ctx.eps,
+                        retries=ctx.overrides.get("retries", 3))
+
+
+#: the chains that run `SepFromMem` over the body, by their runners' builders:
+#: validate-config builds them against each n's body; only they read retries
+BODY_SEP_CHAINS = {"sep_from_mem": _sep_from_mem, "opt_from_mem": _opt_from_mem}
+
+
 def _run_sep_from_mem(ctx) -> tuple[str, float | None]:
-    sep = _trial_sep(ctx, "sep_from_mem")
+    sep = _sep_from_mem(ctx)
     x = _outside_query(ctx.body, ctx.rng.child("query"))
     return _grade_halfspace(ctx.body, sep(x, 0.01))
 
@@ -306,12 +323,9 @@ def _run_opt_from_sep(ctx) -> tuple[str, float | None]:
 
 
 def _run_opt_from_mem(ctx) -> tuple[str, float | None]:
-    body = ctx.body
-    sep = _trial_sep(ctx, "opt_from_mem")
-    cfg = OptimizerConfig(eps=ctx.eps)
-    c = unit(ctx.rng.child("obj").generator().normal(size=body.dim))
-    answer = optimize_linear(cfg, sep, body.geometry, c)
-    return _grade_opt(body, answer, c, ctx.eps)
+    opt = _opt_from_mem(ctx)
+    c = unit(ctx.rng.child("obj").generator().normal(size=ctx.n))
+    return _grade_opt(ctx.body, _ask(ctx, opt, c, ctx.eps), c, ctx.eps)
 
 
 def _run_opt_from_viol(ctx) -> tuple[str, float | None]:
@@ -327,26 +341,18 @@ def _run_opt_from_viol(ctx) -> tuple[str, float | None]:
 
 def _run_opt_from_val(ctx) -> tuple[str, float | None]:
     body = ctx.body
-    val = bodies.ExactValidity(body)
-    opt = opt_from_val(val, body.geometry, ctx.rng.child("chain"),
-                       eps=ctx.eps, sep_eps=1e-4, rho=0.1)
+    opt = opt_from_val(bodies.ExactValidity(body), body.geometry, ctx.rng.child("chain"),
+                       eps=ctx.eps)
     c = unit(ctx.rng.child("obj").generator().normal(size=body.dim))
-    answer = opt(c, ctx.eps)
-    for name in ("val", "mem", "sep"):
-        ctx.ledger.merge(getattr(opt.ledgers, name))
-    return _grade_opt(body, answer, c, 3.0 * ctx.eps)
+    return _grade_opt(body, _ask(ctx, opt, c, ctx.eps), c, 3.0 * ctx.eps)
 
 
 def _run_sep_from_opt(ctx) -> tuple[str, float | None]:
     body = ctx.body
-    opt = bodies.ExactOptimization(body)
-    sep = sep_from_opt(opt, body.geometry, ctx.rng.child("chain"),
-                       eps=ctx.eps, sep_eps=1e-4, rho=0.1)
+    sep = sep_from_opt(bodies.ExactOptimization(body), body.geometry, ctx.rng.child("chain"),
+                       eps=ctx.eps)
     x = _outside_query(body, ctx.rng.child("query"))
-    answer = sep(x, ctx.eps)
-    for name in ("opt", "mem", "sep"):
-        ctx.ledger.merge(getattr(sep.ledgers, name))
-    return _grade_halfspace(body, answer)
+    return _grade_halfspace(body, _ask(ctx, sep, x, ctx.eps))
 
 
 def _run_eval_from_mem_epigraph(ctx) -> tuple[str, float | None]:
@@ -410,8 +416,7 @@ def _trial_context(config: dict, n: int, eps: float, seed: int, trial: int) -> _
     else:
         function = make_function(template, n, rng.child("function"))
     return _TrialContext(body=body, function=function, n=n, eps=eps, rng=rng,
-                         ledger=QueryLedger(),
-                         slack_mode=SLACK_MODES[config["slack_mode"]],
+                         ledger=QueryLedger(), slack_mode=config["slack_mode"],
                          overrides=config["overrides"])
 
 

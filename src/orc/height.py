@@ -88,21 +88,6 @@ class HeightOracle:
         d = as_vector_of(d, self.x.size)
         return float(self._alpha(d[None, :])[0])
 
-    def alpha_rows(self, D) -> np.ndarray:
-        """alpha_x at every row of the (k, n) stack D."""
-        D = np.ascontiguousarray(D, dtype=np.float64)
-        if (D.ndim != 2 or D.shape[0] == 0 or D.shape[1] != self.x.size
-                or not np.isfinite(D).all()):
-            raise ValueError(f"expected a finite (k, {self.x.size}) stack with k >= 1, "
-                             f"got shape {D.shape}")
-        return self._alpha(D)
-
-    def h_x(self, d) -> float:
-        return -self.alpha_x(d) * self.x_norm
-
-    def h_rows(self, D) -> np.ndarray:
-        return -self.alpha_rows(D) * self.x_norm
-
     def as_eval(self):
         """EVAL-oracle view of h_x (the delta argument is ignored: the
         achieved additive error is bin_tol*||x|| plus the membership

@@ -24,7 +24,8 @@ chain, one view of their base oracle as that of the normalized body
 (K - x0)/R, whose support function is 1-Lipschitz and in [0, 1], and
 the SEP of its epigraph.  `sep_from_opt` optimizes over K_f with the
 analytic-centre engine (`accpm`), which stops once its certificate
-holds; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).
+holds; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).  All
+three ask their SEP from MEM at `inner_sep_eps(eps)` unless given `sep_eps`.
 
 Stack forms.  `support_eval_from_opt`, `eval_support_from_val`,
 `EpigraphBody.as_mem` and the two normalized views answer a (k, n)
@@ -413,13 +414,34 @@ class _ChainLedgers:
             setattr(self, name, QueryLedger())
 
 
-def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float, sep_eps: float, rho: float = 0.1):
-    """OPT(K) = cutting-plane over SEP(K) built from MEM(K)."""
-    ledgers = _ChainLedgers("mem", "sep")
+def inner_sep_eps(eps: float) -> float:
+    """The membership precision (normalized frame) of the SEP-from-MEM
+    oracle inside a chain of precision eps: eps 1e-4, measured, not
+    derived.  With `orc run`'s seeding at eps 1e-3, a fixed 1e-4 left
+    `opt_from_val` sound on 346 of 400 answers (box and simplex, n = 2
+    and 3), and eps 1e-2 left `opt_from_mem` on the box sound on 6 of 10
+    seeds at n = 4 and 1 of 10 at n = 8; eps 1e-4 made all of them sound
+    (README's complexity note has the costs and a derived rule tried)."""
+    return eps * 1e-4
+
+
+def _counted_sep(mem, geometry: ProblemGeometry, rng: RandomStream, ledgers, *,
+                 eps: float, sep_eps: float | None, rho: float, retries: int = 3):
+    """The SEP from MEM of a chain of precision eps, at `sep_eps` or else
+    `inner_sep_eps(eps)`, and its MEM, counted in `ledgers.sep` and `.mem`."""
     counted_mem = wrap_with_ledger(mem, ledgers.mem)
-    sep = SepFromMem(counted_mem, geometry, rng, eps=sep_eps, rho=rho)
-    counted_sep = wrap_with_ledger(sep, ledgers.sep)
+    sep = SepFromMem(counted_mem, geometry, rng, rho=rho, retries=retries,
+                     eps=inner_sep_eps(eps) if sep_eps is None else sep_eps)
+    return wrap_with_ledger(sep, ledgers.sep), counted_mem
+
+
+def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *,
+                 eps: float, sep_eps: float | None = None, rho: float = 0.1,
+                 retries: int = 3):
+    """OPT(K) = cutting-plane over SEP(K) built from MEM(K) (`_counted_sep`)."""
+    ledgers = _ChainLedgers("mem", "sep")
+    counted_sep, _ = _counted_sep(mem, geometry, rng, ledgers, eps=eps, sep_eps=sep_eps,
+                                  rho=rho, retries=retries)
     cfg = OptimizerConfig(eps=eps)
 
     def opt(c, delta):
@@ -431,22 +453,8 @@ def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *,
     return opt
 
 
-def _support_epigraph_sep(f, n: int, rng: RandomStream, *, sep_eps: float,
-                          rho: float, ledgers):
-    """SEP and MEM of the epigraph body of the normalized support
-    function, given by `f` as `EpigraphBody` takes it (its EVAL oracle,
-    or the VAL oracle of the normalized body), SEP built from MEM, with
-    the MEM and SEP queries counted in `ledgers.mem` and `ledgers.sep`:
-    the VAL -> OPT and OPT -> SEP chains both run on it.  Returns the
-    body's geometry, the counted SEP oracle and the counted MEM oracle."""
-    body = EpigraphBody(f, n)
-    counted_mem = wrap_with_ledger(body.as_mem(), ledgers.mem)
-    sep = SepFromMem(counted_mem, body.geometry, rng, eps=sep_eps, rho=rho)
-    return body.geometry, wrap_with_ledger(sep, ledgers.sep), counted_mem
-
-
 def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float = 0.01, sep_eps: float, rho: float = 0.1):
+                 eps: float = 0.01, sep_eps: float | None = None, rho: float = 0.1):
     """OPT(K) from VAL(K).
 
     Chain: the base VAL is viewed as VAL of (K - x0)/R, with x0 the
@@ -464,13 +472,13 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
     times it.  On the centred body f is 1-Lipschitz, so a steeper
     subgradient is a cut that carries no slope information; the bound
     allows the chain's accuracy, three times its precision.  At eps
-    0.02 on boxes and simplices with n = 2 and 3, an answer costs 98-267
-    VAL, 122-329 MEM and 1-2 SEP queries.
+    0.02 on boxes and simplices with n = 2 and 3, an answer costs 128-200
+    VAL, 146-200 MEM and 1 SEP query at the default `sep_eps`.
     """
     ledgers = _ChainLedgers("val", "mem", "sep")
-    f = _normalized_val(wrap_with_ledger(val, ledgers.val), geometry)
-    _, sep, mem = _support_epigraph_sep(f, geometry.n, rng.child("opt_from_val"),
-                                        sep_eps=sep_eps, rho=rho, ledgers=ledgers)
+    kf = EpigraphBody(_normalized_val(wrap_with_ledger(val, ledgers.val), geometry), geometry.n)
+    sep, mem = _counted_sep(kf.as_mem(), kf.geometry, rng.child("opt_from_val"), ledgers,
+                            eps=eps, sep_eps=sep_eps, rho=rho)
     grad = grad_from_sep_epigraph(sep, geometry.n, mem, lipschitz=1.0 + 3.0 * eps)
 
     def opt(c, delta):
@@ -495,7 +503,7 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
 
 
 def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float = 0.01, sep_eps: float, rho: float = 0.1):
+                 eps: float = 0.01, sep_eps: float | None = None, rho: float = 0.1):
     """SEP(K) from OPT(K).
 
     Chain: the base OPT is viewed as OPT of (K - x0)/R, with x0 the
@@ -531,8 +539,9 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
     ledgers = _ChainLedgers("opt", "mem", "sep")
     f = support_eval_from_opt(_normalized_opt(wrap_with_ledger(opt, ledgers.opt), geometry),
                               geometry.rescaled())
-    body_geometry, sep_kf, _ = _support_epigraph_sep(
-        f, geometry.n, rng.child("sep_from_opt"), sep_eps=sep_eps, rho=rho, ledgers=ledgers)
+    kf = EpigraphBody(f, geometry.n)
+    sep_kf, _ = _counted_sep(kf.as_mem(), kf.geometry, rng.child("sep_from_opt"), ledgers,
+                             eps=eps, sep_eps=sep_eps, rho=rho)
     threshold = 3.0 * eps
 
     def sep(y, delta):
@@ -541,8 +550,8 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
         scaled = (y - geometry.center) / geometry.R
         objective = np.append(scaled, -2.0)
         cfg = OptimizerConfig(eps=threshold / (2.0 * float(np.linalg.norm(objective))
-                                               * (body_geometry.R + body_geometry.r)))
-        answer = optimize_linear_accpm(cfg, sep_kf, body_geometry, objective)
+                                               * (kf.geometry.R + kf.geometry.r)))
+        answer = optimize_linear_accpm(cfg, sep_kf, kf.geometry, objective)
         if answer.empty_interior:
             raise EmptyInteriorPropagated("support epigraph optimization")
         point = answer.maximizer

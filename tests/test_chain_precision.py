@@ -1,0 +1,67 @@
+"""The inner SEP precision of the composed chains, at its default.
+
+`opt_from_mem`, `opt_from_val` and `sep_from_opt` ask their inner
+SEP-from-MEM oracle at `reductions.inner_sep_eps(eps)` unless the caller
+passes `sep_eps`.  These tests run the chains at that default on the
+inputs `orc run` draws for them (the body, objective and chain streams of
+each trial's seed path) and grade each answer against the body's
+closed-form support function, with `experiments._grade_opt`'s tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from orc.bodies import ExactMembership, ExactValidity
+from orc.core import RandomStream
+from orc.experiments import make_body
+from orc.geometry import unit
+from orc.reductions import VerticalCut, inner_sep_eps, opt_from_mem, opt_from_val
+
+
+def _trial_inputs(kind, n, seed):
+    """The body, objective and seed path of `orc run`'s trial 0."""
+    rng = RandomStream(seed).child(n, 0)
+    body = make_body({"kind": kind}, n, rng.child("body"))
+    return body, unit(rng.child("obj").generator().normal(size=n)), rng
+
+
+def _sound(body, c, maximizer, tol_eps):
+    tol = tol_eps * (1.0 + body.geometry.kappa)
+    return abs(body.support(c)[0] - float(c @ maximizer)) <= tol
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["box", "simplex"])
+def test_opt_from_val_at_its_default_precision_is_sound_on_99_of_100_seeds(kind, n, eps):
+    # a fixed sep_eps of 1e-4 was sound on 85-89 of these 100 at eps 1e-3
+    sound = 0
+    for seed in range(100):
+        body, c, rng = _trial_inputs(kind, n, seed)
+        opt = opt_from_val(ExactValidity(body), body.geometry, rng.child("chain"), eps=eps)
+        try:
+            answer = opt(c, eps)
+        except VerticalCut:
+            continue
+        # the chain's accuracy is three times its eps, as `orc run` grades it
+        sound += _sound(body, c, answer.maximizer, 3.0 * eps)
+    assert sound >= 99, f"{sound} of 100 sound"
+
+
+def test_opt_from_mem_at_its_default_precision_is_sound_on_the_box_at_n_4():
+    # at sep_eps = eps * 1e-2, 6 of these 10 were sound
+    eps, sound = 1e-3, 0
+    for seed in range(1, 11):
+        body, c, rng = _trial_inputs("box", 4, seed)
+        opt = opt_from_mem(ExactMembership(body), body.geometry, rng.child("sep"), eps=eps)
+        sound += _sound(body, c, opt(c, eps).maximizer, eps)
+    assert sound >= 9, f"{sound} of 10 sound"
+
+
+def test_default_precision_is_inner_sep_eps():
+    body, c, rng = _trial_inputs("simplex", 3, 4)
+    answers = [opt_from_val(ExactValidity(body), body.geometry, rng.child("chain"),
+                            eps=0.01, **kw)(c, 0.01).maximizer
+               for kw in ({}, {"sep_eps": inner_sep_eps(0.01)})]
+    np.testing.assert_array_equal(*answers)
+    assert inner_sep_eps(0.01) == 0.01 * 1e-4

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from orc import experiments
+from orc import experiments, reductions
 from orc.bodies import BoxBody
 from orc.cli import main
 from orc.core import OptimizationAnswer
@@ -200,12 +200,12 @@ def test_template_keys_the_body_reads_are_accepted(tmp_path, template):
     assert main(["validate-config", path]) == 0
 
 
-@pytest.mark.parametrize("chain, radius", [("sep_from_mem", 100), ("opt_from_mem", 10000)])
+@pytest.mark.parametrize("chain, radius", [("sep_from_mem", 100), ("opt_from_mem", 1000000)])
 def test_separator_precision_past_the_body_exits_2_from_validate_and_run(
         tmp_path, capsys, chain, radius):
     # the runner's SepFromMem asks MEM at precision eps*R >= 1/2 here (at
-    # eps * 1e-2 for opt_from_mem): this used to validate, and then every
-    # trial was graded error:ValueError
+    # reductions.inner_sep_eps(eps) = eps * 1e-4 for opt_from_mem): this
+    # used to validate, and then every trial was graded error:ValueError
     path = _write(tmp_path, _config(chain=chain, body={"kind": "ball", "radius": radius},
                                     eps=[0.01]))
     assert main(["validate-config", path]) == 2
@@ -354,6 +354,57 @@ def test_bad_retries_override_exits_2_from_validate_and_run(tmp_path, retries):
 def test_retries_override_accepts_non_negative_ints(tmp_path, retries):
     cfg = _config(overrides={"retries": retries})
     assert main(["validate-config", _write(tmp_path, cfg)]) == 0
+
+
+@pytest.mark.parametrize("chain, setting", [
+    (chain, setting)
+    for chain in sorted(experiments.CHAINS) if chain != "sep_from_mem"
+    for setting in ("theoretical", "retries")
+    if not (setting == "retries" and chain == "opt_from_mem")])
+def test_setting_the_chain_does_not_read_exits_2_from_validate_and_run(
+        tmp_path, capsys, chain, setting):
+    # only sep_from_mem's answer carries the theoretical slack (the engines
+    # and grad_from_sep_epigraph read only a cut's normal), and only the
+    # chains that run SepFromMem over the body read retries: these used to
+    # validate and then change nothing in the CSV
+    extra = ({"slack_mode": "theoretical"} if setting == "theoretical"
+             else {"overrides": {"retries": 0}})
+    cfg = _config(chain=chain, **extra)
+    if chain == "eval_from_mem_epigraph":
+        cfg["function"] = cfg.pop("body")
+        cfg["function"]["kind"] = "norm"
+    path = _write(tmp_path, cfg)
+    assert main(["validate-config", path]) == 2
+    assert setting in capsys.readouterr().err
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "cli-test.csv").exists()
+
+
+@pytest.mark.parametrize("slack_mode", ["bogus", [], None])
+def test_bad_slack_mode_exits_2(tmp_path, slack_mode):
+    # an unhashable one used to end validate-config in a runtime TypeError
+    path = _write(tmp_path, _config(slack_mode=slack_mode))
+    assert main(["validate-config", path]) == 2
+
+
+@pytest.mark.parametrize("chain, extra", [
+    ("sep_from_mem", {"slack_mode": "theoretical"}),
+    ("opt_from_mem", {"overrides": {"retries": 0}})])
+def test_setting_the_chain_reads_validates(tmp_path, chain, extra):
+    path = _write(tmp_path, _config(chain=chain, **extra))
+    assert main(["validate-config", path]) == 0
+
+
+def test_a_chain_that_raises_still_reports_its_queries(monkeypatch):
+    # at a fixed inner precision of 1e-4 this trial raises VerticalCut; the
+    # chain's ledgers used to be merged only after an answer, so its row
+    # read 0 queries
+    monkeypatch.setattr(reductions, "inner_sep_eps", lambda eps: 1e-4)
+    cfg = experiments.validate_config(_config(chain="opt_from_val", body={"kind": "box"},
+                                              dims=[2], eps=[1e-3], seeds=[12], trials=1))
+    record = experiments.run_trial(cfg, 2, 1e-3, 12, 0)
+    assert record.outcome == "error:VerticalCut"
+    assert min(record.eval_calls, record.mem_calls, record.sep_calls) > 0
 
 
 @pytest.mark.parametrize("field, value", [

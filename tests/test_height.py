@@ -29,7 +29,7 @@ def test_alpha_ball_offset_base_point():
 
 def test_height_ball_origin():
     h = _height(Ball(np.zeros(2), 1.0), [0.5, 0.0])
-    assert abs(h.h_x(np.zeros(2)) - (-1.0)) <= 1e-8
+    assert abs(h.as_eval()(np.zeros(2), 0.1) - (-1.0)) <= 1e-8
 
 
 def test_height_box_corner_direction():
@@ -41,7 +41,7 @@ def test_height_box_corner_direction():
     assert spec.geometry.R == math.sqrt(2.0)
     h = _height(spec, [0.5, 0.5], geometry=spec.geometry)
     assert abs(h.alpha_x(np.zeros(2)) - math.sqrt(2.0)) <= 2e-9
-    assert abs(h.h_x(np.zeros(2)) - (-1.0)) <= 1e-8
+    assert abs(h.as_eval()(np.zeros(2), 0.1) - (-1.0)) <= 1e-8
 
 
 def test_height_is_convex_along_segments():
@@ -49,15 +49,16 @@ def test_height_is_convex_along_segments():
     spec = Simplex(3, 1.0)
     h = _height(spec, [0.4, 0.1, 0.2], bin_tol=1e-10,
                 geometry=spec.geometry)
+    h_x = lambda d: h.as_eval()(d, 0.1)
     base = np.zeros(3)  # the center, normalized
     for _ in range(60):
         d0 = base + 0.05 * gen.normal(size=3)
         d1 = base + 0.05 * gen.normal(size=3)
         lam = gen.uniform()
         mid = lam * d0 + (1.0 - lam) * d1
-        bound = lam * h.h_x(d0) + (1.0 - lam) * h.h_x(d1)
+        bound = lam * h_x(d0) + (1.0 - lam) * h_x(d1)
         # convexity up to twice the bisection resolution
-        assert h.h_x(mid) <= bound + 4e-10 * np.linalg.norm(h.x)
+        assert h_x(mid) <= bound + 4e-10 * np.linalg.norm(h.x)
 
 
 def test_height_is_lipschitz_near_origin():
@@ -65,12 +66,12 @@ def test_height_is_lipschitz_near_origin():
     gen = np.random.default_rng(4)
     spec = Ball(np.zeros(2), 1.0)
     x = np.array([0.8, -0.3])
-    h = _height(spec, x, bin_tol=1e-10)
+    h_x = _height(spec, x, bin_tol=1e-10).as_eval()
     L = np.linalg.norm(x) * (np.linalg.norm(x) + 1.0) / 1.0
     for _ in range(100):
         d0 = gen.uniform(-0.4, 0.4, size=2)
         d1 = gen.uniform(-0.4, 0.4, size=2)
-        gap = abs(h.h_x(d0) - h.h_x(d1))
+        gap = abs(h_x(d0, 0.1) - h_x(d1, 0.1))
         assert gap <= L * np.linalg.norm(d0 - d1) + 1e-8
 
 
@@ -116,15 +117,17 @@ def test_stack_heights_equal_per_row_heights():
         assert spec.geometry.R != 1.0 and spec.geometry.center.any()
         h = _height(spec, [0.4, -0.1, 0.2, 0.3], geometry=spec.geometry)
         D = _stack(spec, gen, 8)
-        np.testing.assert_array_equal(h.h_rows(D), [h.h_x(d) for d in D])
-        np.testing.assert_array_equal(h.as_eval().rows(D, 0.1), h.h_rows(D))
+        h_x = h.as_eval()
+        heights = h_x.rows(D, 0.1)
+        np.testing.assert_array_equal(heights, [h_x(d, 0.1) for d in D])
+        np.testing.assert_array_equal(heights, [-h.alpha_x(d) * h.x_norm for d in D])
         # a single height is a stack of one, so also check against a
         # loop written here, over MEM's stack form and over a plain MEM
         reference = [_reference_height(spec, h, d) for d in D]
-        np.testing.assert_array_equal(h.h_rows(D), reference)
+        np.testing.assert_array_equal(heights, reference)
         plain = lambda y, delta: exact_membership(spec, y, delta)
         h_plain = HeightOracle(plain, spec.geometry, h.x, h.bin_tol, h.mem_delta)
-        np.testing.assert_array_equal(h_plain.h_rows(D), reference)
+        np.testing.assert_array_equal(h_plain.as_eval().rows(D, 0.1), reference)
 
 
 def test_stack_records_per_row_mem_count_once():
@@ -144,7 +147,7 @@ def test_stack_records_per_row_mem_count_once():
     stacked, per_row = RecordCountingLedger(), QueryLedger()
     h = HeightOracle(wrap_with_ledger(ExactMembership(spec), stacked),
                      spec.geometry, x, 1e-9, 1e-12)
-    h.alpha_rows(D)
+    h.as_eval().rows(D, 0.1)
     h_row = HeightOracle(wrap_with_ledger(ExactMembership(spec), per_row),
                          spec.geometry, x, 1e-9, 1e-12)
     for d in D:
@@ -174,11 +177,12 @@ def test_stack_without_fast_path_bisects_in_lockstep():
     h = HeightOracle(mem, GEOM2, x, 1e-6, 0.01)
     iters = [h.iterations_for(d)[1] for d in D]
     assert len(set(iters)) > 1  # a row leaves the stack before the others
-    alphas = h.alpha_rows(D)
-    np.testing.assert_array_equal(alphas, HeightOracle(exact, GEOM2, x, 1e-6, 0.01).alpha_rows(D))
+    heights = h.as_eval().rows(D, 0.1)
+    np.testing.assert_array_equal(
+        heights, HeightOracle(exact, GEOM2, x, 1e-6, 0.01).as_eval().rows(D, 0.1))
     np.testing.assert_array_equal(np.array(seen), np.concatenate(stacks))
     assert len(seen) == sum(iters)
-    np.testing.assert_array_equal(alphas, [h.alpha_x(d) for d in D])
+    np.testing.assert_array_equal(heights, [-h.alpha_x(d) * h.x_norm for d in D])
 
 
 def test_intersection_bisects_like_a_per_query_oracle():
@@ -199,25 +203,28 @@ def test_intersection_bisects_like_a_per_query_oracle():
                      spec.geometry, x, 1e-9, 1e-12)
     h_ref = HeightOracle(wrap_with_ledger(mem, per_query), spec.geometry, x, 1e-9, 1e-12)
     reference = [h_ref.alpha_x(d) for d in D]
-    np.testing.assert_array_equal(h.alpha_rows(D), reference)
+    np.testing.assert_array_equal(h.as_eval().rows(D, 0.1),
+                                  [-alpha * h.x_norm for alpha in reference])
     assert stacked.count(MEM) == per_query.count(MEM) > 0
     assert h.alpha_x(D[0]) == reference[0]
     hi, iters = h.iterations_for(D[0])
     assert ExactMembership(spec).alpha_bisect(D[0], x, hi, iters, 1e-12) == reference[0]
 
 
-def test_stack_rejects_malformed_input():
+def test_single_point_rejects_malformed_input():
+    # a stack is taken as given; a single point is checked where it enters
     h = _height(Ball(np.zeros(2), 1.0), [0.5, 0.0])
-    for bad in (np.zeros(2), np.zeros((0, 2)), np.zeros((3, 3)), np.array([[0.0, np.nan]])):
-        with pytest.raises(ValueError):
-            h.alpha_rows(bad)
+    for bad in (np.zeros((1, 2)), np.zeros(0), np.zeros((3, 3)), np.array([0.0, np.nan])):
+        for evaluate in (h.alpha_x, lambda d: h.as_eval()(d, 0.1)):
+            with pytest.raises(ValueError):
+                evaluate(bad)
 
 
 def test_single_point_of_another_dimension_is_refused():
     # a base point is not broadcast against x: (0.3,) is not (0.3, 0.3)
     h = _height(Ball(np.zeros(2), 1.0), [0.5, 0.0])
     for bad in (np.array([0.3]), np.zeros(3)):
-        for evaluate in (h.alpha_x, h.h_x, lambda d: h.as_eval()(d, 0.1)):
+        for evaluate in (h.alpha_x, lambda d: h.as_eval()(d, 0.1)):
             with pytest.raises(ValueError, match="dimension 2"):
                 evaluate(bad)
 

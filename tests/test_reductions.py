@@ -669,6 +669,14 @@ def test_opt_from_mem_ball():
     assert opt.ledgers.mem.count(MEM) > 0
 
 
+def test_opt_from_mem_forwards_retries_to_its_separator():
+    spec = Ball(np.zeros(2), 1.0)
+    opt_from_mem(ExactMembership(spec), spec.geometry, RandomStream(5), eps=1e-3, retries=0)
+    with pytest.raises(ValueError, match="retries"):
+        opt_from_mem(ExactMembership(spec), spec.geometry, RandomStream(5), eps=1e-3,
+                     retries=-1)
+
+
 def _random_ellipsoid(n, rng):
     gen = rng.generator()
     q, _ = np.linalg.qr(gen.normal(size=(n, n)))
