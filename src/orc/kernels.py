@@ -1,20 +1,22 @@
-"""Hot numeric kernels: the membership bisection that evaluates the
-height function, and the central-cut ellipsoid update, a rank-one update
-of the shape matrix's factor.  The factor is kept as scale * M, and a
-cut updates M in place and returns the new center and scale: about
-eight numpy calls, with constants that depend on the dimension alone
-and are computed once per dimension.  The cut normal need not be unit:
-the update reads only its direction.
+"""Hot numeric kernels: the bisection loop of the height function and
+the bisecting reductions, and the central-cut ellipsoid update, a
+rank-one update of the shape matrix's factor.  The factor is kept as
+scale * M, and a cut updates M in place and returns the new center and
+scale: about eight numpy calls, with constants that depend on the
+dimension alone and are computed once per dimension.  The cut normal
+need not be unit: the update reads only its direction.
 
 All of it is numpy code.  `bisect_rows` is the one bisection loop: it
 bisects k rays in lockstep, one containment test per round of the rows
-still bisecting, so one subgradient estimate's 2n height evaluations
-cost one numpy loop instead of 2n, and exactly the sum of their round
-counts in row tests.  It takes the stack containment test as a
-callable: a body's `contains_rows`, or, from `height.HeightOracle`, a
-membership oracle's stack form (`core.rows_of`: its `rows`, or one MEM
-query per row), whose every test is an oracle query.
-`bisect_alpha` is a stack of one through it.
+still bisecting, so a stack costs one numpy loop and exactly the sum of
+its rows' round counts in row tests.  It takes the stack test as a
+callable: a body's `contains_rows` (from `bodies._radial_from`, through
+`bisect_alpha`, a stack of one), or an oracle's stack form
+(`core.rows_of`), whose every row test is a query: MEM's from
+`height.HeightOracle` and `reductions.eval_from_mem_epigraph`, VAL's
+from `reductions.eval_support_from_val`.  `ellipsoid.opt_from_viol`
+keeps its own loop: it returns the last witness, not the bisected
+value, and checks each witness against its threshold.
 """
 
 from __future__ import annotations

@@ -28,18 +28,18 @@ holds; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).  All
 three ask their SEP from MEM at `inner_sep_eps(eps)` unless given `sep_eps`.
 
 Stack forms.  `support_eval_from_opt`, `eval_support_from_val`,
-`EpigraphBody.as_mem` and the two normalized views answer a (k, n)
-stack of queries as their `rows`, and a single call is the stack form
-on a stack of one: `core.single_of` builds it, with the one entry check
-of the query, for every view but `as_mem`, whose single call is
-`EpigraphBody.membership`.  Each asks its inner oracle through
-`core.rows_of`: one call per stack over an inner `rows` form (the exact
-oracles), one query per row, in row order, over any other (`amplify`'s
-voters, plain callables).  So the height oracle bisects the 2(n+1) rows
-of an epigraph subgradient estimate in lockstep, one stacked OPT or VAL
-query per round for the rows still bisecting, whatever the base oracle;
-`eval_support_from_val` bisects its thresholds in lockstep, and the
-epigraph asks one VAL query per containment test.
+`eval_from_mem_epigraph`, `EpigraphBody.as_mem` and the two normalized
+views answer a (k, n) stack of queries as their `rows`, and a single
+call is the stack form on a stack of one: `core.single_of` builds it,
+with the one entry check of the query, for every view but `as_mem`,
+whose single call is `EpigraphBody.membership`.  Each asks its inner
+oracle through `core.rows_of`: one call per stack over an inner `rows`
+form (the exact oracles), one query per row, in row order, over any
+other (`amplify`'s voters, plain callables).  Every bisection here runs
+in lockstep through `kernels.bisect_rows`, one stacked query per round
+whatever the base oracle: the height oracle's over the 2(n+1) rows of
+an epigraph subgradient estimate (OPT or VAL), and the two evaluations'
+(VAL, MEM); the epigraph asks one VAL query per containment test.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ import math
 
 import numpy as np
 
+from . import kernels
 from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, EmptyInteriorPropagated,
                    GradAnswer, MembershipAnswer, OptimizationAnswer,
                    ProblemGeometry, QueryLedger, RandomStream,
@@ -227,32 +228,29 @@ class EpigraphBody:
 
 
 def eval_from_mem_epigraph(mem_kf, dim: int):
-    """EVAL(f) from MEM(K_f) by bisecting the smallest feasible t."""
+    """EVAL(f) from MEM(K_f): t = 2 - alpha for the largest alpha with
+    (y/2, 1/2) + alpha (0, -1/4) inside, bisected over [0, 2] by
+    `kernels.bisect_rows`, ceil(log2(2/delta)) MEM queries per row at
+    delta / (4 iters); +inf on a row that never answers INSIDE."""
+    mem_rows = rows_of(mem_kf, MEM)
+    down = np.append(np.zeros(dim), -0.25)
 
-    def eval_f(y, delta):
+    def rows(Y, delta):
         check_precision(delta)
-        y = as_vector_of(y, dim)
-        if np.linalg.norm(y) > 1.0:
+        # sqrt(vecdot) is np.linalg.norm's computation, row by row
+        if np.any(np.sqrt(np.vecdot(Y, Y)) > 1.0):
             raise ValueError("evaluation point must lie in the unit ball")
         iters = math.ceil(math.log2(2.0 / delta))
-        inner_delta = max(delta / (4.0 * iters), 1e-15)
-        u = 0.5 * y
-        lo, hi = 0.0, 2.0
-        feasible = False
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            point = np.append(u, mid / 4.0)
-            if mem_kf(point, inner_delta).inside:
-                feasible = True
-                hi = mid
-            else:
-                lo = mid
-        if not feasible:
-            return math.inf
-        return 0.5 * (lo + hi)
+        inner_delta = delta / (4.0 * iters)
+        k = Y.shape[0]
+        lid = np.column_stack([0.5 * Y, np.full(k, 0.5)])
+        alpha = kernels.bisect_rows(lambda P: mem_rows(P, inner_delta), lid, down,
+                                    np.full(k, 2.0), np.full(k, iters))
+        # the last bracket is alpha -+ 2^-iters: its lower end is 0 only
+        # on a row that never answered INSIDE
+        return np.where(alpha > 2.0 ** -iters, 2.0 - alpha, math.inf)
 
-    eval_f.kind = EVAL
-    return eval_f
+    return single_of(EVAL, rows, dim)
 
 
 def grad_from_sep_epigraph(sep_kf, dim: int, mem_kf=None, lipschitz: float = math.inf):
@@ -272,12 +270,12 @@ def grad_from_sep_epigraph(sep_kf, dim: int, mem_kf=None, lipschitz: float = mat
     at ||y|| = 1 the body's cylinder wall puts horizontal normals in the
     normal cone, and no bound on f's slope follows from K_f alone.
     """
-    eval_f = eval_from_mem_epigraph(mem_from_sep(sep_kf) if mem_kf is None else mem_kf, dim)
+    eval_rows = eval_from_mem_epigraph(mem_from_sep(sep_kf) if mem_kf is None else mem_kf, dim).rows
 
     def grad(y, delta):
         check_precision(delta)
         y = as_vector_of(y, dim)
-        alpha = eval_f(y, delta)
+        alpha = float(eval_rows(y[None, :], delta)[0])
         if not math.isfinite(alpha):
             raise ValueError("cannot take a subgradient where f is infinite")
         depth = delta
@@ -318,7 +316,7 @@ def grad_conjugate_from_opt(opt, geometry: ProblemGeometry):
 
     def grad(c, delta):
         check_precision(delta)
-        c = as_vector(c)
+        c = as_vector_of(c, geometry.n)
         answer = opt(c, delta / (3.0 + geometry.kappa))
         if answer.empty_interior:
             raise EmptyInteriorPropagated("support subgradient")
@@ -348,7 +346,8 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
     The support value lies in [r||c||, R||c||] whenever B(0, r) is inside
     the body, so gamma is bracketed in [0, R||c||]; ceil(log2(2 kappa /
     delta)) validity queries per call.  `rows(C, delta)` bisects a
-    stack in lockstep, one round of VAL queries at a time.
+    stack in lockstep (`kernels.bisect_rows`), one VAL query per row
+    and round.
     """
     val_rows = rows_of(val, VAL)
 
@@ -359,16 +358,14 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
         norms = np.sqrt(np.vecdot(C, C))
         nonzero = np.flatnonzero(norms != 0.0)
         if nonzero.size:
-            C = C[nonzero]
+            C, k = C[nonzero], nonzero.size
             iters = math.ceil(math.log2(2.0 * geometry.kappa / delta))
-            inner_delta = max(delta / (geometry.kappa * iters), 1e-15)
-            lo, hi = np.zeros(nonzero.size), geometry.R * norms[nonzero]
-            for _ in range(iters):
-                mid = 0.5 * (lo + hi)
-                some_above = val_rows(C, mid, inner_delta)
-                lo = np.where(some_above, mid, lo)
-                hi = np.where(some_above, hi, mid)
-            out[nonzero] = 0.5 * (lo + hi)
+            inner_delta = delta / (geometry.kappa * iters)
+            # gamma is "inside" while VAL answers SOME_ABOVE; all rows have
+            # one round count, so the stack G stays aligned with C
+            out[nonzero] = kernels.bisect_rows(
+                lambda G: val_rows(C, G[:, 0], inner_delta), np.zeros((k, 1)),
+                np.array([1.0]), geometry.R * norms[nonzero], np.full(k, iters))
         return out
 
     return single_of(EVAL, rows, geometry.n)

@@ -280,11 +280,74 @@ def test_eval_from_mem_epigraph_query_count():
     assert ledger.count(MEM) == math.ceil(math.log2(2.0 / delta))
 
 
+def _reference_epigraph_eval(mem, y, delta):
+    """f(y) by the per-point t bisection written out here: over [0, 2]
+    from t = 1, one MEM query per round at delta / (4 iters), and +inf
+    when no query answers INSIDE."""
+    iters = math.ceil(math.log2(2.0 / delta))
+    lo, hi = 0.0, 2.0
+    feasible = False
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mem(np.append(0.5 * y, mid / 4.0), delta / (4.0 * iters)).inside:
+            feasible, hi = True, mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi) if feasible else math.inf
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_epigraph_eval_rows_match_single_calls_the_reference_and_counts(n):
+    # over the normalized support function of a body, a stack bisects
+    # every row in lockstep and gets, bitwise, the single calls and the
+    # per-point bisection, at exactly iters MEM queries per row
+    gen = np.random.default_rng(50 + n)
+    Y = gen.normal(size=(30, n))
+    Y *= gen.uniform(0.0, 1.0, size=(30, 1)) / np.linalg.norm(Y, axis=1, keepdims=True)
+    Y[3] = -0.0
+    Y[4] = unit(Y[4])
+    for spec in (BoxBody(np.array([1.5, -0.5, 0.75][:n]), 0.5), Simplex(n)):
+        kf = EpigraphBody(_normalized_val(ExactValidity(spec), spec.geometry), n)
+        for delta in (1e-6, 1e-3, 0.02):
+            ledger = QueryLedger()
+            ev = eval_from_mem_epigraph(wrap_with_ledger(kf.as_mem(), ledger), n)
+            values = ev.rows(Y, delta)
+            assert ledger.count(MEM) == math.ceil(math.log2(2.0 / delta)) * len(Y)
+            np.testing.assert_array_equal(values, [ev(y, delta) for y in Y])
+            np.testing.assert_array_equal(
+                values, [_reference_epigraph_eval(kf.as_mem(), y, delta) for y in Y])
+            assert np.all(np.isfinite(values))
+
+
 def test_eval_from_mem_epigraph_rejects_outside_unit_ball():
     body = EpigraphBody(_quadratic_eval, 2)
-    ev = eval_from_mem_epigraph(body.as_mem(), 2)
-    with pytest.raises(ValueError):
+    ledger = QueryLedger()
+    ev = eval_from_mem_epigraph(wrap_with_ledger(body.as_mem(), ledger), 2)
+    with pytest.raises(ValueError, match="unit ball"):
         ev(np.array([1.5, 0.0]), 1e-4)
+    # one row past the unit ball refuses the whole stack before any MEM query
+    with pytest.raises(ValueError, match="unit ball"):
+        ev.rows(np.array([[0.2, 0.1], [0.0, 0.0], [0.8, 0.7]]), 1e-4)
+    assert ledger.totals() == {}
+
+
+def test_eval_from_mem_epigraph_asks_its_precision_without_a_floor():
+    # at delta 1e-14 every MEM query is asked at delta / (4 iters), about
+    # 5e-17, and a linear f is still recovered within 2 delta
+    a = np.array([0.3, -0.4])
+    f = lambda y: 0.5 + float(a @ y)
+    deltas = []
+
+    def mem(point, delta):
+        deltas.append(delta)
+        return INSIDE if f(2.0 * point[:-1]) <= 4.0 * point[-1] else OUTSIDE
+
+    mem.kind = MEM
+    delta = 1e-14
+    iters = math.ceil(math.log2(2.0 / delta))
+    y = np.array([0.6, 0.2])
+    assert abs(eval_from_mem_epigraph(mem, 2)(y, delta) - f(y)) <= 2.0 * delta
+    assert deltas == [delta / (4.0 * iters)] * iters
 
 
 @pytest.mark.parametrize("plain", [False, True], ids=["as_mem", "plain_mem"])
@@ -298,11 +361,14 @@ def test_epigraph_eval_and_grad_refuse_a_point_of_another_dimension(plain):
         mem.kind = MEM
     ledger = QueryLedger()
     counted = wrap_with_ledger(mem, ledger)
-    for oracle in (eval_from_mem_epigraph(counted, 3),
-                   grad_from_sep_epigraph(ExactSeparationEpigraph(body), 3, counted)):
+    ev = eval_from_mem_epigraph(counted, 3)
+    for oracle in (ev, grad_from_sep_epigraph(ExactSeparationEpigraph(body), 3, counted)):
         with pytest.raises(ValueError, match="dimension 3"):
             oracle(np.array([0.2, 0.1]), 0.25)
     assert ledger.count(MEM) == 0
+    if plain:
+        # a point where MEM never answers INSIDE evaluates to +inf
+        assert ev(np.array([0.2, 0.1, 0.0]), 0.25) == math.inf
 
 
 def test_grad_from_sep_epigraph_linear_function():
@@ -574,23 +640,29 @@ def test_normalized_views_answer_for_the_scaled_body():
 
 
 def _counted_views(spec, ledger):
-    """The five stack-form views whose single query `core.single_of`
-    builds, each over a ledger-counted exact oracle of `spec`, with the
-    extra arguments of one single query."""
+    """The six stack-form views whose single query `core.single_of`
+    builds, and `grad_conjugate_from_opt`, each over ledger-counted
+    exact oracles of `spec`, with the extra arguments of one single
+    query."""
     g = spec.geometry
     counted = lambda make: wrap_with_ledger(make(spec), ledger)
     height = HeightOracle(counted(ExactMembership), g, np.full(g.n, 0.5), 1e-6, 0.01)
+    kf = EpigraphBody(_normalized_val(counted(ExactValidity), g), g.n)
     return {
         "support_eval_from_opt": (support_eval_from_opt(counted(ExactOptimization), g), ()),
         "eval_support_from_val": (eval_support_from_val(counted(ExactValidity), g), ()),
         "normalized_val": (_normalized_val(counted(ExactValidity), g), (0.5,)),
         "normalized_opt": (_normalized_opt(counted(ExactOptimization), g), ()),
         "height_as_eval": (height.as_eval(), ()),
+        "eval_from_mem_epigraph": (
+            eval_from_mem_epigraph(wrap_with_ledger(kf.as_mem(), ledger), g.n), ()),
+        "grad_conjugate_from_opt": (grad_conjugate_from_opt(counted(ExactOptimization), g), ()),
     }
 
 
 @pytest.mark.parametrize("view", ["support_eval_from_opt", "eval_support_from_val",
-                                  "normalized_val", "normalized_opt", "height_as_eval"])
+                                  "normalized_val", "normalized_opt", "height_as_eval",
+                                  "eval_from_mem_epigraph", "grad_conjugate_from_opt"])
 def test_views_refuse_a_query_of_another_dimension_before_any_base_query(view):
     spec = Simplex(3)
     ledger = QueryLedger()
@@ -632,7 +704,7 @@ def test_plain_opt_and_val_get_the_per_query_sequence():
             ev_val(c, delta)
         assert opt_log == [(c.tobytes(), delta / (3.0 + g.kappa)) for c in C]
         iters = math.ceil(math.log2(2.0 * g.kappa / delta))
-        inner_delta = max(delta / (g.kappa * iters), 1e-15)
+        inner_delta = delta / (g.kappa * iters)
         expected = []
         for c in C[C.any(axis=1)]:
             lo, hi = 0.0, g.R * float(np.linalg.norm(c))
