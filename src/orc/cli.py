@@ -18,9 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import (CHAIN_DESCRIPTIONS, ConfigError, config_hash,
-                          fit_scaling, run_experiment, summarize,
-                          validate_config, write_csv)
+from .experiments import (CHAINS, ConfigError, config_hash, fit_scaling,
+                          run_grid, summarize, validate_config, write_csv)
 
 
 def _load_config(path: str) -> dict:
@@ -36,7 +35,7 @@ def _cmd_run(args) -> int:
     config = _load_config(args.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = run_experiment(config, jobs=args.jobs)
+    records = run_grid(config, jobs=args.jobs)
     stem = config["experiment"]
     csv_path = out_dir / f"{stem}.csv"
     write_csv(records, csv_path, timing=not args.no_timing)
@@ -68,9 +67,9 @@ def _cmd_fit_scaling(args) -> int:
 
 
 def _cmd_list_chains(_args) -> int:
-    width = max(len(name) for name in CHAIN_DESCRIPTIONS)
-    for name, desc in CHAIN_DESCRIPTIONS.items():
-        print(f"{name:<{width}}  {desc}")
+    width = max(len(name) for name in CHAINS)
+    for name, chain in CHAINS.items():
+        print(f"{name:<{width}}  {chain.description}")
     return 0
 
 

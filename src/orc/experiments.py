@@ -2,12 +2,12 @@
 
 An experiment config names a reduction chain, a body (or function)
 template, and grids of dimensions, precisions, and seeds.  Every trial
-owns its own seed path and query ledger, runs the chain against the
-exact analytic oracles (a composed chain through its `reductions`
-constructor), grades the answer (sound / violated / inside /
-error:<kind>), and reports query counts.  Rows are ordered
-deterministically by (n, eps, seed, trial), so identical configs yield
-byte-identical CSV output (timing column aside).
+owns its own seed path and query ledger, builds its chain's oracle (one
+`CHAINS` record each) over the exact analytic oracles, asks it one
+query, grades the answer (sound / violated / inside / error:<kind>),
+and reports query counts.  Rows are ordered deterministically by (n,
+eps, seed, trial), so identical configs yield byte-identical CSV output
+(timing column aside).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import multiprocessing
 import operator
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -104,19 +105,21 @@ def validate_config(config: dict) -> dict:
     chain = config["chain"]
     if chain not in CHAINS:
         raise ConfigError(f"unknown chain {chain!r}; see `orc list-chains`")
-    if CHAIN_INPUT[chain] not in config:
-        raise ConfigError(
-            f"chain {chain!r} needs a {CHAIN_INPUT[chain]!r} template")
+    spec = CHAINS[chain]
+    role = "function" if spec.kind == EVAL else "body"
+    if role not in config:
+        raise ConfigError(f"chain {chain!r} needs a {role!r} template")
     dims = config.get("dims")
     if (not isinstance(dims, list) or not dims
             or not all(_is_int(n) and n >= 1 for n in dims)):
         raise ConfigError("'dims' must be a non-empty list of positive ints")
-    _check_template(CHAIN_INPUT[chain], template, dims)
+    _check_template(role, template, dims)
     eps_list = config.get("eps")
     if (not isinstance(eps_list, list) or not eps_list
-            or not all(isinstance(e, (int, float)) and 0 < e < 1
+            or not all(isinstance(e, (int, float)) and 0 < e < 0.5
                        for e in eps_list)):
-        raise ConfigError("'eps' must be a non-empty list of floats in (0,1)")
+        # core.check_precision's range: every chain asks its query at eps
+        raise ConfigError("'eps' must be a non-empty list of floats in (0, 1/2)")
     seeds = config.get("seeds")
     if (not isinstance(seeds, list) or not seeds
             or not all(_is_int(s) for s in seeds)):
@@ -137,21 +140,20 @@ def validate_config(config: dict) -> dict:
     if not _is_int(retries) or retries < 0:
         raise ConfigError("'retries' must be a non-negative int")
     # a setting the chain does not read is refused, not ignored
-    if slack_mode == THEORETICAL and chain != "sep_from_mem":
+    if slack_mode == THEORETICAL and "slack_mode" not in spec.reads:
         raise ConfigError(f"chain {chain!r} does not read slack_mode 'theoretical'")
-    if "retries" in overrides and chain not in BODY_SEP_CHAINS:
+    if "retries" in overrides and "retries" not in spec.reads:
         raise ConfigError(f"chain {chain!r} does not read overrides.retries")
     out = {**config, "slack_mode": slack_mode, "overrides": overrides}
-    if chain in BODY_SEP_CHAINS:
-        # each n's body as trial (seeds[0], 0) builds it, so a random
-        # template is checked on that one draw only
-        for n in dims:
-            try:
-                ctx = _trial_context(out, n, eps_list[0], seeds[0], 0)
-                for eps in eps_list:
-                    BODY_SEP_CHAINS[chain](replace(ctx, eps=eps))
-            except ValueError as exc:
-                raise ConfigError(f"at n = {n}: {exc}") from exc
+    # each n's template as trial (seeds[0], 0) builds it, so a random one
+    # is checked on that one draw only, and at every eps the chain over it
+    for n in dims:
+        try:
+            ctx = _trial_context(out, n, eps_list[0], seeds[0], 0)
+            for eps in eps_list:
+                spec.build(replace(ctx, eps=eps))
+        except ValueError as exc:
+            raise ConfigError(f"at n = {n}: {exc}") from exc
     return out
 
 
@@ -166,7 +168,10 @@ def _is_number(x) -> bool:
 
 def _check_template(role: str, template: dict, dims: list) -> None:
     """The template's kind and keys against what `make_body` or
-    `make_function` reads, with the values their constructors accept."""
+    `make_function` reads, with the values their constructors accept;
+    what only a constructor can tell (too many facets to enumerate, a
+    separator precision past the body) is refused when `validate_config`
+    builds each n's template and chain."""
     allowed = BODY_KEYS if role == "body" else FUNCTION_KEYS
     kind = template["kind"]
     if not isinstance(kind, str) or kind not in allowed:
@@ -183,11 +188,6 @@ def _check_template(role: str, template: dict, dims: list) -> None:
         raise ConfigError("'extra_facets' must be a non-negative int")
     if not _is_number(template.get("jitter", 0.0)):
         raise ConfigError("'jitter' must be a finite number")
-    if kind == "random_hpolytope" and any(
-            math.comb(n + 1 + extra, n) > bodies.HPolytope.MAX_SUBSETS
-            for n in dims):
-        raise ConfigError("too many facets for vertex enumeration; "
-                          "lower 'extra_facets' or 'dims'")
     if "axes" in template:
         axes = template["axes"]
         if (not isinstance(axes, list)
@@ -247,7 +247,7 @@ def make_function(template: dict, n: int, rng: RandomStream):
 
 
 # ---------------------------------------------------------------------------
-# chain runners: each takes the trial context and returns (outcome, gap)
+# chains: each builder takes the trial context and returns the oracle asked
 
 def _outside_query(body: bodies.BodySpec, rng: RandomStream) -> np.ndarray:
     direction = unit(rng.generator().normal(size=body.dim))
@@ -278,121 +278,116 @@ def _grade_opt(body: bodies.BodySpec, answer, c: np.ndarray,
     return ("sound" if abs(gap) <= tol else "violated"), gap
 
 
-def _ask(ctx, chain, *query):
-    """chain(*query), its stage ledgers merged into the trial's even if it raises."""
-    try:
-        return chain(*query)
-    finally:
-        for ledger in vars(chain.ledgers).values():
-            ctx.ledger.merge(ledger)
-
-
 def _sep_from_mem(ctx):
-    """The trial's SEP from exact MEM at membership precision eps, both counted."""
+    """SEP from exact MEM at membership precision eps, both counted."""
     mem = wrap_with_ledger(bodies.ExactMembership(ctx.body), ctx.ledger)
     sep = SepFromMem(mem, ctx.body.geometry, ctx.rng.child("sep"), eps=ctx.eps, rho=0.1,
                      mode=ctx.slack_mode, retries=ctx.overrides.get("retries", 3))
     return wrap_with_ledger(sep, ctx.ledger)
 
 
+def _opt_from_sep(ctx):
+    """The ellipsoid engine over exact SEP, counted; the answer is not."""
+    sep = wrap_with_ledger(bodies.ExactSeparation(ctx.body), ctx.ledger)
+    cfg = OptimizerConfig(eps=ctx.eps)
+    return lambda c, delta: optimize_linear(cfg, sep, ctx.body.geometry, c)
+
+
 def _opt_from_mem(ctx):
-    """The trial's `reductions.opt_from_mem` over exact MEM."""
     return opt_from_mem(bodies.ExactMembership(ctx.body), ctx.body.geometry,
                         ctx.rng.child("sep"), eps=ctx.eps,
                         retries=ctx.overrides.get("retries", 3))
 
 
-#: the chains that run `SepFromMem` over the body, by their runners' builders:
-#: validate-config builds them against each n's body; only they read retries
-BODY_SEP_CHAINS = {"sep_from_mem": _sep_from_mem, "opt_from_mem": _opt_from_mem}
+def _opt_from_viol(ctx):
+    viol = wrap_with_ledger(bodies.ExactViolation(ctx.body), ctx.ledger)
+    return wrap_with_ledger(opt_from_viol(viol, ctx.eps), ctx.ledger)
 
 
-def _run_sep_from_mem(ctx) -> tuple[str, float | None]:
-    sep = _sep_from_mem(ctx)
-    x = _outside_query(ctx.body, ctx.rng.child("query"))
-    return _grade_halfspace(ctx.body, sep(x, 0.01))
+def _opt_from_val(ctx):
+    return opt_from_val(bodies.ExactValidity(ctx.body), ctx.body.geometry,
+                        ctx.rng.child("chain"), eps=ctx.eps)
 
 
-def _run_opt_from_sep(ctx) -> tuple[str, float | None]:
-    body = ctx.body
-    sep = wrap_with_ledger(bodies.ExactSeparation(body), ctx.ledger)
-    cfg = OptimizerConfig(eps=ctx.eps)
-    c = unit(ctx.rng.child("obj").generator().normal(size=body.dim))
-    answer = optimize_linear(cfg, sep, body.geometry, c)
-    return _grade_opt(body, answer, c, ctx.eps)
+def _sep_from_opt(ctx):
+    return sep_from_opt(bodies.ExactOptimization(ctx.body), ctx.body.geometry,
+                        ctx.rng.child("chain"), eps=ctx.eps)
 
 
-def _run_opt_from_mem(ctx) -> tuple[str, float | None]:
-    opt = _opt_from_mem(ctx)
-    c = unit(ctx.rng.child("obj").generator().normal(size=ctx.n))
-    return _grade_opt(ctx.body, _ask(ctx, opt, c, ctx.eps), c, ctx.eps)
+def _eval_from_mem_epigraph(ctx):
+    mem = wrap_with_ledger(EpigraphBody(ctx.function, ctx.n).as_mem(), ctx.ledger)
+    return wrap_with_ledger(eval_from_mem_epigraph(mem, ctx.n), ctx.ledger)
 
 
-def _run_opt_from_viol(ctx) -> tuple[str, float | None]:
-    body = ctx.body
-    viol = wrap_with_ledger(bodies.ExactViolation(body), ctx.ledger)
-    opt = wrap_with_ledger(opt_from_viol(viol, ctx.eps), ctx.ledger)
-    c = unit(ctx.rng.child("obj").generator().normal(size=body.dim))
-    answer = opt(c, ctx.eps)
-    # the threshold bisection adds one eps of bracketing error on top of
-    # the inner oracle's contract
-    return _grade_opt(body, answer, c, 2.0 * ctx.eps)
-
-
-def _run_opt_from_val(ctx) -> tuple[str, float | None]:
-    body = ctx.body
-    opt = opt_from_val(bodies.ExactValidity(body), body.geometry, ctx.rng.child("chain"),
-                       eps=ctx.eps)
-    c = unit(ctx.rng.child("obj").generator().normal(size=body.dim))
-    return _grade_opt(body, _ask(ctx, opt, c, ctx.eps), c, 3.0 * ctx.eps)
-
-
-def _run_sep_from_opt(ctx) -> tuple[str, float | None]:
-    body = ctx.body
-    sep = sep_from_opt(bodies.ExactOptimization(body), body.geometry, ctx.rng.child("chain"),
-                       eps=ctx.eps)
-    x = _outside_query(body, ctx.rng.child("query"))
-    return _grade_halfspace(body, _ask(ctx, sep, x, ctx.eps))
-
-
-def _run_eval_from_mem_epigraph(ctx) -> tuple[str, float | None]:
-    f = ctx.function
-    eb = EpigraphBody(f, ctx.n)
-    mem = wrap_with_ledger(eb.as_mem(), ctx.ledger)
-    ev = wrap_with_ledger(eval_from_mem_epigraph(mem, ctx.n), ctx.ledger)
-    gen = ctx.rng.child("query").generator()
-    y = gen.normal(size=ctx.n)
-    norm = float(np.linalg.norm(y))
-    if norm > 1.0:
-        y = y / (norm * 1.25)
-    recovered = ev(y, ctx.eps)
-    gap = abs(recovered - f(y, 0.0))
-    return ("sound" if gap <= 2.0 * ctx.eps else "violated"), gap
+@dataclass(frozen=True)
+class Chain:
+    """A CLI chain: the line `list-chains` prints, the builder of its
+    oracle over the trial's exact oracles, the kind that oracle answers
+    (SEP, OPT or EVAL: it fixes the query drawn, the grade and, for
+    EVAL, a "function" template instead of a "body"), the grading
+    tolerance of an OPT or EVAL answer in units of eps, and the config
+    settings the builder reads ("slack_mode", "retries")."""
+    description: str
+    build: Callable
+    kind: str
+    tol: float = 1.0
+    reads: tuple[str, ...] = ()
 
 
 CHAINS = {
-    "sep_from_mem": _run_sep_from_mem,
-    "opt_from_sep": _run_opt_from_sep,
-    "opt_from_mem": _run_opt_from_mem,
-    "opt_from_viol": _run_opt_from_viol,
-    "opt_from_val": _run_opt_from_val,
-    "sep_from_opt": _run_sep_from_opt,
-    "eval_from_mem_epigraph": _run_eval_from_mem_epigraph,
+    "sep_from_mem": Chain(
+        "separation from membership via height-function subgradients",
+        _sep_from_mem, SEP, reads=("slack_mode", "retries")),
+    "opt_from_sep": Chain(
+        "linear optimization from exact separation (central-cut ellipsoid)",
+        _opt_from_sep, OPT),
+    "opt_from_mem": Chain(
+        "linear optimization from membership (composition of the two above)",
+        _opt_from_mem, OPT, reads=("retries",)),
+    # the threshold bisection adds one eps of bracketing error on top of
+    # the inner oracle's contract
+    "opt_from_viol": Chain(
+        "optimization from violation by threshold bisection",
+        _opt_from_viol, OPT, tol=2.0),
+    "opt_from_val": Chain(
+        "optimization from validity via the support-function epigraph",
+        _opt_from_val, OPT, tol=3.0),
+    "sep_from_opt": Chain(
+        "separation from optimization via the support-function epigraph",
+        _sep_from_opt, SEP),
+    "eval_from_mem_epigraph": Chain(
+        "function evaluation from epigraph-body membership",
+        _eval_from_mem_epigraph, EVAL, tol=2.0),
 }
 
-#: which template each chain consumes
-CHAIN_INPUT = {name: "function" if name == "eval_from_mem_epigraph" else "body"
-               for name in CHAINS}
 
-CHAIN_DESCRIPTIONS = {
-    "sep_from_mem": "separation from membership via height-function subgradients",
-    "opt_from_sep": "linear optimization from exact separation (central-cut ellipsoid)",
-    "opt_from_mem": "linear optimization from membership (composition of the two above)",
-    "opt_from_viol": "optimization from violation by threshold bisection",
-    "opt_from_val": "optimization from validity via the support-function epigraph",
-    "sep_from_opt": "separation from optimization via the support-function epigraph",
-    "eval_from_mem_epigraph": "function evaluation from epigraph-body membership",
-}
+def _ask(ctx, oracle, query):
+    """oracle(query, eps), a composed chain's stage ledgers merged into
+    the trial's even if it raises."""
+    try:
+        return oracle(query, ctx.eps)
+    finally:
+        stages = getattr(oracle, "ledgers", None)
+        for ledger in vars(stages).values() if stages is not None else ():
+            ctx.ledger.merge(ledger)
+
+
+def _run_chain(spec: Chain, ctx) -> tuple[str, float | None]:
+    """One query of the chain's kind at the trial's eps, graded: (outcome, gap)."""
+    oracle = spec.build(ctx)
+    tol = spec.tol * ctx.eps
+    if spec.kind == SEP:
+        x = _outside_query(ctx.body, ctx.rng.child("query"))
+        return _grade_halfspace(ctx.body, _ask(ctx, oracle, x))
+    if spec.kind == OPT:
+        c = unit(ctx.rng.child("obj").generator().normal(size=ctx.n))
+        return _grade_opt(ctx.body, _ask(ctx, oracle, c), c, tol)
+    y = ctx.rng.child("query").generator().normal(size=ctx.n)
+    norm = float(np.linalg.norm(y))
+    if norm > 1.0:
+        y = y / (norm * 1.25)
+    gap = abs(_ask(ctx, oracle, y) - ctx.function(y, 0.0))
+    return ("sound" if gap <= tol else "violated"), gap
 
 
 @dataclass
@@ -425,7 +420,7 @@ def run_trial(config: dict, n: int, eps: float, seed: int,
     ctx = _trial_context(config, n, eps, seed, trial)
     start = time.perf_counter()
     try:
-        outcome, gap = CHAINS[config["chain"]](ctx)
+        outcome, gap = _run_chain(CHAINS[config["chain"]], ctx)
     except Exception as exc:  # graded, not fatal: errors are data
         outcome, gap = f"error:{type(exc).__name__}", None
     wall_ms = (time.perf_counter() - start) * 1e3
@@ -445,11 +440,15 @@ def _pool_size(jobs: int, trials: int) -> int:
 
 
 def run_experiment(config: dict, jobs: int = 1) -> list[TrialRecord]:
-    """Every trial of the grid, in (n, eps, seed, trial) order.  With
-    jobs > 1 the trials run in a pool of `_pool_size` spawned worker
-    processes; each trial owns its seed path and ledger, so the records
-    are the same as a sequential run's."""
-    config = validate_config(config)
+    """`run_grid` of the config `validate_config` returns."""
+    return run_grid(validate_config(config), jobs)
+
+
+def run_grid(config: dict, jobs: int = 1) -> list[TrialRecord]:
+    """Every trial of a validated config's grid, in (n, eps, seed, trial)
+    order.  With jobs > 1 the trials run in a pool of `_pool_size`
+    spawned worker processes; each trial owns its seed path and ledger,
+    so the records are the same as a sequential run's."""
     cells = [(n, eps, seed, trial)
              for n in config["dims"] for eps in config["eps"]
              for seed in config["seeds"] for trial in range(config["trials"])]
@@ -483,7 +482,7 @@ def summarize(config: dict, records: list[TrialRecord]) -> dict:
         "version": _version(),
         "rows": len(records),
         "outcomes": dict(sorted(outcomes.items())),
-        "max_gap": max(gaps) if gaps else None,
+        "max_gap": max(map(abs, gaps)) if gaps else None,
         "total_calls": {
             "mem": sum(r.mem_calls for r in records),
             "sep": sum(r.sep_calls for r in records),

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -6,10 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from orc import experiments, reductions
+from orc import cli, experiments, reductions
 from orc.bodies import BoxBody
 from orc.cli import main
-from orc.core import OptimizationAnswer
+from orc.core import EVAL, OptimizationAnswer
 from orc.experiments import CSV_COLUMNS, evaluate_log_factor
 from orc.geometry import unit
 
@@ -28,6 +29,15 @@ def _config(**overrides):
     return cfg
 
 
+def _chain_config(chain, **overrides):
+    """`_config` for `chain`, with a norm "function" template for an EVAL chain."""
+    cfg = _config(chain=chain, **overrides)
+    if experiments.CHAINS[chain].kind == EVAL:
+        cfg["function"] = {"kind": "norm"}
+        del cfg["body"]
+    return cfg
+
+
 def _write(tmp_path, cfg, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
@@ -40,16 +50,25 @@ def _read_rows(path):
 
 
 def test_run_produces_csv_and_summary(tmp_path):
-    cfg = _config()
-    code = main(["run", _write(tmp_path, cfg), "--out", str(tmp_path)])
-    assert code == 0
-    rows = _read_rows(tmp_path / "cli-test.csv")
-    assert list(rows[0].keys()) == CSV_COLUMNS
-    # dims x seeds x trials rows
-    assert len(rows) == 2 * 2 * 2
-    summary = json.loads((tmp_path / "cli-test.summary.json").read_text())
-    assert summary["outcomes"].get("sound", 0) + sum(
-        v for k, v in summary["outcomes"].items()) >= len(rows)
+    # sep_from_mem's rows carry no gap; on opt_from_val over the simplex
+    # the gap of largest magnitude is negative, and max_gap used to be the
+    # signed maximum
+    for cfg in (_config(), _config(experiment="gaps", chain="opt_from_val",
+                                   body={"kind": "simplex"}, eps=[0.01])):
+        code = main(["run", _write(tmp_path, cfg), "--out", str(tmp_path)])
+        assert code == 0
+        rows = _read_rows(tmp_path / f"{cfg['experiment']}.csv")
+        assert list(rows[0].keys()) == CSV_COLUMNS
+        # dims x seeds x trials rows
+        assert len(rows) == 2 * 2 * 2
+        summary = json.loads((tmp_path / f"{cfg['experiment']}.summary.json").read_text())
+        assert sum(summary["outcomes"].values()) == len(rows)
+        assert summary["total_calls"] == {
+            kind: sum(int(r[f"{kind}_calls"]) for r in rows)
+            for kind in ("mem", "sep", "eval", "opt")}
+        gaps = [abs(float(r["gap"])) for r in rows if r["gap"]]
+        assert summary["max_gap"] == (pytest.approx(max(gaps), rel=1e-11) if gaps else None)
+    assert len(gaps) == 8 and summary["max_gap"] > max(float(r["gap"]) for r in rows)
 
 
 def test_run_is_deterministic_without_timing(tmp_path):
@@ -228,6 +247,32 @@ def test_run_rejects_jobs_below_one(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("chain", sorted(experiments.CHAINS))
+def test_validate_config_builds_each_chain_once_per_n_and_eps_as_its_trial_does(
+        tmp_path, monkeypatch, capsys, chain):
+    # validate-config used to build only sep_from_mem and opt_from_mem
+    record = experiments.CHAINS[chain]
+    built = []
+
+    def build(ctx):
+        built.append((ctx.n, ctx.eps))
+        return record.build(ctx)
+
+    monkeypatch.setitem(experiments.CHAINS, chain, dataclasses.replace(record, build=build))
+    cfg = _chain_config(chain, dims=[2, 3], eps=[0.01, 0.02], seeds=[1], trials=1)
+    assert main(["validate-config", _write(tmp_path, cfg)]) == 0
+    assert built == [(2, 0.01), (2, 0.02), (3, 0.01), (3, 0.02)]
+    valid = experiments.validate_config(cfg)
+    built.clear()
+    experiments.run_trial(valid, 3, 0.02, 1, 0)
+    assert built == [(3, 0.02)]
+    capsys.readouterr()
+    assert main(["list-chains"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(maxsplit=1)[1] for line in lines
+            if line.split()[0] == chain] == [record.description]
+
+
 def test_list_chains_names_all_chains(capsys):
     assert main(["list-chains"]) == 0
     out = capsys.readouterr().out
@@ -369,15 +414,42 @@ def test_setting_the_chain_does_not_read_exits_2_from_validate_and_run(
     # validate and then change nothing in the CSV
     extra = ({"slack_mode": "theoretical"} if setting == "theoretical"
              else {"overrides": {"retries": 0}})
-    cfg = _config(chain=chain, **extra)
-    if chain == "eval_from_mem_epigraph":
-        cfg["function"] = cfg.pop("body")
-        cfg["function"]["kind"] = "norm"
-    path = _write(tmp_path, cfg)
+    path = _write(tmp_path, _chain_config(chain, **extra))
     assert main(["validate-config", path]) == 2
     assert setting in capsys.readouterr().err
     assert main(["run", path, "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "cli-test.csv").exists()
+
+
+@pytest.mark.parametrize("chain", sorted(experiments.CHAINS))
+def test_eps_of_one_half_exits_2_from_validate_and_run(tmp_path, capsys, chain):
+    # eps in [1/2, 1) used to validate, and then every trial of five of
+    # these chains was graded error:ValueError by core.check_precision
+    path = _write(tmp_path, _chain_config(chain, eps=[1e-3, 0.5]))
+    assert main(["validate-config", path]) == 2
+    assert "(0, 1/2)" in capsys.readouterr().err
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "cli-test.csv").exists()
+
+
+def test_orc_run_validates_its_config_once(tmp_path, monkeypatch):
+    # run validated once in _load_config and again in run_experiment,
+    # building each n's body and chain both times
+    calls = []
+    validate = experiments.validate_config
+
+    def spy(config):
+        calls.append(config)
+        return validate(config)
+
+    monkeypatch.setattr(experiments, "validate_config", spy)
+    monkeypatch.setattr(cli, "validate_config", spy)
+    assert main(["run", _write(tmp_path, _config()), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    # a library caller's config is still validated
+    with pytest.raises(experiments.ConfigError):
+        experiments.run_experiment(_config(eps=[0.5]))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("slack_mode", ["bogus", [], None])
