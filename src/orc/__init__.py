@@ -32,9 +32,7 @@ from .reductions import (EmptyInteriorPropagated, EpigraphBody, VerticalCut,
                          mem_from_eval_indicator, mem_from_sep, opt_from_mem,
                          opt_from_val, sep_from_grad_indicator, sep_from_opt,
                          support_eval_from_opt, val_from_eval_support)
-from .separation import (ANCHORED, THEORETICAL, DegenerateGradient,
-                         SeparatorConfig, SepFromMem, separate,
-                         theoretical_slack)
+from .separation import ANCHORED, THEORETICAL, DegenerateGradient, SepFromMem
 from .subgrad import (EstimatorParams, expected_flatness_defect,
                       sample_box_points, separate_convex_func)
 

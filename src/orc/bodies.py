@@ -43,9 +43,12 @@ stacks the same way: `BodySpec.support_rows`, and the `rows` methods of
 array, True where the answer is SOME_ABOVE).  A single OPT or VAL call
 is its `rows` on a stack of one.  Exact OPT, VIOL and VAL all answer
 through `_support_or_zero`, so the rule for a zero direction lives in
-one place.  `support_rows` answers each row bitwise as `support`
-does: row dots use `np.vecdot` and row norms `sqrt(vecdot)`, the
-computations of `c @ y` and `np.linalg.norm`.
+one place.  Each body writes its support once, as `support_rows`, and
+`BodySpec.support(c)` is `support_rows` on a stack of one.  Row dots
+use `np.vecdot`, row norms `sqrt(vecdot)` and the polytope's and the
+ellipsoid's matrix products one gemv per row, the computations of
+`c @ y`, `np.linalg.norm` and `M @ c`, so each row of a stack gets the
+answer it gets alone.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .core import (INSIDE_DILATED, MEM, OPT, OUTSIDE_ERODED, SEP, VAL, VIOL,
                    GradAnswer, MembershipAnswer, OptimizationAnswer,
                    ProblemGeometry, SeparationAnswer, ValidityAnswer,
                    ViolationAnswer, check_precision)
-from .geometry import _halfspace, as_vector, as_vector_of, normalized, unit
+from .geometry import _SQRT_TINY, _halfspace, as_vector, as_vector_of, normalized
 
 _FEAS_TOL = 1e-9
 
@@ -104,16 +107,15 @@ class BodySpec:
         raise UnsupportedVariant(type(self).__name__)
 
     def support(self, c: np.ndarray) -> tuple[float, np.ndarray]:
-        """Exact support value max_{x in K} <c, x> and a maximizer."""
-        raise UnsupportedVariant(type(self).__name__)
+        """Exact support value max_{x in K} <c, x> and a maximizer:
+        `support_rows` on a stack of one."""
+        values, args = self.support_rows(c[None, :])
+        return float(values[0]), args[0]
 
     def support_rows(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`support` at every row of the (k, n) stack C, k >= 1: the k
-        values and the (k, n) stack of maximizers, bitwise equal to k
-        `support` calls.  This default makes those calls; the ball, box
-        and simplex answer the stack in one pass."""
-        values, args = zip(*(self.support(c) for c in C))
-        return np.array(values), np.array(args)
+        """The exact support value max_{x in K} <c, x> at every row c of
+        the (k, n) stack C, k >= 1, and the (k, n) stack of maximizers."""
+        raise UnsupportedVariant(type(self).__name__)
 
     def radial_scale(self, u: np.ndarray) -> float:
         """Largest t with geometry.center + t*u in K (u a unit vector)."""
@@ -147,17 +149,16 @@ class Ball(BodySpec):
             # entry); its halves do not, and point the same way
             return normalized(0.5 * y - 0.5 * self.center)
 
-    def support(self, c):
-        return float(c @ self.center) + self.radius * float(np.linalg.norm(c)), \
-            self.center + self.radius * unit(c)
-
     def support_rows(self, C):
         # sqrt(vecdot) is np.linalg.norm's computation, row by row
         norms = np.sqrt(np.vecdot(C, C))
-        if not norms.all():
-            raise ValueError("cannot normalize the zero vector")
-        return (np.vecdot(C, self.center) + self.radius * norms,
-                self.center + self.radius * (C / norms[:, None]))
+        if (norms >= _SQRT_TINY).all():
+            units = C / norms[:, None]
+        else:
+            # c.c underflows on some row: `normalized` rescales such a
+            # row first, and refuses a zero one
+            units = np.array([normalized(c) for c in C])
+        return np.vecdot(C, self.center) + self.radius * norms, self.center + self.radius * units
 
     def radial_scale(self, u):
         return self.radius
@@ -196,11 +197,6 @@ class BoxBody(BodySpec):
             q = 0.5 * y - 0.5 * self.center
             half = 0.5 * self.radius
             return normalized(q - np.minimum(np.maximum(q, -half), half))
-
-    def support(self, c):
-        sgn = np.where(c >= 0.0, 1.0, -1.0)
-        arg = self.center + self.radius * sgn
-        return float(c @ arg), arg
 
     def support_rows(self, C):
         args = self.center + self.radius * np.where(C >= 0.0, 1.0, -1.0)
@@ -256,14 +252,6 @@ class Simplex(BodySpec):
         if np.add.reduce(p) > s:
             p = np.maximum(y - _simplex_threshold(y, s), 0.0)
         return normalized(y - p)
-
-    def support(self, c):
-        i = int(np.argmax(c))
-        if c[i] <= 0.0:
-            return 0.0, np.zeros(self.dim)
-        arg = np.zeros(self.dim)
-        arg[i] = self.scale
-        return self.scale * float(c[i]), arg
 
     def support_rows(self, C):
         k = np.arange(C.shape[0])
@@ -346,10 +334,11 @@ class HPolytope(BodySpec):
             return None
         return self.A[int(np.argmax(Ay - self.b))].copy()
 
-    def support(self, c):
-        vals = self.vertices @ c
-        i = int(np.argmax(vals))
-        return float(vals[i]), self.vertices[i]
+    def support_rows(self, C):
+        # one gemv per row, as a single `vertices @ c` computes it
+        vals = (self.vertices @ C[:, :, None])[..., 0]
+        i = np.argmax(vals, axis=1)
+        return vals[np.arange(C.shape[0]), i], self.vertices[i]
 
     def radial_scale(self, u):
         den = self.A @ u
@@ -371,7 +360,11 @@ class Ellipsoid(BodySpec):
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center))
+        n = self.center.size
         S = np.asarray(self.shape, dtype=np.float64)
+        if S.shape != (n, n):
+            raise ValueError(f"shape must be {n} x {n} for a centre of dimension {n}, "
+                             f"got {S.shape}")
         S = 0.5 * (S + S.T)
         eigs = np.linalg.eigvalsh(S)
         if eigs[0] <= 0:
@@ -379,7 +372,7 @@ class Ellipsoid(BodySpec):
         object.__setattr__(self, "shape", S)
         object.__setattr__(self, "_inv", np.linalg.inv(S))
         object.__setattr__(self, "geometry", ProblemGeometry(
-            self.center.size, math.sqrt(eigs[0]), math.sqrt(eigs[-1]), self.center))
+            n, math.sqrt(eigs[0]), math.sqrt(eigs[-1]), self.center))
 
     def contains_rows(self, P):
         Q = P - self.center
@@ -398,12 +391,13 @@ class Ellipsoid(BodySpec):
             q = 0.5 * y - 0.5 * self.center
             return normalized(self._inv @ (q / np.maximum.reduce(np.abs(q))))
 
-    def support(self, c):
-        Sc = self.shape @ c
-        w = math.sqrt(float(c @ Sc))
-        if w == 0.0:
-            return float(c @ self.center), self.center.copy()
-        return float(c @ self.center) + w, self.center + Sc / w
+    def support_rows(self, C):
+        SC = (self.shape @ C[:, :, None])[..., 0]
+        w = np.sqrt(np.vecdot(C, SC))
+        # the centre is a maximizer where the width is 0
+        flat = (w == 0.0)[:, None]
+        args = np.where(flat, self.center, self.center + SC / np.where(flat, 1.0, w[:, None]))
+        return np.vecdot(C, self.center) + w, args
 
     def radial_scale(self, u):
         return 1.0 / math.sqrt(float(u @ (self._inv @ u)))

@@ -113,7 +113,7 @@ def validate_config(config: dict) -> dict:
     if (not isinstance(dims, list) or not dims
             or not all(_is_int(n) and n >= 1 for n in dims)):
         raise ConfigError("'dims' must be a non-empty list of positive ints")
-    _check_template(role, template, dims)
+    _check_template(role, template)
     eps_list = config.get("eps")
     if (not isinstance(eps_list, list) or not eps_list
             or not all(isinstance(e, (int, float)) and 0 < e < 0.5
@@ -166,12 +166,13 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _check_template(role: str, template: dict, dims: list) -> None:
+def _check_template(role: str, template: dict) -> None:
     """The template's kind and keys against what `make_body` or
     `make_function` reads, with the values their constructors accept;
-    what only a constructor can tell (too many facets to enumerate, a
-    separator precision past the body) is refused when `validate_config`
-    builds each n's template and chain."""
+    what only a constructor can tell (too many facets to enumerate, an
+    ellipsoid's axes of another length than n, a separator precision
+    past the body) is refused when `validate_config` builds each n's
+    template and chain."""
     allowed = BODY_KEYS if role == "body" else FUNCTION_KEYS
     kind = template["kind"]
     if not isinstance(kind, str) or kind not in allowed:
@@ -193,9 +194,6 @@ def _check_template(role: str, template: dict, dims: list) -> None:
         if (not isinstance(axes, list)
                 or not all(_is_number(a) and a > 0 for a in axes)):
             raise ConfigError("ellipsoid 'axes' must be a list of positive numbers")
-        if any(len(axes) != n for n in dims):
-            raise ConfigError(f"ellipsoid 'axes' has length {len(axes)}; "
-                              f"every entry of 'dims' must equal it")
 
 
 def config_hash(config: dict) -> str:

@@ -27,7 +27,8 @@ unit facet row), the anchor a finite float64 1-d array of the same
 dimension, and the slack a finite float >= 0, so that the public
 constructor would accept the same three values.  Its call sites are
 `bodies.ExactSeparation.__call__`, the far branch and the estimate of
-`separation.separate` and the answer of `reductions.sep_from_opt`.
+`separation.SepFromMem.__call__` and the answer of
+`reductions.sep_from_opt`.
 
 Boundary comparisons are non-strict everywhere (all the bodies we work
 with are closed), and all tolerances are absolute: bodies are assumed

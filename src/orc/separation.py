@@ -8,13 +8,13 @@ normal; `HeightOracle` maps its bisection points into the body's frame,
 so the membership oracle is always asked in the caller's coordinates.  Two slack modes: the
 theoretical slack term (sound by analysis, astronomically loose at
 practical parameters) and anchored mode (slack zero through the query
-point, soundness established empirically), the default.
+point, soundness established empirically), the default.  `SepFromMem`
+derives what depends only on the body and eps once, when it is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,109 +40,19 @@ class DegenerateGradient(RuntimeError):
     """
 
 
-@dataclass
-class SeparatorConfig:
-    """Knobs for one separation run on a body with the sandwich
-    B(center, r) <= K <= B(center, R) that `geometry` gives.
-
-    The separator estimates its cut on the body normalized by that
-    geometry (shifted by -center and divided by R), so eps is a
-    membership precision in that frame, and r1 and the theoretical
-    slack are derived from `geometry.rescaled()`.  The membership oracle
-    is asked at precision eps*R in the body's own frame, which must lie
-    below 1/2 like every precision.
-    """
-
-    eps: float
-    rho: float
-    geometry: ProblemGeometry
-    retries: int = 3
-    mode: str = ANCHORED
-
-    def __post_init__(self):
-        self._scaled = self.geometry.rescaled()
-        if not 0.0 < self.eps <= self._scaled.r:
-            raise ValueError(f"need 0 < eps <= r/R, got eps={self.eps!r} "
-                             f"r/R={self._scaled.r!r}")
-        if not self.eps * self.geometry.R < 0.5:
-            raise ValueError(f"need eps*R < 1/2, the membership precision bound; got "
-                             f"eps*R={self.eps * self.geometry.R!r}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
-        if self.mode not in (THEORETICAL, ANCHORED):
-            raise ValueError(f"unknown slack mode {self.mode!r}")
-        if (isinstance(self.retries, bool)
-                or not isinstance(self.retries, (int, np.integer)) or self.retries < 0):
-            raise ValueError(f"retries must be a non-negative int, got {self.retries!r}")
-
-    def r1(self) -> float:
-        g = self._scaled
-        n = g.n
-        schedule = n ** (1 / 6) * self.eps ** (1 / 3) * g.R ** (2 / 3) / g.kappa
-        # clamp keeps the sampling box B_inf(0, 2 r1) inside B_2(0, r/2)
-        return min(schedule, g.r / (4.0 * math.sqrt(n)))
-
-
-def theoretical_slack(cfg: SeparatorConfig) -> float:
-    """The theoretical slack term in the normalized frame."""
-    g = cfg._scaled
-    return (50.0 / cfg.rho) * g.n ** (7 / 6) * g.R ** (2 / 3) * g.kappa * cfg.eps ** (1 / 3)
-
-
-def separate(cfg: SeparatorConfig, mem, y, rng: RandomStream) -> SeparationAnswer:
-    """One separation query for y against the body that mem answers for
-    and cfg.geometry describes.
-
-    y is tested at precision eps*R.  The estimate runs at
-    x = (y - center)/R in the normalized frame, through a `HeightOracle`
-    that maps its points back into the body's frame; the cut is
-    anchored at y, with its slack scaled back by R.
-    """
-    g = cfg.geometry
-    y = as_vector_of(y, g.n)
-    if mem(y, cfg.eps * g.R).inside:
-        return SeparationAnswer()
-    x = (y - g.center) / g.R
-    x_norm = float(np.linalg.norm(x))
-    if x_norm > 1.0:
-        # x / ||x||, also where x.x overflows
-        return SeparationAnswer(_halfspace(normalized(x), y, 0.0))
-
-    kappa = cfg._scaled.kappa
-    r1 = cfg.r1()
-    eval_eps = 4.0 * cfg.eps
-    params = EstimatorParams(np.zeros(g.n), r1, eval_eps, 3.0 * kappa)
-    # Cap the bisection half-width so the per-coordinate derivative
-    # noise bin_tol*||x||/r2 stays well below the gradient scale; the
-    # naive eval_eps/(2||x||) choice drowns the signal for skinny bodies
-    # (large kappa).
-    bin_tol = min(eval_eps / (2.0 * x_norm),
-                  NOISE_FRACTION * params.r2 / (g.n * x_norm))
-    ho = HeightOracle(mem, g, x, bin_tol, cfg.eps)
-    h_eval = ho.as_eval()
-
-    gtilde = None
-    for attempt in range(cfg.retries + 1):
-        cand = separate_convex_func(h_eval, params, rng.child(attempt))
-        if float(np.linalg.norm(cand)) >= 1.0 / (4.0 * kappa):
-            gtilde = cand
-            break
-    if gtilde is None:
-        raise DegenerateGradient(
-            f"||g|| < 1/(4 kappa) after {cfg.retries + 1} attempts (eps={cfg.eps})")
-    g_norm = float(np.linalg.norm(gtilde))
-    slack = 0.0 if cfg.mode == ANCHORED else theoretical_slack(cfg) / g_norm
-    return SeparationAnswer(_halfspace(gtilde / g_norm, y, slack * g.R))
-
-
 class SepFromMem:
-    """Packaged separation oracle built on a membership oracle: `separate`
-    with one config for the body and a child random stream per query.
+    """Separation oracle on a membership oracle for the body with the
+    sandwich B(center, r) <= K <= B(center, R) that `geometry` gives,
+    with a child random stream per query.
 
-    The membership precision eps is fixed for the body, in the
-    normalized frame; every query runs at that eps whatever its
-    precision eta.  rho enters only the theoretical slack; in anchored
-    mode it is only validated.
+    The cut is estimated on the body normalized by that geometry
+    (shifted by -center and divided by R), so eps is a membership
+    precision in that frame, fixed for the body whatever a query's eta.
+    MEM is asked at eps*R in the body's frame, which must lie below 1/2
+    like every precision.  r1, the estimator's r2, the gradient floor
+    1/(4 kappa) and the theoretical slack are derived once from
+    `geometry.rescaled()`; an eps past 3/16, where r2 would exceed r1,
+    is refused here.  rho enters only the theoretical slack.
     """
 
     kind = SEP
@@ -150,14 +60,68 @@ class SepFromMem:
     def __init__(self, mem, geometry: ProblemGeometry, rng: RandomStream, *,
                  eps: float, rho: float = 0.1, mode: str = ANCHORED,
                  retries: int = 3):
+        g = geometry.rescaled()
+        if not 0.0 < eps <= g.r:
+            raise ValueError(f"need 0 < eps <= r/R, got eps={eps!r} r/R={g.r!r}")
+        if not eps * geometry.R < 0.5:
+            raise ValueError(f"need eps*R < 1/2, the membership precision bound; got "
+                             f"eps*R={eps * geometry.R!r}")
+        if not 0.0 < rho < 1.0:
+            raise ValueError("rho must lie in (0, 1)")
+        if mode not in (THEORETICAL, ANCHORED):
+            raise ValueError(f"unknown slack mode {mode!r}")
+        if (isinstance(retries, bool)
+                or not isinstance(retries, (int, np.integer)) or retries < 0):
+            raise ValueError(f"retries must be a non-negative int, got {retries!r}")
+        n, kappa = g.n, g.kappa
+        schedule = n ** (1 / 6) * eps ** (1 / 3) * g.R ** (2 / 3) / kappa
+        # clamp keeps the sampling box B_inf(0, 2 r1) inside B_2(0, r/2)
+        self.r1 = min(schedule, g.r / (4.0 * math.sqrt(n)))
+        self._params = EstimatorParams(np.zeros(n), self.r1, 4.0 * eps, 3.0 * kappa)
+        self._floor = 1.0 / (4.0 * kappa)
+        # the theoretical slack term in the normalized frame
+        self._slack = (0.0 if mode == ANCHORED else
+                       (50.0 / rho) * n ** (7 / 6) * g.R ** (2 / 3) * kappa * eps ** (1 / 3))
         self.geometry = geometry
+        self.eps, self.retries = eps, retries
         self._mem = mem
-        self._cfg = SeparatorConfig(eps=eps, rho=rho, geometry=geometry,
-                                    retries=retries, mode=mode)
         self._rng = rng
         self._queries = 0
 
     def __call__(self, y, eta) -> SeparationAnswer:
+        """One separation query for y, on the next child stream.
+
+        y is tested at precision eps*R.  The estimate runs at
+        x = (y - center)/R in the normalized frame, through a
+        `HeightOracle` that maps its points back into the body's frame;
+        the cut is anchored at y, with its slack scaled back by R.
+        """
         check_precision(eta)
         self._queries += 1
-        return separate(self._cfg, self._mem, y, self._rng.child(self._queries))
+        rng = self._rng.child(self._queries)
+        g = self.geometry
+        y = as_vector_of(y, g.n)
+        if self._mem(y, self.eps * g.R).inside:
+            return SeparationAnswer()
+        x = (y - g.center) / g.R
+        x_norm = float(np.linalg.norm(x))
+        if x_norm > 1.0:
+            # x / ||x||, also where x.x overflows
+            return SeparationAnswer(_halfspace(normalized(x), y, 0.0))
+
+        params = self._params
+        # Cap the bisection half-width so the per-coordinate derivative
+        # noise bin_tol*||x||/r2 stays well below the gradient scale; the
+        # naive params.eps/(2||x||) choice drowns the signal for skinny
+        # bodies (large kappa).
+        bin_tol = min(params.eps / (2.0 * x_norm),
+                      NOISE_FRACTION * params.r2 / (g.n * x_norm))
+        h_eval = HeightOracle(self._mem, g, x, bin_tol, self.eps).as_eval()
+        for attempt in range(self.retries + 1):
+            gtilde = separate_convex_func(h_eval, params, rng.child(attempt))
+            g_norm = float(np.linalg.norm(gtilde))
+            if g_norm >= self._floor:
+                return SeparationAnswer(
+                    _halfspace(gtilde / g_norm, y, self._slack / g_norm * g.R))
+        raise DegenerateGradient(
+            f"||g|| < 1/(4 kappa) after {self.retries + 1} attempts (eps={self.eps})")

@@ -501,12 +501,33 @@ def test_ball_support_rows_refuses_a_zero_row_like_support():
         ball.support_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+def test_ball_support_of_a_direction_whose_square_underflows():
+    # c.c underflows to 0 at c = (1e-170, 0): the maximizer is still
+    # center + radius * unit(c), for a single call and a stack alike
+    ball = Ball(np.array([0.5, 0.0]), 1.0)
+    c = np.array([1e-170, 0.0])
+    assert ball.support(c)[0] == 5e-171
+    np.testing.assert_array_equal(ball.support(c)[1], [1.5, 0.0])
+    np.testing.assert_array_equal(ExactOptimization(ball)(c, 0.01).maximizer, [1.5, 0.0])
+    _, args = ball.support_rows(np.array([[0.0, 2.0], [1e-170, 0.0]]))
+    np.testing.assert_array_equal(args, [[0.5, 1.0], [1.5, 0.0]])
+
+
 def test_support_unsupported_for_intersection():
     from orc.bodies import Intersection
     inter = Intersection((Ball(np.zeros(2), 1.0), BoxBody(np.zeros(2), 0.9)),
                          np.zeros(2), 0.5)
     with pytest.raises(UnsupportedVariant):
         exact_support(inter, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("shape", [np.diag([1.0, 2.0]), np.diag([1.0, 2.0, 3.0, 4.0]),
+                                   np.ones(3), np.ones((3, 2))])
+def test_ellipsoid_refuses_a_shape_that_is_not_n_by_n(shape):
+    # a 2 x 2 shape around a centre in R^3 used to construct, and its
+    # containment test then failed inside numpy's matmul
+    with pytest.raises(ValueError, match="shape must be 3 x 3"):
+        Ellipsoid(np.zeros(3), shape)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -233,6 +233,17 @@ def test_separator_precision_past_the_body_exits_2_from_validate_and_run(
     assert not (tmp_path / "cli-test.csv").exists()
 
 
+def test_separator_precision_past_the_estimate_exits_2_from_validate_and_run(tmp_path, capsys):
+    # past eps = 3/16 SepFromMem's clamped r1 lies below the estimator's
+    # r2: this used to validate, and then every trial that reached the
+    # height estimate was graded error:ValueError
+    path = _write(tmp_path, _config(body={"kind": "box"}, eps=[0.2], seeds=[1, 2, 3]))
+    assert main(["validate-config", path]) == 2
+    assert "r2 <= r1" in capsys.readouterr().err
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "cli-test.csv").exists()
+
+
 @pytest.mark.parametrize("chain", ["sep_from_mem", "opt_from_mem"])
 def test_separator_precision_within_the_body_validates(tmp_path, chain):
     path = _write(tmp_path, _config(chain=chain, body={"kind": "ball", "radius": 60},

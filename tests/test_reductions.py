@@ -922,13 +922,13 @@ def test_sep_from_opt_queries_draw_fresh_inner_streams(monkeypatch):
     # the epigraph SEP is built once per chain, so the inner SEP queries
     # of a later query take new paths from its query counter
     paths = []
-    original = separation.separate
+    original = separation.separate_convex_func
 
-    def spied(cfg, mem, y, rng):
+    def spied(f_eval, params, rng):
         paths.append(rng.path)
-        return original(cfg, mem, y, rng)
+        return original(f_eval, params, rng)
 
-    monkeypatch.setattr(separation, "separate", spied)
+    monkeypatch.setattr(separation, "separate_convex_func", spied)
     spec = Ball(np.zeros(2), 1.0)
     sep = sep_from_opt(ExactOptimization(spec), spec.geometry, RandomStream(7),
                        eps=0.02, sep_eps=1e-4)

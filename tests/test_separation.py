@@ -9,29 +9,28 @@ from orc.core import (MEM, ProblemGeometry, QueryLedger, RandomStream,
                       wrap_with_ledger)
 from orc.geometry import Box, coordinate_segment_endpoints
 from orc.height import HeightOracle
-from orc.separation import (ANCHORED, THEORETICAL, DegenerateGradient,
-                            SeparatorConfig, SepFromMem, separate,
-                            theoretical_slack)
+from orc.separation import ANCHORED, THEORETICAL, DegenerateGradient, SepFromMem
 from orc.subgrad import (EstimatorParams, sample_box_points,
                          separate_convex_func)
 
 BALL_GEOM = ProblemGeometry(2, 1.0, 1.0)
 
 
-def _cfg(eps=1e-4, rho=0.1, geometry=BALL_GEOM, **kw):
-    return SeparatorConfig(eps=eps, rho=rho, geometry=geometry, **kw)
+def _sep(mem, rng, eps=1e-4, rho=0.1, geometry=BALL_GEOM, **kw):
+    """A SepFromMem on rng: its first query runs on rng.child(1)."""
+    return SepFromMem(mem, geometry, rng, eps=eps, rho=rho, **kw)
 
 
 def test_branch_a_inside_point_returns_no_halfspace():
     mem = ExactMembership(Ball(np.zeros(2), 1.0))
-    ans = separate(_cfg(), mem, np.zeros(2), RandomStream(0))
+    ans = _sep(mem, RandomStream(0))(np.zeros(2), 0.01)
     assert ans.inside and ans.halfspace is None
 
 
 def test_branch_b_far_point_gets_radial_halfspace():
     mem = ExactMembership(Ball(np.zeros(2), 1.0))
     x = np.array([3.0, 0.0])
-    ans = separate(_cfg(), mem, x, RandomStream(0))
+    ans = _sep(mem, RandomStream(0))(x, 0.01)
     h = ans.halfspace
     np.testing.assert_allclose(h.normal, [1.0, 0.0])
     np.testing.assert_array_equal(h.anchor, x)
@@ -41,14 +40,14 @@ def test_branch_b_far_point_gets_radial_halfspace():
 def test_branch_b_uses_single_membership_call():
     ledger = QueryLedger()
     mem = wrap_with_ledger(ExactMembership(Ball(np.zeros(2), 1.0)), ledger)
-    separate(_cfg(), mem, np.array([3.0, 0.0]), RandomStream(0))
+    _sep(mem, RandomStream(0))(np.array([3.0, 0.0]), 0.01)
     assert ledger.count(MEM) == 1
 
 
 def test_deep_inside_uses_single_membership_call():
     ledger = QueryLedger()
     mem = wrap_with_ledger(ExactMembership(Ball(np.zeros(2), 1.0)), ledger)
-    separate(_cfg(), mem, np.array([0.1, 0.1]), RandomStream(0))
+    _sep(mem, RandomStream(0))(np.array([0.1, 0.1]), 0.01)
     assert ledger.count(MEM) == 1
 
 
@@ -57,7 +56,7 @@ def test_branch_c_near_boundary_ball_separates_reliably():
     x = np.array([1.0001, 0.0])
     hits = 0
     for seed in range(200):
-        ans = separate(_cfg(), mem, x, RandomStream(seed))
+        ans = _sep(mem, RandomStream(seed))(x, 0.01)
         h = ans.halfspace
         assert h is not None
         # valid cut for the true boundary point (1, 0)
@@ -73,7 +72,7 @@ def test_branch_c_cut_excludes_query_halfspace_math():
     x = np.array([1.3, 0.2])
     sound = 0
     for seed in range(100):
-        ans = separate(_cfg(geometry=geom), mem, x, RandomStream(seed))
+        ans = _sep(mem, RandomStream(seed), geometry=geom)(x, 0.01)
         h = ans.halfspace
         sup, _ = spec.support(h.normal)
         if sup <= float(h.normal @ x) + h.slack + 1e-9:
@@ -87,9 +86,8 @@ def test_membership_call_budget():
     geom = ProblemGeometry(3, 1.0, 1.0)
     ledger = QueryLedger()
     mem = wrap_with_ledger(ExactMembership(Ball(np.zeros(3), 1.0)), ledger)
-    cfg = _cfg(geometry=geom)
     x = np.array([0.999, 0.0, 0.0])
-    separate(cfg, mem, x, RandomStream(3))
+    _sep(mem, RandomStream(3), geometry=geom)(x, 0.01)
     # generous upper bound: one retry round at most for this easy body
     per_bisect = math.ceil(math.log2(
         (geom.R + 2.0) / 0.9))  # hi/bin_tol upper bound exponent below
@@ -109,8 +107,7 @@ def test_degenerate_gradient_after_exhausting_retries(monkeypatch):
     mem = ExactMembership(Ball(np.zeros(2), 1.0))
     geom = ProblemGeometry(2, 1.0, 2.0)
     with pytest.raises(DegenerateGradient):
-        separate(_cfg(retries=2, geometry=geom), mem, np.array([1.3, 0.0]),
-                 RandomStream(5))
+        _sep(mem, RandomStream(5), retries=2, geometry=geom)(np.array([1.3, 0.0]), 0.01)
     assert len(attempts) == 3  # initial attempt plus two retries
 
 
@@ -125,52 +122,66 @@ def test_retry_succeeds_once_gradient_clears_threshold(monkeypatch):
     monkeypatch.setattr(sepmod, "separate_convex_func", staged)
     mem = ExactMembership(Ball(np.zeros(2), 1.0))
     geom = ProblemGeometry(2, 1.0, 2.0)
-    h = separate(_cfg(retries=2, geometry=geom), mem, np.array([1.3, 0.0]),
-                 RandomStream(5)).halfspace
+    h = _sep(mem, RandomStream(5), retries=2, geometry=geom)(np.array([1.3, 0.0]),
+                                                             0.01).halfspace
     np.testing.assert_allclose(h.normal, [0.6, 0.8])
 
 
 def test_theoretical_slack_positive_and_looser_than_anchored():
     geom = ProblemGeometry(2, 1.0, 2.0)
-    cfg_t = _cfg(mode=THEORETICAL, geometry=geom)
-    assert theoretical_slack(cfg_t) > 0.0
     mem = ExactMembership(Ball(np.zeros(2), 1.0))
     x = np.array([1.2, 0.0])
-    ht = separate(cfg_t, mem, x, RandomStream(9)).halfspace
-    ha = separate(_cfg(mode=ANCHORED, geometry=geom), mem, x,
-                  RandomStream(9)).halfspace
+    ht = _sep(mem, RandomStream(9), mode=THEORETICAL, geometry=geom)(x, 0.01).halfspace
+    ha = _sep(mem, RandomStream(9), mode=ANCHORED, geometry=geom)(x, 0.01).halfspace
+    assert ht.slack > 0.0
     assert ha.slack == 0.0
     assert ht.slack > ha.slack
     np.testing.assert_allclose(ht.normal, ha.normal)
 
 
 def test_config_validation():
+    mem = ExactMembership(Ball(np.zeros(2), 1.0))
     with pytest.raises(ValueError):
-        _cfg(eps=0.0)
+        _sep(mem, RandomStream(0), eps=0.0)
     with pytest.raises(ValueError):
-        _cfg(eps=2.0)  # above r
+        _sep(mem, RandomStream(0), eps=2.0)  # above r
     with pytest.raises(ValueError):
-        _cfg(rho=1.5)
+        _sep(mem, RandomStream(0), rho=1.5)
     with pytest.raises(ValueError):
-        _cfg(mode="bogus")
+        _sep(mem, RandomStream(0), mode="bogus")
 
 
 @pytest.mark.parametrize("retries", ["x", -1, True, 1.5, None])
 def test_config_rejects_bad_retries(retries):
+    mem = ExactMembership(Ball(np.zeros(2), 1.0))
     with pytest.raises(ValueError, match="retries"):
-        _cfg(retries=retries)
+        _sep(mem, RandomStream(0), retries=retries)
     with pytest.raises(ValueError, match="retries"):
-        SepFromMem(ExactMembership(Ball(np.zeros(2), 1.0)), BALL_GEOM, RandomStream(0),
-                   eps=1e-4, retries=retries)
+        SepFromMem(mem, BALL_GEOM, RandomStream(0), eps=1e-4, retries=retries)
 
 
 def test_r1_schedule_clamped_to_sampling_safety():
     geom = ProblemGeometry(4, 1.0, 1.0)
-    cfg = _cfg(eps=0.49, geometry=geom)
-    assert cfg.r1() <= geom.r / (4.0 * math.sqrt(geom.n))
-    cfg_small = _cfg(eps=1e-12, geometry=geom)
-    assert cfg_small.r1() == pytest.approx(
+    mem = ExactMembership(Ball(np.zeros(4), 1.0))
+    sep = _sep(mem, RandomStream(0), eps=0.1, geometry=geom)
+    assert sep.r1 <= geom.r / (4.0 * math.sqrt(geom.n))
+    sep_small = _sep(mem, RandomStream(0), eps=1e-12, geometry=geom)
+    assert sep_small.r1 == pytest.approx(
         geom.n ** (1 / 6) * (1e-12) ** (1 / 3) * geom.R ** (2 / 3) / geom.kappa)
+    # past eps = 3/16 the clamped r1 is below the estimator's r2
+    with pytest.raises(ValueError, match=r"r2 <= r1"):
+        _sep(mem, RandomStream(0), eps=0.49, geometry=geom)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.3, 0.49])
+def test_sep_from_mem_refuses_an_eps_the_estimate_cannot_run_at(eps):
+    # the clamped r1 = r/(4 R sqrt(n)) lies below r2 once eps > 3/16,
+    # whatever n and kappa: refused when built, not on a query that
+    # reaches the height estimate
+    disc = Ball(np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match=r"r2 <= r1"):
+        SepFromMem(ExactMembership(disc), disc.geometry, RandomStream(0), eps=eps)
+    SepFromMem(ExactMembership(disc), disc.geometry, RandomStream(0), eps=0.18)
 
 
 def test_sep_from_mem_general_position_body():
