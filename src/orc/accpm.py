@@ -1,10 +1,9 @@
 """Optimization from separation: an analytic-centre cutting-plane engine.
 
 `optimize_linear_accpm` has the contract of `ellipsoid.optimize_linear`
-(the same `OptimizerConfig`, `OptimizationAnswer` and
-`MaxItersExhausted`, and an empty interior reported as a `None`
-maximizer) but spends O(n log(R/(r eps))) separation queries, not
-O(n^2 log), and stops as soon as a certificate proves the best feasible
+(the same `OptimizerConfig` and `OptimizationAnswer`, and an empty
+interior reported as a `None` maximizer) but spends O(n log(R/(r eps)))
+separation queries, not O(n^2 log), and stops as soon as a certificate proves the best feasible
 point good enough.  It is the central-cut analytic-centre method (ACCPM,
 Goffin & Vial; Atkinson & Vaidya, Math. Programming 69, 1995) without
 cut dropping.
@@ -66,12 +65,12 @@ n log(2R/(r eps)) / log(e/(e - 1)), about 2.2 n log(2R/(r eps)) cuts;
 Atkinson & Vaidya prove the same order for analytic centres when the
 constraint count is kept O(n) by dropping cuts.  Without dropping, the
 constraint count grows by one per cut, the analytic centre drifts
-toward the older cuts, and each cut removes less.  The default cap is
+toward the older cuts, and each cut removes less.  The cap is
 `ITER_FACTOR` = 4 times n log(2R/(r eps)), a little under twice the
 centre-of-gravity count: the engine itself stops at 0.9-1.6 times
 n log(2R/(r eps)) queries on exact SEP over the ball, box and simplex
-for n = 2-16 at eps = 1e-3.  `cfg.max_iters` overrides it, as it does
-for the ellipsoid.
+for n = 2-16 at eps = 1e-3.  Only this engine raises `MaxItersExhausted`,
+when it reaches the cap with neither a feasible centre nor a certificate.
 
 Cost per iteration: O(m n^2) for each Newton step, one n x n solve and
 one n x n eigenvalue problem.  There is no cut dropping:
@@ -88,7 +87,7 @@ from .core import OptimizationAnswer, ProblemGeometry
 from .ellipsoid import MaxItersExhausted, OptimizerConfig
 from .geometry import as_vector_of, normalized
 
-#: The default iteration cap is this many times n log(2R/(r eps)).
+#: The iteration cap is this many times n log(2R/(r eps)).
 ITER_FACTOR = 4.0
 
 #: Newton stops once the decrement lam falls to this; the certificate
@@ -109,10 +108,7 @@ PULL_BACK = 0.5
 
 
 def _iteration_cap(cfg: OptimizerConfig, geometry: ProblemGeometry) -> int:
-    """The iteration cap: `cfg.max_iters`, or the module docstring's
-    ITER_FACTOR * n log(2R/(r eps))."""
-    if cfg.max_iters is not None:
-        return cfg.max_iters
+    """The module docstring's iteration cap, ITER_FACTOR * n log(2R/(r eps))."""
     return math.ceil(ITER_FACTOR * geometry.n * math.log(2.0 * geometry.R / (geometry.r * cfg.eps)))
 
 
@@ -145,12 +141,12 @@ def optimize_linear_accpm(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
     objective_cut = normalized(-normalized(c))
     n = geometry.n
     sep_delta = cfg.resolved_sep_delta(geometry)
-    max_iters = _iteration_cap(cfg, geometry)
+    cap = _iteration_cap(cfg, geometry)
     tol = cfg.eps * float(np.linalg.norm(c)) * geometry.R
     floor = geometry.r * cfg.eps
 
-    A = np.empty((2 * n + max_iters, n))
-    b = np.empty(2 * n + max_iters)
+    A = np.empty((2 * n + cap, n))
+    b = np.empty(2 * n + cap)
     A[:n], A[n:2 * n] = np.eye(n), -np.eye(n)
     b[:n] = geometry.center + geometry.R
     b[n:2 * n] = geometry.R - geometry.center
@@ -159,7 +155,7 @@ def optimize_linear_accpm(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
 
     best = None
     best_val = -math.inf
-    for _ in range(max_iters):
+    for _ in range(cap):
         x, H, lam = _analytic_centre(A[:m], b[:m], x)
         if lam < 1.0:
             rho = m / (1.0 - lam)
@@ -185,4 +181,4 @@ def optimize_linear_accpm(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
     if best is not None:
         return OptimizationAnswer(best)
     raise MaxItersExhausted(
-        f"no feasible centre within {max_iters} iterations and no empty-interior certificate")
+        f"no feasible centre within {cap} iterations and no empty-interior certificate")

@@ -7,8 +7,9 @@ construction.
 
 Constructors and the exact oracles (`exact_membership`, `exact_support`,
 the `Exact*` classes, `exact_eval`, `exact_grad`) check their vectors
-with `as_vector`; `exact_membership` and the `Exact*` set oracles also
-refuse a query whose dimension is not the body's (`as_vector_of`).  The
+with `as_vector`; `exact_membership`, `exact_support` and the `Exact*`
+set oracles also refuse a query whose dimension is not the body's
+(`as_vector_of`).  The
 methods of bodies and functions (`contains`, `contains_rows`,
 `separate`, `support`, `radial_scale`, `value`, `grad`) take float64
 1-d arrays, or (k, n) stacks, and trust them.
@@ -611,7 +612,7 @@ class ExactMembership:
 
 
 def exact_support(spec: BodySpec, c) -> tuple[float, np.ndarray]:
-    return spec.support(as_vector(c))
+    return spec.support(as_vector_of(c, spec.dim))
 
 
 def brute_force_lp(spec: HPolytope, c) -> tuple[float, np.ndarray]:

@@ -5,7 +5,9 @@ the nearly-linear-query cutting-plane method the source theorem cites
 as a black box, and it runs its whole budget, with no early stop; in
 exchange every step follows a simple, exactly-accountable volume
 argument.  Each cut is the classical central cut, dilated so the
-log-volume decrement per iteration is exactly 1/(2(n+1)).  It is the
+log-volume decrement per iteration is exactly 1/(2(n+1)).  The budget,
+ceil(2n(n+1) log(R/(r eps))) cuts, is the volume certificate (see
+`optimize_linear`), and there is no iteration override.  It is the
 engine of `opt_from_sep` and `opt_from_mem`, and the reference the
 acceptance criteria measure.  `accpm.optimize_linear_accpm`, an
 analytic-centre engine with the same contract, is the engine of
@@ -44,10 +46,10 @@ from .kernels import ellipsoid_cut_py
 
 
 class MaxItersExhausted(RuntimeError):
-    """Iteration budget spent without ever seeing a feasible center.
-
-    Distinct from the EmptyInterior assertion: the volume certificate
-    was not reached, so nothing can be asserted about the body.
+    """Iteration cap spent without a feasible centre or a certificate,
+    so nothing can be asserted about the body.  Only
+    `accpm.optimize_linear_accpm` raises it: the ellipsoid's budget is
+    itself its volume certificate.
     """
 
 
@@ -94,23 +96,20 @@ def ellipsoid_cut(state: EllipsoidState, h: HalfSpace | np.ndarray) -> Ellipsoid
 @dataclass
 class OptimizerConfig:
     eps: float
-    max_iters: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
     def resolved_iters(self, geometry: ProblemGeometry) -> int:
-        if self.max_iters is not None:
-            return self.max_iters
+        """The ellipsoid's cut budget: the cuts that take the log-volume
+        of B(., R) below that of B(., r eps), 1/(2(n+1)) per cut."""
         n = geometry.n
         return math.ceil(2.0 * n * (n + 1) * math.log(geometry.R / (geometry.r * self.eps)))
 
     def resolved_sep_delta(self, geometry: ProblemGeometry) -> float:
-        raw = (self.eps / (geometry.n * geometry.kappa)) ** 3
-        return max(raw, 1e-12)
+        """The precision each SEP query is asked at, (eps/(n kappa))^3."""
+        return (self.eps / (geometry.n * geometry.kappa)) ** 3
 
 
 def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
@@ -119,27 +118,22 @@ def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
 
     Starts from the outer ball B(center, R); queries the separation
     oracle at each ellipsoid center, cutting with the returned normal
-    (or with the objective when the center is feasible), and returns
-    the best feasible center seen.  EmptyInterior is declared when the
-    ellipsoid volume falls below that of B(., r*eps) without any
-    feasible center.  Every cut drops the log-volume by exactly
-    1/(2(n+1)), so the floor test reads a running sum, not the factor.
+    (or with the objective when the center is feasible), and after
+    exactly `cfg.resolved_iters(geometry)` cuts returns the best
+    feasible center seen.  That budget is the volume certificate: the
+    last ellipsoid holds no ball of radius r*eps, so with no feasible
+    center the answer is EmptyInterior (a `None` maximizer).
     """
     c = as_vector_of(c, geometry.n)
     # a feasible center's cut: -c/||c||, as the unit normal
     # `ellipsoid_cut` makes of the array -unit(c)
     objective_cut = normalized(-normalized(c))
-    n = geometry.n
     sep_delta = cfg.resolved_sep_delta(geometry)
-    max_iters = cfg.resolved_iters(geometry)
-    center, M, scale = geometry.center, geometry.R * np.eye(n), 1.0
-    log_volume = n * math.log(geometry.R)
-    drop = 1.0 / (2.0 * (n + 1))
-    floor_logvol = n * math.log(geometry.r * cfg.eps)
+    center, M, scale = geometry.center, geometry.R * np.eye(geometry.n), 1.0
 
     best = None
     best_val = -math.inf
-    for _ in range(max_iters):
+    for _ in range(cfg.resolved_iters(geometry)):
         h = sep(center, sep_delta).halfspace
         if h is None:
             val = float(c @ center)
@@ -149,15 +143,7 @@ def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
         else:
             g = h.normal
         center, scale = ellipsoid_cut_py(center, M, scale, g)
-        log_volume -= drop
-        if log_volume < floor_logvol:
-            break
-    if best is not None:
-        return OptimizationAnswer(best)
-    if log_volume < floor_logvol:
-        return OptimizationAnswer(None)
-    raise MaxItersExhausted(
-        f"no feasible center within {max_iters} iterations and volume floor not reached")
+    return OptimizationAnswer(best)
 
 
 def opt_from_viol(viol, delta: float):

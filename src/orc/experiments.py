@@ -20,6 +20,7 @@ import math
 import multiprocessing
 import operator
 import os
+import re
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -44,6 +45,12 @@ CSV_COLUMNS = ["experiment", "chain", "n", "eps", "seed", "trial", "outcome",
 QUERY_DISTANCE_FACTOR = 1.5
 
 OVERRIDE_KEYS = {"retries"}
+
+#: an experiment name is the stem of the output files and a CSV field,
+#: so it holds no path separator, no leading dot and no comma, and at
+#: 200 characters "<name>.summary.json" stays below the usual 255-byte
+#: file-name limit
+EXPERIMENT_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,199}")
 
 CONFIG_KEYS = {"experiment", "chain", "body", "function", "dims", "eps",
                "seeds", "trials", "slack_mode", "overrides"}
@@ -97,6 +104,8 @@ def validate_config(config: dict) -> dict:
     for key in ("experiment", "chain"):
         if not isinstance(config.get(key), str) or not config.get(key):
             raise ConfigError(f"'{key}' must be a non-empty string")
+    if not EXPERIMENT_NAME.fullmatch(config["experiment"]):
+        raise ConfigError(f"'experiment' must match {EXPERIMENT_NAME.pattern}")
     if ("body" in config) == ("function" in config):
         raise ConfigError("exactly one of 'body' or 'function' is required")
     template = config.get("body", config.get("function"))
@@ -122,8 +131,9 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("'eps' must be a non-empty list of floats in (0, 1/2)")
     seeds = config.get("seeds")
     if (not isinstance(seeds, list) or not seeds
-            or not all(_is_int(s) for s in seeds)):
-        raise ConfigError("'seeds' must be a non-empty list of ints")
+            or not all(_is_int(s) and s >= 0 for s in seeds)):
+        # numpy's SeedSequence refuses a negative seed
+        raise ConfigError("'seeds' must be a non-empty list of non-negative ints")
     trials = config.get("trials")
     if not _is_int(trials) or trials < 1:
         raise ConfigError("'trials' must be a positive int")
@@ -136,9 +146,6 @@ def validate_config(config: dict) -> dict:
     unknown = set(overrides) - OVERRIDE_KEYS
     if unknown:
         raise ConfigError(f"unknown override keys: {sorted(unknown)}")
-    retries = overrides.get("retries", 0)
-    if not _is_int(retries) or retries < 0:
-        raise ConfigError("'retries' must be a non-negative int")
     # a setting the chain does not read is refused, not ignored
     if slack_mode == THEORETICAL and "slack_mode" not in spec.reads:
         raise ConfigError(f"chain {chain!r} does not read slack_mode 'theoretical'")
@@ -184,10 +191,10 @@ def _check_template(role: str, template: dict) -> None:
     for key in ("radius", "scale"):
         if key in template and not (_is_number(template[key]) and template[key] > 0):
             raise ConfigError(f"{kind} {key!r} must be a positive number")
-    extra = template.get("extra_facets", 3)  # make_body's default
-    if not (_is_int(extra) and extra >= 0):
+    if "extra_facets" in template and not (_is_int(template["extra_facets"])
+                                           and template["extra_facets"] >= 0):
         raise ConfigError("'extra_facets' must be a non-negative int")
-    if not _is_number(template.get("jitter", 0.0)):
+    if "jitter" in template and not _is_number(template["jitter"]):
         raise ConfigError("'jitter' must be a finite number")
     if "axes" in template:
         axes = template["axes"]
@@ -213,9 +220,9 @@ def make_body(template: dict, n: int, rng: RandomStream) -> bodies.BodySpec:
     if kind == "simplex":
         return bodies.Simplex(n, float(template.get("scale", 1.0)))
     if kind == "random_hpolytope":
+        # only the keys the template names: the defaults are the constructor's
         return bodies.random_hpolytope(
-            n, rng, extra_facets=int(template.get("extra_facets", 3)),
-            jitter=float(template.get("jitter", 0.15)))
+            n, rng, **{key: template[key] for key in BODY_KEYS[kind] if key in template})
     if kind == "ellipsoid":
         gen = rng.generator()
         axes = np.asarray(template.get(
@@ -279,8 +286,8 @@ def _grade_opt(body: bodies.BodySpec, answer, c: np.ndarray,
 def _sep_from_mem(ctx):
     """SEP from exact MEM at membership precision eps, both counted."""
     mem = wrap_with_ledger(bodies.ExactMembership(ctx.body), ctx.ledger)
-    sep = SepFromMem(mem, ctx.body.geometry, ctx.rng.child("sep"), eps=ctx.eps, rho=0.1,
-                     mode=ctx.slack_mode, retries=ctx.overrides.get("retries", 3))
+    sep = SepFromMem(mem, ctx.body.geometry, ctx.rng.child("sep"), eps=ctx.eps,
+                     mode=ctx.slack_mode, **ctx.overrides)
     return wrap_with_ledger(sep, ctx.ledger)
 
 
@@ -293,8 +300,7 @@ def _opt_from_sep(ctx):
 
 def _opt_from_mem(ctx):
     return opt_from_mem(bodies.ExactMembership(ctx.body), ctx.body.geometry,
-                        ctx.rng.child("sep"), eps=ctx.eps,
-                        retries=ctx.overrides.get("retries", 3))
+                        ctx.rng.child("sep"), eps=ctx.eps, **ctx.overrides)
 
 
 def _opt_from_viol(ctx):

@@ -25,7 +25,8 @@ chain, one view of their base oracle as that of the normalized body
 the SEP of its epigraph.  `sep_from_opt` optimizes over K_f with the
 analytic-centre engine (`accpm`), which stops once its certificate
 holds; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).  All
-three ask their SEP from MEM at `inner_sep_eps(eps)` unless given `sep_eps`.
+three ask their SEP from MEM at `inner_sep_eps(eps)` unless given `sep_eps`,
+with `separation`'s defaults `RHO` and `RETRIES` unless given others.
 
 Stack forms.  `support_eval_from_opt`, `eval_support_from_val`,
 `eval_from_mem_epigraph`, `EpigraphBody.as_mem` and the two normalized
@@ -57,7 +58,7 @@ from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, EmptyInteriorPropagated,
 from .accpm import optimize_linear_accpm
 from .ellipsoid import OptimizerConfig, optimize_linear
 from .geometry import HalfSpace, _halfspace, as_vector, as_vector_of, unit
-from .separation import SepFromMem
+from .separation import RETRIES, RHO, SepFromMem
 
 INSIDE = MembershipAnswer.INSIDE_DILATED
 OUTSIDE = MembershipAnswer.OUTSIDE_ERODED
@@ -423,7 +424,7 @@ def inner_sep_eps(eps: float) -> float:
 
 
 def _counted_sep(mem, geometry: ProblemGeometry, rng: RandomStream, ledgers, *,
-                 eps: float, sep_eps: float | None, rho: float, retries: int = 3):
+                 eps: float, sep_eps: float | None, rho: float, retries: int):
     """The SEP from MEM of a chain of precision eps, at `sep_eps` or else
     `inner_sep_eps(eps)`, and its MEM, counted in `ledgers.sep` and `.mem`."""
     counted_mem = wrap_with_ledger(mem, ledgers.mem)
@@ -433,8 +434,8 @@ def _counted_sep(mem, geometry: ProblemGeometry, rng: RandomStream, ledgers, *,
 
 
 def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float, sep_eps: float | None = None, rho: float = 0.1,
-                 retries: int = 3):
+                 eps: float, sep_eps: float | None = None, rho: float = RHO,
+                 retries: int = RETRIES):
     """OPT(K) = cutting-plane over SEP(K) built from MEM(K) (`_counted_sep`)."""
     ledgers = _ChainLedgers("mem", "sep")
     counted_sep, _ = _counted_sep(mem, geometry, rng, ledgers, eps=eps, sep_eps=sep_eps,
@@ -451,7 +452,7 @@ def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *,
 
 
 def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float = 0.01, sep_eps: float | None = None, rho: float = 0.1):
+                 eps: float = 0.01, sep_eps: float | None = None, rho: float = RHO):
     """OPT(K) from VAL(K).
 
     Chain: the base VAL is viewed as VAL of (K - x0)/R, with x0 the
@@ -475,7 +476,7 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
     ledgers = _ChainLedgers("val", "mem", "sep")
     kf = EpigraphBody(_normalized_val(wrap_with_ledger(val, ledgers.val), geometry), geometry.n)
     sep, mem = _counted_sep(kf.as_mem(), kf.geometry, rng.child("opt_from_val"), ledgers,
-                            eps=eps, sep_eps=sep_eps, rho=rho)
+                            eps=eps, sep_eps=sep_eps, rho=rho, retries=RETRIES)
     grad = grad_from_sep_epigraph(sep, geometry.n, mem, lipschitz=1.0 + 3.0 * eps)
 
     def opt(c, delta):
@@ -500,7 +501,7 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
 
 
 def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float = 0.01, sep_eps: float | None = None, rho: float = 0.1):
+                 eps: float = 0.01, sep_eps: float | None = None, rho: float = RHO):
     """SEP(K) from OPT(K).
 
     Chain: the base OPT is viewed as OPT of (K - x0)/R, with x0 the
@@ -538,7 +539,7 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
                               geometry.rescaled())
     kf = EpigraphBody(f, geometry.n)
     sep_kf, _ = _counted_sep(kf.as_mem(), kf.geometry, rng.child("sep_from_opt"), ledgers,
-                             eps=eps, sep_eps=sep_eps, rho=rho)
+                             eps=eps, sep_eps=sep_eps, rho=rho, retries=RETRIES)
     threshold = 3.0 * eps
 
     def sep(y, delta):

@@ -27,6 +27,10 @@ from .subgrad import EstimatorParams, separate_convex_func
 THEORETICAL = "theoretical"
 ANCHORED = "anchored"
 
+#: SepFromMem's defaults, which the chains built over it share
+RHO = 0.1
+RETRIES = 3
+
 # target ratio of bisection-induced derivative noise (per coordinate,
 # times dimension) to the height gradient scale
 NOISE_FRACTION = 0.02
@@ -58,8 +62,8 @@ class SepFromMem:
     kind = SEP
 
     def __init__(self, mem, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float, rho: float = 0.1, mode: str = ANCHORED,
-                 retries: int = 3):
+                 eps: float, rho: float = RHO, mode: str = ANCHORED,
+                 retries: int = RETRIES):
         g = geometry.rescaled()
         if not 0.0 < eps <= g.r:
             raise ValueError(f"need 0 < eps <= r/R, got eps={eps!r} r/R={g.r!r}")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from orc import accpm
 from orc.accpm import _iteration_cap, optimize_linear_accpm
 from orc.bodies import (Ball, BoxBody, ExactSeparation, Simplex,
                         brute_force_lp, random_hpolytope)
@@ -109,9 +110,12 @@ def test_a_body_without_interior_is_reported_empty(oracle):
     assert ledger.count(SEP) < _iteration_cap(cfg, geometry)
 
 
-def test_max_iters_exhausted():
+def test_max_iters_exhausted(monkeypatch):
+    # a cap of ceil(0.1 * 2 log(2e6)) = 3 cuts, far short of a certificate
+    monkeypatch.setattr(accpm, "ITER_FACTOR", 0.1)
     spec = Ball(np.zeros(2), 1.0)
-    cfg = OptimizerConfig(eps=1e-6, max_iters=3)
+    cfg = OptimizerConfig(eps=1e-6)
+    assert _iteration_cap(cfg, spec.geometry) == 3
     ledger = QueryLedger()
     sep = wrap_with_ledger(_fixed_cut(np.array([1.0, 0.0])), ledger)
     with pytest.raises(MaxItersExhausted):
@@ -119,10 +123,13 @@ def test_max_iters_exhausted():
     assert ledger.count(SEP) == 3
 
 
-def test_a_feasible_centre_is_returned_when_the_cap_is_reached():
+def test_a_feasible_centre_is_returned_when_the_cap_is_reached(monkeypatch):
+    monkeypatch.setattr(accpm, "ITER_FACTOR", 0.01)
     spec = Ball(np.zeros(2), 1.0)
-    answer = optimize_linear_accpm(OptimizerConfig(eps=1e-6, max_iters=1),
-                                   ExactSeparation(spec), spec.geometry, np.array([0.0, 1.0]))
+    cfg = OptimizerConfig(eps=1e-6)
+    assert _iteration_cap(cfg, spec.geometry) == 1
+    answer = optimize_linear_accpm(cfg, ExactSeparation(spec), spec.geometry,
+                                   np.array([0.0, 1.0]))
     # the first centre is the box's, the body's centre
     assert answer.maximizer.tobytes() == spec.geometry.center.tobytes()
 
@@ -147,3 +154,24 @@ def test_an_objective_of_another_dimension_is_refused_before_any_sep_query(engin
         with pytest.raises(ValueError, match="expected a vector of dimension 2"):
             engine(OptimizerConfig(eps=EPS), sep, body.geometry, bad)
     assert ledger.totals() == {}
+
+
+@pytest.mark.parametrize("engine", [optimize_linear, optimize_linear_accpm],
+                         ids=["ellipsoid", "accpm"])
+def test_sep_is_asked_at_the_derived_precision_below_1e_12(engine):
+    # (eps/(n kappa))^3 = (1e-4/2)^3 = 1.25e-13 on the disc, passed as
+    # derived, not raised to a floor
+    body = Ball(np.zeros(2), 1.0)
+    cfg = OptimizerConfig(eps=1e-4)
+    exact = ExactSeparation(body)
+    asked = []
+
+    def sep(y, delta):
+        asked.append(delta)
+        return exact(y, delta)
+
+    sep.kind = SEP
+    answer = engine(cfg, sep, body.geometry, np.array([0.0, 1.0]))
+    assert answer.maximizer is not None
+    assert asked and set(asked) == {(1e-4 / 2.0) ** 3}
+    assert asked[0] < 1e-12

@@ -392,13 +392,14 @@ ASK = {
     "OPT": lambda spec, y: ExactOptimization(spec)(y, 0.01),
     "VIOL": lambda spec, y: ExactViolation(spec)(y, 0.0, 0.01),
     "VAL": lambda spec, y: ExactValidity(spec)(y, 0.0, 0.01),
+    "exact_support": exact_support,
 }
 
 
 @pytest.mark.parametrize("kind", sorted(ASK))
 def test_exact_oracles_refuse_a_query_of_another_dimension(kind):
     for spec in _separation_bodies(3):
-        if kind in ("OPT", "VIOL", "VAL") and isinstance(spec, Intersection):
+        if kind in ("OPT", "VIOL", "VAL", "exact_support") and isinstance(spec, Intersection):
             continue  # no support function
         ASK[kind](spec, np.full(3, 0.1))
         for m in (1, 2, 4):

@@ -501,3 +501,34 @@ def test_boolean_counts_exit_2_from_validate_and_run(tmp_path, field, value):
     assert main(["validate-config", path]) == 2
     assert main(["run", path, "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "cli-test.csv").exists()
+
+
+@pytest.mark.parametrize("seeds", [[1, -1], [-1]])
+def test_negative_seeds_exit_2_from_validate_and_run(tmp_path, capsys, seeds):
+    # a negative seed used to validate, and then every trial with it was
+    # graded error:ValueError by numpy's SeedSequence
+    path = _write(tmp_path, _config(chain="opt_from_sep", body={"kind": "box"}, seeds=seeds))
+    assert main(["validate-config", path]) == 2
+    assert "non-negative" in capsys.readouterr().err
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "cli-test.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "..", ".hidden", "a,b", "", "a b",
+                                  "a" * 300])
+def test_an_experiment_name_that_is_not_a_plain_file_stem_exits_2(tmp_path, name):
+    # "../escaped" used to write escaped.csv outside --out, "a,b" wrote
+    # rows with an extra field that fit-scaling then misread, and a
+    # 300-character stem makes a file name past the 255-byte limit
+    path = _write(tmp_path, _config(experiment=name))
+    out = tmp_path / "out" / "inner"
+    assert main(["validate-config", path]) == 2
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json"]
+
+
+def test_a_200_character_experiment_name_runs(tmp_path):
+    path = _write(tmp_path, _config(experiment="a" * 200))
+    assert main(["validate-config", path]) == 0
+    assert main(["run", path, "--out", str(tmp_path), "--no-timing"]) == 0
+    assert (tmp_path / ("a" * 200 + ".summary.json")).exists()

@@ -9,10 +9,9 @@ from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
 from orc.core import (SEP, MembershipAnswer, ProblemGeometry, QueryLedger,
                       RandomStream, SeparationAnswer, VIOL, ViolationAnswer,
                       wrap_with_ledger)
-from orc.ellipsoid import (EllipsoidState, MaxItersExhausted,
-                           OptimizerConfig, OracleInconsistency,
-                           ellipsoid_cut, opt_from_viol, optimize_linear,
-                           viol_from_opt)
+from orc.ellipsoid import (EllipsoidState, OptimizerConfig,
+                           OracleInconsistency, ellipsoid_cut, opt_from_viol,
+                           optimize_linear, viol_from_opt)
 from orc.geometry import HalfSpace, unit
 
 
@@ -129,18 +128,6 @@ def test_empty_interior_certificate():
     assert ans.empty_interior
 
 
-def test_max_iters_exhausted():
-    spec = Ball(np.zeros(2), 1.0)
-    cfg = OptimizerConfig(eps=1e-6, max_iters=1)
-
-    def never_inside(y, delta):
-        return SeparationAnswer(HalfSpace(np.array([1.0, 0.0]), y, 0.0))
-
-    never_inside.kind = "SEP"
-    with pytest.raises(MaxItersExhausted):
-        optimize_linear(cfg, never_inside, spec.geometry, np.array([0.0, 1.0]))
-
-
 def test_sep_count_is_the_resolved_iteration_budget():
     # the volume floor is crossed on the last budgeted cut, never earlier
     gen = np.random.default_rng(5)
@@ -157,8 +144,9 @@ def test_sep_count_is_the_resolved_iteration_budget():
 
 def _reference_optimize(cfg, sep, geometry, c):
     """optimize_linear's loop on an `EllipsoidState`, cut by
-    `ellipsoid_cut` with the oracle's halfspace as returned, and with the
-    objective cut normalized on every cut."""
+    `ellipsoid_cut` with the oracle's halfspace as returned, with the
+    objective cut normalized on every cut, and stopped by the textbook
+    volume-floor test, which the engine's budget replaces."""
     n = geometry.n
     cu = unit(c)
     state = EllipsoidState.ball(geometry.center, geometry.R)
@@ -235,14 +223,13 @@ def test_config_validation():
         OptimizerConfig(eps=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(eps=1.5)
-    with pytest.raises(ValueError):
-        OptimizerConfig(eps=0.1, max_iters=0)
 
 
 def test_sep_delta_schedule_floor():
+    # (eps/(n kappa))^3 as derived, with no floor under it
     cfg = OptimizerConfig(eps=1e-6)
     geom = ProblemGeometry(5, 1.0, 10.0)
-    assert cfg.resolved_sep_delta(geom) == 1e-12
+    assert cfg.resolved_sep_delta(geom) == pytest.approx(8e-24, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
