@@ -30,22 +30,24 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
-def bisect_rows(contains_rows, D: np.ndarray, x: np.ndarray, hi, iters) -> np.ndarray:
+def bisect_rows(contains_rows, D: np.ndarray, x: np.ndarray, hi, iters,
+                lo=None) -> np.ndarray:
     """Largest alpha with D[i] + alpha*x inside the body, for every row i.
 
     contains_rows maps a (k, n) stack to a bool array, one entry per
-    row.  x is one (n,) direction shared by all rows; hi and iters give
-    each row its own bracket [0, hi[i]] and round count.  Each round
-    tests the rows still bisecting (iters[i] >= round) together, so a
-    stack costs exactly sum(iters) row tests: a row that is done is not
-    tested again, which matters when a test costs an oracle query.
-    Every row gets exactly the midpoints, containment answers and alpha
-    of its single-ray bisection.  Precondition per row: D[i] is inside
-    and D[i] + hi[i]*x is outside.
+    row.  x is one (n,) direction shared by all rows; lo, hi and iters
+    give each row its own bracket [lo[i], hi[i]] (lo defaults to zeros)
+    and round count.  Each round tests the rows still bisecting
+    (iters[i] >= round) together, so a stack costs exactly sum(iters)
+    row tests: a row that is done is not tested again, which matters
+    when a test costs an oracle query.  Every row gets exactly the
+    midpoints, containment answers and alpha of its single-ray
+    bisection from its bracket.  Precondition per row: D[i] + lo[i]*x
+    is inside and D[i] + hi[i]*x is outside.
     """
     hi = np.array(hi, dtype=np.float64)
     iters = np.asarray(iters)
-    lo = np.zeros_like(hi)
+    lo = np.zeros_like(hi) if lo is None else np.array(lo, dtype=np.float64)
     mid = 0.5 * (lo + hi)
     alpha = np.empty_like(mid)
     rows = np.arange(mid.size)  # the rows still bisecting

@@ -484,8 +484,8 @@ def test_a_chain_that_raises_still_reports_its_queries(monkeypatch):
     # read 0 queries
     monkeypatch.setattr(reductions, "inner_sep_eps", lambda eps: 1e-4)
     cfg = experiments.validate_config(_config(chain="opt_from_val", body={"kind": "box"},
-                                              dims=[2], eps=[1e-3], seeds=[12], trials=1))
-    record = experiments.run_trial(cfg, 2, 1e-3, 12, 0)
+                                              dims=[2], eps=[1e-3], seeds=[28], trials=1))
+    record = experiments.run_trial(cfg, 2, 1e-3, 28, 0)
     assert record.outcome == "error:VerticalCut"
     assert min(record.eval_calls, record.mem_calls, record.sep_calls) > 0
 
@@ -499,6 +499,20 @@ def test_boolean_counts_exit_2_from_validate_and_run(tmp_path, field, value):
     # into the CSV's seed column
     path = _write(tmp_path, _config(**{field: value}))
     assert main(["validate-config", path]) == 2
+    assert main(["run", path, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "cli-test.csv").exists()
+
+
+@pytest.mark.parametrize("body", [{"kind": "ball", "radius": 10 ** 400},
+                                  {"kind": "simplex", "scale": 10 ** 400},
+                                  {"kind": "random_hpolytope", "jitter": 10 ** 400},
+                                  {"kind": "ellipsoid", "axes": [10 ** 400, 1.0]}])
+def test_an_integer_past_the_float_range_exits_2(tmp_path, capsys, body):
+    # a 401-digit JSON integer is not a finite float: math.isfinite used
+    # to raise OverflowError on it, and validate-config ended with exit 1
+    path = _write(tmp_path, _config(body=body, dims=[2]))
+    assert main(["validate-config", path]) == 2
+    assert "config error" in capsys.readouterr().err
     assert main(["run", path, "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "cli-test.csv").exists()
 

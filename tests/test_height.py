@@ -80,7 +80,7 @@ def test_iteration_count_and_mem_calls_match():
     mem = wrap_with_ledger(ExactMembership(Ball(np.zeros(2), 1.0)), ledger)
     h = HeightOracle(mem, GEOM2, np.array([0.5, 0.0]), 1e-6, 0.01)
     d = np.array([0.1, 0.1])
-    _, iters = h.iterations_for(d)
+    _, _, (iters,) = h.brackets(d[None, :])
     assert iters == math.ceil(math.log2(
         (1.0 + np.linalg.norm(d) + 0.01) / 0.5 / 1e-6))
     h.alpha_x(d)
@@ -90,6 +90,20 @@ def test_iteration_count_and_mem_calls_match():
 def _stack(spec, gen, k):
     """k points near the center of the normalized body."""
     return 0.05 * gen.normal(size=(k, spec.dim))
+
+
+def _estimate_stack(n, gen, r1=1e-3, r2=1e-5):
+    """The 2n points of one subgradient estimate near the center of the
+    normalized body: z with coordinate i on the faces y_i +/- r2 of the
+    box about y, in `subgrad.separate_convex_func`'s layout.  Such a
+    stack takes the Lipschitz brackets."""
+    y = r1 * gen.uniform(-1.0, 1.0, n)
+    z = y + r2 * gen.uniform(-1.0, 1.0, n)
+    D = np.repeat(z[None, :], 2 * n, axis=0)
+    i = np.arange(n)
+    D[2 * i, i] = y + r2
+    D[2 * i + 1, i] = y - r2
+    return D
 
 
 def _reference_height(spec, h, d):
@@ -109,59 +123,101 @@ def _reference_height(spec, h, d):
     return -0.5 * (lo + hi) * h.x_norm
 
 
+class RecordCountingLedger(QueryLedger):
+    def __init__(self):
+        super().__init__()
+        self.records = 0
+
+    def record(self, kind, count=1):
+        self.records += 1
+        super().record(kind, count)
+
+
 def test_stack_heights_equal_per_row_heights():
     # bodies off the origin with R != 1, so the map into the body's
-    # frame runs
+    # frame runs.  A single height is a stack of one, bisected in full,
+    # so check it against a loop written here; a stack of 2n estimate
+    # points is bisected in its Lipschitz brackets, within bin_tol of
+    # each row's full bisection, and bitwise the same over MEM's stack
+    # form and over a plain MEM
     gen = np.random.default_rng(8)
     for spec in (Simplex(4, 1.0), BoxBody(np.array([1.0, -2.0, 0.5, 3.0]), 0.7)):
         assert spec.geometry.R != 1.0 and spec.geometry.center.any()
         h = _height(spec, [0.4, -0.1, 0.2, 0.3], geometry=spec.geometry)
-        D = _stack(spec, gen, 8)
         h_x = h.as_eval()
+        for d in _stack(spec, gen, 4):
+            assert h_x(d, 0.1) == -h.alpha_x(d) * h.x_norm == _reference_height(spec, h, d)
+        D = _estimate_stack(4, gen)
+        assert h.brackets(D)[0].all()  # every row's bracket starts above 0
         heights = h_x.rows(D, 0.1)
-        np.testing.assert_array_equal(heights, [h_x(d, 0.1) for d in D])
-        np.testing.assert_array_equal(heights, [-h.alpha_x(d) * h.x_norm for d in D])
-        # a single height is a stack of one, so also check against a
-        # loop written here, over MEM's stack form and over a plain MEM
-        reference = [_reference_height(spec, h, d) for d in D]
-        np.testing.assert_array_equal(heights, reference)
+        reference = np.array([_reference_height(spec, h, d) for d in D])
+        np.testing.assert_allclose(heights, [h_x(d, 0.1) for d in D], rtol=0,
+                                   atol=h.bin_tol * h.x_norm)
+        np.testing.assert_allclose(heights, reference, rtol=0, atol=h.bin_tol * h.x_norm)
+        assert not np.array_equal(heights, reference)
         plain = lambda y, delta: exact_membership(spec, y, delta)
         h_plain = HeightOracle(plain, spec.geometry, h.x, h.bin_tol, h.mem_delta)
-        np.testing.assert_array_equal(h_plain.as_eval().rows(D, 0.1), reference)
+        np.testing.assert_array_equal(h_plain.as_eval().rows(D, 0.1), heights)
+
+
+def test_a_stack_past_the_lipschitz_hypothesis_keeps_its_full_brackets():
+    # the bound needs g0 = kappa*max ||D_i|| <= 1/2.  A stack past it,
+    # 8 points near the simplex's center (kappa = 5.3) or 6 points of
+    # norm 0.6 in the unit disc, keeps its full brackets: every row gets
+    # bitwise its single-ray bisection and its round count, in lockstep
+    gen = np.random.default_rng(8)
+    simplex, disc = Simplex(4, 1.0), Ball(np.zeros(2), 1.0)
+    angles = gen.uniform(0.0, 2.0 * math.pi, 6)
+    for spec, D, x in ((simplex, _stack(simplex, gen, 8), [0.4, -0.1, 0.2, 0.3]),
+                       (disc, 0.6 * np.column_stack([np.cos(angles), np.sin(angles)]),
+                        [0.5, 0.2])):
+        assert spec.geometry.kappa * np.linalg.norm(D, axis=1).max() > 0.5
+        h = _height(spec, x, geometry=spec.geometry)
+        lo, hi, iters = h.brackets(D)
+        assert not lo.any()
+        for d, hi_d, iters_d in zip(D, hi, iters):
+            _, (hi_row,), (iters_row,) = h.brackets(d[None, :])
+            assert hi_d == hi_row and iters_d == iters_row
+        ledger = RecordCountingLedger()
+        h_counted = HeightOracle(wrap_with_ledger(ExactMembership(spec), ledger),
+                                 spec.geometry, h.x, h.bin_tol, h.mem_delta)
+        heights = h_counted.as_eval().rows(D, 0.1)
+        assert ledger.count(MEM) == iters.sum() and ledger.records == iters.max()
+        np.testing.assert_array_equal(heights, [-h.alpha_x(d) * h.x_norm for d in D])
+        np.testing.assert_array_equal(heights, [_reference_height(spec, h, d) for d in D])
 
 
 def test_stack_records_per_row_mem_count_once():
-    class RecordCountingLedger(QueryLedger):
-        def __init__(self):
-            super().__init__()
-            self.records = 0
-
-        def record(self, kind, count=1):
-            self.records += 1
-            super().record(kind, count)
-
+    # a stack spends its centre-search points and then its rows' round
+    # counts; the ledger takes each round, the centre search's k points
+    # or the rows still bisecting, as one record
     gen = np.random.default_rng(9)
     spec = Ellipsoid(np.zeros(3), np.diag([0.5, 1.0, 2.0]))
-    D = _stack(spec, gen, 6)
+    D = _estimate_stack(3, gen)
     x = np.array([0.3, 0.9, -0.2])
-    stacked, per_row = RecordCountingLedger(), QueryLedger()
-    h = HeightOracle(wrap_with_ledger(ExactMembership(spec), stacked),
-                     spec.geometry, x, 1e-9, 1e-12)
-    h.as_eval().rows(D, 0.1)
-    h_row = HeightOracle(wrap_with_ledger(ExactMembership(spec), per_row),
-                         spec.geometry, x, 1e-9, 1e-12)
+
+    def height(ledger):
+        return HeightOracle(wrap_with_ledger(ExactMembership(spec), ledger),
+                            spec.geometry, x, 1e-9, 1e-12)
+
+    search, stacked, per_row = RecordCountingLedger(), RecordCountingLedger(), QueryLedger()
+    _, _, iters = height(search).brackets(D)
+    rounds = search.records
+    assert rounds > 0 and search.count(MEM) == rounds * len(D)
+    height(stacked).as_eval().rows(D, 0.1)
+    assert stacked.count(MEM) == rounds * len(D) + iters.sum()
+    assert stacked.records == rounds + iters.max()
+    h_row = height(per_row)
     for d in D:
         h_row.alpha_x(d)
-    assert stacked.count(MEM) == per_row.count(MEM) == sum(h.iterations_for(d)[1] for d in D)
-    # the ledger took each lockstep round, the rows still bisecting, as
-    # one record
-    assert stacked.records == max(h.iterations_for(d)[1] for d in D)
+    assert per_row.count(MEM) == sum(h_row.brackets(d[None, :])[2][0] for d in D)
+    assert stacked.count(MEM) < per_row.count(MEM)
 
 
 def test_stack_without_fast_path_bisects_in_lockstep():
-    # a MEM without `rows` is asked the lockstep's points, round by round:
-    # exactly the stacks an exact oracle's `rows` is asked, one query per
-    # row still bisecting
+    # a MEM without `rows` is asked the centre search's and the
+    # lockstep's points, round by round: exactly the stacks an exact
+    # oracle's `rows` is asked, one query per point
     spec = Ball(np.zeros(2), 1.0)
     seen, stacks = [], []
 
@@ -175,14 +231,16 @@ def test_stack_without_fast_path_bisects_in_lockstep():
     x = np.array([0.5, 0.0])
     D = np.array([[0.1, 0.1], [0.0, 0.0], [-0.2, 0.0]])
     h = HeightOracle(mem, GEOM2, x, 1e-6, 0.01)
-    iters = [h.iterations_for(d)[1] for d in D]
-    assert len(set(iters)) > 1  # a row leaves the stack before the others
+    lo, _, iters = HeightOracle(ExactMembership(spec), GEOM2, x, 1e-6, 0.01).brackets(D)
+    assert lo.all() and len(set(iters.tolist())) > 1  # a row leaves the stack before the others
     heights = h.as_eval().rows(D, 0.1)
     np.testing.assert_array_equal(
         heights, HeightOracle(exact, GEOM2, x, 1e-6, 0.01).as_eval().rows(D, 0.1))
     np.testing.assert_array_equal(np.array(seen), np.concatenate(stacks))
-    assert len(seen) == sum(iters)
-    np.testing.assert_array_equal(heights, [-h.alpha_x(d) * h.x_norm for d in D])
+    rounds = len(stacks) - iters.max()
+    assert rounds > 0 and len(seen) == rounds * len(D) + iters.sum()
+    np.testing.assert_allclose(heights, [-h.alpha_x(d) * h.x_norm for d in D], rtol=0,
+                               atol=h.bin_tol * h.x_norm)
 
 
 def test_intersection_bisects_like_a_per_query_oracle():
@@ -197,17 +255,19 @@ def test_intersection_bisects_like_a_per_query_oracle():
 
     mem.kind = MEM
     x = np.array([0.3, 0.9, -0.2])
-    D = _stack(spec, np.random.default_rng(10), 6)
+    D = _estimate_stack(3, np.random.default_rng(10))
     stacked, per_query = QueryLedger(), QueryLedger()
     h = HeightOracle(wrap_with_ledger(ExactMembership(spec), stacked),
                      spec.geometry, x, 1e-9, 1e-12)
     h_ref = HeightOracle(wrap_with_ledger(mem, per_query), spec.geometry, x, 1e-9, 1e-12)
-    reference = [h_ref.alpha_x(d) for d in D]
-    np.testing.assert_array_equal(h.as_eval().rows(D, 0.1),
-                                  [-alpha * h.x_norm for alpha in reference])
+    heights = h.as_eval().rows(D, 0.1)
+    np.testing.assert_array_equal(heights, h_ref.as_eval().rows(D, 0.1))
     assert stacked.count(MEM) == per_query.count(MEM) > 0
+    reference = [h_ref.alpha_x(d) for d in D]
+    np.testing.assert_allclose(heights, [-alpha * h.x_norm for alpha in reference], rtol=0,
+                               atol=h.bin_tol * h.x_norm)
     assert h.alpha_x(D[0]) == reference[0]
-    hi, iters = h.iterations_for(D[0])
+    _, (hi,), (iters,) = h.brackets(D[:1])
     assert ExactMembership(spec).alpha_bisect(D[0], x, hi, iters, 1e-12) == reference[0]
 
 

@@ -41,10 +41,9 @@ def _reference_contains(spec, p):
     raise TypeError(type(spec).__name__)
 
 
-def _scalar_bisect(spec, d, x, hi, iters):
-    """Reference single-ray bisection: a plain loop over
+def _scalar_bisect(spec, d, x, hi, iters, lo=0.0):
+    """Reference single-ray bisection from [lo, hi]: a plain loop over
     `_reference_contains`, independent of `bisect_rows`."""
-    lo = 0.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if _reference_contains(spec, d + mid * x):
@@ -118,6 +117,21 @@ def test_lockstep_matches_per_ray_bitwise_on_box_and_simplex():
             D, x, hi, iters = _rays(spec, gen, 2 * n)
             lockstep = kernels.bisect_rows(spec.contains_rows, D, x, hi, iters)
             np.testing.assert_array_equal(lockstep, _per_ray(spec, D, x, hi, iters))
+
+
+def test_lockstep_from_per_row_lower_ends_matches_per_ray_bitwise():
+    # each row bisects its own bracket [lo_i, hi_i], lo_i inside
+    gen = np.random.default_rng(7)
+    for n in (2, 5, 16):
+        for spec in (BoxBody(np.zeros(n), 0.8), Simplex(n, 1.0)):
+            D, x, hi, iters = _rays(spec, gen, 2 * n)
+            alpha = kernels.bisect_rows(spec.contains_rows, D, x, hi, np.full(len(D), 48))
+            lo = gen.uniform(0.0, 0.9, len(D)) * alpha
+            lockstep = kernels.bisect_rows(spec.contains_rows, D, x, hi, iters, lo)
+            np.testing.assert_array_equal(
+                lockstep, [_scalar_bisect(spec, d, x, h, int(t), a)
+                           for d, h, t, a in zip(D, hi, iters, lo)])
+            assert (lockstep >= lo).all()
 
 
 def test_lockstep_within_final_bracket_on_ball_ellipsoid_polytope():
