@@ -22,16 +22,14 @@ q - clip(q), the ellipsoid's M q, the polytope's A y, the simplex's
 projection), so `ExactSeparation` runs one containment test per query,
 not a test and then a second pass for the normal.  `contains_rows`
 tests every row of a (k, n) stack in one pass; it is the test the
-α-bisection runs (as `ExactMembership.rows`, MEM's stack form, and in
-`_radial_from`), and an `Intersection` answers it as the conjunction of
-its parts' answers.  `contains(y)` is not a third form: `BodySpec`
-derives it as `separate(y) is None`, so exact MEM and exact SEP agree
-at every point by construction.  A single MEM query outside the body
-therefore also builds the normal; the α-bisection, where MEM queries
-are many, asks `contains_rows`.  The ball and the ellipsoid sum their
-rows with `einsum`, which rounds differently from `separate`'s dot, so
-a row within an ulp of the boundary may get the other answer than
-`contains`.
+α-bisection runs (as `ExactMembership.rows`, MEM's stack form).
+`contains(y)` is not a third form: `BodySpec` derives it as
+`separate(y) is None`, so exact MEM and exact SEP agree at every point
+by construction.  A single MEM query outside the body therefore also
+builds the normal; the α-bisection, where MEM queries are many, asks
+`contains_rows`.  The ball and the ellipsoid sum their rows with
+`einsum`, which rounds differently from `separate`'s dot, so a row
+within an ulp of the boundary may get the other answer than `contains`.
 
 `separate` runs once per oracle query, so it calls numpy's ufuncs and
 their reductions (`np.minimum.reduce`, `np.add.reduce`,
@@ -276,7 +274,7 @@ class Simplex(BodySpec):
 
 
 class HPolytope(BodySpec):
-    """Intersection of halfspaces {<a_i, x> <= b_i} with unit-norm rows.
+    """The polytope {x : <a_i, x> <= b_i for every i}, unit-norm rows a_i.
 
     Requires an interior point; the inner radius is certified from the
     facet slacks there and the outer radius from full vertex
@@ -402,44 +400,6 @@ class Ellipsoid(BodySpec):
 
     def radial_scale(self, u):
         return 1.0 / math.sqrt(float(u @ (self._inv @ u)))
-
-
-class Intersection(BodySpec):
-    """Conjunction of bodies; inner ball certified by the caller."""
-
-    def __init__(self, parts: list[BodySpec], inner_center, inner_radius: float):
-        if not parts:
-            raise ValueError("need at least one part")
-        x0 = as_vector(inner_center)
-        for p in parts:
-            if p.dim != x0.size:
-                raise ValueError("dimension mismatch among parts")
-        self.parts = list(parts)
-        R = min(float(np.linalg.norm(p.geometry.center - x0)) + p.geometry.R
-                for p in parts)
-        self.geometry = ProblemGeometry(x0.size, inner_radius, R, x0)
-
-    def contains_rows(self, P):
-        return np.logical_and.reduce([p.contains_rows(P) for p in self.parts])
-
-    def separate(self, y):
-        """The normal of the first part that does not contain y."""
-        for part in self.parts:
-            normal = part.separate(y)
-            if normal is not None:
-                return normal
-        return None
-
-    def radial_scale(self, u):
-        return min(_radial_from(p, self.geometry.center, u) for p in self.parts)
-
-
-def _radial_from(body: BodySpec, x0: np.ndarray, u: np.ndarray) -> float:
-    """max t with x0 + t*u in body, by bisection against exact containment."""
-    if np.array_equal(x0, body.geometry.center):
-        return body.radial_scale(u)
-    hi = body.geometry.R + float(np.linalg.norm(x0 - body.geometry.center))
-    return kernels.bisect_alpha(body.contains_rows, x0, u, hi, 80)
 
 
 # float64 values per stacked matrix chunk of the vertex enumeration

@@ -146,17 +146,22 @@ def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
     return OptimizationAnswer(best)
 
 
-def opt_from_viol(viol, delta: float):
+def opt_from_viol(viol, geometry: ProblemGeometry, delta: float):
     """Optimization oracle via binary search over the threshold gamma.
 
-    Requires the body inside the unit ball, so gamma is bracketed in
-    [-1, 1]; exactly ceil(log2(2/delta)) violation queries per call.
+    The body lies in B(x0, R) for the centre x0 and outer radius R of
+    `geometry`, so c.x ranges over [c.x0 - R||c||, c.x0 + R||c||] on it
+    and gamma is bracketed there: exactly ceil(log2(2 R||c|| / delta))
+    violation queries per call, and one where R||c|| < delta, where any
+    point of the body is a maximizer to within 2 delta.
     """
     check_precision(delta)
 
     def opt(c, query_delta):
-        c = as_vector(c)
-        lo, hi = -1.0, 1.0
+        c = as_vector_of(c, geometry.n)
+        at_x0 = float(c @ geometry.center)
+        spread = max(geometry.R * float(np.linalg.norm(c)), delta)
+        lo, hi = at_x0 - spread, at_x0 + spread
         witness = None
         while hi - lo > delta:
             mid = 0.5 * (lo + hi)

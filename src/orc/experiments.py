@@ -44,8 +44,6 @@ CSV_COLUMNS = ["experiment", "chain", "n", "eps", "seed", "trial", "outcome",
 #: outside query points sit at this multiple of the body's radial scale
 QUERY_DISTANCE_FACTOR = 1.5
 
-OVERRIDE_KEYS = {"retries"}
-
 #: an experiment name is the stem of the output files and a CSV field,
 #: so it holds no path separator, no leading dot and no comma, and at
 #: 200 characters "<name>.summary.json" stays below the usual 255-byte
@@ -53,7 +51,7 @@ OVERRIDE_KEYS = {"retries"}
 EXPERIMENT_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,199}")
 
 CONFIG_KEYS = {"experiment", "chain", "body", "function", "dims", "eps",
-               "seeds", "trials", "slack_mode", "overrides"}
+               "seeds", "trials", "slack_mode"}
 
 #: template kind -> the keys `make_body` / `make_function` read besides "kind"
 BODY_KEYS = {"ball": {"radius"}, "box": {"radius"}, "simplex": {"scale"},
@@ -140,18 +138,10 @@ def validate_config(config: dict) -> dict:
     slack_mode = config.get("slack_mode", "anchored")
     if slack_mode not in (ANCHORED, THEORETICAL):
         raise ConfigError("'slack_mode' must be 'theoretical' or 'anchored'")
-    overrides = config.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("'overrides' must be an object")
-    unknown = set(overrides) - OVERRIDE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown override keys: {sorted(unknown)}")
     # a setting the chain does not read is refused, not ignored
     if slack_mode == THEORETICAL and "slack_mode" not in spec.reads:
         raise ConfigError(f"chain {chain!r} does not read slack_mode 'theoretical'")
-    if "retries" in overrides and "retries" not in spec.reads:
-        raise ConfigError(f"chain {chain!r} does not read overrides.retries")
-    out = {**config, "slack_mode": slack_mode, "overrides": overrides}
+    out = {**config, "slack_mode": slack_mode}
     # each n's template as trial (seeds[0], 0) builds it, so a random one
     # is checked on that one draw only, and at every eps the chain over it
     for n in dims:
@@ -294,7 +284,7 @@ def _sep_from_mem(ctx):
     """SEP from exact MEM at membership precision eps, both counted."""
     mem = wrap_with_ledger(bodies.ExactMembership(ctx.body), ctx.ledger)
     sep = SepFromMem(mem, ctx.body.geometry, ctx.rng.child("sep"), eps=ctx.eps,
-                     mode=ctx.slack_mode, **ctx.overrides)
+                     mode=ctx.slack_mode)
     return wrap_with_ledger(sep, ctx.ledger)
 
 
@@ -307,12 +297,12 @@ def _opt_from_sep(ctx):
 
 def _opt_from_mem(ctx):
     return opt_from_mem(bodies.ExactMembership(ctx.body), ctx.body.geometry,
-                        ctx.rng.child("sep"), eps=ctx.eps, **ctx.overrides)
+                        ctx.rng.child("sep"), eps=ctx.eps)
 
 
 def _opt_from_viol(ctx):
     viol = wrap_with_ledger(bodies.ExactViolation(ctx.body), ctx.ledger)
-    return wrap_with_ledger(opt_from_viol(viol, ctx.eps), ctx.ledger)
+    return wrap_with_ledger(opt_from_viol(viol, ctx.body.geometry, ctx.eps), ctx.ledger)
 
 
 def _opt_from_val(ctx):
@@ -337,7 +327,7 @@ class Chain:
     (SEP, OPT or EVAL: it fixes the query drawn, the grade and, for
     EVAL, a "function" template instead of a "body"), the grading
     tolerance of an OPT or EVAL answer in units of eps, and the config
-    settings the builder reads ("slack_mode", "retries")."""
+    settings the builder reads ("slack_mode")."""
     description: str
     build: Callable
     kind: str
@@ -348,13 +338,13 @@ class Chain:
 CHAINS = {
     "sep_from_mem": Chain(
         "separation from membership via height-function subgradients",
-        _sep_from_mem, SEP, reads=("slack_mode", "retries")),
+        _sep_from_mem, SEP, reads=("slack_mode",)),
     "opt_from_sep": Chain(
         "linear optimization from exact separation (central-cut ellipsoid)",
         _opt_from_sep, OPT),
     "opt_from_mem": Chain(
         "linear optimization from membership (composition of the two above)",
-        _opt_from_mem, OPT, reads=("retries",)),
+        _opt_from_mem, OPT),
     # the threshold bisection adds one eps of bracketing error on top of
     # the inner oracle's contract
     "opt_from_viol": Chain(
@@ -410,7 +400,6 @@ class _TrialContext:
     rng: RandomStream
     ledger: QueryLedger
     slack_mode: str
-    overrides: dict
 
 
 def _trial_context(config: dict, n: int, eps: float, seed: int, trial: int) -> _TrialContext:
@@ -422,8 +411,7 @@ def _trial_context(config: dict, n: int, eps: float, seed: int, trial: int) -> _
     else:
         function = make_function(template, n, rng.child("function"))
     return _TrialContext(body=body, function=function, n=n, eps=eps, rng=rng,
-                         ledger=QueryLedger(), slack_mode=config["slack_mode"],
-                         overrides=config["overrides"])
+                         ledger=QueryLedger(), slack_mode=config["slack_mode"])
 
 
 def run_trial(config: dict, n: int, eps: float, seed: int,

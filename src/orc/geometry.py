@@ -160,12 +160,6 @@ def linf_ball_contains(box: Box, p) -> bool:
     return bool(np.abs(p - box.center).max() <= box.radius)
 
 
-def halfspace_contains(h: HalfSpace, p) -> bool:
-    p = as_vector(p)
-    _check_same_dim(h.normal, p)
-    return bool(np.dot(h.normal, p - h.anchor) <= h.slack)
-
-
 def coordinate_segment_endpoints(box: Box, z, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of the axis-i chord of `box` through the interior point z.
 

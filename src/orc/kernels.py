@@ -10,13 +10,16 @@ All of it is numpy code.  `bisect_rows` is the one bisection loop: it
 bisects k rays in lockstep, one containment test per round of the rows
 still bisecting, so a stack costs one numpy loop and exactly the sum of
 its rows' round counts in row tests.  It takes the stack test as a
-callable: a body's `contains_rows` (from `bodies._radial_from`, through
-`bisect_alpha`, a stack of one), or an oracle's stack form
-(`core.rows_of`), whose every row test is a query: MEM's from
-`height.HeightOracle` and `reductions.eval_from_mem_epigraph`, VAL's
-from `reductions.eval_support_from_val`.  `ellipsoid.opt_from_viol`
-keeps its own loop: it returns the last witness, not the bisected
-value, and checks each witness against its threshold.
+callable: an oracle's stack form (`core.rows_of`), whose every row
+test is a query: MEM's from `height.HeightOracle` and
+`reductions.eval_from_mem_epigraph`, VAL's from
+`reductions.eval_support_from_val`.  `ellipsoid.opt_from_viol` keeps
+its own loop: it returns the last witness, not the bisected value, and
+checks each witness against its threshold.  `bisect_alpha`, a stack of
+one, is reached only through `bodies.ExactMembership.alpha_bisect`,
+which no library code calls: both, and `NUMBA_ENABLED`, are kept for
+perfbench, whose span table patches them by name
+(`test_perfbench_names` guards the names).
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ the SEP of its epigraph.  `sep_from_opt` optimizes over K_f with the
 analytic-centre engine (`accpm`), which stops once its certificate
 holds; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).  All
 three ask their SEP from MEM at `inner_sep_eps(eps)` unless given `sep_eps`,
-with `separation`'s defaults `RHO` and `RETRIES` unless given others.
+with `separation`'s `RETRIES`, and its `RHO` unless given a rho (perfbench's).
 
 Stack forms.  `support_eval_from_opt`, `eval_support_from_val`,
 `eval_from_mem_epigraph`, `EpigraphBody.as_mem` and the two normalized
@@ -58,7 +58,7 @@ from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, EmptyInteriorPropagated,
 from .accpm import optimize_linear_accpm
 from .ellipsoid import OptimizerConfig, optimize_linear
 from .geometry import HalfSpace, _halfspace, as_vector, as_vector_of, unit
-from .separation import RETRIES, RHO, SepFromMem
+from .separation import RHO, SepFromMem
 
 INSIDE = MembershipAnswer.INSIDE_DILATED
 OUTSIDE = MembershipAnswer.OUTSIDE_ERODED
@@ -344,11 +344,11 @@ def val_from_eval_support(eval_support):
 def eval_support_from_val(val, geometry: ProblemGeometry):
     """EVAL(1_K*) from VAL(K) by bisection on the threshold gamma.
 
-    The support value lies in [r||c||, R||c||] whenever B(0, r) is inside
-    the body, so gamma is bracketed in [0, R||c||]; ceil(log2(2 kappa /
-    delta)) validity queries per call.  `rows(C, delta)` bisects a
-    stack in lockstep (`kernels.bisect_rows`), one VAL query per row
-    and round.
+    The body lies in B(x0, R) around B(x0, r), so the support value lies
+    in [c.x0 + r||c||, c.x0 + R||c||] and gamma is bracketed in
+    [c.x0, c.x0 + R||c||]; ceil(log2(2 kappa / delta)) validity queries
+    per call.  `rows(C, delta)` bisects a stack in lockstep
+    (`kernels.bisect_rows`), one VAL query per row and round.
     """
     val_rows = rows_of(val, VAL)
 
@@ -362,11 +362,12 @@ def eval_support_from_val(val, geometry: ProblemGeometry):
             C, k = C[nonzero], nonzero.size
             iters = math.ceil(math.log2(2.0 * geometry.kappa / delta))
             inner_delta = delta / (geometry.kappa * iters)
+            lo = np.vecdot(C, geometry.center)
             # gamma is "inside" while VAL answers SOME_ABOVE; all rows have
             # one round count, so the stack G stays aligned with C
             out[nonzero] = kernels.bisect_rows(
                 lambda G: val_rows(C, G[:, 0], inner_delta), np.zeros((k, 1)),
-                np.array([1.0]), geometry.R * norms[nonzero], np.full(k, iters))
+                np.array([1.0]), lo + geometry.R * norms[nonzero], np.full(k, iters), lo)
         return out
 
     return single_of(EVAL, rows, geometry.n)
@@ -424,22 +425,20 @@ def inner_sep_eps(eps: float) -> float:
 
 
 def _counted_sep(mem, geometry: ProblemGeometry, rng: RandomStream, ledgers, *,
-                 eps: float, sep_eps: float | None, rho: float, retries: int):
+                 eps: float, sep_eps: float | None, rho: float):
     """The SEP from MEM of a chain of precision eps, at `sep_eps` or else
     `inner_sep_eps(eps)`, and its MEM, counted in `ledgers.sep` and `.mem`."""
     counted_mem = wrap_with_ledger(mem, ledgers.mem)
-    sep = SepFromMem(counted_mem, geometry, rng, rho=rho, retries=retries,
+    sep = SepFromMem(counted_mem, geometry, rng, rho=rho,
                      eps=inner_sep_eps(eps) if sep_eps is None else sep_eps)
     return wrap_with_ledger(sep, ledgers.sep), counted_mem
 
 
 def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float, sep_eps: float | None = None, rho: float = RHO,
-                 retries: int = RETRIES):
+                 eps: float, sep_eps: float | None = None, rho: float = RHO):
     """OPT(K) = cutting-plane over SEP(K) built from MEM(K) (`_counted_sep`)."""
     ledgers = _ChainLedgers("mem", "sep")
-    counted_sep, _ = _counted_sep(mem, geometry, rng, ledgers, eps=eps, sep_eps=sep_eps,
-                                  rho=rho, retries=retries)
+    counted_sep, _ = _counted_sep(mem, geometry, rng, ledgers, eps=eps, sep_eps=sep_eps, rho=rho)
     cfg = OptimizerConfig(eps=eps)
 
     def opt(c, delta):
@@ -476,7 +475,7 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
     ledgers = _ChainLedgers("val", "mem", "sep")
     kf = EpigraphBody(_normalized_val(wrap_with_ledger(val, ledgers.val), geometry), geometry.n)
     sep, mem = _counted_sep(kf.as_mem(), kf.geometry, rng.child("opt_from_val"), ledgers,
-                            eps=eps, sep_eps=sep_eps, rho=rho, retries=RETRIES)
+                            eps=eps, sep_eps=sep_eps, rho=rho)
     grad = grad_from_sep_epigraph(sep, geometry.n, mem, lipschitz=1.0 + 3.0 * eps)
 
     def opt(c, delta):
@@ -539,7 +538,7 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
                               geometry.rescaled())
     kf = EpigraphBody(f, geometry.n)
     sep_kf, _ = _counted_sep(kf.as_mem(), kf.geometry, rng.child("sep_from_opt"), ledgers,
-                             eps=eps, sep_eps=sep_eps, rho=rho, retries=RETRIES)
+                             eps=eps, sep_eps=sep_eps, rho=rho)
     threshold = 3.0 * eps
 
     def sep(y, delta):

@@ -255,7 +255,7 @@ def test_criterion_8_reduction_round_trips(verdict_line):
     # OPT <-> VIOL round trip within 2 delta
     delta = 1e-4
     spec = BoxBody(np.zeros(3), 1.0)
-    opt = opt_from_viol(ExactViolation(spec), delta)
+    opt = opt_from_viol(ExactViolation(spec), spec.geometry, delta)
     viol_rt = viol_from_opt(opt)
     rt_ok = 0
     for seed in range(50):

@@ -7,11 +7,10 @@ import pytest
 from orc import bodies
 from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
                         ExactOptimization, ExactSeparation, ExactValidity,
-                        ExactViolation, HPolytope, Indicator, Intersection,
-                        Linear, MaxOfLinear, Quadratic, Simplex,
-                        UnsupportedVariant, brute_force_lp, exact_eval,
-                        exact_grad, exact_membership, exact_support,
-                        random_hpolytope)
+                        ExactViolation, HPolytope, Indicator, Linear,
+                        MaxOfLinear, Quadratic, Simplex, UnsupportedVariant,
+                        brute_force_lp, exact_eval, exact_grad,
+                        exact_membership, exact_support, random_hpolytope)
 from orc.core import MembershipAnswer, RandomStream, ValidityAnswer
 from orc.geometry import HalfSpace, unit
 
@@ -197,9 +196,7 @@ def _separation_bodies(n):
     shifted = gen.uniform(-0.3, 0.3, size=n)
     return [Ball(shifted, 1.2), BoxBody(shifted, 0.8), Simplex(n, 1.5),
             random_hpolytope(n, RandomStream(n).child("poly")),
-            Ellipsoid(shifted, (Q * gen.uniform(0.3, 2.0, size=n)) @ Q.T),
-            Intersection([Ball(np.zeros(n), 1.0), BoxBody(np.zeros(n), 0.8)],
-                         np.zeros(n), 0.5)]
+            Ellipsoid(shifted, (Q * gen.uniform(0.3, 2.0, size=n)) @ Q.T)]
 
 
 def _ulp_neighbours(x0, t, u):
@@ -399,8 +396,6 @@ ASK = {
 @pytest.mark.parametrize("kind", sorted(ASK))
 def test_exact_oracles_refuse_a_query_of_another_dimension(kind):
     for spec in _separation_bodies(3):
-        if kind in ("OPT", "VIOL", "VAL", "exact_support") and isinstance(spec, Intersection):
-            continue  # no support function
         ASK[kind](spec, np.full(3, 0.1))
         for m in (1, 2, 4):
             with pytest.raises(ValueError, match="expected a vector of dimension 3"):
@@ -514,12 +509,15 @@ def test_ball_support_of_a_direction_whose_square_underflows():
     np.testing.assert_array_equal(args, [[0.5, 1.0], [1.5, 0.0]])
 
 
-def test_support_unsupported_for_intersection():
-    from orc.bodies import Intersection
-    inter = Intersection((Ball(np.zeros(2), 1.0), BoxBody(np.zeros(2), 0.9)),
-                         np.zeros(2), 0.5)
-    with pytest.raises(UnsupportedVariant):
-        exact_support(inter, np.array([1.0, 0.0]))
+def test_a_body_without_a_support_function_refuses_support_queries():
+    class Bare(bodies.BodySpec):
+        geometry = Ball(np.zeros(2), 1.0).geometry
+
+    for ask in (lambda b: exact_support(b, np.array([1.0, 0.0])),
+                lambda b: ExactOptimization(b)(np.array([1.0, 0.0]), 0.01),
+                lambda b: b.contains(np.zeros(2))):
+        with pytest.raises(UnsupportedVariant):
+            ask(Bare())
 
 
 @pytest.mark.parametrize("shape", [np.diag([1.0, 2.0]), np.diag([1.0, 2.0, 3.0, 4.0]),

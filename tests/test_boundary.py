@@ -27,13 +27,15 @@ ENTRIES = {
                                        RandomStream(0), eps=1e-6, rho=0.1)(v, 0.01),
     "optimize_linear": lambda v: optimize_linear(
         OptimizerConfig(eps=0.1), ExactSeparation(UNIT_BALL), UNIT_BALL.geometry, v),
-    "opt_from_viol": lambda v: opt_from_viol(ExactViolation(UNIT_BALL), 0.01)(v, 0.01),
+    "opt_from_viol": lambda v: opt_from_viol(ExactViolation(UNIT_BALL), UNIT_BALL.geometry,
+                                             0.01)(v, 0.01),
 }
 
-# bad input -> the message `as_vector` refuses it with
+# bad input -> the message `as_vector` / `as_vector_of` refuses it with
 BAD = {
     "nan": (np.array([0.5, np.nan]), "must be finite"),
     "2-d": (np.array([[0.5, 0.1], [0.2, 0.3]]), "expected a 1-d vector"),
+    "dim": (np.array([0.5, 0.1, 0.2]), "expected a vector of dimension 2, got 3"),
 }
 
 

@@ -240,17 +240,58 @@ def test_opt_from_viol_query_count_and_value():
     ledger = QueryLedger()
     viol = wrap_with_ledger(ExactViolation(spec), ledger)
     delta = 1e-3
-    opt = opt_from_viol(viol, delta)
+    opt = opt_from_viol(viol, spec.geometry, delta)
     c = np.array([1.0, 0.0])
     ans = opt(c, delta)
     assert ledger.count(VIOL) == math.ceil(math.log2(2.0 / delta))
     assert abs(float(c @ ans.maximizer) - 1.0) <= 2.0 * delta
+    # a zero objective takes one query, at gamma = 0, and any point of K
+    assert spec.contains(opt(np.zeros(2), delta).maximizer)
+    assert ledger.count(VIOL) == math.ceil(math.log2(2.0 / delta)) + 1
+
+
+def _weak_viol(spec):
+    """A valid weak VIOL that returns no maximizer: above gamma, the point
+    of K on the segment from the centre x0 to the maximizer where
+    c.w = gamma (x0 itself where gamma <= c.x0)."""
+    x0 = spec.geometry.center
+
+    def viol(c, gamma, delta):
+        sup, arg = spec.support(c)
+        if sup <= gamma:
+            return ViolationAnswer(None)
+        t = max(0.0, (gamma - c @ x0) / (sup - c @ x0))
+        return ViolationAnswer(x0 + t * (arg - x0))
+
+    viol.kind = VIOL
+    return viol
+
+
+@pytest.mark.parametrize("spec", [BoxBody(np.zeros(3), 1.0), BoxBody(np.zeros(8), 1.0),
+                                  Ball(np.array([3.0, 0.0, 0.0]), 1.0), Simplex(4, 2.0)],
+                         ids=["box3", "box8", "off_origin_ball", "simplex4"])
+def test_opt_from_viol_brackets_the_body_not_the_unit_ball(spec):
+    # over these directions a [-1, 1] bracket gave gaps up to 0.69 on the
+    # n = 3 box, 1.56 at n = 8 and 1.0 on the ball: the weak VIOL's
+    # witness sits at the threshold, not at the maximizer
+    delta = 1e-4
+    ledger = QueryLedger()
+    opt = opt_from_viol(wrap_with_ledger(_weak_viol(spec), ledger), spec.geometry, delta)
+    gen = np.random.default_rng(spec.dim)
+    for _ in range(20):
+        c = unit(gen.normal(size=spec.dim))
+        start = ledger.count(VIOL)
+        answer = opt(c, delta)
+        assert spec.support(c)[0] - float(c @ answer.maximizer) <= 2.0 * delta
+        assert spec.contains(answer.maximizer)
+        spread = 2.0 * spec.geometry.R * float(np.linalg.norm(c))
+        assert ledger.count(VIOL) - start == math.ceil(math.log2(spread / delta))
 
 
 def test_opt_viol_round_trip_tolerance():
     spec = BoxBody(np.zeros(3), 1.0)
     delta = 1e-4
-    viol = viol_from_opt(opt_from_viol(ExactViolation(spec), delta))
+    viol = viol_from_opt(opt_from_viol(ExactViolation(spec), spec.geometry, delta))
     c = unit(np.ones(3))
     sup = math.sqrt(3.0)
     assert viol(c, sup - 3.0 * delta, delta).witness is not None
@@ -264,6 +305,6 @@ def test_oracle_inconsistency_detected():
         return ViolationAnswer(np.array([-1.0, 0.0]))
 
     bad_viol.kind = VIOL
-    opt = opt_from_viol(bad_viol, 1e-3)
+    opt = opt_from_viol(bad_viol, Ball(np.zeros(2), 1.0).geometry, 1e-3)
     with pytest.raises(OracleInconsistency):
         opt(np.array([1.0, 0.0]), 1e-3)

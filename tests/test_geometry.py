@@ -5,8 +5,7 @@ import pytest
 
 from orc.geometry import (Box, HalfSpace, _halfspace, as_unit_vector,
                           as_vector, as_vector_of, coordinate_segment_endpoints,
-                          halfspace_contains, linf_ball_contains, normalized,
-                          unit)
+                          linf_ball_contains, normalized, unit)
 
 # v.v of a vector with entries near 1e200 overflows, by design of the check
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -152,13 +151,6 @@ def test_halfspace_requires_unit_normal_and_nonnegative_slack():
         HalfSpace([2.0, 0.0], [0.0, 0.0], 0.0)
     with pytest.raises(ValueError):
         HalfSpace([1.0, 0.0], [0.0, 0.0], -0.1)
-
-
-def test_halfspace_contains():
-    h = HalfSpace([1.0, 0.0], [1.0, 0.0], 0.0)
-    assert halfspace_contains(h, [0.5, 7.0])
-    assert halfspace_contains(h, [1.0, 0.0])
-    assert not halfspace_contains(h, [1.1, 0.0])
 
 
 def test_linf_ball_contains():

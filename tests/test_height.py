@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership, Intersection,
+from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership, HPolytope,
                         Simplex, exact_membership)
 from orc.core import MEM, ProblemGeometry, QueryLedger, wrap_with_ledger
 from orc.height import HeightOracle
@@ -243,12 +243,11 @@ def test_stack_without_fast_path_bisects_in_lockstep():
                                atol=h.bin_tol * h.x_norm)
 
 
-def test_intersection_bisects_like_a_per_query_oracle():
-    # ExactMembership bisects an Intersection through its contains_rows,
-    # the conjunction of its parts' stack tests
-    spec = Intersection([Ball(np.zeros(3), 1.0), BoxBody(np.zeros(3), 0.8),
-                         Ellipsoid(np.zeros(3), np.diag([0.5, 1.0, 2.0]))],
-                        np.zeros(3), 0.5)
+def test_polytope_bisects_like_a_per_query_oracle():
+    # ExactMembership bisects through the body's contains_rows, and its
+    # alpha_bisect through kernels.bisect_alpha: both as a per-query MEM does
+    A = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0], [1.0, -1.0, 0.5]]])
+    spec = HPolytope(A, [0.8] * 6 + [1.2, 1.0], np.zeros(3))
 
     def mem(y, delta):
         return exact_membership(spec, y, delta)
@@ -268,7 +267,9 @@ def test_intersection_bisects_like_a_per_query_oracle():
                                atol=h.bin_tol * h.x_norm)
     assert h.alpha_x(D[0]) == reference[0]
     _, (hi,), (iters,) = h.brackets(D[:1])
-    assert ExactMembership(spec).alpha_bisect(D[0], x, hi, iters, 1e-12) == reference[0]
+    g = spec.geometry  # alpha_bisect bisects in the body's own frame
+    assert ExactMembership(spec).alpha_bisect(g.center + g.R * D[0], g.R * x, hi, iters,
+                                              1e-12) == reference[0]
 
 
 def test_single_point_rejects_malformed_input():

@@ -531,6 +531,20 @@ def test_val_round_trip_through_support():
     assert ev(np.zeros(2), 1e-6) == 0.0
 
 
+@pytest.mark.parametrize("spec", [Simplex(2), Simplex(4), Ball(np.array([3.0, 0.0]), 1.0),
+                                  BoxBody(np.array([0.3, -2.0, 1.0]), 0.5)],
+                         ids=["simplex2", "simplex4", "off_origin_ball", "off_origin_box"])
+def test_eval_support_from_val_brackets_around_the_centre(spec):
+    # a [0, R||c||] bracket read 0.765 and 0.882 for the simplices' support
+    # 1 at c = e_1, and 1 for the ball's 4: it ignored the centre
+    ev = eval_support_from_val(ExactValidity(spec), spec.geometry)
+    C = np.vstack([np.eye(spec.dim), np.random.default_rng(8).normal(size=(20, spec.dim))])
+    for delta in (1e-3, 1e-6):
+        err = np.abs(ev.rows(C, delta) - [spec.support(c)[0] for c in C])
+        # the final half-width: R||c|| / 2^iters <= r||c|| delta / 2
+        assert np.all(err <= spec.geometry.r * np.linalg.norm(C, axis=1) * delta)
+
+
 def _with_ledger(oracle):
     ledger = QueryLedger()
     return wrap_with_ledger(oracle, ledger), ledger
@@ -547,7 +561,8 @@ def _reference_support_eval(spec, kind, c, delta):
     if c_norm == 0.0:
         return 0.0, 0
     iters = math.ceil(math.log2(2.0 * g.kappa / delta))
-    lo, hi = 0.0, g.R * c_norm
+    lo = float(c @ g.center)
+    hi = lo + g.R * c_norm
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if spec.support(c)[0] >= mid:
@@ -707,7 +722,8 @@ def test_plain_opt_and_val_get_the_per_query_sequence():
         inner_delta = delta / (g.kappa * iters)
         expected = []
         for c in C[C.any(axis=1)]:
-            lo, hi = 0.0, g.R * float(np.linalg.norm(c))
+            lo = float(c @ g.center)
+            hi = lo + g.R * float(np.linalg.norm(c))
             for _ in range(iters):
                 mid = 0.5 * (lo + hi)
                 expected.append((c.tobytes(), mid, inner_delta))
@@ -739,14 +755,6 @@ def test_opt_from_mem_ball():
     ans = opt(c, 1e-3)
     assert float(c @ ans.maximizer) >= 1.0 - 0.05
     assert opt.ledgers.mem.count(MEM) > 0
-
-
-def test_opt_from_mem_forwards_retries_to_its_separator():
-    spec = Ball(np.zeros(2), 1.0)
-    opt_from_mem(ExactMembership(spec), spec.geometry, RandomStream(5), eps=1e-3, retries=0)
-    with pytest.raises(ValueError, match="retries"):
-        opt_from_mem(ExactMembership(spec), spec.geometry, RandomStream(5), eps=1e-3,
-                     retries=-1)
 
 
 def _random_ellipsoid(n, rng):

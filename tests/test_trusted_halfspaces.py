@@ -7,7 +7,7 @@ import pytest
 
 from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
                         ExactOptimization, ExactSeparation, HPolytope,
-                        Intersection, Simplex, random_hpolytope)
+                        Simplex, random_hpolytope)
 from orc.core import RandomStream
 from orc.geometry import HalfSpace, unit
 from orc.reductions import sep_from_opt
@@ -26,9 +26,7 @@ def _exact_bodies(n):
     return [Ball(shifted, 1.2), BoxBody(shifted, 0.8), Simplex(n, 1.5),
             random_hpolytope(n, RandomStream(n).child("poly")),
             HPolytope(np.vstack([np.eye(n), -np.eye(n)]), np.ones(2 * n), np.zeros(n)),
-            Ellipsoid(shifted, (Q * gen.uniform(0.3, 2.0, size=n)) @ Q.T),
-            Intersection([Ball(np.zeros(n), 1.0), BoxBody(np.zeros(n), 0.8)],
-                         np.zeros(n), 0.5)]
+            Ellipsoid(shifted, (Q * gen.uniform(0.3, 2.0, size=n)) @ Q.T)]
 
 
 def _queries(spec, gen, seeded):
