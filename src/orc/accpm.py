@@ -3,10 +3,11 @@
 `optimize_linear_accpm` has the contract of `ellipsoid.optimize_linear`
 (the same `OptimizerConfig` and `OptimizationAnswer`, and an empty
 interior reported as a `None` maximizer) but spends O(n log(R/(r eps)))
-separation queries, not O(n^2 log), and stops as soon as a certificate proves the best feasible
-point good enough.  It is the central-cut analytic-centre method (ACCPM,
-Goffin & Vial; Atkinson & Vaidya, Math. Programming 69, 1995) without
-cut dropping.
+separation queries, not O(n^2 log), and stops as soon as a certificate
+proves the best feasible point good enough, or, given a threshold
+gamma, as soon as a feasible centre beats it.  It is the central-cut
+analytic-centre method (ACCPM, Goffin & Vial; Atkinson & Vaidya, Math.
+Programming 69, 1995) without cut dropping.
 
 The localization set is the polytope P = {x : A x <= b}, at first the
 box center +/- R, which contains K.  Each iteration:
@@ -51,6 +52,14 @@ maximizer over the inner ball B(center, r), cut at the best value): so
 g <= eps ||c|| (R + r), the ellipsoid's own guarantee.  This test also
 keeps every slack at or above r eps / rho at a centre, far above
 rounding.
+
+Violation exit.  Given a threshold gamma, the engine also returns the
+first feasible centre x with <c, x> > gamma: a witness for VIOL(c,
+gamma), which needs no certificate.  Up to that centre the run is the
+one without the exit, query for query, and the best value only grows,
+so a run that never exits is that run entirely, and it exits exactly
+when that run's best value beats gamma.  The default gamma = +inf
+never exits; a NaN gamma is refused.
 
 The certificates trust every cut, so an oracle whose cuts slice K (SEP
 from MEM near the boundary in higher dimensions) can make the engine
@@ -130,13 +139,17 @@ def _analytic_centre(A: np.ndarray, b: np.ndarray, x: np.ndarray):
 
 
 def optimize_linear_accpm(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
-                          c) -> OptimizationAnswer:
+                          c, gamma: float = math.inf) -> OptimizationAnswer:
     """Maximize <c, y> over the body behind `sep` by central cuts through
     analytic centres; see the module docstring for the certificate, the
-    empty-interior test and the iteration cap.  Returns the best feasible
-    centre, or `None` as the maximizer for an empty interior, and raises
-    `MaxItersExhausted` when the cap is reached with neither."""
+    empty-interior test, the violation exit at `gamma` and the iteration
+    cap.  Returns the best feasible centre, or `None` as the maximizer
+    for an empty interior, and raises `MaxItersExhausted` when the cap is
+    reached with neither."""
     c = as_vector_of(c, geometry.n)
+    gamma = float(gamma)
+    if math.isnan(gamma):
+        raise ValueError("gamma must not be NaN")
     # a feasible centre's cut: -c/||c||, normalized as every cut normal is
     objective_cut = normalized(-normalized(c))
     n = geometry.n
@@ -169,6 +182,8 @@ def optimize_linear_accpm(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
         h = sep(x, sep_delta).halfspace
         if h is None:
             val = float(c @ x)
+            if val > gamma:
+                return OptimizationAnswer(x)
             if val > best_val:
                 best, best_val = x, val
             a = objective_cut

@@ -13,8 +13,9 @@ acceptance criteria measure.  `accpm.optimize_linear_accpm`, an
 analytic-centre engine with the same contract, is the engine of
 `sep_from_opt`: on exact SEP it spends 19-26 queries per OPT at n = 2
 and 114-171 at n = 16 (eps 1e-3, ball, box and simplex), against this
-engine's 88 and 4512 on the box, and inside `sep_from_opt` 18-29 SEP
-of the epigraph body per answer at n = 2 and 3, against 138 and 230.
+engine's 88 and 4512 on the box, and inside `sep_from_opt`, which asks
+it only for a violation witness, 4-12 SEP of the epigraph body per
+answer at n = 2 and 3, against this engine's 138 and 230.
 
 The ellipsoid is kept in factored form, {c + J z : ||z|| <= 1}, and each
 cut is a rank-one update of J (Goldfarb & Todd, Math. Programming 23,
@@ -149,28 +150,33 @@ def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
 def opt_from_viol(viol, geometry: ProblemGeometry, delta: float):
     """Optimization oracle via binary search over the threshold gamma.
 
-    The body lies in B(x0, R) for the centre x0 and outer radius R of
-    `geometry`, so c.x ranges over [c.x0 - R||c||, c.x0 + R||c||] on it
-    and gamma is bracketed there: exactly ceil(log2(2 R||c|| / delta))
-    violation queries per call, and one where R||c|| < delta, where any
-    point of the body is a maximizer to within 2 delta.
+    Each query runs at the finer of the construction's `delta` and its
+    own precision, d = min(delta, query_delta): the VIOL queries are
+    asked at d, the bisection stops at a bracket of width d and each
+    witness must come within 2 d of its threshold.  The body lies in
+    B(x0, R) for the centre x0 and outer radius R of `geometry`, so c.x
+    ranges over [c.x0 - R||c||, c.x0 + R||c||] on it and gamma is
+    bracketed there: exactly ceil(log2(2 R||c|| / d)) violation queries
+    per call, and one where R||c|| < d, where any point of the body is
+    a maximizer to within 2 d.
     """
     check_precision(delta)
 
     def opt(c, query_delta):
+        d = min(delta, check_precision(query_delta))
         c = as_vector_of(c, geometry.n)
         at_x0 = float(c @ geometry.center)
-        spread = max(geometry.R * float(np.linalg.norm(c)), delta)
+        spread = max(geometry.R * float(np.linalg.norm(c)), d)
         lo, hi = at_x0 - spread, at_x0 + spread
         witness = None
-        while hi - lo > delta:
+        while hi - lo > d:
             mid = 0.5 * (lo + hi)
-            ans = viol(c, mid, delta)
+            ans = viol(c, mid, d)
             if ans.all_below:
                 hi = mid
             else:
                 w = ans.witness
-                if float(c @ w) < mid - 2.0 * delta:
+                if float(c @ w) < mid - 2.0 * d:
                     raise OracleInconsistency(
                         "witness does not beat the threshold it was returned for")
                 witness, lo = w, mid

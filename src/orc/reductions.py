@@ -22,9 +22,10 @@ and asks SEP of K_f only for the one cut below the graph that carries
 the subgradient.  `opt_from_val` and `sep_from_opt` build, once per
 chain, one view of their base oracle as that of the normalized body
 (K - x0)/R, whose support function is 1-Lipschitz and in [0, 1], and
-the SEP of its epigraph.  `sep_from_opt` optimizes over K_f with the
-analytic-centre engine (`accpm`), which stops once its certificate
-holds; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).  All
+the SEP of its epigraph.  `sep_from_opt` asks the analytic-centre engine
+(`accpm`) over K_f for a violation witness, a feasible point above its
+threshold, and only a query without one runs on to the engine's
+certificate; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).  All
 three ask their SEP from MEM at `inner_sep_eps(eps)` unless given `sep_eps`,
 with `separation`'s `RETRIES`, and its `RHO` unless given a rho (perfbench's).
 
@@ -514,19 +515,26 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
     1_K** = 1_K, restricted to the unit ball).  At a point (c/2, t/4)
     of K_f, <(s, -2), .> is (<s, c> - t)/2, so the analytic-centre
     engine (`accpm.optimize_linear_accpm`) maximizes it over K_f through
-    SEP of K_f.  A value <s, c> - t of at most 3 eps at the engine's answer
-    reads as y in K; otherwise the direction c separates.
+    SEP of K_f.  Only whether some feasible point has <s, c> - t above
+    3 eps matters, a VIOL question, so the engine is given gamma =
+    3 eps / 2 and returns the first feasible centre above it.  A value
+    <s, c> - t of at most 3 eps at the engine's answer, read as twice the
+    float the engine compared with gamma, reads as y in K; otherwise the
+    direction c separates.
 
-    The answer is feasible, t >= f(c) up to the epigraph's margins, so a
-    value above 3 eps bounds v(c) above 0 and the cut through y keeps K
-    whatever the engine's accuracy.  That accuracy decides which points
-    count as inside, and it is derived from the same threshold: the
-    engine's error in <s, c> - t is held to 3 eps, so "inside" means
-    dist(y, K) <= 6 eps R, and every y farther out is cut.  The engine
-    at precision eps' returns a point within eps' ||C|| (R_f + r_f) of
-    the maximum of <C, .>, C = (s, -2), for K_f's radii R_f and r_f (up
-    to the error of the SEP-from-MEM cuts it trusts), and <s, c> - t is
-    2 <C, .>, so eps' = 3 eps / (2 ||C|| (R_f + r_f)).
+    Any feasible point, t >= f(c) up to the epigraph's margins, with a
+    value above 3 eps bounds v(c) above 0, so the cut through y keeps K
+    whatever the engine's accuracy: the cut is the first such witness.
+    The engine's accuracy decides which points count as inside.  A run
+    that reads "inside" never passed gamma, so it is the run without
+    the exit, query for query.  The accuracy is derived from the same
+    threshold: the engine's error in <s, c> - t is held to 3 eps, so
+    "inside" means dist(y, K) <= 6 eps R, and every y farther out is
+    cut.  The engine at precision eps' returns a point within
+    eps' ||C|| (R_f + r_f) of the maximum of <C, .>, C = (s, -2), for
+    K_f's radii R_f and r_f (up to the error of the SEP-from-MEM cuts it
+    trusts), and <s, c> - t is 2 <C, .>, so
+    eps' = 3 eps / (2 ||C|| (R_f + r_f)).
 
     The threshold is the chain's eps, fixed at construction: a query's
     `delta` is checked and otherwise unused, so a finer delta does not
@@ -548,15 +556,15 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
         objective = np.append(scaled, -2.0)
         cfg = OptimizerConfig(eps=threshold / (2.0 * float(np.linalg.norm(objective))
                                                * (kf.geometry.R + kf.geometry.r)))
-        answer = optimize_linear_accpm(cfg, sep_kf, kf.geometry, objective)
+        answer = optimize_linear_accpm(cfg, sep_kf, kf.geometry, objective,
+                                       gamma=threshold / 2.0)
         if answer.empty_interior:
             raise EmptyInteriorPropagated("support epigraph optimization")
         point = answer.maximizer
-        c_star = 2.0 * point[:-1]
-        value = float(scaled @ c_star) - 4.0 * float(point[-1])
-        if value <= threshold:
+        # <s, c> - t, as twice the float the engine compared with gamma
+        if 2.0 * float(objective @ point) <= threshold:
             return SeparationAnswer()
-        return SeparationAnswer(_halfspace(unit(c_star), y, 0.0))
+        return SeparationAnswer(_halfspace(unit(point[:-1]), y, 0.0))
 
     sep.kind = SEP
     sep.ledgers = ledgers

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,46 @@ def test_sep_is_asked_at_the_derived_precision_below_1e_12(engine):
     assert answer.maximizer is not None
     assert asked and set(asked) == {(1e-4 / 2.0) ** 3}
     assert asked[0] < 1e-12
+
+
+def _spied(body):
+    """ExactSeparation of body, recording each centre asked and whether
+    it was feasible."""
+    exact = ExactSeparation(body)
+    asked = []
+
+    def sep(y, delta):
+        answer = exact(y, delta)
+        asked.append((y.copy(), answer.halfspace is None))
+        return answer
+
+    sep.kind = SEP
+    return sep, asked
+
+
+@pytest.mark.parametrize("body", [Ball(np.zeros(2), 1.0), BoxBody(np.zeros(3), 1.0),
+                                  Simplex(3, 1.0)], ids=["ball", "box", "simplex"])
+@pytest.mark.parametrize("share", [0.0, 0.5, 0.9])
+def test_a_finite_gamma_returns_the_first_centre_of_the_full_run_that_beats_it(body, share):
+    c = unit(RandomStream(3).child("c").generator().normal(size=body.dim))
+    cfg = OptimizerConfig(eps=EPS)
+    full_sep, full = _spied(body)
+    optimize_linear_accpm(cfg, full_sep, body.geometry, c)
+    gamma = share * body.support(c)[0]
+    first = next(i for i, (y, feasible) in enumerate(full) if feasible and float(c @ y) > gamma)
+    sep, asked = _spied(body)
+    answer = optimize_linear_accpm(cfg, sep, body.geometry, c, gamma=gamma)
+    assert answer.maximizer.tobytes() == full[first][0].tobytes()
+    # the same trajectory, cut off at the witness
+    assert len(asked) == first + 1 <= len(full)
+    assert all(y.tobytes() == z.tobytes() for (y, _), (z, _) in zip(asked, full))
+
+
+def test_a_nan_gamma_is_refused_before_any_sep_query():
+    body = Ball(np.zeros(2), 1.0)
+    ledger = QueryLedger()
+    sep = wrap_with_ledger(ExactSeparation(body), ledger)
+    with pytest.raises(ValueError, match="gamma"):
+        optimize_linear_accpm(OptimizerConfig(eps=EPS), sep, body.geometry,
+                              np.array([0.0, 1.0]), gamma=math.nan)
+    assert ledger.totals() == {}

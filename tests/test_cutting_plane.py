@@ -288,6 +288,36 @@ def test_opt_from_viol_brackets_the_body_not_the_unit_ball(spec):
         assert ledger.count(VIOL) - start == math.ceil(math.log2(spread / delta))
 
 
+def test_opt_from_viol_answers_at_the_finer_of_its_two_precisions():
+    # built at 1e-3 and asked at 1e-6, the bisection runs to 1e-6: the
+    # weak VIOL's witness sits at the last threshold, so a bracket left
+    # at 1e-3 gave gaps up to 2e-3
+    spec = BoxBody(np.zeros(3), 1.0)
+    ledger = QueryLedger()
+    opt = opt_from_viol(wrap_with_ledger(_weak_viol(spec), ledger), spec.geometry, 1e-3)
+    gen = np.random.default_rng(5)
+    spread = 2.0 * spec.geometry.R
+    for query_delta, calls in ((1e-6, math.ceil(math.log2(spread / 1e-6))),
+                               (0.25, math.ceil(math.log2(spread / 1e-3)))):
+        for _ in range(10):
+            c = unit(gen.normal(size=3))
+            start = ledger.count(VIOL)
+            answer = opt(c, query_delta)
+            gap = spec.support(c)[0] - float(c @ answer.maximizer)
+            assert 0.0 <= gap <= 2.0 * min(1e-3, query_delta)
+            assert ledger.count(VIOL) - start == calls
+
+
+@pytest.mark.parametrize("query_delta", [math.nan, -1.0, 0.0, 0.5])
+def test_opt_from_viol_refuses_a_query_precision_outside_its_range(query_delta):
+    spec = Ball(np.zeros(2), 1.0)
+    ledger = QueryLedger()
+    opt = opt_from_viol(wrap_with_ledger(ExactViolation(spec), ledger), spec.geometry, 1e-3)
+    with pytest.raises(ValueError, match="precision"):
+        opt(np.array([1.0, 0.0]), query_delta)
+    assert ledger.totals() == {}
+
+
 def test_opt_viol_round_trip_tolerance():
     spec = BoxBody(np.zeros(3), 1.0)
     delta = 1e-4

@@ -20,7 +20,7 @@ from orc.reductions import (VERTICAL_CUT_RETRIES, EpigraphBody, VerticalCut,
                             sep_from_grad_indicator, sep_from_opt,
                             support_eval_from_opt, val_from_eval_support,
                             _normalized_opt, _normalized_val)
-from orc import separation
+from orc import reductions, separation
 from orc.height import HeightOracle
 from orc.separation import SepFromMem
 
@@ -1020,10 +1020,13 @@ def test_epigraph_chains_stack_path_matches_row_path(chain, make, n):
     assert stack_counts == row_counts
 
 
-@pytest.mark.parametrize("make", [lambda n: Ball(np.zeros(n), 1.0),
-                                  lambda n: BoxBody(np.zeros(n), 1.0), Simplex,
-                                  lambda n: BoxBody(np.array([1.5, -0.5, 0.75][:n]), 0.5)],
-                         ids=["ball", "box", "simplex", "shifted_box"])
+_SEP_FROM_OPT_BODIES = pytest.mark.parametrize(
+    "make", [lambda n: Ball(np.zeros(n), 1.0), lambda n: BoxBody(np.zeros(n), 1.0), Simplex,
+             lambda n: BoxBody(np.array([1.5, -0.5, 0.75][:n]), 0.5)],
+    ids=["ball", "box", "simplex", "shifted_box"])
+
+
+@_SEP_FROM_OPT_BODIES
 @pytest.mark.parametrize("n", [2, 3])
 def test_sep_from_opt_answers_inside_and_cuts_soundly(make, n):
     # The chain runs on the body translated to its centre, where the
@@ -1031,6 +1034,8 @@ def test_sep_from_opt_answers_inside_and_cuts_soundly(make, n):
     # about the origin, reached 1/R = 1.31 at c = e_i and ended in the
     # epigraph's range check.
     spec = make(n)
+    C = np.random.default_rng(0).normal(size=(256, n))
+    C /= np.linalg.norm(C, axis=1)[:, None]
     for seed in range(10):
         rng = RandomStream(seed)
         u = unit(rng.child("dir").generator().normal(size=n))
@@ -1042,3 +1047,55 @@ def test_sep_from_opt_answers_inside_and_cuts_soundly(make, n):
             h = sep(at(scale), 0.02).halfspace
             assert h is not None
             assert spec.support(h.normal)[0] <= float(h.normal @ h.anchor) + 1e-9
+        # "inside" means dist(y, K) <= 6 eps R = 0.12 R: at these scales
+        # some queries fall in that band and some beyond it, and the
+        # first witness above the threshold must still cut soundly
+        for scale in (1.1, 1.25):
+            h = sep(at(scale), 0.02).halfspace
+            if h is not None:
+                assert spec.support(h.normal)[0] <= float(h.normal @ h.anchor) + 1e-9
+            else:
+                # max over unit c of <c, y> - h_K(c) is dist(y, K)
+                dist_below = float(np.max(C @ at(scale) - spec.support_rows(C)[0]))
+                assert dist_below <= 6.0 * 0.02 * spec.geometry.R
+
+
+def _sep_from_opt_reply(spec, seed, scale):
+    """sep_from_opt's reply and stage ledgers at centre + scale * (radial
+    distance) along a seeded direction."""
+    rng = RandomStream(seed)
+    u = unit(rng.child("dir").generator().normal(size=spec.dim))
+    sep = sep_from_opt(ExactOptimization(spec), spec.geometry, rng.child("chain"),
+                       eps=0.02, sep_eps=1e-4)
+    answer = sep(spec.geometry.center + scale * spec.radial_scale(u) * u, 0.02)
+    return answer, {name: ledger.totals() for name, ledger in vars(sep.ledgers).items()}
+
+
+def _engine_without_exit(monkeypatch):
+    """Make sep_from_opt's engine run to its certificate, whatever gamma."""
+    engine = reductions.optimize_linear_accpm
+    monkeypatch.setattr(reductions, "optimize_linear_accpm",
+                        lambda cfg, sep, geometry, c, gamma=math.inf: engine(cfg, sep, geometry, c))
+
+
+@_SEP_FROM_OPT_BODIES
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("scale, inside", [(0.5, True), (1.5, False)], ids=["inside", "outside"])
+def test_sep_from_opt_decides_as_the_engine_run_to_its_certificate(make, n, scale, inside,
+                                                                   monkeypatch):
+    # the exit cuts the full run short at its first witness, so an
+    # inside reply is the full run's, query for query, and a cut asks at
+    # most what the full run asks at every stage
+    spec = make(n)
+    for seed in range(3):
+        answer, counts = _sep_from_opt_reply(spec, seed, scale)
+        with monkeypatch.context() as patch:
+            _engine_without_exit(patch)
+            full_answer, full_counts = _sep_from_opt_reply(spec, seed, scale)
+        assert answer.inside is full_answer.inside is inside
+        if inside:
+            assert _reply(answer) == _reply(full_answer)
+            assert counts == full_counts
+        for stage, totals in counts.items():
+            for kind, count in totals.items():
+                assert count <= full_counts[stage][kind], (stage, kind)
