@@ -20,9 +20,10 @@ from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, VIOL, GradAnswer,
                    QueryLedger, RandomStream, SeparationAnswer, ValidityAnswer,
                    ViolationAnswer, amplify, check_precision, rows_of,
                    wrap_with_ledger)
-from .ellipsoid import (EllipsoidState, MaxItersExhausted, OptimizerConfig,
-                        OracleInconsistency, ellipsoid_cut, opt_from_viol,
-                        optimize_linear, viol_from_opt)
+from .ellipsoid import (EllipsoidState, OptimizerConfig, OracleInconsistency,
+                        ellipsoid_cut, opt_from_viol, optimize_linear,
+                        viol_from_opt)
+from .accpm import MaxItersExhausted
 from .geometry import Box, HalfSpace, as_unit_vector, as_vector, unit
 from .height import HeightOracle
 from .reductions import (EmptyInteriorPropagated, EpigraphBody, VerticalCut,

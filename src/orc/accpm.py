@@ -93,8 +93,14 @@ import math
 import numpy as np
 
 from .core import OptimizationAnswer, ProblemGeometry
-from .ellipsoid import MaxItersExhausted, OptimizerConfig
+from .ellipsoid import OptimizerConfig
 from .geometry import as_vector_of, normalized
+
+
+class MaxItersExhausted(RuntimeError):
+    """The iteration cap spent with neither a feasible centre nor a
+    certificate: nothing can be asserted about the body."""
+
 
 #: The iteration cap is this many times n log(2R/(r eps)).
 ITER_FACTOR = 4.0
@@ -145,8 +151,11 @@ def optimize_linear_accpm(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
     empty-interior test, the violation exit at `gamma` and the iteration
     cap.  Returns the best feasible centre, or `None` as the maximizer
     for an empty interior, and raises `MaxItersExhausted` when the cap is
-    reached with neither."""
+    reached with neither.  At c = 0 the centre, in K, is a maximizer,
+    and no SEP is asked."""
     c = as_vector_of(c, geometry.n)
+    if not c.any():
+        return OptimizationAnswer(geometry.center.copy())
     gamma = float(gamma)
     if math.isnan(gamma):
         raise ValueError("gamma must not be NaN")

@@ -46,14 +46,6 @@ from .geometry import HalfSpace, as_vector, as_vector_of, normalized, unit
 from .kernels import ellipsoid_cut_py
 
 
-class MaxItersExhausted(RuntimeError):
-    """Iteration cap spent without a feasible centre or a certificate,
-    so nothing can be asserted about the body.  Only
-    `accpm.optimize_linear_accpm` raises it: the ellipsoid's budget is
-    itself its volume certificate.
-    """
-
-
 class OracleInconsistency(RuntimeError):
     """A bracketing search saw answers that cannot coexist."""
 
@@ -123,9 +115,12 @@ def optimize_linear(cfg: OptimizerConfig, sep, geometry: ProblemGeometry,
     exactly `cfg.resolved_iters(geometry)` cuts returns the best
     feasible center seen.  That budget is the volume certificate: the
     last ellipsoid holds no ball of radius r*eps, so with no feasible
-    center the answer is EmptyInterior (a `None` maximizer).
+    center the answer is EmptyInterior (a `None` maximizer).  At c = 0
+    the center, in K, is a maximizer, and no SEP is asked.
     """
     c = as_vector_of(c, geometry.n)
+    if not c.any():
+        return OptimizationAnswer(geometry.center.copy())
     # a feasible center's cut: -c/||c||, as the unit normal
     # `ellipsoid_cut` makes of the array -unit(c)
     objective_cut = normalized(-normalized(c))
@@ -152,13 +147,14 @@ def opt_from_viol(viol, geometry: ProblemGeometry, delta: float):
 
     Each query runs at the finer of the construction's `delta` and its
     own precision, d = min(delta, query_delta): the VIOL queries are
-    asked at d, the bisection stops at a bracket of width d and each
-    witness must come within 2 d of its threshold.  The body lies in
-    B(x0, R) for the centre x0 and outer radius R of `geometry`, so c.x
-    ranges over [c.x0 - R||c||, c.x0 + R||c||] on it and gamma is
-    bracketed there: exactly ceil(log2(2 R||c|| / d)) violation queries
-    per call, and one where R||c|| < d, where any point of the body is
-    a maximizer to within 2 d.
+    asked at d, and each witness must come within 2 d of its threshold.
+    The body lies in B(x0, R) for the centre x0 and outer radius R of
+    `geometry`, so gamma is bracketed in [c.x0 - R||c||, c.x0 + R||c||],
+    and the bisection stops at a bracket of width d or, below the float
+    spacing, once the midpoint no longer splits it: ceil(log2(2R||c||/d))
+    VIOL queries per call, give or take one by the rounding of the
+    halvings, fewer at that spacing, and one where R||c|| < d, where any
+    point of the body is a maximizer to within 2 d.
     """
     check_precision(delta)
 
@@ -171,6 +167,8 @@ def opt_from_viol(viol, geometry: ProblemGeometry, delta: float):
         witness = None
         while hi - lo > d:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
             ans = viol(c, mid, d)
             if ans.all_below:
                 hi = mid
@@ -180,8 +178,6 @@ def opt_from_viol(viol, geometry: ProblemGeometry, delta: float):
                     raise OracleInconsistency(
                         "witness does not beat the threshold it was returned for")
                 witness, lo = w, mid
-        if witness is None:
-            return OptimizationAnswer(None)
         return OptimizationAnswer(witness)
 
     opt.kind = OPT

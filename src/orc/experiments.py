@@ -1,6 +1,7 @@
 """Seeded experiment harness behind the command-line interface.
 
-An experiment config names a reduction chain, a body (or function)
+An experiment config names a reduction chain (a variant, such as
+`sep_from_mem_theoretical`, is a chain of its own), a body (or function)
 template, and grids of dimensions, precisions, and seeds.  Every trial
 owns its own seed path and query ledger, builds its chain's oracle (one
 `CHAINS` record each) over the exact analytic oracles, asks it one
@@ -13,6 +14,7 @@ eps, seed, trial), so identical configs yield byte-identical CSV output
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import itertools
 import json
@@ -51,7 +53,7 @@ QUERY_DISTANCE_FACTOR = 1.5
 EXPERIMENT_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,199}")
 
 CONFIG_KEYS = {"experiment", "chain", "body", "function", "dims", "eps",
-               "seeds", "trials", "slack_mode"}
+               "seeds", "trials"}
 
 #: template kind -> the keys `make_body` / `make_function` read besides "kind"
 BODY_KEYS = {"ball": {"radius"}, "box": {"radius"}, "simplex": {"scale"},
@@ -93,7 +95,7 @@ class TrialRecord:
 # config validation
 
 def validate_config(config: dict) -> dict:
-    """Check the schema strictly and return the config with defaults filled."""
+    """Check the schema strictly and return the config."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(config) - CONFIG_KEYS
@@ -135,23 +137,16 @@ def validate_config(config: dict) -> dict:
     trials = config.get("trials")
     if not _is_int(trials) or trials < 1:
         raise ConfigError("'trials' must be a positive int")
-    slack_mode = config.get("slack_mode", "anchored")
-    if slack_mode not in (ANCHORED, THEORETICAL):
-        raise ConfigError("'slack_mode' must be 'theoretical' or 'anchored'")
-    # a setting the chain does not read is refused, not ignored
-    if slack_mode == THEORETICAL and "slack_mode" not in spec.reads:
-        raise ConfigError(f"chain {chain!r} does not read slack_mode 'theoretical'")
-    out = {**config, "slack_mode": slack_mode}
     # each n's template as trial (seeds[0], 0) builds it, so a random one
     # is checked on that one draw only, and at every eps the chain over it
     for n in dims:
         try:
-            ctx = _trial_context(out, n, eps_list[0], seeds[0], 0)
+            ctx = _trial_context(config, n, eps_list[0], seeds[0], 0)
             for eps in eps_list:
                 spec.build(replace(ctx, eps=eps))
         except ValueError as exc:
             raise ConfigError(f"at n = {n}: {exc}") from exc
-    return out
+    return config
 
 
 def _is_int(x) -> bool:
@@ -172,7 +167,7 @@ def _is_number(x) -> bool:
 
 def _check_template(role: str, template: dict) -> None:
     """The template's kind and keys against what `make_body` or
-    `make_function` reads, with the values their constructors accept;
+    `make_function` takes, with the values their constructors accept;
     what only a constructor can tell (too many facets to enumerate, an
     ellipsoid's axes of another length than n, a separator precision
     past the body) is refused when `validate_config` builds each n's
@@ -280,11 +275,10 @@ def _grade_opt(body: bodies.BodySpec, answer, c: np.ndarray,
     return ("sound" if abs(gap) <= tol else "violated"), gap
 
 
-def _sep_from_mem(ctx):
+def _sep_from_mem(ctx, mode=ANCHORED):
     """SEP from exact MEM at membership precision eps, both counted."""
     mem = wrap_with_ledger(bodies.ExactMembership(ctx.body), ctx.ledger)
-    sep = SepFromMem(mem, ctx.body.geometry, ctx.rng.child("sep"), eps=ctx.eps,
-                     mode=ctx.slack_mode)
+    sep = SepFromMem(mem, ctx.body.geometry, ctx.rng.child("sep"), eps=ctx.eps, mode=mode)
     return wrap_with_ledger(sep, ctx.ledger)
 
 
@@ -325,20 +319,22 @@ class Chain:
     """A CLI chain: the line `list-chains` prints, the builder of its
     oracle over the trial's exact oracles, the kind that oracle answers
     (SEP, OPT or EVAL: it fixes the query drawn, the grade and, for
-    EVAL, a "function" template instead of a "body"), the grading
-    tolerance of an OPT or EVAL answer in units of eps, and the config
-    settings the builder reads ("slack_mode")."""
+    EVAL, a "function" template instead of a "body") and the grading
+    tolerance of an OPT or EVAL answer in units of eps; a builder's
+    variant is a record of its own, not a config setting."""
     description: str
     build: Callable
     kind: str
     tol: float = 1.0
-    reads: tuple[str, ...] = ()
 
 
 CHAINS = {
     "sep_from_mem": Chain(
         "separation from membership via height-function subgradients",
-        _sep_from_mem, SEP, reads=("slack_mode",)),
+        _sep_from_mem, SEP),
+    "sep_from_mem_theoretical": Chain(
+        "separation from membership, with the theoretical slack term",
+        functools.partial(_sep_from_mem, mode=THEORETICAL), SEP),
     "opt_from_sep": Chain(
         "linear optimization from exact separation (central-cut ellipsoid)",
         _opt_from_sep, OPT),
@@ -399,7 +395,6 @@ class _TrialContext:
     eps: float
     rng: RandomStream
     ledger: QueryLedger
-    slack_mode: str
 
 
 def _trial_context(config: dict, n: int, eps: float, seed: int, trial: int) -> _TrialContext:
@@ -411,7 +406,7 @@ def _trial_context(config: dict, n: int, eps: float, seed: int, trial: int) -> _
     else:
         function = make_function(template, n, rng.child("function"))
     return _TrialContext(body=body, function=function, n=n, eps=eps, rng=rng,
-                         ledger=QueryLedger(), slack_mode=config["slack_mode"])
+                         ledger=QueryLedger())
 
 
 def run_trial(config: dict, n: int, eps: float, seed: int,

@@ -27,7 +27,7 @@ the SEP of its epigraph.  `sep_from_opt` asks the analytic-centre engine
 threshold, and only a query without one runs on to the engine's
 certificate; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).  All
 three ask their SEP from MEM at `inner_sep_eps(eps)` unless given `sep_eps`,
-with `separation`'s `RETRIES`, and its `RHO` unless given a rho (perfbench's).
+and at `separation.RHO` unless given a rho (perfbench's).
 
 Stack forms.  `support_eval_from_opt`, `eval_support_from_val`,
 `eval_from_mem_epigraph`, `EpigraphBody.as_mem` and the two normalized

@@ -27,8 +27,9 @@ from .subgrad import EstimatorParams, separate_convex_func
 THEORETICAL = "theoretical"
 ANCHORED = "anchored"
 
-#: SepFromMem's defaults, which the chains built over it share
+#: SepFromMem's default rho, which the chains built over it share
 RHO = 0.1
+#: fresh estimates a SepFromMem query draws after the first, on every chain
 RETRIES = 3
 
 # target ratio of bisection-induced derivative noise (per coordinate,
@@ -37,10 +38,10 @@ NOISE_FRACTION = 0.02
 
 
 class DegenerateGradient(RuntimeError):
-    """||g|| stayed below 1/(4*kappa) through all retries.
+    """||g|| stayed below 1/(4*kappa) in the estimate and `RETRIES` re-draws.
 
     Signals that the membership precision eps is too coarse for the
-    body's geometry; try a smaller eps or more retries.
+    body's geometry; try a smaller eps.
     """
 
 
@@ -56,14 +57,14 @@ class SepFromMem:
     like every precision.  r1, the estimator's r2, the gradient floor
     1/(4 kappa) and the theoretical slack are derived once from
     `geometry.rescaled()`; an eps past 3/16, where r2 would exceed r1,
-    is refused here.  rho enters only the theoretical slack.
+    is refused here.  rho enters only the theoretical slack.  An estimate
+    below that floor is re-drawn up to `RETRIES` times before `DegenerateGradient`.
     """
 
     kind = SEP
 
     def __init__(self, mem, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float, rho: float = RHO, mode: str = ANCHORED,
-                 retries: int = RETRIES):
+                 eps: float, rho: float = RHO, mode: str = ANCHORED):
         g = geometry.rescaled()
         if not 0.0 < eps <= g.r:
             raise ValueError(f"need 0 < eps <= r/R, got eps={eps!r} r/R={g.r!r}")
@@ -74,9 +75,6 @@ class SepFromMem:
             raise ValueError("rho must lie in (0, 1)")
         if mode not in (THEORETICAL, ANCHORED):
             raise ValueError(f"unknown slack mode {mode!r}")
-        if (isinstance(retries, bool)
-                or not isinstance(retries, (int, np.integer)) or retries < 0):
-            raise ValueError(f"retries must be a non-negative int, got {retries!r}")
         n, kappa = g.n, g.kappa
         schedule = n ** (1 / 6) * eps ** (1 / 3) * g.R ** (2 / 3) / kappa
         # clamp keeps the sampling box B_inf(0, 2 r1) inside B_2(0, r/2)
@@ -87,7 +85,7 @@ class SepFromMem:
         self._slack = (0.0 if mode == ANCHORED else
                        (50.0 / rho) * n ** (7 / 6) * g.R ** (2 / 3) * kappa * eps ** (1 / 3))
         self.geometry = geometry
-        self.eps, self.retries = eps, retries
+        self.eps = eps
         self._mem = mem
         self._rng = rng
         self._queries = 0
@@ -121,11 +119,11 @@ class SepFromMem:
         bin_tol = min(params.eps / (2.0 * x_norm),
                       NOISE_FRACTION * params.r2 / (g.n * x_norm))
         h_eval = HeightOracle(self._mem, g, x, bin_tol, self.eps).as_eval()
-        for attempt in range(self.retries + 1):
+        for attempt in range(RETRIES + 1):
             gtilde = separate_convex_func(h_eval, params, rng.child(attempt))
             g_norm = float(np.linalg.norm(gtilde))
             if g_norm >= self._floor:
                 return SeparationAnswer(
                     _halfspace(gtilde / g_norm, y, self._slack / g_norm * g.R))
         raise DegenerateGradient(
-            f"||g|| < 1/(4 kappa) after {self.retries + 1} attempts (eps={self.eps})")
+            f"||g|| < 1/(4 kappa) after {RETRIES + 1} attempts (eps={self.eps})")

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from orc import accpm
-from orc.accpm import _iteration_cap, optimize_linear_accpm
+from orc.accpm import MaxItersExhausted, _iteration_cap, optimize_linear_accpm
 from orc.bodies import (Ball, BoxBody, ExactSeparation, Simplex,
                         brute_force_lp, random_hpolytope)
 from orc.core import (SEP, ProblemGeometry, QueryLedger, RandomStream,
                       SeparationAnswer, wrap_with_ledger)
-from orc.ellipsoid import MaxItersExhausted, OptimizerConfig, optimize_linear
+from orc.ellipsoid import OptimizerConfig, optimize_linear
 from orc.experiments import fit_scaling
 from orc.geometry import HalfSpace, unit
 

@@ -283,8 +283,8 @@ def test_validate_config_builds_each_chain_once_per_n_and_eps_as_its_trial_does(
 def test_list_chains_names_all_chains(capsys):
     assert main(["list-chains"]) == 0
     out = capsys.readouterr().out
-    for chain in ("sep_from_mem", "opt_from_sep", "opt_from_mem",
-                  "opt_from_viol", "opt_from_val", "sep_from_opt",
+    for chain in ("sep_from_mem", "sep_from_mem_theoretical", "opt_from_sep",
+                  "opt_from_mem", "opt_from_viol", "opt_from_val", "sep_from_opt",
                   "eval_from_mem_epigraph"):
         assert chain in out
 
@@ -393,19 +393,32 @@ def test_missing_config_file_exits_2():
     assert main(["run", "/nonexistent/config.json"]) == 2
 
 
-@pytest.mark.parametrize("chain", [chain for chain in sorted(experiments.CHAINS)
-                                   if chain != "sep_from_mem"],
-                         ids=lambda chain: f"{chain}-theoretical")
-def test_setting_the_chain_does_not_read_exits_2_from_validate_and_run(
-        tmp_path, capsys, chain):
-    # only sep_from_mem's answer carries the theoretical slack (the engines
-    # and grad_from_sep_epigraph read only a cut's normal): these used to
-    # validate and then change nothing in the CSV
-    path = _write(tmp_path, _chain_config(chain, slack_mode="theoretical"))
-    assert main(["validate-config", path]) == 2
-    assert "theoretical" in capsys.readouterr().err
-    assert main(["run", path, "--out", str(tmp_path)]) == 2
-    assert not (tmp_path / "cli-test.csv").exists()
+@pytest.mark.parametrize("chain", sorted(experiments.CHAINS))
+def test_a_config_carrying_slack_mode_exits_2_from_validate_and_run(tmp_path, capsys, chain):
+    # the theoretical slack is the chain sep_from_mem_theoretical, so
+    # slack_mode is an unknown key on every chain, whatever its value
+    for slack_mode in ("theoretical", "anchored"):
+        path = _write(tmp_path, _chain_config(chain, slack_mode=slack_mode))
+        assert main(["validate-config", path]) == 2
+        assert "slack_mode" in capsys.readouterr().err
+        assert main(["run", path, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "cli-test.csv").exists()
+
+
+def test_sep_from_mem_theoretical_validates_and_cuts_with_a_positive_slack(tmp_path):
+    # the same cut as sep_from_mem's, on the same streams, moved out by
+    # the theoretical slack term
+    cfg = _config(chain="sep_from_mem_theoretical", body={"kind": "simplex"})
+    assert main(["validate-config", _write(tmp_path, cfg)]) == 0
+    ctx = experiments._trial_context(experiments.validate_config(cfg), 2, 1e-4, 1, 0)
+    direction = unit(np.array([1.0, 1.0]))
+    y = ctx.body.geometry.center + 1.01 * ctx.body.radial_scale(direction) * direction
+    cuts = {chain: experiments.CHAINS[chain].build(ctx)(y, 1e-4).halfspace
+            for chain in ("sep_from_mem_theoretical", "sep_from_mem")}
+    assert cuts["sep_from_mem_theoretical"].slack > 0.0
+    assert cuts["sep_from_mem"].slack == 0.0
+    np.testing.assert_array_equal(cuts["sep_from_mem_theoretical"].normal,
+                                  cuts["sep_from_mem"].normal)
 
 
 @pytest.mark.parametrize("chain", sorted(experiments.CHAINS))
@@ -437,18 +450,6 @@ def test_orc_run_validates_its_config_once(tmp_path, monkeypatch):
     with pytest.raises(experiments.ConfigError):
         experiments.run_experiment(_config(eps=[0.5]))
     assert len(calls) == 2
-
-
-@pytest.mark.parametrize("slack_mode", ["bogus", [], None])
-def test_bad_slack_mode_exits_2(tmp_path, slack_mode):
-    # an unhashable one used to end validate-config in a runtime TypeError
-    path = _write(tmp_path, _config(slack_mode=slack_mode))
-    assert main(["validate-config", path]) == 2
-
-
-def test_setting_the_chain_reads_validates(tmp_path):
-    path = _write(tmp_path, _config(chain="sep_from_mem", slack_mode="theoretical"))
-    assert main(["validate-config", path]) == 0
 
 
 def test_a_chain_that_raises_still_reports_its_queries(monkeypatch):

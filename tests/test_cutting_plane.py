@@ -318,6 +318,34 @@ def test_opt_from_viol_refuses_a_query_precision_outside_its_range(query_delta):
     assert ledger.totals() == {}
 
 
+def _counting_viol(spec, limit=200):
+    """ExactViolation that raises past `limit` queries, so a bisection
+    that never ends fails instead of hanging."""
+    exact = ExactViolation(spec)
+    asked = []
+
+    def viol(c, gamma, delta):
+        asked.append(gamma)
+        if len(asked) > limit:
+            raise RuntimeError(f"more than {limit} VIOL queries")
+        return exact(c, gamma, delta)
+
+    viol.kind = VIOL
+    return viol
+
+
+@pytest.mark.parametrize("spec, c, delta", [
+    (BoxBody(np.zeros(2), 1.0), unit(np.array([1.0, 0.3])), 1e-20),
+    (Ellipsoid(np.array([2.0, -1.0]), np.diag([0.5, 2.0])),
+     10.0 * unit(np.array([0.4, -1.0])), 1e-15)], ids=["box", "off_origin_ellipsoid"])
+def test_opt_from_viol_stops_once_the_midpoint_cannot_split_the_bracket(spec, c, delta):
+    # a precision below the float spacing of the bracket used to keep
+    # `while hi - lo > d` running for ever
+    opt = opt_from_viol(_counting_viol(spec), spec.geometry, delta)
+    answer = opt(c, delta)
+    assert abs(spec.support(c)[0] - float(c @ answer.maximizer)) <= 1e-12
+
+
 def test_opt_viol_round_trip_tolerance():
     spec = BoxBody(np.zeros(3), 1.0)
     delta = 1e-4

@@ -10,6 +10,8 @@ from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
 from orc.core import (GRAD, MEM, OPT, SEP, VAL, GradAnswer, MembershipAnswer,
                       ProblemGeometry, QueryLedger, RandomStream,
                       SeparationAnswer, ValidityAnswer, wrap_with_ledger)
+from orc.accpm import optimize_linear_accpm
+from orc.ellipsoid import OptimizerConfig, optimize_linear
 from orc.geometry import HalfSpace, unit
 from orc.reductions import (VERTICAL_CUT_RETRIES, EpigraphBody, VerticalCut,
                             eval_from_mem_epigraph, eval_from_mem_indicator,
@@ -924,6 +926,42 @@ def test_sep_from_opt_refuses_a_query_of_another_dimension_before_any_opt_query(
         sep(np.array([5.0]), 0.02)
     for ledger in (sep.ledgers.opt, sep.ledgers.mem, sep.ledgers.sep):
         assert ledger.totals() == {}
+
+
+def test_both_engines_and_opt_from_mem_answer_the_zero_objective_with_the_centre():
+    # both engines used to raise "cannot normalize the zero vector" at c = 0
+    spec = Simplex(3, 2.0)
+    ledger = QueryLedger()
+    sep = wrap_with_ledger(ExactSeparation(spec), ledger)
+    cfg = OptimizerConfig(eps=1e-3)
+    for engine in (optimize_linear, optimize_linear_accpm):
+        answer = engine(cfg, sep, spec.geometry, np.zeros(3))
+        np.testing.assert_array_equal(answer.maximizer, spec.geometry.center)
+        assert answer.maximizer is not spec.geometry.center
+    assert ledger.totals() == {}
+    opt = opt_from_mem(ExactMembership(spec), spec.geometry, RandomStream(0), eps=1e-3)
+    np.testing.assert_array_equal(opt(np.zeros(3), 1e-3).maximizer, spec.geometry.center)
+    assert opt.ledgers.sep.totals() == {} and opt.ledgers.mem.totals() == {}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sep_from_opt_over_an_engine_backed_opt_cuts_soundly(seed):
+    # the first analytic centre of sep_from_opt's engine is the
+    # epigraph's centre, whose support evaluation asks OPT(0): over an
+    # engine every query used to raise
+    spec = BoxBody(np.zeros(2), 1.0)
+    cfg = OptimizerConfig(eps=1e-3)
+
+    def opt(c, delta):
+        return optimize_linear(cfg, ExactSeparation(spec), spec.geometry, c)
+
+    opt.kind = OPT
+    rng = RandomStream(seed)
+    sep = sep_from_opt(opt, spec.geometry, rng.child("chain"), eps=0.02)
+    direction = unit(rng.child("query").generator().normal(size=2))
+    h = sep(1.5 * spec.radial_scale(direction) * direction, 0.02).halfspace
+    assert h is not None
+    assert spec.support(h.normal)[0] <= float(h.normal @ h.anchor) + h.slack + 1e-12
 
 
 def test_sep_from_opt_queries_draw_fresh_inner_streams(monkeypatch):

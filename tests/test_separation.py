@@ -104,10 +104,11 @@ def test_degenerate_gradient_after_exhausting_retries(monkeypatch):
         return np.full(params.n, 1e-12)
 
     monkeypatch.setattr(sepmod, "separate_convex_func", tiny_estimate)
+    monkeypatch.setattr(sepmod, "RETRIES", 2)
     mem = ExactMembership(Ball(np.zeros(2), 1.0))
     geom = ProblemGeometry(2, 1.0, 2.0)
     with pytest.raises(DegenerateGradient):
-        _sep(mem, RandomStream(5), retries=2, geometry=geom)(np.array([1.3, 0.0]), 0.01)
+        _sep(mem, RandomStream(5), geometry=geom)(np.array([1.3, 0.0]), 0.01)
     assert len(attempts) == 3  # initial attempt plus two retries
 
 
@@ -120,10 +121,10 @@ def test_retry_succeeds_once_gradient_clears_threshold(monkeypatch):
         return answers.pop(0)
 
     monkeypatch.setattr(sepmod, "separate_convex_func", staged)
+    monkeypatch.setattr(sepmod, "RETRIES", 2)
     mem = ExactMembership(Ball(np.zeros(2), 1.0))
     geom = ProblemGeometry(2, 1.0, 2.0)
-    h = _sep(mem, RandomStream(5), retries=2, geometry=geom)(np.array([1.3, 0.0]),
-                                                             0.01).halfspace
+    h = _sep(mem, RandomStream(5), geometry=geom)(np.array([1.3, 0.0]), 0.01).halfspace
     np.testing.assert_allclose(h.normal, [0.6, 0.8])
 
 
@@ -149,15 +150,6 @@ def test_config_validation():
         _sep(mem, RandomStream(0), rho=1.5)
     with pytest.raises(ValueError):
         _sep(mem, RandomStream(0), mode="bogus")
-
-
-@pytest.mark.parametrize("retries", ["x", -1, True, 1.5, None])
-def test_config_rejects_bad_retries(retries):
-    mem = ExactMembership(Ball(np.zeros(2), 1.0))
-    with pytest.raises(ValueError, match="retries"):
-        _sep(mem, RandomStream(0), retries=retries)
-    with pytest.raises(ValueError, match="retries"):
-        SepFromMem(mem, BALL_GEOM, RandomStream(0), eps=1e-4, retries=retries)
 
 
 def test_r1_schedule_clamped_to_sampling_safety():
