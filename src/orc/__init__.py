@@ -18,13 +18,12 @@ from .bodies import (Ball, BodySpec, BoxBody, Ellipsoid, ExactMembership,
 from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, VIOL, GradAnswer,
                    MembershipAnswer, OptimizationAnswer, ProblemGeometry,
                    QueryLedger, RandomStream, SeparationAnswer, ValidityAnswer,
-                   ViolationAnswer, amplify, check_precision, rows_of,
-                   wrap_with_ledger)
+                   ViolationAnswer, check_precision, rows_of, wrap_with_ledger)
 from .ellipsoid import (EllipsoidState, OptimizerConfig, OracleInconsistency,
                         ellipsoid_cut, opt_from_viol, optimize_linear,
                         viol_from_opt)
 from .accpm import MaxItersExhausted
-from .geometry import Box, HalfSpace, as_unit_vector, as_vector, unit
+from .geometry import HalfSpace, as_unit_vector, as_vector, unit
 from .height import HeightOracle
 from .reductions import (EmptyInteriorPropagated, EpigraphBody, VerticalCut,
                          eval_from_mem_epigraph, eval_from_mem_indicator,

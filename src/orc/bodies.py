@@ -217,6 +217,8 @@ class Simplex(BodySpec):
     scale: float = 1.0
 
     def __post_init__(self):
+        if self.dim_ < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.dim_!r}")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
         n, s = self.dim_, self.scale
@@ -309,7 +311,7 @@ class HPolytope(BodySpec):
             raise ValueError("zero facet normal")
         self.A = A / norms[:, None]
         self.b = b / norms
-        x0 = as_vector(interior_point)
+        x0 = as_vector_of(interior_point, A.shape[1])
         # the facet slacks at the centre, which radial_scale reuses
         self._slack = slack = self.b - self.A @ x0
         r = float(np.min(slack))

@@ -13,9 +13,9 @@ callables whose *last* positional argument is the precision delta:
 
 A single delta plays the role of both geometric error and failure
 probability, following the GLS convention.  Oracles advertise their
-kind through a `.kind` attribute so they can be ledger-wrapped and
-amplified generically.  A `QueryLedger` counts queries by kind only;
-the delta of a query is not recorded.
+kind through a `.kind` attribute so they can be ledger-wrapped
+generically.  A `QueryLedger` counts queries by kind only; the delta
+of a query is not recorded.
 
 MEM, VAL, OPT and EVAL have a stack form that answers a (k, n) stack
 of queries in one call, one query per row: MEM's `rows(P, delta)` and
@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,58 +285,3 @@ def wrap_with_ledger(oracle, ledger: QueryLedger, kind: str | None = None):
     if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown oracle kind {kind!r}; pass kind= explicitly")
     return _LedgeredOracle(oracle, ledger, kind)
-
-
-def amplify(oracle, repetitions: int, voter: str = "majority"):
-    """Boost a randomized oracle's success probability by repetition.
-
-    voter="majority" works for assertion-style answers (MEM, VAL);
-    voter="best" keeps the best-objective witness (OPT, VIOL).  The
-    underlying oracle must refresh its own randomness per call (all
-    randomized oracles here derive draws from an internal query index).
-    """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if voter not in ("majority", "best"):
-        raise ValueError(f"unknown voter {voter!r}")
-    kind = getattr(oracle, "kind", None)
-    if repetitions == 1:
-        return oracle
-
-    if voter == "majority":
-        if kind not in (MEM, VAL, None):
-            raise ValueError(f"majority voting is incompatible with kind {kind!r}")
-        if repetitions % 2 == 0:
-            raise ValueError("majority voting needs an odd repetition count")
-
-        def voted(*args):
-            answers = [oracle(*args) for _ in range(repetitions)]
-            counts: dict[object, int] = {}
-            for a in answers:
-                counts[a] = counts.get(a, 0) + 1
-            return max(counts.items(), key=lambda kv: kv[1])[0]
-
-    else:
-        if kind not in (OPT, VIOL, None):
-            raise ValueError(f"best voting is incompatible with kind {kind!r}")
-
-        def voted(*args):
-            c = as_vector(args[0])
-            best = None
-            best_val = -math.inf
-            fallback = None
-            for _ in range(repetitions):
-                a = oracle(*args)
-                point = getattr(a, "maximizer", None)
-                if point is None:
-                    point = getattr(a, "witness", None)
-                if point is None:
-                    fallback = a
-                    continue
-                v = float(np.dot(c, point))
-                if v > best_val:
-                    best, best_val = a, v
-            return best if best is not None else fallback
-
-    voted.kind = kind
-    return voted

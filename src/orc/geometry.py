@@ -1,4 +1,4 @@
-"""Basic geometric vocabulary: vectors, boxes, halfspaces.
+"""Basic geometric vocabulary: vectors and halfspaces.
 
 Vectors are plain 1-d float64 numpy arrays throughout the package.
 A vector is checked once, by `as_vector`, where it enters the library:
@@ -107,11 +107,6 @@ def unit(v) -> np.ndarray:
     return normalized(as_vector(v))
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 @dataclass(frozen=True)
 class HalfSpace:
     """The set {y : <normal, y - anchor> <= slack}, with unit normal."""
@@ -123,7 +118,8 @@ class HalfSpace:
     def __post_init__(self):
         object.__setattr__(self, "normal", as_unit_vector(self.normal))
         object.__setattr__(self, "anchor", as_vector(self.anchor))
-        _check_same_dim(self.normal, self.anchor)
+        if self.normal.shape != self.anchor.shape:
+            raise ValueError(f"dimension mismatch: {self.normal.shape} vs {self.anchor.shape}")
         # fails for NaN, infinite and negative slacks alike
         if not 0.0 <= self.slack < math.inf:
             raise ValueError(f"slack must be finite and >= 0, got {self.slack!r}")
@@ -135,47 +131,3 @@ def _halfspace(normal: np.ndarray, anchor: np.ndarray, slack: float = 0.0) -> Ha
     h = object.__new__(HalfSpace)
     h.__dict__.update(normal=normal, anchor=anchor, slack=slack)
     return h
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned l-infinity ball: center +/- radius in every coordinate."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
-        if not (self.radius > 0.0 and np.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive, got {self.radius!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
-
-def linf_ball_contains(box: Box, p) -> bool:
-    p = as_vector(p)
-    _check_same_dim(box.center, p)
-    return bool(np.abs(p - box.center).max() <= box.radius)
-
-
-def coordinate_segment_endpoints(box: Box, z, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoints of the axis-i chord of `box` through the interior point z.
-
-    Both returned points equal z except that coordinate i is clamped to
-    the box faces, so the segment is the full intersection of the box
-    with the line {z + s*e_i}.  Coordinates are 1-based index-agnostic:
-    i is a 0-based numpy index here.
-    """
-    z = as_vector(z)
-    _check_same_dim(box.center, z)
-    if not 0 <= i < box.dim:
-        raise ValueError(f"coordinate index {i} out of range for dim {box.dim}")
-    if not linf_ball_contains(box, z):
-        raise ValueError("z lies outside the box")
-    lo = z.copy()
-    hi = z.copy()
-    lo[i] = box.center[i] - box.radius
-    hi[i] = box.center[i] + box.radius
-    return lo, hi

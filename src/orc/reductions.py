@@ -26,8 +26,9 @@ the SEP of its epigraph.  `sep_from_opt` asks the analytic-centre engine
 (`accpm`) over K_f for a violation witness, a feasible point above its
 threshold, and only a query without one runs on to the engine's
 certificate; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).  All
-three ask their SEP from MEM at `inner_sep_eps(eps)` unless given `sep_eps`,
-and at `separation.RHO` unless given a rho (perfbench's).
+three ask their SEP from MEM at `inner_sep_eps(eps)` and `separation.RHO`,
+except where `opt_from_val` or `sep_from_opt` is given a `sep_eps` or a
+`rho` in their place, as perfbench's web workload gives them.
 
 Stack forms.  `support_eval_from_opt`, `eval_support_from_val`,
 `eval_from_mem_epigraph`, `EpigraphBody.as_mem` and the two normalized
@@ -37,16 +38,18 @@ with the one entry check of the query, for every view but `as_mem`,
 whose single call is `EpigraphBody.membership`.  Each asks its inner
 oracle through `core.rows_of`: one call per stack over an inner `rows`
 form (the exact oracles), one query per row, in row order, over any
-other (`amplify`'s voters, plain callables).  Every bisection here runs
-in lockstep through `kernels.bisect_rows`, one stacked query per round
-whatever the base oracle: the height oracle's over the 2(n+1) rows of
-an epigraph subgradient estimate (OPT or VAL), and the two evaluations'
-(VAL, MEM); the epigraph asks one VAL query per containment test.
+other (plain callables such as `bodies.FlipNoise`).  Every bisection
+here runs in lockstep through `kernels.bisect_rows`, one stacked query
+per round whatever the base oracle: the height oracle's over the
+2(n+1) rows of an epigraph subgradient estimate (OPT or VAL), and the
+two evaluations' (VAL, MEM); the epigraph asks one VAL query per
+containment test.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -406,14 +409,6 @@ def _normalized_opt(opt, geometry: ProblemGeometry):
 # ---------------------------------------------------------------------------
 # composed chains
 
-class _ChainLedgers:
-    """Per-stage query ledgers, exposed for cost inspection."""
-
-    def __init__(self, *names: str):
-        for name in names:
-            setattr(self, name, QueryLedger())
-
-
 def inner_sep_eps(eps: float) -> float:
     """The membership precision (normalized frame) of the SEP-from-MEM
     oracle inside a chain of precision eps: eps 1e-4, measured, not
@@ -426,7 +421,7 @@ def inner_sep_eps(eps: float) -> float:
 
 
 def _counted_sep(mem, geometry: ProblemGeometry, rng: RandomStream, ledgers, *,
-                 eps: float, sep_eps: float | None, rho: float):
+                 eps: float, sep_eps: float | None = None, rho: float = RHO):
     """The SEP from MEM of a chain of precision eps, at `sep_eps` or else
     `inner_sep_eps(eps)`, and its MEM, counted in `ledgers.sep` and `.mem`."""
     counted_mem = wrap_with_ledger(mem, ledgers.mem)
@@ -435,11 +430,11 @@ def _counted_sep(mem, geometry: ProblemGeometry, rng: RandomStream, ledgers, *,
     return wrap_with_ledger(sep, ledgers.sep), counted_mem
 
 
-def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float, sep_eps: float | None = None, rho: float = RHO):
-    """OPT(K) = cutting-plane over SEP(K) built from MEM(K) (`_counted_sep`)."""
-    ledgers = _ChainLedgers("mem", "sep")
-    counted_sep, _ = _counted_sep(mem, geometry, rng, ledgers, eps=eps, sep_eps=sep_eps, rho=rho)
+def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *, eps: float):
+    """OPT(K) = cutting-plane over SEP(K) built from MEM(K) (`_counted_sep`),
+    at `inner_sep_eps(eps)` and `separation.RHO`."""
+    ledgers = SimpleNamespace(mem=QueryLedger(), sep=QueryLedger())
+    counted_sep, _ = _counted_sep(mem, geometry, rng, ledgers, eps=eps)
     cfg = OptimizerConfig(eps=eps)
 
     def opt(c, delta):
@@ -452,7 +447,7 @@ def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *,
 
 
 def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float = 0.01, sep_eps: float | None = None, rho: float = RHO):
+                 eps: float, sep_eps: float | None = None, rho: float = RHO):
     """OPT(K) from VAL(K).
 
     Chain: the base VAL is viewed as VAL of (K - x0)/R, with x0 the
@@ -473,7 +468,7 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
     0.02 on boxes and simplices with n = 2 and 3, an answer costs 128-200
     VAL, 146-200 MEM and 1 SEP query at the default `sep_eps`.
     """
-    ledgers = _ChainLedgers("val", "mem", "sep")
+    ledgers = SimpleNamespace(val=QueryLedger(), mem=QueryLedger(), sep=QueryLedger())
     kf = EpigraphBody(_normalized_val(wrap_with_ledger(val, ledgers.val), geometry), geometry.n)
     sep, mem = _counted_sep(kf.as_mem(), kf.geometry, rng.child("opt_from_val"), ledgers,
                             eps=eps, sep_eps=sep_eps, rho=rho)
@@ -481,7 +476,7 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
 
     def opt(c, delta):
         check_precision(delta)
-        c = as_vector(c)
+        c = as_vector_of(c, geometry.n)
         c_norm = float(np.linalg.norm(c))
         if c_norm == 0.0:
             return OptimizationAnswer(geometry.center.copy())
@@ -501,7 +496,7 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
 
 
 def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
-                 eps: float = 0.01, sep_eps: float | None = None, rho: float = RHO):
+                 eps: float, sep_eps: float | None = None, rho: float = RHO):
     """SEP(K) from OPT(K).
 
     Chain: the base OPT is viewed as OPT of (K - x0)/R, with x0 the
@@ -541,7 +536,7 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
     tighten "inside", and a caller that needs a finer test builds the
     chain with a smaller eps.
     """
-    ledgers = _ChainLedgers("opt", "mem", "sep")
+    ledgers = SimpleNamespace(opt=QueryLedger(), mem=QueryLedger(), sep=QueryLedger())
     f = support_eval_from_opt(_normalized_opt(wrap_with_ledger(opt, ledgers.opt), geometry),
                               geometry.rescaled())
     kf = EpigraphBody(f, geometry.n)

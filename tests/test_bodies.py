@@ -539,6 +539,19 @@ def test_hpolytope_rejects_non_finite_facets(bad):
         HPolytope(np.vstack([np.eye(2), -np.eye(2)]), [1.0, bad, 1.0, 1.0], np.zeros(2))
 
 
+def test_hpolytope_refuses_an_interior_point_of_another_dimension():
+    # it used to fail inside numpy's matmul
+    with pytest.raises(ValueError, match="expected a vector of dimension 2"):
+        HPolytope(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4), np.zeros(3))
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_simplex_refuses_a_dimension_below_one(dim):
+    # Simplex(0) used to raise ZeroDivisionError
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        Simplex(dim)
+
+
 def test_random_hpolytope_geometry_certified():
     for seed in range(5):
         for n in (2, 5, 10):

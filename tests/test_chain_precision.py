@@ -1,21 +1,24 @@
 """The inner SEP precision of the composed chains, at its default.
 
 `opt_from_mem`, `opt_from_val` and `sep_from_opt` ask their inner
-SEP-from-MEM oracle at `reductions.inner_sep_eps(eps)` unless the caller
-passes `sep_eps`.  These tests run the chains at that default on the
-inputs `orc run` draws for them (the body, objective and chain streams of
-each trial's seed path) and grade each answer against the body's
-closed-form support function, with `experiments._grade_opt`'s tolerance.
+SEP-from-MEM oracle at `reductions.inner_sep_eps(eps)`, unless the
+caller of one of the last two passes `sep_eps`.  These tests run the
+chains at that default on the inputs `orc run` draws for them (the
+body, objective and chain streams of each trial's seed path) and grade
+each answer against the body's closed-form support function, with
+`experiments._grade_opt`'s tolerance.
 """
 
 import numpy as np
 import pytest
 
-from orc.bodies import ExactMembership, ExactValidity
+from orc import reductions, separation
+from orc.bodies import ExactMembership, ExactOptimization, ExactValidity
 from orc.core import RandomStream
 from orc.experiments import make_body
 from orc.geometry import unit
-from orc.reductions import VerticalCut, inner_sep_eps, opt_from_mem, opt_from_val
+from orc.reductions import (VerticalCut, inner_sep_eps, opt_from_mem, opt_from_val,
+                            sep_from_opt)
 
 
 def _trial_inputs(kind, n, seed):
@@ -65,3 +68,20 @@ def test_default_precision_is_inner_sep_eps():
                for kw in ({}, {"sep_eps": inner_sep_eps(0.01)})]
     np.testing.assert_array_equal(*answers)
     assert inner_sep_eps(0.01) == 0.01 * 1e-4
+
+
+@pytest.mark.parametrize("chain, base", [(opt_from_mem, ExactMembership),
+                                         (opt_from_val, ExactValidity),
+                                         (sep_from_opt, ExactOptimization)],
+                         ids=["opt_from_mem", "opt_from_val", "sep_from_opt"])
+def test_each_chain_builds_its_sep_from_mem_at_inner_sep_eps_and_rho(monkeypatch, chain, base):
+    built = []
+
+    def recording_sep_from_mem(*args, **kwargs):
+        built.append(kwargs)
+        return separation.SepFromMem(*args, **kwargs)
+
+    monkeypatch.setattr(reductions, "SepFromMem", recording_sep_from_mem)
+    body, _, rng = _trial_inputs("simplex", 3, 4)
+    chain(base(body), body.geometry, rng.child("chain"), eps=0.01)
+    assert built == [{"rho": separation.RHO, "eps": inner_sep_eps(0.01)}]

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from orc.geometry import (Box, HalfSpace, _halfspace, as_unit_vector,
-                          as_vector, as_vector_of, coordinate_segment_endpoints,
-                          linf_ball_contains, normalized, unit)
+from orc.geometry import (HalfSpace, _halfspace, as_unit_vector, as_vector,
+                          as_vector_of, normalized, unit)
 
 # v.v of a vector with entries near 1e200 overflows, by design of the check
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -153,24 +152,6 @@ def test_halfspace_requires_unit_normal_and_nonnegative_slack():
         HalfSpace([1.0, 0.0], [0.0, 0.0], -0.1)
 
 
-def test_linf_ball_contains():
-    box = Box(np.zeros(2), 0.5)
-    assert linf_ball_contains(box, [0.5, -0.5])
-    assert not linf_ball_contains(box, [0.51, 0.0])
-
-
-def test_coordinate_segment_endpoints_clamp_one_axis():
-    box = Box(np.array([1.0, -1.0]), 0.25)
-    z = np.array([1.1, -0.9])
-    lo, hi = coordinate_segment_endpoints(box, z, 0)
-    np.testing.assert_allclose(lo, [0.75, -0.9])
-    np.testing.assert_allclose(hi, [1.25, -0.9])
-    lo, hi = coordinate_segment_endpoints(box, z, 1)
-    np.testing.assert_allclose(lo, [1.1, -1.25])
-    np.testing.assert_allclose(hi, [1.1, -0.75])
-
-
-def test_coordinate_segment_requires_point_in_box():
-    box = Box(np.zeros(2), 0.1)
-    with pytest.raises(ValueError):
-        coordinate_segment_endpoints(box, np.array([0.5, 0.0]), 0)
+def test_halfspace_refuses_an_anchor_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        HalfSpace([1.0, 0.0], [0.0, 0.0, 0.0], 0.0)

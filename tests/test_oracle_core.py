@@ -3,12 +3,11 @@ import pytest
 
 from orc import reductions
 from orc.bodies import (Ball, BoxBody, ExactMembership, ExactOptimization,
-                        ExactSeparation, ExactValidity, FlipNoise)
+                        ExactSeparation, ExactValidity)
 from orc.core import (EVAL, GRAD, MEM, OPT, SEP, STACK_KINDS, VAL, VIOL,
                       EmptyInteriorPropagated, MembershipAnswer,
                       OptimizationAnswer, ProblemGeometry, QueryLedger,
                       RandomStream, SeparationAnswer, ValidityAnswer,
-                      ViolationAnswer, amplify,
                       check_precision, rows_of, single_of, wrap_with_ledger)
 from orc.geometry import HalfSpace
 
@@ -207,73 +206,3 @@ def test_random_stream_string_labels_deterministic():
     c = RandomStream(7).child("other").generator().normal(size=3)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_amplify_majority_beats_flip_noise():
-    ball = Ball(np.zeros(2), 1.0)
-    noisy = FlipNoise(ExactMembership(ball), 0.2, RandomStream(3).child(0))
-    boosted = amplify(noisy, repetitions=15)
-    errors = 0
-    gen = RandomStream(4).generator()
-    for _ in range(200):
-        y = gen.normal(size=2)
-        truth = MembershipAnswer.INSIDE_DILATED if np.linalg.norm(y) <= 1.0 \
-            else MembershipAnswer.OUTSIDE_ERODED
-        if boosted(y, 0.01) is not truth:
-            errors += 1
-    # single-query error rate is 20%; 15-fold majority drives it below 2%
-    assert errors <= 4
-
-
-def _randomized(kind, gen, p_empty):
-    """An OPT or VIOL oracle answering a random point, or with
-    probability p_empty the empty answer; every answer is kept."""
-    make = OptimizationAnswer if kind == OPT else ViolationAnswer
-    seen = []
-
-    def oracle(c, *rest):
-        answer = make(None if gen.random() < p_empty else gen.normal(size=2))
-        seen.append(answer)
-        return answer
-
-    oracle.kind = kind
-    return oracle, seen
-
-
-def _point(answer):
-    return answer.maximizer if isinstance(answer, OptimizationAnswer) else answer.witness
-
-
-@pytest.mark.parametrize("kind", [OPT, VIOL])
-def test_amplify_best_keeps_the_best_objective_witness(kind):
-    oracle, seen = _randomized(kind, RandomStream(8).generator(), 0.3)
-    boosted = amplify(oracle, repetitions=9, voter="best")
-    c = np.array([1.0, -0.5])
-    tail = (0.01,) if kind == OPT else (0.0, 0.01)
-    firsts, bests = [], []
-    for _ in range(20):
-        seen.clear()
-        answer = boosted(c, *tail)
-        assert len(seen) == 9
-        witnesses = [a for a in seen if _point(a) is not None]
-        # the best of the nine witnesses, as the inner oracle returned it
-        assert answer is max(witnesses, key=lambda a: float(c @ _point(a)))
-        firsts.append(float(c @ _point(witnesses[0])))
-        bests.append(float(c @ _point(answer)))
-    assert np.mean(bests) > np.mean(firsts) + 1.0
-
-
-@pytest.mark.parametrize("kind", [OPT, VIOL])
-def test_amplify_best_returns_the_fallback_when_every_answer_is_empty(kind):
-    oracle, seen = _randomized(kind, RandomStream(9).generator(), 1.0)
-    boosted = amplify(oracle, repetitions=5, voter="best")
-    answer = boosted(np.array([0.0, 1.0]), *((0.01,) if kind == OPT else (0.0, 0.01)))
-    assert len(seen) == 5
-    assert answer is seen[-1] and _point(answer) is None
-
-
-def test_amplify_requires_odd_repetitions_for_majority():
-    ball = Ball(np.zeros(2), 1.0)
-    mem = ExactMembership(ball)
-    with pytest.raises(ValueError):
-        amplify(mem, repetitions=4)

@@ -751,8 +751,7 @@ def test_val_from_eval_support_thresholds():
 
 def test_opt_from_mem_ball():
     spec = Ball(np.zeros(2), 1.0)
-    opt = opt_from_mem(ExactMembership(spec), spec.geometry, RandomStream(5),
-                       eps=1e-3, sep_eps=1e-6, rho=0.1)
+    opt = opt_from_mem(ExactMembership(spec), spec.geometry, RandomStream(5), eps=1e-3)
     c = np.array([0.0, 1.0])
     ans = opt(c, 1e-3)
     assert float(c @ ans.maximizer) >= 1.0 - 0.05
@@ -777,8 +776,7 @@ def test_opt_from_mem_with_height_estimator(make):
         body = make(n, RandomStream(700 + k).child("body"))
         c = unit(RandomStream(700 + k).child("c").generator().normal(size=n))
         opt = opt_from_mem(ExactMembership(body), body.geometry,
-                           RandomStream(700 + k).child("sep"), eps=eps,
-                           sep_eps=eps * 1e-2, rho=0.1)
+                           RandomStream(700 + k).child("sep"), eps=eps)
         value = float(c @ opt(c, eps).maximizer)
         # the experiment harness's tolerance for a graded OPT answer
         tol = eps * (1.0 + body.geometry.kappa)
@@ -788,7 +786,8 @@ def test_opt_from_mem_with_height_estimator(make):
         sound += all(b - value <= tol for b in best)
         mem += opt.ledgers.mem.count(MEM)
         sep += opt.ledgers.sep.count(SEP)
-    # criterion 5(b)'s rate for SEP built from MEM
+    # criterion 5(b)'s rate for SEP built from MEM, here at the chain's
+    # own inner precision, inner_sep_eps(eps), not 5(b)'s eps * 1e-2
     assert sound >= 9
     assert mem >= 20 * sep
 
@@ -822,6 +821,29 @@ def test_opt_from_val_zero_direction():
                        eps=0.01, sep_eps=1e-4)
     np.testing.assert_array_equal(opt(np.zeros(2), 0.01).maximizer,
                                   np.zeros(2))
+
+
+@pytest.mark.parametrize("c", [np.zeros(5), np.ones(5)], ids=["zero", "ones"])
+def test_opt_from_val_refuses_an_objective_of_another_dimension_before_any_query(c):
+    # the zero objective of another dimension used to get the 2-d centre
+    spec = BoxBody(np.zeros(2), 1.0)
+    opt = opt_from_val(ExactValidity(spec), spec.geometry, RandomStream(6), eps=0.02)
+    with pytest.raises(ValueError, match="expected a vector of dimension 2"):
+        opt(c, 0.02)
+    for ledger in (opt.ledgers.val, opt.ledgers.mem, opt.ledgers.sep):
+        assert ledger.totals() == {}
+
+
+@pytest.mark.parametrize("chain, base", [(opt_from_mem, ExactMembership),
+                                         (opt_from_val, ExactValidity),
+                                         (sep_from_opt, ExactOptimization)],
+                         ids=["opt_from_mem", "opt_from_val", "sep_from_opt"])
+def test_each_chain_takes_eps_as_a_required_keyword(chain, base):
+    spec = BoxBody(np.zeros(2), 1.0)
+    with pytest.raises(TypeError, match="eps"):
+        chain(base(spec), spec.geometry, RandomStream(6))
+    with pytest.raises(TypeError):
+        chain(base(spec), spec.geometry, RandomStream(6), 0.02)
 
 
 def test_opt_from_val_evaluates_f_through_mem_and_spends_one_sep(monkeypatch):
@@ -991,8 +1013,7 @@ def test_chain_round_trip_mem_sep_opt_val():
     # MEM -> SEP -> OPT -> EVAL(1_K*) -> VAL must still classify
     # thresholds correctly on the ball
     spec = Ball(np.zeros(2), 1.0)
-    opt = opt_from_mem(ExactMembership(spec), spec.geometry, RandomStream(8),
-                       eps=1e-3, sep_eps=1e-6, rho=0.1)
+    opt = opt_from_mem(ExactMembership(spec), spec.geometry, RandomStream(8), eps=1e-3)
     ev = support_eval_from_opt(opt, spec.geometry)
     val = val_from_eval_support(ev)
     hits = 0

@@ -7,7 +7,6 @@ from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership, FlipNoise,
                         Simplex, exact_membership, random_hpolytope)
 from orc.core import (MEM, ProblemGeometry, QueryLedger, RandomStream,
                       wrap_with_ledger)
-from orc.geometry import Box, coordinate_segment_endpoints
 from orc.height import HeightOracle
 from orc.separation import ANCHORED, THEORETICAL, DegenerateGradient, SepFromMem
 from orc.subgrad import (EstimatorParams, sample_box_points,
@@ -292,11 +291,12 @@ def test_flip_noise_sees_the_lockstep_queries():
     # bin_tol*||x||, so each coordinate within bin_tol*||x||/r2
     def per_point_estimate(ho, params, rng):
         y, z = sample_box_points(params, rng)
-        inner = Box(y, params.r2)
         h_x = ho.as_eval()
         g = np.empty(params.n)
         for i in range(params.n):
-            lo, hi = coordinate_segment_endpoints(inner, z, i)
+            # the axis-i chord through z of the box y +- r2
+            lo, hi = z.copy(), z.copy()
+            lo[i], hi[i] = y[i] - params.r2, y[i] + params.r2
             g[i] = (h_x(hi, 0.1) - h_x(lo, 0.1)) * (1.0 / (2.0 * params.r2))
         return g
 

@@ -6,7 +6,6 @@ import pytest
 from orc.bodies import (Linear, MaxOfLinear, Quadratic, exact_eval,
                         exact_grad)
 from orc.core import RandomStream
-from orc.geometry import Box, coordinate_segment_endpoints
 from orc.subgrad import (EstimatorParams, expected_flatness_defect,
                          sample_box_points, separate_convex_func)
 
@@ -66,7 +65,9 @@ def test_exactly_2n_evaluations():
 
         y, z = sample_box_points(params, RandomStream(1))
         for i in range(n):
-            lo, hi = coordinate_segment_endpoints(Box(y, params.r2), z, i)
+            # the axis-i chord through z of the box y +- r2
+            lo, hi = z.copy(), z.copy()
+            lo[i], hi[i] = y[i] - params.r2, y[i] + params.r2
             for points in (calls, stacks[0]):
                 assert np.array_equal(points[2 * i], hi)
                 assert np.array_equal(points[2 * i + 1], lo)
