@@ -14,8 +14,9 @@ analytic-centre engine with the same contract, is the engine of
 `sep_from_opt`: on exact SEP it spends 19-26 queries per OPT at n = 2
 and 114-171 at n = 16 (eps 1e-3, ball, box and simplex), against this
 engine's 88 and 4512 on the box, and inside `sep_from_opt`, which asks
-it only for a violation witness, 4-12 SEP of the epigraph body per
-answer at n = 2 and 3, against this engine's 138 and 230.
+it only for a violation witness over the polar body, 2-7 SEP (one OPT
+each) per answer on perfbench's web at n = 2 and 3, against this
+engine's budgets of 61-67 and 121-141 there.
 
 The ellipsoid is kept in factored form, {c + J z : ||z|| <= 1}, and each
 cut is a rank-one update of J (Goldfarb & Todd, Math. Programming 23,

@@ -350,7 +350,7 @@ CHAINS = {
         "optimization from validity via the support-function epigraph",
         _opt_from_val, OPT, tol=3.0),
     "sep_from_opt": Chain(
-        "separation from optimization via the support-function epigraph",
+        "separation from optimization via linear optimization over the polar body",
         _sep_from_opt, SEP),
     "eval_from_mem_epigraph": Chain(
         "function evaluation from epigraph-body membership",

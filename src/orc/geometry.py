@@ -28,7 +28,7 @@ dimension, and the slack a finite float >= 0, so that the public
 constructor would accept the same three values.  Its call sites are
 `bodies.ExactSeparation.__call__`, the far branch and the estimate of
 `separation.SepFromMem.__call__` and the answer of
-`reductions.sep_from_opt`.
+`reductions.sep_from_opt` and of its SEP of the polar body.
 
 Boundary comparisons are non-strict everywhere (all the bodies we work
 with are closed), and all tolerances are absolute: bodies are assumed

@@ -19,16 +19,14 @@ oracles; the composed constructors at the bottom of this module package
 the useful chains.  Each step asks the cheapest oracle that answers it:
 `opt_from_val` answers each containment test of K_f with one VAL query,
 and asks SEP of K_f only for the one cut below the graph that carries
-the subgradient.  `opt_from_val` and `sep_from_opt` build, once per
-chain, one view of their base oracle as that of the normalized body
-(K - x0)/R, whose support function is 1-Lipschitz and in [0, 1], and
-the SEP of its epigraph.  `sep_from_opt` asks the analytic-centre engine
-(`accpm`) over K_f for a violation witness, a feasible point above its
-threshold, and only a query without one runs on to the engine's
-certificate; `opt_from_mem` keeps the ellipsoid (see `accpm` for why).  All
-three ask their SEP from MEM at `inner_sep_eps(eps)` and `separation.RHO`,
-except where `opt_from_val` or `sep_from_opt` is given a `sep_eps` or a
-`rho` in their place, as perfbench's web workload gives them.
+the subgradient.  `opt_from_val` and `sep_from_opt` view their base
+oracle once per chain as that of the normalized body (K - x0)/R, and
+run on the epigraph of its support function and on its polar body,
+where one OPT query is an exact SEP query.  `sep_from_opt` asks the
+analytic-centre engine (`accpm`) for a violation witness;
+`opt_from_mem` keeps the ellipsoid (see `accpm` for why).  The other
+two ask their SEP from MEM at `inner_sep_eps(eps)` and
+`separation.RHO`, unless `opt_from_val` is given a `sep_eps` or `rho`.
 
 Stack forms.  `support_eval_from_opt`, `eval_support_from_val`,
 `eval_from_mem_epigraph`, `EpigraphBody.as_mem` and the two normalized
@@ -41,7 +39,7 @@ form (the exact oracles), one query per row, in row order, over any
 other (plain callables such as `bodies.FlipNoise`).  Every bisection
 here runs in lockstep through `kernels.bisect_rows`, one stacked query
 per round whatever the base oracle: the height oracle's over the
-2(n+1) rows of an epigraph subgradient estimate (OPT or VAL), and the
+2(n+1) rows of an epigraph subgradient estimate (VAL or EVAL), and the
 two evaluations' (VAL, MEM); the epigraph asks one VAL query per
 containment test.
 """
@@ -61,7 +59,7 @@ from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, EmptyInteriorPropagated,
                    single_of, wrap_with_ledger)
 from .accpm import optimize_linear_accpm
 from .ellipsoid import OptimizerConfig, optimize_linear
-from .geometry import HalfSpace, _halfspace, as_vector, as_vector_of, unit
+from .geometry import HalfSpace, _halfspace, as_vector, as_vector_of, normalized, unit
 from .separation import RHO, SepFromMem
 
 INSIDE = MembershipAnswer.INSIDE_DILATED
@@ -497,69 +495,68 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
 
 def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
                  eps: float, sep_eps: float | None = None, rho: float = RHO):
-    """SEP(K) from OPT(K).
+    """SEP(K) from OPT(K), as linear optimization over the polar body.
 
-    Chain: the base OPT is viewed as OPT of (K - x0)/R, with x0 the
-    centre and R the outer radius of `geometry` (`_normalized_opt`), and
-    a query y as s = (y - x0)/R, so the rest runs on a body centred at
-    the origin, whose support function f is in [0, 1] on the unit ball.
-    OPT gives EVAL(f) directly.  The epigraph body K_f and its SEP are
-    built once, with the chain, so each query draws fresh streams from
-    `SepFromMem`'s query counter.  The value v(c) = <s, c> - f(c) has
-    its maximum over ||c|| <= 1 at dist(y, K)/R (the biconjugate
-    1_K** = 1_K, restricted to the unit ball).  At a point (c/2, t/4)
-    of K_f, <(s, -2), .> is (<s, c> - t)/2, so the analytic-centre
-    engine (`accpm.optimize_linear_accpm`) maximizes it over K_f through
-    SEP of K_f.  Only whether some feasible point has <s, c> - t above
-    3 eps matters, a VIOL question, so the engine is given gamma =
-    3 eps / 2 and returns the first feasible centre above it.  A value
-    <s, c> - t of at most 3 eps at the engine's answer, read as twice the
-    float the engine compared with gamma, reads as y in K; otherwise the
-    direction c separates.
+    The base OPT is viewed as OPT of K~ = (K - x0)/R, for the centre x0
+    and outer radius R of `geometry` (`_normalized_opt`), and a query y
+    as s = (y - x0)/R.  K~ lies in B(0, 1) around B(0, 1/kappa), so its
+    polar K~° = {c : <c, x> <= 1 on K~} lies in B(0, kappa) around
+    B(0, 1): `ProblemGeometry(n, 1, kappa)`.  SEP of K~° at c is one OPT query at
+    precision sigma = `sep_eps` (normalized frame; default
+    `inner_sep_eps(eps)`): with x~ the maximizer, c reads inside when
+    c . x~ <= 1, and otherwise the normal x~/||x~|| separates.  y lies in
+    K exactly when <s, c> <= 1 on K~°, so `accpm.optimize_linear_accpm`
+    maximizes <s, .> over K~° through that SEP, with its violation exit
+    at gamma; a witness c gives the cut unit(c) . x <= unit(c) . y, and
+    a run without one reads "inside".  So does a y with
+    ||s|| kappa <= 1, which lies in B(x0, r), with no query.
+    `ledgers.opt` and `ledgers.sep` count one OPT of K and one SEP of
+    K~° per engine step; `ledgers.mem` stays empty.
 
-    Any feasible point, t >= f(c) up to the epigraph's margins, with a
-    value above 3 eps bounds v(c) above 0, so the cut through y keeps K
-    whatever the engine's accuracy: the cut is the first such witness.
-    The engine's accuracy decides which points count as inside.  A run
-    that reads "inside" never passed gamma, so it is the run without
-    the exit, query for query.  The accuracy is derived from the same
-    threshold: the engine's error in <s, c> - t is held to 3 eps, so
-    "inside" means dist(y, K) <= 6 eps R, and every y farther out is
-    cut.  The engine at precision eps' returns a point within
-    eps' ||C|| (R_f + r_f) of the maximum of <C, .>, C = (s, -2), for
-    K_f's radii R_f and r_f (up to the error of the SEP-from-MEM cuts it
-    trusts), and <s, c> - t is 2 <C, .>, so
-    eps' = 3 eps / (2 ||C|| (R_f + r_f)).
+    A query at delta answers at d = min(eps, delta).  The engine runs at
+    d / (||s|| (kappa + 1)), within d of the maximum, gauge(s), by
+    `accpm`'s guarantee at K~°'s radii: "inside" means dist(y, K) <=
+    R (gamma + d - 1), within 6 eps R while sigma kappa <= eps <= 1/2.
+    The witness margin: an OPT at sigma may read h(c) = max_K~ <c, .> up
+    to sigma ||c|| short, so SEP of K~° accepts c with
+    h(c) <= 1 + sigma ||c||; with h(c) >= ||c||/kappa, such a c has
+    ||c|| <= kappa/(1 - sigma kappa) and h(c) <= 1/(1 - sigma kappa).
+    At gamma = (1 + d)/(1 - sigma kappa) every witness c has
+    <s, c> > h(c), so every cut keeps K.
 
-    The threshold is the chain's eps, fixed at construction: a query's
-    `delta` is checked and otherwise unused, so a finer delta does not
-    tighten "inside", and a caller that needs a finer test builds the
-    chain with a smaller eps.
+    `rng` and `rho` are unused; they go when perfbench's web workload
+    stops passing them.
     """
+    sigma = inner_sep_eps(eps) if sep_eps is None else sep_eps
+    kappa = geometry.kappa
+    OptimizerConfig(eps)  # checks 0 < eps < 1
+    if not 0.0 < sigma * kappa < 1.0:
+        raise ValueError(f"sep_eps * kappa must lie in (0, 1), got {sigma * kappa!r}")
     ledgers = SimpleNamespace(opt=QueryLedger(), mem=QueryLedger(), sep=QueryLedger())
-    f = support_eval_from_opt(_normalized_opt(wrap_with_ledger(opt, ledgers.opt), geometry),
-                              geometry.rescaled())
-    kf = EpigraphBody(f, geometry.n)
-    sep_kf, _ = _counted_sep(kf.as_mem(), kf.geometry, rng.child("sep_from_opt"), ledgers,
-                             eps=eps, sep_eps=sep_eps, rho=rho)
-    threshold = 3.0 * eps
+    opt_rows = _normalized_opt(wrap_with_ledger(opt, ledgers.opt), geometry).rows
+    polar = ProblemGeometry(geometry.n, 1.0, kappa)
+
+    def polar_sep(c, delta):
+        x = opt_rows(c[None, :], sigma)[0]
+        if float(c @ x) <= 1.0:
+            return SeparationAnswer()
+        return SeparationAnswer(_halfspace(normalized(x), c, 0.0))
+
+    counted_polar_sep = wrap_with_ledger(polar_sep, ledgers.sep, SEP)
 
     def sep(y, delta):
-        check_precision(delta)
+        d = min(eps, check_precision(delta))
         y = as_vector_of(y, geometry.n)
-        scaled = (y - geometry.center) / geometry.R
-        objective = np.append(scaled, -2.0)
-        cfg = OptimizerConfig(eps=threshold / (2.0 * float(np.linalg.norm(objective))
-                                               * (kf.geometry.R + kf.geometry.r)))
-        answer = optimize_linear_accpm(cfg, sep_kf, kf.geometry, objective,
-                                       gamma=threshold / 2.0)
-        if answer.empty_interior:
-            raise EmptyInteriorPropagated("support epigraph optimization")
-        point = answer.maximizer
-        # <s, c> - t, as twice the float the engine compared with gamma
-        if 2.0 * float(objective @ point) <= threshold:
+        s = (y - geometry.center) / geometry.R
+        s_norm = float(np.linalg.norm(s))
+        if s_norm * kappa <= 1.0:
             return SeparationAnswer()
-        return SeparationAnswer(_halfspace(unit(point[:-1]), y, 0.0))
+        gamma = (1.0 + d) / (1.0 - sigma * kappa)
+        cfg = OptimizerConfig(eps=d / (s_norm * (kappa + 1.0)))
+        c = optimize_linear_accpm(cfg, counted_polar_sep, polar, s, gamma=gamma).maximizer
+        if float(s @ c) <= gamma:
+            return SeparationAnswer()
+        return SeparationAnswer(_halfspace(normalized(c), y, 0.0))
 
     sep.kind = SEP
     sep.ledgers = ledgers

@@ -1,12 +1,12 @@
-"""The inner SEP precision of the composed chains, at its default.
+"""The inner precision of the composed chains, at its default.
 
-`opt_from_mem`, `opt_from_val` and `sep_from_opt` ask their inner
-SEP-from-MEM oracle at `reductions.inner_sep_eps(eps)`, unless the
-caller of one of the last two passes `sep_eps`.  These tests run the
-chains at that default on the inputs `orc run` draws for them (the
-body, objective and chain streams of each trial's seed path) and grade
-each answer against the body's closed-form support function, with
-`experiments._grade_opt`'s tolerance.
+`opt_from_mem` and `opt_from_val` ask their inner SEP-from-MEM oracle at
+`reductions.inner_sep_eps(eps)`, unless the caller of the latter passes
+`sep_eps`; `sep_from_opt` asks its OPT at that precision, or at its
+`sep_eps`.  These tests run the chains at that default on the inputs
+`orc run` draws for them (the body, objective and chain streams of each
+trial's seed path) and grade each answer against the body's closed-form
+support function, with `experiments._grade_opt`'s tolerance.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 
 from orc import reductions, separation
 from orc.bodies import ExactMembership, ExactOptimization, ExactValidity
-from orc.core import RandomStream
+from orc.core import OPT, RandomStream
 from orc.experiments import make_body
 from orc.geometry import unit
 from orc.reductions import (VerticalCut, inner_sep_eps, opt_from_mem, opt_from_val,
@@ -71,9 +71,8 @@ def test_default_precision_is_inner_sep_eps():
 
 
 @pytest.mark.parametrize("chain, base", [(opt_from_mem, ExactMembership),
-                                         (opt_from_val, ExactValidity),
-                                         (sep_from_opt, ExactOptimization)],
-                         ids=["opt_from_mem", "opt_from_val", "sep_from_opt"])
+                                         (opt_from_val, ExactValidity)],
+                         ids=["opt_from_mem", "opt_from_val"])
 def test_each_chain_builds_its_sep_from_mem_at_inner_sep_eps_and_rho(monkeypatch, chain, base):
     built = []
 
@@ -85,3 +84,23 @@ def test_each_chain_builds_its_sep_from_mem_at_inner_sep_eps_and_rho(monkeypatch
     body, _, rng = _trial_inputs("simplex", 3, 4)
     chain(base(body), body.geometry, rng.child("chain"), eps=0.01)
     assert built == [{"rho": separation.RHO, "eps": inner_sep_eps(0.01)}]
+
+
+@pytest.mark.parametrize("sep_eps", [None, 1e-5])
+def test_sep_from_opt_asks_its_opt_at_sep_eps(sep_eps):
+    # SEP of the polar body asks OPT of (K - x0)/R at sep_eps, by default
+    # inner_sep_eps(eps): R sep_eps on K
+    body, _, rng = _trial_inputs("simplex", 3, 4)
+    asked = []
+    base = ExactOptimization(body)
+
+    def opt(c, delta):
+        asked.append(delta)
+        return base(c, delta)
+
+    opt.kind = OPT
+    sep = sep_from_opt(opt, body.geometry, rng.child("chain"), eps=0.01, sep_eps=sep_eps)
+    u = unit(rng.child("dir").generator().normal(size=3))
+    sep(body.geometry.center + 1.5 * body.radial_scale(u) * u, 0.01)
+    expected = body.geometry.R * (inner_sep_eps(0.01) if sep_eps is None else sep_eps)
+    assert asked and set(asked) == {expected}

@@ -8,7 +8,7 @@ from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
                         HPolytope, Linear, Quadratic, Simplex, brute_force_lp,
                         exact_eval, random_hpolytope)
 from orc.core import (GRAD, MEM, OPT, SEP, VAL, GradAnswer, MembershipAnswer,
-                      ProblemGeometry, QueryLedger, RandomStream,
+                      OptimizationAnswer, ProblemGeometry, QueryLedger, RandomStream,
                       SeparationAnswer, ValidityAnswer, wrap_with_ledger)
 from orc.accpm import optimize_linear_accpm
 from orc.ellipsoid import OptimizerConfig, optimize_linear
@@ -22,7 +22,7 @@ from orc.reductions import (VERTICAL_CUT_RETRIES, EpigraphBody, VerticalCut,
                             sep_from_grad_indicator, sep_from_opt,
                             support_eval_from_opt, val_from_eval_support,
                             _normalized_opt, _normalized_val)
-from orc import reductions, separation
+from orc import reductions
 from orc.height import HeightOracle
 from orc.separation import SepFromMem
 
@@ -986,27 +986,26 @@ def test_sep_from_opt_over_an_engine_backed_opt_cuts_soundly(seed):
     assert spec.support(h.normal)[0] <= float(h.normal @ h.anchor) + h.slack + 1e-12
 
 
-def test_sep_from_opt_queries_draw_fresh_inner_streams(monkeypatch):
-    # the epigraph SEP is built once per chain, so the inner SEP queries
-    # of a later query take new paths from its query counter
-    paths = []
-    original = separation.separate_convex_func
-
-    def spied(f_eval, params, rng):
-        paths.append(rng.path)
-        return original(f_eval, params, rng)
-
-    monkeypatch.setattr(separation, "separate_convex_func", spied)
+@pytest.mark.parametrize("y", [[1.5, 0.0], [1.01, 0.0], [0.3, 0.2]],
+                         ids=["cut", "band", "inside"])
+def test_sep_from_opt_answers_a_repeated_query_alike_whatever_rng(y):
+    # the polar route draws no randomness: a query asked again, of the
+    # same chain or of one built on another stream, gets the same bytes
+    # for the same counts
     spec = Ball(np.zeros(2), 1.0)
-    sep = sep_from_opt(ExactOptimization(spec), spec.geometry, RandomStream(7),
-                       eps=0.02, sep_eps=1e-4)
-    per_query = []
-    for y in ([1.5, 0.0], [0.0, -1.5]):
-        paths.clear()
-        assert sep(np.array(y), 0.02).halfspace is not None
-        per_query.append(set(paths))
-    assert per_query[0] and per_query[1]
-    assert not per_query[0] & per_query[1]
+    replies = []
+    for seed in (7, 7, 8):
+        sep = sep_from_opt(ExactOptimization(spec), spec.geometry, RandomStream(seed),
+                           eps=0.02, sep_eps=1e-4)
+        for _ in range(2):
+            before = {name: ledger.totals() for name, ledger in vars(sep.ledgers).items()}
+            answer = sep(np.array(y), 0.02)
+            after = {name: ledger.totals() for name, ledger in vars(sep.ledgers).items()}
+            spent = {name: {kind: count - before[name].get(kind, 0)
+                            for kind, count in totals.items()}
+                     for name, totals in after.items()}
+            replies.append((_reply(answer), spent))
+    assert all(reply == replies[0] for reply in replies)
 
 
 def test_chain_round_trip_mem_sep_opt_val():
@@ -1158,3 +1157,51 @@ def test_sep_from_opt_decides_as_the_engine_run_to_its_certificate(make, n, scal
         for stage, totals in counts.items():
             for kind, count in totals.items():
                 assert count <= full_counts[stage][kind], (stage, kind)
+
+
+def test_sep_from_opt_answers_at_the_finer_of_eps_and_delta():
+    # 1.01 u lies 0.01 outside the unit disc: inside the band of the
+    # chain's eps 0.02, beyond that of delta 1e-3
+    spec = Ball(np.zeros(2), 1.0)
+    sep = sep_from_opt(ExactOptimization(spec), spec.geometry, RandomStream(7), eps=0.02)
+    y = 1.01 * unit(np.array([0.6, -0.8]))
+    assert sep(y, 0.02).inside
+    h = sep(y, 1e-3).halfspace
+    assert h is not None
+    assert spec.support(h.normal)[0] <= float(h.normal @ h.anchor) + 1e-12
+
+
+def _short_opt(spec):
+    """OPT of spec that answers a full delta short: the exact maximizer
+    moved delta against c, so c . x reads h(c) - delta ||c||."""
+    base = ExactOptimization(spec)
+
+    def opt(c, delta):
+        x = base(c, delta).maximizer
+        return OptimizationAnswer(x - delta * unit(c) if c.any() else x)
+
+    opt.kind = OPT
+    return opt
+
+
+@pytest.mark.parametrize("make", [lambda n: Ball(np.zeros(n), 1.0),
+                                  lambda n: BoxBody(np.zeros(n), 1.0), Simplex],
+                         ids=["ball", "box", "simplex"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sep_from_opt_over_an_opt_a_full_sep_eps_short_cuts_soundly(make, n):
+    # SEP of the polar body then reads inside some c outside it, and a
+    # witness keeps K only past the margin derived from sep_eps
+    spec = make(n)
+    sep_eps, cuts = 0.02, 0
+    for seed in range(10):
+        rng = RandomStream(seed)
+        u = unit(rng.child("dir").generator().normal(size=n))
+        sep = sep_from_opt(_short_opt(spec), spec.geometry, rng.child("chain"),
+                           eps=0.01, sep_eps=sep_eps)
+        for scale in (1.005, 1.02, 1.05, 1.1, 1.5):
+            y = spec.geometry.center + scale * spec.radial_scale(u) * u
+            h = sep(y, 1e-3).halfspace
+            if h is not None:
+                cuts += 1
+                assert spec.support(h.normal)[0] <= float(h.normal @ h.anchor) + 1e-12
+    assert cuts >= 20
