@@ -5,8 +5,8 @@ separation, optimization, violation, validity, evaluation, subgradient)
 over sandwiched convex bodies, a separation-from-membership reduction
 via randomized finite-difference subgradients of a height function, a
 central-cut ellipsoid optimizer, an analytic-centre cutting-plane
-optimizer, and the web of indicator / support function / epigraph-body
-correspondences connecting the rest.
+optimizer, and the web of indicator / support function / polar body /
+epigraph-body correspondences connecting the rest.
 """
 
 from .bodies import (Ball, BodySpec, BoxBody, Ellipsoid, ExactMembership,

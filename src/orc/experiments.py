@@ -347,7 +347,7 @@ CHAINS = {
         "optimization from violation by threshold bisection",
         _opt_from_viol, OPT, tol=2.0),
     "opt_from_val": Chain(
-        "optimization from validity via the support-function epigraph",
+        "optimization from validity via a support bisection and one cut of the polar body",
         _opt_from_val, OPT, tol=3.0),
     "sep_from_opt": Chain(
         "separation from optimization via linear optimization over the polar body",

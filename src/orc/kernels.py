@@ -11,8 +11,9 @@ bisects k rays in lockstep, one containment test per round of the rows
 still bisecting, so a stack costs one numpy loop and exactly the sum of
 its rows' round counts in row tests.  It takes the stack test as a
 callable: an oracle's stack form (`core.rows_of`), whose every row
-test is a query: MEM's from `height.HeightOracle` and
-`reductions.eval_from_mem_epigraph`, VAL's from
+test is a query: MEM's from `height.HeightOracle` (in
+`reductions.opt_from_val`, MEM of the polar body: one VAL query per row)
+and `reductions.eval_from_mem_epigraph`, VAL's from
 `reductions.eval_support_from_val`.  `ellipsoid.opt_from_viol` keeps
 its own loop: it returns the last witness, not the bisected value, and
 checks each witness against its threshold.  `bisect_alpha`, a stack of

@@ -1,32 +1,32 @@
 """Correspondences between set oracles and function oracles.
 
-Three identifications carry the whole web:
+Four identifications carry the whole web:
 
 * indicator function ``1_K`` (0 on the set, +inf outside): evaluating it
   is membership, taking its subgradient is separation;
 * support function ``1_K*(c) = max_{x in K} <c, x>``: evaluating it is a
   single optimization query, and its subgradient is the maximizer;
+* polar body ``K° = {z : 1_K*(z) <= 1}`` of a body around the origin:
+  membership in K° at z is one VAL query of K at threshold 1, and
+  separation from K° at z is one OPT query of K;
 * epigraph body ``K_f = {(x/2, t/4) : ||x|| <= 1, f(x) <= t <= 2}`` for a
   convex f on the unit ball with values in [0, 1]: membership in K_f is
   one question "is f(x) <= t?", and conversely f can be recovered from
-  K_f by bisection along the t axis.  When f is a support function that
-  question is one VAL query: (x, t) lies in the epigraph exactly when
-  VAL(x, t) answers ALL_BELOW.
+  K_f by bisection along the t axis.
 
 Composing these with the membership-to-separation estimator and the
 cutting-plane optimizer yields every pairwise reduction among the set
 oracles; the composed constructors at the bottom of this module package
-the useful chains.  Each step asks the cheapest oracle that answers it:
-`opt_from_val` answers each containment test of K_f with one VAL query,
-and asks SEP of K_f only for the one cut below the graph that carries
-the subgradient.  `opt_from_val` and `sep_from_opt` view their base
+the useful chains.  `opt_from_val` and `sep_from_opt` view their base
 oracle once per chain as that of the normalized body (K - x0)/R, and
-run on the epigraph of its support function and on its polar body,
-where one OPT query is an exact SEP query.  `sep_from_opt` asks the
-analytic-centre engine (`accpm`) for a violation witness;
-`opt_from_mem` keeps the ellipsoid (see `accpm` for why).  The other
-two ask their SEP from MEM at `inner_sep_eps(eps)` and
-`separation.RHO`, unless `opt_from_val` is given a `sep_eps` or `rho`.
+run on its polar body: `opt_from_val` bisects the support function from
+VAL and asks one SEP-from-MEM query of the polar body, whose cut is the
+maximizer; `sep_from_opt` asks the analytic-centre engine (`accpm`)
+for a violation witness over SEP of the polar body, where one OPT query
+is an exact SEP query.  `opt_from_mem` keeps the ellipsoid (see `accpm`
+for why).  `opt_from_mem` and `opt_from_val` ask their SEP from MEM at
+`inner_sep_eps(eps)` and `separation.RHO`, unless `opt_from_val` is
+given a `sep_eps` or `rho`.
 
 Stack forms.  `support_eval_from_opt`, `eval_support_from_val`,
 `eval_from_mem_epigraph`, `EpigraphBody.as_mem` and the two normalized
@@ -38,10 +38,9 @@ oracle through `core.rows_of`: one call per stack over an inner `rows`
 form (the exact oracles), one query per row, in row order, over any
 other (plain callables such as `bodies.FlipNoise`).  Every bisection
 here runs in lockstep through `kernels.bisect_rows`, one stacked query
-per round whatever the base oracle: the height oracle's over the
-2(n+1) rows of an epigraph subgradient estimate (VAL or EVAL), and the
-two evaluations' (VAL, MEM); the epigraph asks one VAL query per
-containment test.
+per round whatever the base oracle: the two evaluations' (VAL, MEM),
+and the height oracle's over the 2n rows of a subgradient estimate on
+the polar body (one VAL query per row and round) or on an epigraph.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, EmptyInteriorPropagated,
                    SeparationAnswer, ValidityAnswer, check_precision, rows_of,
                    single_of, wrap_with_ledger)
 from .accpm import optimize_linear_accpm
-from .ellipsoid import OptimizerConfig, optimize_linear
+from .ellipsoid import OptimizerConfig, OracleInconsistency, optimize_linear
 from .geometry import HalfSpace, _halfspace, as_vector, as_vector_of, normalized, unit
 from .separation import RHO, SepFromMem
 
@@ -69,10 +68,6 @@ OUTSIDE = MembershipAnswer.OUTSIDE_ERODED
 #: only takes the values 0 and +inf, so any finite cutoff in between works;
 #: 1/2 keeps maximal slack against evaluation noise on both sides.
 INDICATOR_THRESHOLD = 0.5
-
-#: Queries below the graph that `grad_from_sep_epigraph` makes, at
-#: doubling depth, before it gives up on a nearly vertical cut.
-VERTICAL_CUT_RETRIES = 3
 
 
 class VerticalCut(RuntimeError):
@@ -150,14 +145,9 @@ class EpigraphBody:
     (No ball around the origin fits: points with negative t coordinate
     are always outside when f >= 0.)
 
-    f is given by `f_eval`, an EVAL oracle (x, delta) -> f(x), or, for
-    the support function of a body, that body's VAL oracle (kind `VAL`):
-    f(x) <= T exactly when VAL(x, T) answers ALL_BELOW, so each
-    containment test is one VAL query and f is never evaluated.  The
+    f is given by `f_eval`, an EVAL oracle (x, delta) -> f(x).  The
     range requirement is enforced lazily: every f value is checked, and
-    a VAL answer that proves f out of range (SOME_ABOVE at
-    T >= 1 + `RANGE_SLACK`, ALL_BELOW at T < -`RANGE_SLACK`) raises the
-    same ValueError.
+    one outside [-`RANGE_SLACK`, 1 + `RANGE_SLACK`] raises ValueError.
     """
 
     INNER_RADIUS = 0.1
@@ -168,8 +158,7 @@ class EpigraphBody:
     def __init__(self, f_eval, dim: int):
         self.f_eval = f_eval
         self.dim = dim
-        self._val = getattr(f_eval, "kind", None) == VAL
-        self._f_rows = rows_of(f_eval, VAL if self._val else EVAL)
+        self._f_rows = rows_of(f_eval, EVAL)
         center = np.append(np.zeros(dim), self.CENTER_T)
         self.geometry = ProblemGeometry(dim + 1, self.INNER_RADIUS,
                                         self.OUTER_RADIUS, center)
@@ -201,16 +190,7 @@ class EpigraphBody:
         return inside
 
     def _below(self, X: np.ndarray, T: np.ndarray, delta) -> np.ndarray:
-        """f(x) <= T row by row, range-checked: one VAL query per row
-        over a VAL f_eval, else one f value per row."""
-        if self._val:
-            above = self._f_rows(X, T, delta)
-            bad = np.where(above, T >= 1.0 + self.RANGE_SLACK, T < -self.RANGE_SLACK)
-            if bad.any():
-                relation = ">" if above[bad][0] else "<="
-                raise ValueError("epigraph construction requires values in [0, 1]; "
-                                 f"got f {relation} {T[bad][0]}")
-            return ~above
+        """f(x) <= T row by row, one range-checked f value per row."""
         values = self._f_rows(X, delta)
         bad = ~((values >= -self.RANGE_SLACK) & (values <= 1.0 + self.RANGE_SLACK))
         if bad.any():
@@ -256,22 +236,17 @@ def eval_from_mem_epigraph(mem_kf, dim: int):
     return single_of(EVAL, rows, dim)
 
 
-def grad_from_sep_epigraph(sep_kf, dim: int, mem_kf=None, lipschitz: float = math.inf):
+def grad_from_sep_epigraph(sep_kf, dim: int, mem_kf=None):
     """GRAD(f) from SEP(K_f), and MEM(K_f) when there is one.
 
     Evaluates f(y) by bisecting the t axis with `eval_from_mem_epigraph`
     over `mem_kf`, or, without one, over the separation oracle's
     membership side (`mem_from_sep`), so that GRAD from SEP alone keeps
     its meaning.  Then makes the one separation query of the reduction,
-    just below the graph at (y/2, (alpha - depth)/4), and unpacks the
+    just below the graph at (y/2, (alpha - delta)/4), and unpacks the
     returned halfspace normal (c_x, c_t) into the subgradient
-    -2 c_x / c_t.  A cut that carries no slope information is retried
-    at doubled depth, and after `VERTICAL_CUT_RETRIES` queries the
-    reduction gives up with `VerticalCut`.  A cut counts as such when it
-    is nearly vertical (|c_t| < 1e-9) or, for an f the caller knows to
-    be `lipschitz`-Lipschitz, when the subgradient is steeper than that:
-    at ||y|| = 1 the body's cylinder wall puts horizontal normals in the
-    normal cone, and no bound on f's slope follows from K_f alone.
+    -2 c_x / c_t.  A nearly vertical cut (|c_t| < 1e-9) carries no slope
+    information and raises `VerticalCut`.
     """
     eval_rows = eval_from_mem_epigraph(mem_from_sep(sep_kf) if mem_kf is None else mem_kf, dim).rows
 
@@ -281,18 +256,10 @@ def grad_from_sep_epigraph(sep_kf, dim: int, mem_kf=None, lipschitz: float = mat
         alpha = float(eval_rows(y[None, :], delta)[0])
         if not math.isfinite(alpha):
             raise ValueError("cannot take a subgradient where f is infinite")
-        depth = delta
-        for _ in range(VERTICAL_CUT_RETRIES):
-            point = np.append(0.5 * y, (alpha - depth) / 4.0)
-            answer = sep_kf(point, delta / 10.0)
-            h = answer.halfspace
-            if h is not None and abs(h.normal[-1]) >= 1e-9:
-                subgrad = -2.0 * h.normal[:-1] / h.normal[-1]
-                if np.linalg.norm(subgrad) <= lipschitz:
-                    return GradAnswer(alpha, subgrad)
-            depth *= 2.0
-        raise VerticalCut(
-            f"no usable cut below the graph at depth {depth / 2.0}")
+        h = sep_kf(np.append(0.5 * y, (alpha - delta) / 4.0), delta / 10.0).halfspace
+        if h is None or abs(h.normal[-1]) < 1e-9:
+            raise VerticalCut(f"no usable cut below the graph at depth {delta}")
+        return GradAnswer(alpha, -2.0 * h.normal[:-1] / h.normal[-1])
 
     grad.kind = GRAD
     return grad
@@ -380,8 +347,8 @@ def _normalized_val(val, geometry: ProblemGeometry):
     radius R of `geometry`: c . (x - x0)/R <= gamma exactly when
     c . x <= R gamma + c . x0, and precision delta there is R delta on
     K.  The scaled body lies in B(0, 1) around B(0, r/R), so its support
-    function f is in [0, 1] and 1-Lipschitz on the unit ball; f(c) <=
-    gamma exactly when the answer is ALL_BELOW."""
+    function is in [r/R, 1] on unit c, and c lies in its polar body
+    exactly when the answer at gamma = 1 is ALL_BELOW."""
     val_rows = rows_of(val, VAL)
     R, shift = geometry.R, geometry.center
 
@@ -410,29 +377,28 @@ def _normalized_opt(opt, geometry: ProblemGeometry):
 def inner_sep_eps(eps: float) -> float:
     """The membership precision (normalized frame) of the SEP-from-MEM
     oracle inside a chain of precision eps: eps 1e-4, measured, not
-    derived.  With `orc run`'s seeding at eps 1e-3, a fixed 1e-4 left
-    `opt_from_val` sound on 346 of 400 answers (box and simplex, n = 2
-    and 3), and eps 1e-2 left `opt_from_mem` on the box sound on 6 of 10
-    seeds at n = 4 and 1 of 10 at n = 8; eps 1e-4 made all of them sound
-    (README's complexity note has the costs and a derived rule tried)."""
+    derived.  With `orc run`'s seeding at eps 1e-3, eps 1e-2 left
+    `opt_from_mem` on the box sound on 6 of 10 seeds at n = 4 and 1 of
+    10 at n = 8, and eps 1e-4 made all of them sound (README's
+    complexity note has the costs and a derived rule tried)."""
     return eps * 1e-4
 
 
 def _counted_sep(mem, geometry: ProblemGeometry, rng: RandomStream, ledgers, *,
                  eps: float, sep_eps: float | None = None, rho: float = RHO):
     """The SEP from MEM of a chain of precision eps, at `sep_eps` or else
-    `inner_sep_eps(eps)`, and its MEM, counted in `ledgers.sep` and `.mem`."""
-    counted_mem = wrap_with_ledger(mem, ledgers.mem)
-    sep = SepFromMem(counted_mem, geometry, rng, rho=rho,
+    `inner_sep_eps(eps)`, with its MEM counted in `ledgers.mem` and
+    itself in `ledgers.sep`."""
+    sep = SepFromMem(wrap_with_ledger(mem, ledgers.mem), geometry, rng, rho=rho,
                      eps=inner_sep_eps(eps) if sep_eps is None else sep_eps)
-    return wrap_with_ledger(sep, ledgers.sep), counted_mem
+    return wrap_with_ledger(sep, ledgers.sep)
 
 
 def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *, eps: float):
     """OPT(K) = cutting-plane over SEP(K) built from MEM(K) (`_counted_sep`),
     at `inner_sep_eps(eps)` and `separation.RHO`."""
     ledgers = SimpleNamespace(mem=QueryLedger(), sep=QueryLedger())
-    counted_sep, _ = _counted_sep(mem, geometry, rng, ledgers, eps=eps)
+    counted_sep = _counted_sep(mem, geometry, rng, ledgers, eps=eps)
     cfg = OptimizerConfig(eps=eps)
 
     def opt(c, delta):
@@ -446,47 +412,65 @@ def opt_from_mem(mem, geometry: ProblemGeometry, rng: RandomStream, *, eps: floa
 
 def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
                  eps: float, sep_eps: float | None = None, rho: float = RHO):
-    """OPT(K) from VAL(K).
+    """OPT(K) from VAL(K), as one separation query on the polar body.
 
-    Chain: the base VAL is viewed as VAL of (K - x0)/R, with x0 the
-    centre and R the outer radius of `geometry` (`_normalized_val`), so
-    the rest runs on a body centred at the origin, whose support
-    function f is in [0, 1] on the unit ball.  The epigraph body K_f
-    answers each containment test, "f(c) <= t?", with one VAL query at
-    threshold R t + c . x0 and precision R delta/10, so its MEM costs
-    one VAL per test that passes the cylinder and lid gate, and none
-    for the rest; separation-from-membership gives SEP of K_f.  f(c)
-    is bisected along the t axis through the MEM of K_f,
-    ceil(log2(2/delta)) queries, and the one SEP query just below the
-    graph unpacks into a subgradient of f at c.  The subgradient of a
-    support function is the maximizer of <c, x> over the body: x0 + R
-    times it.  On the centred body f is 1-Lipschitz, so a steeper
-    subgradient is a cut that carries no slope information; the bound
-    allows the chain's accuracy, three times its precision.  At eps
-    0.02 on boxes and simplices with n = 2 and 3, an answer costs 128-200
-    VAL, 146-200 MEM and 1 SEP query at the default `sep_eps`.
+    The base VAL is viewed as VAL of K~ = (K - x0)/R, for the centre x0
+    and outer radius R of `geometry` (`_normalized_val`).  K~ lies in
+    B(0, 1) around B(0, 1/kappa), so its polar K~° = {z : h~(z) <= 1},
+    h~ the support function of K~, lies in B(0, kappa) around B(0, 1):
+    `ProblemGeometry(n, 1, kappa)`.  MEM of K~° at z is one VAL query of
+    K~ at threshold 1 and precision delta/kappa, since h~(z) <= 1 +
+    delta/kappa puts z within delta of K~° (stack form: one VAL per
+    row).  A query c at delta answers at d = min(eps, delta):
+
+    * h~(u), u = c/||c||, is bisected from VAL (`eval_support_from_val`,
+      ceil(log2(2 kappa/d)) queries) to within d/(2 kappa) <= d h~(u)/2;
+    * p = (1 + d) u / h~(u) then lies outside K~°, and `SepFromMem` over
+      MEM of K~°, at `sep_eps` (default `inner_sep_eps(eps)`) and `rho`,
+      cuts it with a . w <= b, b = a . p + slack;
+    * a cut that keeps K~° has b >= gauge(a) over K~, so a/b lies in K~,
+      with u . a/b = h~(u) / (1 + d) up to the bisection's error: the
+      maximizer is x0 + R a/b.
+
+    A p that reads inside K~° contradicts the bisection's VAL answers,
+    and raises `OracleInconsistency`.  When every bisection answer reads
+    SOME_ABOVE, one more VAL at threshold 1 + d checks that K~ stays in
+    the unit ball along u; a body past its stated radius raises
+    ValueError.  `ledgers.val` counts VAL of K, `ledgers.mem` MEM of K~°
+    and `ledgers.sep` SEP of K~°, one per answer.
     """
     ledgers = SimpleNamespace(val=QueryLedger(), mem=QueryLedger(), sep=QueryLedger())
-    kf = EpigraphBody(_normalized_val(wrap_with_ledger(val, ledgers.val), geometry), geometry.n)
-    sep, mem = _counted_sep(kf.as_mem(), kf.geometry, rng.child("opt_from_val"), ledgers,
-                            eps=eps, sep_eps=sep_eps, rho=rho)
-    grad = grad_from_sep_epigraph(sep, geometry.n, mem, lipschitz=1.0 + 3.0 * eps)
+    kappa = geometry.kappa
+    nval = _normalized_val(wrap_with_ledger(val, ledgers.val), geometry)
+    support = rows_of(eval_support_from_val(nval, geometry.rescaled()), EVAL)
+
+    def polar_mem_rows(Z, delta):
+        return ~nval.rows(Z, np.ones(len(Z)), delta / kappa)
+
+    sep = _counted_sep(single_of(MEM, polar_mem_rows, geometry.n),
+                       ProblemGeometry(geometry.n, 1.0, kappa), rng.child("opt_from_val"),
+                       ledgers, eps=eps, sep_eps=sep_eps, rho=rho)
 
     def opt(c, delta):
-        check_precision(delta)
+        d = min(eps, check_precision(delta))
         c = as_vector_of(c, geometry.n)
         c_norm = float(np.linalg.norm(c))
         if c_norm == 0.0:
             return OptimizationAnswer(geometry.center.copy())
-        direction = c / c_norm
-        if np.linalg.norm(direction) > 1.0:
-            # rounding left c / ||c|| a last bit outside the unit ball,
-            # which eval_from_mem_epigraph refuses
-            direction = c / np.nextafter(c_norm, math.inf)
-        # the inner subgradient precision is floored at eps: the chain's
-        # practical accuracy is set by the separation estimator anyway
-        answer = grad(direction, max(delta, eps))
-        return OptimizationAnswer(geometry.center + geometry.R * answer.subgrad)
+        u = c / c_norm
+        h = float(support(u[None, :], d)[0])
+        # h reads 1 - 2^-(rounds + 1), above 1 - d/(4 kappa), exactly when
+        # every bisection answer was SOME_ABOVE
+        if (h >= 1.0 - d / (4.0 * kappa)
+                and nval(u, 1.0 + d, d / kappa) is ValidityAnswer.SOME_ABOVE):
+            raise ValueError(f"the body reaches past its stated outer radius {geometry.R} "
+                             f"along {u}")
+        cut = sep((1.0 + d) / h * u, d).halfspace
+        if cut is None:
+            raise OracleInconsistency(
+                f"the polar point (1 + {d}) u / {h} reads inside the polar body")
+        b = float(cut.normal @ cut.anchor) + cut.slack
+        return OptimizationAnswer(geometry.center + geometry.R / b * cut.normal)
 
     opt.kind = OPT
     opt.ledgers = ledgers
@@ -510,8 +494,10 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
     at gamma; a witness c gives the cut unit(c) . x <= unit(c) . y, and
     a run without one reads "inside".  So does a y with
     ||s|| kappa <= 1, which lies in B(x0, r), with no query.
-    `ledgers.opt` and `ledgers.sep` count one OPT of K and one SEP of
-    K~° per engine step; `ledgers.mem` stays empty.
+    `ledgers.sep` counts one SEP of K~° per engine step, and
+    `ledgers.opt` one OPT of K per step but the first: the engine starts
+    at c = 0, which lies in K~° whatever K is, and asks no OPT there.
+    `ledgers.mem` stays empty.
 
     A query at delta answers at d = min(eps, delta).  The engine runs at
     d / (||s|| (kappa + 1)), within d of the maximum, gauge(s), by
@@ -537,6 +523,9 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
     polar = ProblemGeometry(geometry.n, 1.0, kappa)
 
     def polar_sep(c, delta):
+        if not c.any():
+            # 0 lies in K~° whatever K is: the engine's first centre
+            return SeparationAnswer()
         x = opt_rows(c[None, :], sigma)[0]
         if float(c @ x) <= 1.0:
             return SeparationAnswer()

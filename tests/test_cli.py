@@ -7,10 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from orc import cli, experiments, reductions
+from orc import bodies, cli, experiments
 from orc.bodies import BoxBody
 from orc.cli import main
-from orc.core import EVAL, OptimizationAnswer
+from orc.core import EVAL, VAL, OptimizationAnswer
 from orc.experiments import CSV_COLUMNS, evaluate_log_factor
 from orc.geometry import unit
 
@@ -50,11 +50,11 @@ def _read_rows(path):
 
 
 def test_run_produces_csv_and_summary(tmp_path):
-    # sep_from_mem's rows carry no gap; on opt_from_val over the simplex
-    # the gap of largest magnitude is negative, and max_gap used to be the
-    # signed maximum
-    for cfg in (_config(), _config(experiment="gaps", chain="opt_from_val",
-                                   body={"kind": "simplex"}, eps=[0.01])):
+    # sep_from_mem's rows carry no gap; on opt_from_viol over the ball
+    # the gap of largest magnitude is negative (-2^-52), and max_gap used
+    # to be the signed maximum
+    for cfg in (_config(), _config(experiment="gaps", chain="opt_from_viol",
+                                   body={"kind": "ball"}, eps=[0.01])):
         code = main(["run", _write(tmp_path, cfg), "--out", str(tmp_path)])
         assert code == 0
         rows = _read_rows(tmp_path / f"{cfg['experiment']}.csv")
@@ -453,14 +453,27 @@ def test_orc_run_validates_its_config_once(tmp_path, monkeypatch):
 
 
 def test_a_chain_that_raises_still_reports_its_queries(monkeypatch):
-    # at a fixed inner precision of 1e-4 this trial raises VerticalCut; the
-    # chain's ledgers used to be merged only after an answer, so its row
-    # read 0 queries
-    monkeypatch.setattr(reductions, "inner_sep_eps", lambda eps: 1e-4)
+    # a VAL that answers for the box along unit directions and for half
+    # of it past them makes the polar point read inside, and the trial
+    # raises after its VAL, MEM and SEP queries; the chain's ledgers used
+    # to be merged only after an answer, so its row read 0 queries
+    exact = bodies.ExactValidity
+
+    def inconsistent(body):
+        val = exact(body)
+
+        def answer(c, gamma, delta):
+            half = np.linalg.norm(c) > 1.0 + 1e-12
+            return val(np.asarray(c) * (0.5 if half else 1.0), gamma, delta)
+
+        answer.kind = VAL
+        return answer
+
+    monkeypatch.setattr(bodies, "ExactValidity", inconsistent)
     cfg = experiments.validate_config(_config(chain="opt_from_val", body={"kind": "box"},
                                               dims=[2], eps=[1e-3], seeds=[28], trials=1))
     record = experiments.run_trial(cfg, 2, 1e-3, 28, 0)
-    assert record.outcome == "error:VerticalCut"
+    assert record.outcome == "error:OracleInconsistency"
     assert min(record.eval_calls, record.mem_calls, record.sep_calls) > 0
 
 

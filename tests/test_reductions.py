@@ -11,9 +11,9 @@ from orc.core import (GRAD, MEM, OPT, SEP, VAL, GradAnswer, MembershipAnswer,
                       OptimizationAnswer, ProblemGeometry, QueryLedger, RandomStream,
                       SeparationAnswer, ValidityAnswer, wrap_with_ledger)
 from orc.accpm import optimize_linear_accpm
-from orc.ellipsoid import OptimizerConfig, optimize_linear
+from orc.ellipsoid import OptimizerConfig, OracleInconsistency, optimize_linear
 from orc.geometry import HalfSpace, unit
-from orc.reductions import (VERTICAL_CUT_RETRIES, EpigraphBody, VerticalCut,
+from orc.reductions import (EpigraphBody, VerticalCut,
                             eval_from_mem_epigraph, eval_from_mem_indicator,
                             eval_support_from_val, grad_conjugate_from_opt,
                             grad_from_sep_epigraph, grad_from_sep_indicator,
@@ -170,58 +170,6 @@ def test_epigraph_membership_rows_rejects_out_of_range_values():
         body.membership_rows(np.array([[0.1, 0.0, 0.3], [0.0, 0.0, 0.3]]), 1e-6)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_epigraph_membership_by_threshold_matches_membership_by_value(n):
-    # over an exact VAL, one threshold query per containment test gives
-    # the answer of the value path at every point more than delta off
-    # the graph, on the stacked and on the row-by-row path
-    gen = np.random.default_rng(40 + n)
-    spec = BoxBody(np.array([1.5, -0.5, 0.75][:n]), 0.5)
-    g = spec.geometry
-
-    def f(x, delta):
-        return (spec.support(x)[0] - float(x @ g.center)) / g.R
-
-    by_value = EpigraphBody(f, n)
-    for delta in (1e-3, 0.05):
-        P = _epigraph_points(n, delta, gen)
-        X, t = 2.0 * P[:, :-1], 4.0 * P[:, -1]
-        norms = np.linalg.norm(X, axis=1)
-        queries = X / np.maximum(norms, 1.0)[:, None]
-        off_graph = np.array([abs(t_i + 4.0 * delta - f(x, 0.0)) > delta
-                              for x, t_i in zip(queries, t)])
-        P = P[off_graph]
-        gate = (norms <= 1.0 + 4.0 * delta) & (t <= 2.0 + 4.0 * delta)
-        gated = int(np.sum(gate[off_graph]))
-        expected = by_value.membership_rows(P, delta).tolist()
-        assert 0 < sum(expected) < len(expected)
-        stacked, stack_ledger = _with_ledger(ExactValidity(spec))
-        plain, row_ledger = _with_ledger(_hidden(ExactValidity(spec)))
-        by_stack = EpigraphBody(_normalized_val(stacked, g), n)
-        by_row = EpigraphBody(_normalized_val(plain, g), n)
-        assert by_stack.membership_rows(P, delta).tolist() == expected
-        assert [by_row.membership(p, delta) is INSIDE for p in P] == expected
-        # one VAL query per row that passes the cylinder and lid gate
-        assert stack_ledger.count(VAL) == row_ledger.count(VAL) == gated > 0
-
-
-def test_epigraph_threshold_form_rejects_out_of_range_values():
-    def constant(value):
-        val = lambda c, gamma, d: (ValidityAnswer.SOME_ABOVE if value >= gamma
-                                   else ValidityAnswer.ALL_BELOW)
-        val.kind = VAL
-        return EpigraphBody(val, 2)
-
-    # f = 7 is only seen to be out of range by a query at t >= 1.25
-    assert constant(7.0).membership(np.array([0.1, 0.0, 0.3]), 1e-6) is OUTSIDE
-    with pytest.raises(ValueError, match="values in"):
-        constant(7.0).membership(np.array([0.1, 0.0, 0.4]), 1e-6)
-    # f = -7 by a query at t < -0.25
-    assert constant(-7.0).membership(np.array([0.1, 0.0, -0.05]), 1e-6) is INSIDE
-    with pytest.raises(ValueError, match="values in"):
-        constant(-7.0).membership(np.array([0.1, 0.0, -0.1]), 1e-6)
-
-
 def test_epigraph_mem_has_rows_over_any_f():
     # over a plain f the stack form asks f one row at a time and gives
     # the per-row answers
@@ -298,6 +246,12 @@ def _reference_epigraph_eval(mem, y, delta):
     return 0.5 * (lo + hi) if feasible else math.inf
 
 
+def _normalized_support(opt, geometry):
+    """EVAL of the support function of (K - x0)/R, in [0, 1] on the unit
+    ball, from OPT of K: a stacked f for the epigraph body."""
+    return support_eval_from_opt(_normalized_opt(opt, geometry), geometry.rescaled())
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_epigraph_eval_rows_match_single_calls_the_reference_and_counts(n):
     # over the normalized support function of a body, a stack bisects
@@ -309,7 +263,7 @@ def test_epigraph_eval_rows_match_single_calls_the_reference_and_counts(n):
     Y[3] = -0.0
     Y[4] = unit(Y[4])
     for spec in (BoxBody(np.array([1.5, -0.5, 0.75][:n]), 0.5), Simplex(n)):
-        kf = EpigraphBody(_normalized_val(ExactValidity(spec), spec.geometry), n)
+        kf = EpigraphBody(_normalized_support(ExactOptimization(spec), spec.geometry), n)
         for delta in (1e-6, 1e-3, 0.02):
             ledger = QueryLedger()
             ev = eval_from_mem_epigraph(wrap_with_ledger(kf.as_mem(), ledger), n)
@@ -401,48 +355,6 @@ def test_grad_from_sep_epigraph_vertical_cut():
     grad = grad_from_sep_epigraph(vertical_sep, 2)
     with pytest.raises(VerticalCut):
         grad(np.array([0.2, 0.0]), 1e-3)
-
-
-def _stub_sep(normals):
-    """A SEP stub that cuts every query with the next of `normals` and
-    records the points it was asked."""
-    asked = []
-
-    def sep(point, delta):
-        asked.append(np.array(point, dtype=float))
-        return SeparationAnswer(HalfSpace(unit(np.array(normals[len(asked) - 1])),
-                                          asked[-1], 0.0))
-
-    return sep, asked
-
-
-def test_grad_from_sep_epigraph_retries_a_steep_cut_deeper():
-    # f = 0.5 + 0.1 x_1 is 1-Lipschitz; the first cut has slope 10
-    body = EpigraphBody(lambda y, d: 0.5 + 0.1 * float(y[0]), 2)
-    sep, asked = _stub_sep([[5.0, 0.0, -1.0], [1.0, 0.0, -4.0]])
-    grad = grad_from_sep_epigraph(sep, 2, body.as_mem(), lipschitz=1.0)
-    delta = 1e-3
-    ans = grad(np.array([0.2, 0.0]), delta)
-    np.testing.assert_allclose(ans.subgrad, [0.5, 0.0])
-    assert len(asked) == 2
-    # the retry sits twice as deep below the graph
-    assert (ans.value - 4.0 * asked[0][-1], ans.value - 4.0 * asked[1][-1]) == \
-        pytest.approx((delta, 2.0 * delta))
-
-
-def test_grad_from_sep_epigraph_steep_cuts_end_in_vertical_cut():
-    body = EpigraphBody(lambda y, d: 0.5 + 0.1 * float(y[0]), 2)
-    normals = [[5.0, 0.0, -1.0]] * VERTICAL_CUT_RETRIES
-    sep, asked = _stub_sep(normals)
-    grad = grad_from_sep_epigraph(sep, 2, body.as_mem(), lipschitz=1.0)
-    with pytest.raises(VerticalCut):
-        grad(np.array([0.2, 0.0]), 1e-3)
-    assert len(asked) == VERTICAL_CUT_RETRIES
-    # without a Lipschitz bound the reduction takes the first cut as it is
-    sep, asked = _stub_sep(normals)
-    ans = grad_from_sep_epigraph(sep, 2, body.as_mem())(np.array([0.2, 0.0]), 1e-3)
-    np.testing.assert_allclose(ans.subgrad, [10.0, 0.0])
-    assert len(asked) == 1
 
 
 class ExactSeparationEpigraph:
@@ -664,7 +576,7 @@ def _counted_views(spec, ledger):
     g = spec.geometry
     counted = lambda make: wrap_with_ledger(make(spec), ledger)
     height = HeightOracle(counted(ExactMembership), g, np.full(g.n, 0.5), 1e-6, 0.01)
-    kf = EpigraphBody(_normalized_val(counted(ExactValidity), g), g.n)
+    kf = EpigraphBody(_normalized_support(counted(ExactOptimization), g), g.n)
     return {
         "support_eval_from_opt": (support_eval_from_opt(counted(ExactOptimization), g), ()),
         "eval_support_from_val": (eval_support_from_val(counted(ExactValidity), g), ()),
@@ -803,8 +715,7 @@ def test_opt_from_val_box():
 
 
 def test_opt_from_val_direction_normalized_past_the_unit_ball():
-    # c / ||c|| has norm 1 + 2^-52 here, which the epigraph's evaluation
-    # refuses; the direction must be pulled back inside the unit ball
+    # c / ||c|| has norm 1 + 2^-52 here, a last bit past the unit sphere
     c = np.array([1.4748226520869099, -0.049755760296968106, -0.3674025993780988])
     assert np.linalg.norm(c / np.linalg.norm(c)) > 1.0
     spec = BoxBody(np.zeros(3), 1.0)
@@ -846,9 +757,10 @@ def test_each_chain_takes_eps_as_a_required_keyword(chain, base):
         chain(base(spec), spec.geometry, RandomStream(6), 0.02)
 
 
-def test_opt_from_val_evaluates_f_through_mem_and_spends_one_sep(monkeypatch):
-    # f is bisected through the epigraph body's MEM, ceil(log2(2/delta))
-    # queries; SEP is asked once, just below the graph, unless it retries
+def test_opt_from_val_bisects_the_support_and_spends_one_sep(monkeypatch):
+    # h~(u) is bisected from VAL, ceil(log2(2 kappa/d)) queries; SEP of
+    # the polar body is asked once, and every MEM of it is one VAL query
+    # asked inside that SEP
     spec = BoxBody(np.zeros(2), 1.0)
     opt = opt_from_val(ExactValidity(spec), spec.geometry, RandomStream(6),
                        eps=0.02, sep_eps=1e-4)
@@ -862,53 +774,83 @@ def test_opt_from_val_evaluates_f_through_mem_and_spends_one_sep(monkeypatch):
         return answer
 
     monkeypatch.setattr(SepFromMem, "__call__", counted)
+    rounds = math.ceil(math.log2(2.0 * spec.geometry.kappa / 0.02))
     for c in ([1.0, 0.3], [-0.2, 1.0], [-1.0, -0.7]):
-        before = opt.ledgers.mem.count(MEM)
+        before = opt.ledgers.val.count(VAL), opt.ledgers.mem.count(MEM)
         mem_in_sep.clear()
         opt(np.array(c), 0.02)
-        assert len(mem_in_sep) == 1
-        assert (opt.ledgers.mem.count(MEM) - before
-                == math.ceil(math.log2(2.0 / 0.02)) + mem_in_sep[0])
+        val = opt.ledgers.val.count(VAL) - before[0]
+        mem = opt.ledgers.mem.count(MEM) - before[1]
+        assert mem_in_sep == [mem] and mem > 0
+        assert val == rounds + mem
     assert opt.ledgers.sep.count(SEP) == 3
 
 
 @pytest.mark.parametrize("make", [lambda n: BoxBody(np.zeros(n), 1.0), Simplex],
                          ids=["box", "simplex"])
 @pytest.mark.parametrize("n", [2, 3])
-def test_opt_from_val_asks_one_val_per_gated_epigraph_mem(monkeypatch, make, n):
-    # every membership test of the epigraph body that passes its cylinder
-    # and lid gate costs one VAL query, and a test that fails it none
-    gated = []
-    original = EpigraphBody.membership_rows
-
-    def counted(self, P, delta):
-        X, t = 2.0 * P[:, :-1], 4.0 * P[:, -1]
-        margin = 4.0 * delta
-        gated.append(int(np.sum((np.linalg.norm(X, axis=1) <= 1.0 + margin)
-                                & (t <= 2.0 + margin))))
-        return original(self, P, delta)
-
-    monkeypatch.setattr(EpigraphBody, "membership_rows", counted)
+def test_opt_from_val_asks_one_val_per_polar_mem(make, n):
+    # the bisection's rounds, one VAL per MEM of the polar body and one
+    # SEP of it, plus the radius check where h~(u) > 1 - 2^-rounds; at eps
+    # 0.02, each answer within the chain's tolerance
     spec = make(n)
+    g = spec.geometry
+    rounds = math.ceil(math.log2(2.0 * g.kappa / 0.02))
     for seed in range(3):
         rng = RandomStream(seed)
+        c = unit(rng.child("c").generator().normal(size=n))
         opt = opt_from_val(ExactValidity(spec), spec.geometry, rng.child("chain"),
                            eps=0.02, sep_eps=1e-4)
-        gated.clear()
-        opt(unit(rng.child("c").generator().normal(size=n)), 0.02)
+        gap = spec.support(c)[0] - float(c @ opt(c, 0.02).maximizer)
+        assert abs(gap) <= 3.0 * 0.02 * (1.0 + g.kappa)
+        topped = (spec.support(c)[0] - float(c @ g.center)) / g.R > 1.0 - 2.0 ** -rounds
         val, mem = opt.ledgers.val.count(VAL), opt.ledgers.mem.count(MEM)
-        assert val == sum(gated)
-        assert 0 < val <= mem
+        assert val == rounds + mem + topped and mem > 0
+        assert opt.ledgers.sep.count(SEP) == 1
+
+
+def test_opt_from_val_checks_the_stated_radius_when_the_bisection_tops_out():
+    # on the ball h~(u) = 1: every bisection answer reads SOME_ABOVE, one
+    # more VAL at threshold 1 + d finds the body inside its radius, and
+    # the polar point lies past kappa = 1, where SepFromMem cuts along u
+    # at once: the maximizer is u h~/(1 + d), h~ = 1 - 2^-(rounds + 1)
+    spec = Ball(np.zeros(3), 1.0)
+    opt = opt_from_val(ExactValidity(spec), spec.geometry, RandomStream(6), eps=0.02)
+    c = np.array([0.3, -1.0, 0.5])
+    rounds = math.ceil(math.log2(2.0 / 0.02))
+    x = opt(c, 0.02).maximizer
+    assert opt.ledgers.val.count(VAL) == rounds + 2
+    assert (opt.ledgers.mem.count(MEM), opt.ledgers.sep.count(SEP)) == (1, 1)
+    np.testing.assert_allclose(x, unit(c) * (1.0 - 2.0 ** -(rounds + 1)) / 1.02)
 
 
 def test_opt_from_val_refuses_a_body_past_its_stated_radius():
-    # Ball(0, 3) stated with R = 1: f = 1_K*/R reaches 3 on the unit
-    # ball, and a SOME_ABOVE answer at t >= 1.25 proves it out of range
+    # Ball(0, 3) stated with R = 1: the normalized support reaches 3, so
+    # every bisection answer reads SOME_ABOVE, and the VAL at threshold
+    # 1 + d proves the body out of the unit ball
     spec = Ball(np.zeros(2), 3.0)
     opt = opt_from_val(ExactValidity(spec), ProblemGeometry(2, 1.0, 1.0), RandomStream(6),
                        eps=0.02, sep_eps=1e-4)
-    with pytest.raises(ValueError, match="values in"):
+    with pytest.raises(ValueError, match="past its stated outer radius"):
         opt(np.array([1.0, 0.3]), 0.02)
+    assert opt.ledgers.sep.totals() == {}
+
+
+def test_opt_from_val_raises_when_the_polar_point_reads_inside():
+    # a VAL that answers for the unit ball along unit directions but for
+    # B(0, 1/2) past them: the bisection reads h~(u) = 1, and the polar
+    # point (1 + d) u, which must lie outside the polar body, reads inside
+    def val(c, gamma, delta):
+        c = np.asarray(c, dtype=float)
+        scale = 1.0 if np.linalg.norm(c) <= 1.0 + 1e-12 else 0.5
+        return (ValidityAnswer.SOME_ABOVE if scale * np.linalg.norm(c) > gamma
+                else ValidityAnswer.ALL_BELOW)
+
+    val.kind = VAL
+    opt = opt_from_val(val, ProblemGeometry(2, 1.0, 1.0), RandomStream(6), eps=0.02)
+    with pytest.raises(OracleInconsistency, match="reads inside"):
+        opt(np.array([1.0, 0.3]), 0.02)
+    assert opt.ledgers.sep.count(SEP) == 1
 
 
 @pytest.mark.parametrize("make", [Simplex,
