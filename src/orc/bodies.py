@@ -32,9 +32,13 @@ builds the normal; the α-bisection, where MEM queries are many, asks
 within an ulp of the boundary may get the other answer than `contains`.
 
 `separate` runs once per oracle query, so it calls numpy's ufuncs and
-their reductions (`np.minimum.reduce`, `np.add.reduce`,
-`np.logical_and.reduce`) directly, not the Python wrappers around them
-(`ndarray.min`, `sum`, `all`, `np.clip`); each computes the same values.
+their reductions (`np.add.reduce`, `np.maximum.reduce`,
+`np.logical_and.reduce`) and `ndarray.sort` directly, not the Python
+wrappers around them (`ndarray.min`, `sum`, `all`, `np.clip`,
+`np.sort`); each computes the same values.  It asks whether
+an array has a nonzero entry with `np.count_nonzero`, which costs less
+than a logical reduction over floats, and takes products with
+`ndarray.dot`, not `@`.
 
 Stack forms answer k queries in one call and trust their float64 (k, n)
 stacks the same way: `BodySpec.support_rows`, and the `rows` methods of
@@ -60,8 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .core import (INSIDE_DILATED, MEM, OPT, OUTSIDE_ERODED, SEP, VAL, VIOL,
-                   GradAnswer, MembershipAnswer, OptimizationAnswer,
+from .core import (INSIDE_DILATED, MEM, OPT, OUTSIDE_ERODED, SEP, SEP_INSIDE,
+                   VAL, VIOL, GradAnswer, MembershipAnswer, OptimizationAnswer,
                    ProblemGeometry, SeparationAnswer, ValidityAnswer,
                    ViolationAnswer, check_precision)
 from .geometry import _SQRT_TINY, _halfspace, as_vector, as_vector_of, normalized
@@ -187,7 +191,7 @@ class BoxBody(BodySpec):
         # never zero
         q = y - self.center
         excess = q - np.minimum(np.maximum(q, -self.radius), self.radius)
-        if not np.logical_or.reduce(excess):
+        if not np.count_nonzero(excess):
             return None
         try:
             return normalized(excess)
@@ -234,9 +238,15 @@ class Simplex(BodySpec):
     def separate(self, y):
         """The normal is y minus y's Euclidean projection onto K."""
         s = self.scale
-        if np.minimum.reduce(y) >= 0.0:
-            if np.add.reduce(y) <= s:
+        p = np.maximum(y, 0.0)
+        # y - p is y's negative part: nonzero exactly where y_i < 0
+        negative = y - p
+        if np.add.reduce(p) <= s:
+            if not np.count_nonzero(negative):
                 return None
+            # y projects to p
+            return normalized(negative)
+        if not np.count_nonzero(negative):
             # y >= 0 lies beyond the face sum x = s
             theta = _simplex_threshold(y, s)
             if theta >= _ROUNDING_THETA * np.maximum.reduce(y):
@@ -249,10 +259,7 @@ class Simplex(BodySpec):
             if theta > 0.0:
                 return normalized(np.minimum(y, theta))
             return normalized((y > 0.0).astype(np.float64))
-        p = np.maximum(y, 0.0)
-        if np.add.reduce(p) > s:
-            p = np.maximum(y - _simplex_threshold(y, s), 0.0)
-        return normalized(y - p)
+        return normalized(y - np.maximum(y - _simplex_threshold(y, s), 0.0))
 
     def support_rows(self, C):
         k = np.arange(C.shape[0])
@@ -381,8 +388,8 @@ class Ellipsoid(BodySpec):
 
     def separate(self, y):
         q = y - self.center
-        Mq = self._inv @ q
-        if abs(q @ Mq) <= 1.0:
+        Mq = self._inv.dot(q)
+        if abs(q.dot(Mq)) <= 1.0:
             return None
         try:
             return normalized(Mq)
@@ -531,9 +538,12 @@ def _simplex_threshold(y: np.ndarray, s: float) -> float:
     onto {x >= 0, sum x = s}, the projection onto the simplex of a y whose
     positive part sums past s (sorted-threshold algorithm: k is the last
     rank whose threshold condition holds)."""
-    u_srt = np.sort(y)[::-1]
+    u_srt = y.copy()
+    u_srt.sort()  # np.sort(y) without its wrapper
+    u_srt = u_srt[::-1]
     css = np.add.accumulate(u_srt) - s
-    (held,) = (u_srt - css / _ranks(y.size) > 0).nonzero()
+    # u - t > 0 exactly when u > t, for floats
+    (held,) = (u_srt > css / _ranks(y.size)).nonzero()
     # The first condition, u_1 - (u_1 - s) = s > 0, holds in exact
     # arithmetic, but for y far outside (an entry near 1e16 or beyond)
     # rounding can fail every one; k = 1 is taken then.
@@ -713,10 +723,11 @@ class ExactSeparation:
         self.spec = spec
 
     def __call__(self, y, delta):
-        y = as_vector_of(y, self.spec.dim)
-        normal = self.spec.separate(y)
+        spec = self.spec
+        y = as_vector_of(y, spec.geometry.n)
+        normal = spec.separate(y)
         if normal is None:
-            return SeparationAnswer()
+            return SEP_INSIDE
         # a unit normal from `separate` and the checked y
         return SeparationAnswer(_halfspace(normal, y, 0.0))
 

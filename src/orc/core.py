@@ -115,6 +115,10 @@ class SeparationAnswer:
         return self.halfspace is None
 
 
+#: the inside answer every library SEP oracle returns, one frozen instance
+SEP_INSIDE = SeparationAnswer()
+
+
 @dataclass(frozen=True)
 class OptimizationAnswer:
     """Maximizer(point) or the assertion that B(K, -delta) is empty."""

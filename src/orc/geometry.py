@@ -17,6 +17,10 @@ decide.  A norm is sqrt(v.v), np.linalg.norm's own computation for a
 1-d float64 array, so `normalized`, `unit` and the unit-norm test of
 `as_unit_vector` round exactly as np.linalg.norm does (`normalized`
 except where v.v underflows or overflows, where it rescales first).
+Both read v.v through `ndarray.dot`, the same dot as `v @ v` at less
+cost per call.  Every oracle query runs the entry check and most run
+`normalized`, so `as_vector_of` calls `_checked` itself rather than
+through `as_vector`.
 
 A `HalfSpace` built by its public constructor checks its normal, anchor
 and slack.  Library code that builds one from vectors it has already
@@ -50,7 +54,7 @@ def _checked(coords) -> tuple[np.ndarray, float]:
     v = np.asarray(coords, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    square = float(v @ v)
+    square = float(v.dot(v))
     if not math.isfinite(square) and not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v, square
@@ -63,7 +67,7 @@ def as_vector(coords) -> np.ndarray:
 
 def as_vector_of(coords, n: int) -> np.ndarray:
     """`as_vector` for a vector of dimension n; errors on any other."""
-    v = as_vector(coords)
+    v = _checked(coords)[0]
     if v.size != n:
         raise ValueError(f"expected a vector of dimension {n}, got {v.size}")
     return v
@@ -88,7 +92,7 @@ def normalized(v: np.ndarray) -> np.ndarray:
     beyond about 1e154) is first divided by max|v_i|, so it still gets a
     unit vector in its direction; at any other v that branch is not
     taken and the result is v / sqrt(v.v)."""
-    nrm = math.sqrt(v @ v)
+    nrm = math.sqrt(v.dot(v))
     # outside [sqrt(tiny), inf) only when v.v underflows below tiny or
     # overflows, or an entry of v is not finite
     if not _SQRT_TINY <= nrm < math.inf:
@@ -98,7 +102,7 @@ def normalized(v: np.ndarray) -> np.ndarray:
         if not top < math.inf:
             raise ValueError("cannot normalize a vector with a non-finite entry")
         v = v / top
-        nrm = math.sqrt(v @ v)
+        nrm = math.sqrt(v.dot(v))
     return v / nrm
 
 

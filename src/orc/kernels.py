@@ -2,9 +2,14 @@
 the bisecting reductions, and the central-cut ellipsoid update, a
 rank-one update of the shape matrix's factor.  The factor is kept as
 scale * M, and a cut updates M in place and returns the new center and
-scale: about eight numpy calls, with constants that depend on the
-dimension alone and are computed once per dimension.  The cut normal
-need not be unit: the update reads only its direction.
+scale, with constants that depend on the dimension alone and are
+computed once per dimension.  The cut is eight numpy operations: three
+`ndarray.dot` products, the outer product as one broadcast product and
+one in-place subtraction, two in-place scalings and the new center.  At
+n <= 16 each costs about as much as its arithmetic, so the cut uses the
+cheapest call of each: `ndarray.dot` rather than `@`, and `Ma[:, None] * a`
+rather than `np.multiply.outer`, which compute the same products.  The
+cut normal need not be unit: the update reads only its direction.
 
 All of it is numpy code.  `bisect_rows` is the one bisection loop: it
 bisects k rays in lockstep, one containment test per round of the rows
@@ -125,14 +130,12 @@ def ellipsoid_cut_py(center: np.ndarray, M: np.ndarray, scale: float,
         M[0, 0] = abs(M[0, 0]) * math.exp(-0.25)  # exp(-1/(2(n+1))) at n = 1
         return center - sign * (w / 2.0), scale
     beta, sigma = _cut_constants(n)
-    # the ndarray methods and ufunc.outer cost less per call than @ and
-    # broadcasting, which dominate at these sizes
     a = g.dot(M)  # M^T g
     aa = a.dot(a)
     Ma = M.dot(a)
     # M - beta (M u) u^T, with u = a / sqrt(aa), as M - outer(Ma, beta a / aa)
     a *= beta / aa
-    M -= np.multiply.outer(Ma, a)
+    M -= Ma[:, None] * a
     Ma *= scale / ((n + 1.0) * math.sqrt(aa))
     scale *= sigma
     if scale > _FOLD:

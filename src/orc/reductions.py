@@ -51,11 +51,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import kernels
-from .core import (EVAL, GRAD, MEM, OPT, SEP, VAL, EmptyInteriorPropagated,
-                   GradAnswer, MembershipAnswer, OptimizationAnswer,
-                   ProblemGeometry, QueryLedger, RandomStream,
-                   SeparationAnswer, ValidityAnswer, check_precision, rows_of,
-                   single_of, wrap_with_ledger)
+from .core import (EVAL, GRAD, MEM, OPT, SEP, SEP_INSIDE, VAL,
+                   EmptyInteriorPropagated, GradAnswer, MembershipAnswer,
+                   OptimizationAnswer, ProblemGeometry, QueryLedger,
+                   RandomStream, SeparationAnswer, ValidityAnswer,
+                   check_precision, rows_of, single_of, wrap_with_ledger)
 from .accpm import optimize_linear_accpm
 from .ellipsoid import OptimizerConfig, OracleInconsistency, optimize_linear
 from .geometry import HalfSpace, _halfspace, as_vector, as_vector_of, normalized, unit
@@ -101,7 +101,7 @@ def sep_from_grad_indicator(grad):
         check_precision(delta)
         answer = grad(y, delta)
         if answer.value < INDICATOR_THRESHOLD:
-            return SeparationAnswer()
+            return SEP_INSIDE
         return SeparationAnswer(HalfSpace(unit(answer.subgrad), y, 0.0))
 
     sep.kind = SEP
@@ -525,10 +525,10 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
     def polar_sep(c, delta):
         if not c.any():
             # 0 lies in K~° whatever K is: the engine's first centre
-            return SeparationAnswer()
+            return SEP_INSIDE
         x = opt_rows(c[None, :], sigma)[0]
         if float(c @ x) <= 1.0:
-            return SeparationAnswer()
+            return SEP_INSIDE
         return SeparationAnswer(_halfspace(normalized(x), c, 0.0))
 
     counted_polar_sep = wrap_with_ledger(polar_sep, ledgers.sep, SEP)
@@ -539,12 +539,12 @@ def sep_from_opt(opt, geometry: ProblemGeometry, rng: RandomStream, *,
         s = (y - geometry.center) / geometry.R
         s_norm = float(np.linalg.norm(s))
         if s_norm * kappa <= 1.0:
-            return SeparationAnswer()
+            return SEP_INSIDE
         gamma = (1.0 + d) / (1.0 - sigma * kappa)
         cfg = OptimizerConfig(eps=d / (s_norm * (kappa + 1.0)))
         c = optimize_linear_accpm(cfg, counted_polar_sep, polar, s, gamma=gamma).maximizer
         if float(s @ c) <= gamma:
-            return SeparationAnswer()
+            return SEP_INSIDE
         return SeparationAnswer(_halfspace(normalized(c), y, 0.0))
 
     sep.kind = SEP

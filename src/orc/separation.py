@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from .core import (SEP, ProblemGeometry, RandomStream, SeparationAnswer,
-                   check_precision)
+from .core import (SEP, SEP_INSIDE, ProblemGeometry, RandomStream,
+                   SeparationAnswer, check_precision)
 from .geometry import _halfspace, as_vector_of, normalized
 from .height import HeightOracle
 from .subgrad import EstimatorParams, separate_convex_func
@@ -104,7 +104,7 @@ class SepFromMem:
         g = self.geometry
         y = as_vector_of(y, g.n)
         if self._mem(y, self.eps * g.R).inside:
-            return SeparationAnswer()
+            return SEP_INSIDE
         x = (y - g.center) / g.R
         x_norm = float(np.linalg.norm(x))
         if x_norm > 1.0:

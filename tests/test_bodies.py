@@ -284,21 +284,36 @@ def _reference_normal(spec, y):
     return _reference_normal(part, y)
 
 
-@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("n", [2, 3, 6, 16])
 def test_exact_separation_normal_matches_reference_formulas_bitwise(n):
     gen = np.random.default_rng(30 + n)
     for spec in _separation_bodies(n):
         sep = ExactSeparation(spec)
-        outside = 0
-        for scale in (0.5, 1.0, 3.0):
-            for y in scale * gen.normal(size=(100, n)):
-                h = sep(y, 0.01).halfspace
-                assert (h is None) == spec.contains(y)
-                if h is not None:
-                    outside += 1
-                    assert h.normal.tobytes() == _reference_normal(spec, y).tobytes()
-                    assert h.anchor.tobytes() == y.tobytes() and h.slack == 0.0
+
+        def separated(y):
+            h = sep(y, 0.01).halfspace
+            assert (h is None) == spec.contains(y)
+            if h is None:
+                return False
+            assert h.normal.tobytes() == _reference_normal(spec, y).tobytes()
+            assert h.anchor.tobytes() == y.tobytes() and h.slack == 0.0
+            return True
+
+        outside = sum(separated(y) for scale in (0.5, 1.0, 3.0)
+                      for y in scale * gen.normal(size=(100, n)))
         assert outside >= 50, type(spec).__name__
+        # where a late optimization run's centres sit: near a vertex (a
+        # maximizer of the support function) and just past a face (the
+        # boundary point on a ray from the centre, moved out along it)
+        x0 = spec.geometry.center
+        near = 0
+        for offset in (1e-4, 1e-6):
+            for u in gen.normal(size=(20, n)):
+                u = unit(u)
+                vertex = spec.support(u)[1]
+                near += separated(vertex + offset * gen.normal(size=n))
+                assert separated(x0 + (1.0 + offset) * spec.radial_scale(u) * u)
+        assert near >= 10, type(spec).__name__
 
 
 def test_simplex_separates_points_past_the_face_by_less_than_the_projection_resolves():

@@ -1,8 +1,12 @@
+import collections
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
+import orc
 from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
                         ExactSeparation, ExactViolation, HPolytope, Simplex,
                         brute_force_lp)
@@ -171,15 +175,19 @@ def _reference_optimize(cfg, sep, geometry, c):
     return best, folds
 
 
-@pytest.mark.parametrize("n, eps", [(4, 1e-3), (8, 1e-3), (2, 1e-9)],
-                         ids=["4", "8", "2-folds"])
-def test_optimize_linear_matches_reference_loop_bitwise(n, eps):
+@pytest.mark.parametrize("n, eps, with_ellipsoid, objectives",
+                         [(4, 1e-3, True, 2), (8, 1e-3, True, 2), (2, 1e-9, True, 2),
+                          # perfbench's opt_sep size, box and simplex only
+                          (16, 1e-3, False, 1)],
+                         ids=["4", "8", "2-folds", "16"])
+def test_optimize_linear_matches_reference_loop_bitwise(n, eps, with_ellipsoid, objectives):
     gen = np.random.default_rng(40 + n)
     Q, _ = np.linalg.qr(gen.normal(size=(n, n)))
     ellipsoid = Ellipsoid(np.zeros(n), (Q * gen.uniform(0.25, 2.0, size=n)) @ Q.T)
     cfg = OptimizerConfig(eps=eps)
-    for spec in (BoxBody(np.zeros(n), 1.0), Simplex(n, 1.0), ellipsoid):
-        for _ in range(2):
+    specs = [BoxBody(np.zeros(n), 1.0), Simplex(n, 1.0)] + [ellipsoid] * with_ellipsoid
+    for spec in specs:
+        for _ in range(objectives):
             c = unit(gen.normal(size=n))
             sep = ExactSeparation(spec)
             got = optimize_linear(cfg, sep, spec.geometry, c).maximizer
@@ -187,6 +195,44 @@ def test_optimize_linear_matches_reference_loop_bitwise(n, eps):
             assert got.tobytes() == best.tobytes()
             # at eps 1e-9 the run crosses a fold of 2^32 from the scale into M
             assert (folds > 0) == (eps < 1e-6)
+
+
+#: the most Python frames of `orc` code one `optimize_linear` step over a
+#: ledgered `ExactSeparation` may run, on average over a run at n = 8
+#: (the ledger's call and record, the oracle's call, its entry check in
+#: two frames, `separate`, the cut, and for a point outside
+#: `normalized` and `_halfspace`; the simplex's threshold on some steps)
+FRAMES_PER_STEP = {"box": 8.76, "simplex": 9.19, "ellipsoid": 8.68}
+
+
+def test_optimize_linear_step_runs_a_fixed_budget_of_python_frames():
+    # counted with sys.setprofile, not timed: a frame added to the step
+    # (a wrapper, a property, a helper) fails here on any machine
+    n = 8
+    gen = np.random.default_rng(8)
+    Q, _ = np.linalg.qr(gen.normal(size=(n, n)))
+    specs = {"box": BoxBody(np.zeros(n), 1.0), "simplex": Simplex(n, 1.0),
+             "ellipsoid": Ellipsoid(np.zeros(n), (Q * gen.uniform(0.25, 2.0, size=n)) @ Q.T)}
+    c = unit(gen.normal(size=n))
+    cfg = OptimizerConfig(eps=1e-3)
+    package = os.path.dirname(orc.__file__) + os.sep
+    for name, spec in specs.items():
+        # a first run fills the per-dimension caches
+        optimize_linear(cfg, ExactSeparation(spec), spec.geometry, c)
+        frames = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                frames[frame.f_code.co_name] += 1
+
+        sep = wrap_with_ledger(ExactSeparation(spec), QueryLedger())
+        sys.setprofile(profile)
+        try:
+            optimize_linear(cfg, sep, spec.geometry, c)
+        finally:
+            sys.setprofile(None)
+        steps = cfg.resolved_iters(spec.geometry)
+        assert sum(frames.values()) <= FRAMES_PER_STEP[name] * steps, (name, steps, frames)
 
 
 def test_folded_cuts_match_an_unfolded_reference():

@@ -9,7 +9,7 @@ from orc.bodies import (Ball, BoxBody, Ellipsoid, ExactMembership,
                         exact_eval, random_hpolytope)
 from orc.core import (GRAD, MEM, OPT, SEP, VAL, GradAnswer, MembershipAnswer,
                       OptimizationAnswer, ProblemGeometry, QueryLedger, RandomStream,
-                      SeparationAnswer, ValidityAnswer, wrap_with_ledger)
+                      SEP_INSIDE, SeparationAnswer, ValidityAnswer, wrap_with_ledger)
 from orc.accpm import optimize_linear_accpm
 from orc.ellipsoid import OptimizerConfig, OracleInconsistency, optimize_linear
 from orc.geometry import HalfSpace, unit
@@ -1147,3 +1147,17 @@ def test_sep_from_opt_over_an_opt_a_full_sep_eps_short_cuts_soundly(make, n):
                 cuts += 1
                 assert spec.support(h.normal)[0] <= float(h.normal @ h.anchor) + 1e-12
     assert cuts >= 20
+
+
+def test_every_library_sep_answers_inside_with_the_one_shared_answer():
+    spec = BoxBody(np.zeros(2), 1.0)
+    rng = RandomStream(3)
+    seps = [ExactSeparation(spec),
+            SepFromMem(ExactMembership(spec), spec.geometry, rng, eps=0.01),
+            sep_from_opt(ExactOptimization(spec), spec.geometry, rng, eps=0.02),
+            sep_from_grad_indicator(lambda y, delta: GradAnswer(0.0, np.zeros(2)))]
+    # within B(x0, r), and in K but past B(x0, r), where sep_from_opt
+    # runs its engine over the polar body
+    for y in (np.array([0.5, 0.0]), np.array([0.9, 0.9])):
+        for sep in seps:
+            assert sep(y, 0.01) is SEP_INSIDE
