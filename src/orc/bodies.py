@@ -183,7 +183,7 @@ class BoxBody(BodySpec):
             n, self.radius, self.radius * math.sqrt(n), self.center))
 
     def contains_rows(self, P):
-        return np.abs(P - self.center).max(axis=1) <= self.radius
+        return np.maximum.reduce(np.abs(P - self.center), axis=1) <= self.radius
 
     def separate(self, y):
         # q - clip(q) for q = y - center: zero exactly where |q_i| <=
@@ -233,7 +233,8 @@ class Simplex(BodySpec):
         object.__setattr__(self, "geometry", ProblemGeometry(n, t, R, x0))
 
     def contains_rows(self, P):
-        return (P.min(axis=1) >= 0.0) & (P.sum(axis=1) <= self.scale)
+        return ((np.minimum.reduce(P, axis=1) >= 0.0)
+                & (np.add.reduce(P, axis=1) <= self.scale))
 
     def separate(self, y):
         """The normal is y minus y's Euclidean projection onto K."""
@@ -333,7 +334,7 @@ class HPolytope(BodySpec):
         self.geometry = ProblemGeometry(A.shape[1], r, R, x0)
 
     def contains_rows(self, P):
-        return (P @ self.A.T <= self.b).all(axis=1)
+        return np.logical_and.reduce(P @ self.A.T <= self.b, axis=1)
 
     def separate(self, y):
         """The most violated facet's normal; valid in any dimension."""
@@ -737,8 +738,8 @@ def _support_or_zero(spec: BodySpec, C: np.ndarray) -> tuple[np.ndarray, np.ndar
     everywhere, so its support value is 0 and the body's center is a
     maximizer.  The exact OPT, VIOL and VAL oracles all answer through
     it, so the rule for a zero direction lives here alone."""
-    nonzero = C.any(axis=1)
-    if nonzero.all():
+    nonzero = np.logical_or.reduce(C, axis=1)
+    if np.logical_and.reduce(nonzero):
         return spec.support_rows(C)
     values = np.zeros(C.shape[0])
     args = np.repeat(spec.geometry.center[None, :], C.shape[0], axis=0)

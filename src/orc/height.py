@@ -115,18 +115,18 @@ class HeightOracle:
         hi = (1.0 + norms + self.mem_delta) / self.x_norm
         k = len(hi)
         kappa = self.geometry.kappa
-        d_max = float(norms.max())
+        d_max = float(np.maximum.reduce(norms))
         g0 = kappa * d_max
         if k == 1 or g0 > 0.5:
             iters = [max(1, math.ceil(math.log2(h / self.bin_tol))) for h in hi.tolist()]
             return np.zeros_like(hi), hi, np.array(iters)
-        c = D.sum(axis=0) / k
+        c = np.add.reduce(D, axis=0) / k
         offsets = D - c
         lipschitz = kappa * (1.0 + d_max + self.mem_delta) / (self.x_norm * (1.0 - g0))
         w = lipschitz * (np.sqrt(np.vecdot(offsets, offsets)) + 2.0 * self.mem_delta)
         w += self.bin_tol
         hi_c = (1.0 + math.sqrt(c.dot(c)) + self.mem_delta) / self.x_norm
-        width, rounds, target = hi_c, 0, 2.0 * float(w.sum()) / k
+        width, rounds, target = hi_c, 0, 2.0 * float(np.add.reduce(w)) / k
         while width > target:
             width /= k + 1
             rounds += 1
@@ -146,7 +146,7 @@ class HeightOracle:
         for _ in range(rounds):
             ends = lo + (hi - lo) * steps
             inside = self._contains(p + ends[1:-1, None] * x)
-            j = k if inside.all() else int(inside.argmin())
+            j = k if np.logical_and.reduce(inside) else int(inside.argmin())
             lo, hi = float(ends[j]), float(ends[j + 1])
         return lo, hi
 
