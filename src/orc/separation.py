@@ -5,7 +5,11 @@ trivial halfspace through themselves.  Otherwise a subgradient of the
 height function h_x of the body normalized by its geometry is estimated
 by randomized finite differences and normalized into the separating
 normal; `HeightOracle` maps its bisection points into the body's frame,
-so the membership oracle is always asked in the caller's coordinates.  Two slack modes: the
+so the membership oracle is always asked in the caller's coordinates.
+The first test's OUTSIDE answer, at the precision the height asks at,
+is the height's precondition: it bounds every bisected alpha whatever
+the query's norm, and so narrows the height's Lipschitz brackets
+(`height` module docstring).  Two slack modes: the
 theoretical slack term (sound by analysis, astronomically loose at
 practical parameters) and anchored mode (slack zero through the query
 point, soundness established empirically), the default.  `SepFromMem`
@@ -95,8 +99,10 @@ class SepFromMem:
 
         y is tested at precision eps*R.  The estimate runs at
         x = (y - center)/R in the normalized frame, through a
-        `HeightOracle` that maps its points back into the body's frame;
-        the cut is anchored at y, with its slack scaled back by R.
+        `HeightOracle` that maps its points back into the body's frame
+        and bisects at the same precision, so the OUTSIDE answer at y
+        is the one its precondition asks for; the cut is anchored at y,
+        with its slack scaled back by R.
         """
         check_precision(eta)
         self._queries += 1

@@ -139,11 +139,15 @@ def test_stack_heights_equal_per_row_heights():
     # so check it against a loop written here; a stack of 2n estimate
     # points is bisected in its Lipschitz brackets, within bin_tol of
     # each row's full bisection, and bitwise the same over MEM's stack
-    # form and over a plain MEM
+    # form and over a plain MEM.  x lies outside both bodies, as the
+    # brackets require
     gen = np.random.default_rng(8)
+    x = np.array([0.6, -0.15, 0.3, 0.45])
     for spec in (Simplex(4, 1.0), BoxBody(np.array([1.0, -2.0, 0.5, 3.0]), 0.7)):
-        assert spec.geometry.R != 1.0 and spec.geometry.center.any()
-        h = _height(spec, [0.4, -0.1, 0.2, 0.3], geometry=spec.geometry)
+        g = spec.geometry
+        assert g.R != 1.0 and g.center.any()
+        assert not spec.contains(g.center + g.R * x)
+        h = _height(spec, x, geometry=g)
         h_x = h.as_eval()
         for d in _stack(spec, gen, 4):
             assert h_x(d, 0.1) == -h.alpha_x(d) * h.x_norm == _reference_height(spec, h, d)
@@ -217,7 +221,8 @@ def test_stack_records_per_row_mem_count_once():
 def test_stack_without_fast_path_bisects_in_lockstep():
     # a MEM without `rows` is asked the centre search's and the
     # lockstep's points, round by round: exactly the stacks an exact
-    # oracle's `rows` is asked, one query per point
+    # oracle's `rows` is asked, one query per point.  x lies outside
+    # the disc, as the brackets require
     spec = Ball(np.zeros(2), 1.0)
     seen, stacks = [], []
 
@@ -228,7 +233,7 @@ def test_stack_without_fast_path_bisects_in_lockstep():
     mem.kind = MEM
     exact = ExactMembership(spec)
     exact.rows = lambda P, delta, rows=exact.rows: (stacks.append(P.copy()), rows(P, delta))[1]
-    x = np.array([0.5, 0.0])
+    x = np.array([1.25, 0.0])
     D = np.array([[0.1, 0.1], [0.0, 0.0], [-0.2, 0.0]])
     h = HeightOracle(mem, GEOM2, x, 1e-6, 0.01)
     lo, _, iters = HeightOracle(ExactMembership(spec), GEOM2, x, 1e-6, 0.01).brackets(D)

@@ -1,11 +1,14 @@
-"""`tools/pool_digest.py`: one deterministic line per benchmark input."""
+"""`tools/pool_digest.py`: one deterministic line per benchmark input,
+and a guard on sep_mem's unsound answers read from those lines."""
 
 import importlib
 import importlib.util
 import itertools
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from orc.core import OptimizationAnswer, SeparationAnswer
 from orc.geometry import HalfSpace
@@ -41,3 +44,49 @@ def test_reply_bytes_tell_every_reply_kind_apart():
                SeparationAnswer(HalfSpace(np.array([1.0, 0.0]), point, 1e-3)),
                OptimizationAnswer(), OptimizationAnswer(point)]
     assert len({tool.reply_bytes(reply) for reply in replies}) == len(replies)
+
+
+def test_summary_lines_count_outcomes_and_average_the_base_oracle():
+    tool = _tool()
+    sha = "0" * 64
+    lines = [f"0 a sound MEM=10 OPT=1 {sha}", f"1 b violated MEM=3 {sha}",
+             f"2 a error:ValueError MEM=20 OPT=0 {sha}", f"3 a sound MEM=0 OPT=5 {sha}"]
+    assert list(tool.summary_lines(lines)) == [
+        "a inputs=3 error:ValueError=1 sound=2 MEM=10.0", "b inputs=1 violated=1 MEM=3.0"]
+
+
+def test_main_prints_the_digest_to_stdout_and_the_summary_to_stderr(monkeypatch, capsys):
+    # main puts the library and the repository first on sys.path and pins
+    # BLAS to one thread; both are undone after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    tool = _tool()
+    assert tool.main(["--workload", "web", "--seed", "1"]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == 60 and all(len(line.split()[-1]) == 64 for line in lines)
+    summary = err.splitlines()
+    assert summary == list(tool.summary_lines(lines))
+    assert len(summary) == len({line.split()[1] for line in lines})
+    label, inputs, *_ = summary[0].split()
+    assert (label, inputs) == ("opt_from_val-box-2", "inputs=9")
+    assert summary[0].split()[-1].startswith("VAL=")
+
+
+#: sep_mem's unsound answers over its whole pool, at the two seeds the
+#: benchmark is read at, when the height's brackets were last changed
+SEP_MEM_UNSOUND = {1: 68, 11: 13}
+
+
+@pytest.mark.parametrize("seed", sorted(SEP_MEM_UNSOUND))
+def test_sep_mem_pool_has_no_more_unsound_answers(seed, monkeypatch):
+    # every unsound sep_mem answer is a cut that slices off part of a
+    # thin polytope; how many there are follows the height's brackets
+    # and final rounding
+    monkeypatch.syspath_prepend(str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    outcomes = [line.split()[2] for line in
+                _tool().digest_lines(workloads.WORKLOADS["sep_mem"], seed)]
+    assert len(outcomes) == 2080
+    assert sum(outcome != "sound" for outcome in outcomes) <= SEP_MEM_UNSOUND[seed]

@@ -14,11 +14,20 @@ oracle first, and the hash covers the reply's bytes (the halfspace's
 normal, anchor and slack, the maximizer, or the exception's type and
 message).  Diffing the output of two checkouts shows every input whose
 outcome, query counts or answer changed.
+
+After the last digest line, one summary line per label goes to stderr,
+in order of the label's first input,
+
+    <label> inputs=<count> <outcome>=<count> ... <KIND>=<mean>
+
+with the label's outcome counts and the mean count of its base oracle,
+so stdout holds the digest lines alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import os
 import struct
@@ -62,6 +71,25 @@ def digest_lines(workload, seed: int):
         yield f"{index} {case.label} {outcome} {counts} {sha}"
 
 
+def summary_lines(lines):
+    """One line per label of the digest lines, in order of its first
+    input: its input count, its outcome counts and the mean of its first
+    (base oracle) count."""
+    outcomes, base = {}, {}
+    for line in lines:
+        _, label, outcome, *counts, _ = line.split()
+        outcomes.setdefault(label, collections.Counter())[outcome] += 1
+        if counts:
+            kind, count = counts[0].split("=")
+            base.setdefault(label, (kind, []))[1].append(int(count))
+    for label, seen in outcomes.items():
+        fields = [f"inputs={seen.total()}"] + [f"{o}={n}" for o, n in sorted(seen.items())]
+        if label in base:
+            kind, counts = base[label]
+            fields.append(f"{kind}={sum(counts) / len(counts):.1f}")
+        yield f"{label} {' '.join(fields)}"
+
+
 def main(argv=None) -> int:
     # as in the benchmark: one BLAS thread, set before numpy loads
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -73,8 +101,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
+    lines = []
     for line in digest_lines(workloads.WORKLOADS[args.workload], args.seed):
         print(line, flush=True)
+        lines.append(line)
+    for line in summary_lines(lines):
+        print(line, file=sys.stderr)
     return 0
 
 
