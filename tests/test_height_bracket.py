@@ -163,10 +163,10 @@ def test_an_outside_read_inside_the_band_needs_the_precision_terms():
 
 
 def _unit_ball_schedule(h, D):
-    """The centre-search rounds and the rows' round counts `brackets`
-    gives a stack when alpha is bounded by the unit ball alone, by
-    A = (1 + max_i ||D_i|| + delta)/||x||, written out from the formulas
-    of the `height` docstring, with A."""
+    """The centre-search rounds, the rows' round counts and A when
+    `brackets` bounds alpha by the unit ball alone, by
+    A = (1 + max_i ||D_i|| + delta)/||x||: the `height` docstring's
+    formulas, written out here."""
     k, kappa, delta = len(D), h.geometry.kappa, h.mem_delta
     norms = np.linalg.norm(D, axis=1)
     c = D.mean(axis=0)
