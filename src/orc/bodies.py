@@ -44,10 +44,17 @@ Stack forms answer k queries in one call and trust their float64 (k, n)
 stacks the same way: `BodySpec.support_rows`, and the `rows` methods of
 `ExactOptimization` (a stack of maximizers) and `ExactValidity` (a bool
 array, True where the answer is SOME_ABOVE).  A single OPT or VAL call
-is its `rows` on a stack of one.  Exact OPT, VIOL and VAL all answer
-through `_support_or_zero`, so the rule for a zero direction lives in
-one place.  Each body writes its support once, as `support_rows`, and
-`BodySpec.support(c)` is `support_rows` on a stack of one.  Row dots
+is its `rows` on a stack of one.
+
+Each body writes its support in two forms, and nowhere else.
+`support_rows` builds the values and a stack of maximizers;
+`BodySpec.support(c)` is it on a stack of one, and exact OPT and VIOL
+answer through `_support_or_zero`, which gives a zero row the value 0
+and the centre.  `support_values` computes the values alone, with no
+maximizer and no zero-row guard: each body's formula gives a zero row
+exactly 0, and every other row bitwise the value `support_rows` gives,
+which `tests/test_bodies.py` pins on random stacks.  Exact VAL asks only
+`support_values`, since each of its answers is one comparison.  Row dots
 use `np.vecdot`, row norms `sqrt(vecdot)` and the polytope's and the
 ellipsoid's matrix products one gemv per row, the computations of
 `c @ y`, `np.linalg.norm` and `M @ c`, so each row of a stack gets the
@@ -120,6 +127,13 @@ class BodySpec:
         the (k, n) stack C, k >= 1, and the (k, n) stack of maximizers."""
         raise UnsupportedVariant(type(self).__name__)
 
+    def support_values(self, C: np.ndarray) -> np.ndarray:
+        """The support values alone: bitwise `support_rows(C)[0]` on a
+        nonzero row, and exactly 0 on a zero row, by the body's formula.
+        (A polytope's value of exactly 0 may take the other sign of
+        zero, which compares equal.)"""
+        raise UnsupportedVariant(type(self).__name__)
+
     def radial_scale(self, u: np.ndarray) -> float:
         """Largest t with geometry.center + t*u in K (u a unit vector)."""
         raise UnsupportedVariant(type(self).__name__)
@@ -163,6 +177,9 @@ class Ball(BodySpec):
             units = np.array([normalized(c) for c in C])
         return np.vecdot(C, self.center) + self.radius * norms, self.center + self.radius * units
 
+    def support_values(self, C):
+        return np.vecdot(C, self.center) + self.radius * np.sqrt(np.vecdot(C, C))
+
     def radial_scale(self, u):
         return self.radius
 
@@ -204,6 +221,9 @@ class BoxBody(BodySpec):
     def support_rows(self, C):
         args = self.center + self.radius * np.where(C >= 0.0, 1.0, -1.0)
         return np.vecdot(C, args), args
+
+    def support_values(self, C):
+        return np.vecdot(C, self.center + self.radius * np.where(C >= 0.0, 1.0, -1.0))
 
     def radial_scale(self, u):
         return self.radius / float(np.max(np.abs(u)))
@@ -270,6 +290,10 @@ class Simplex(BodySpec):
         args = np.zeros(C.shape)
         args[k[pos], i[pos]] = self.scale
         return np.where(pos, self.scale * top, 0.0), args
+
+    def support_values(self, C):
+        top = np.maximum.reduce(C, axis=1)
+        return np.where(top > 0.0, self.scale * top, 0.0)
 
     def radial_scale(self, u):
         x0 = self.geometry.center
@@ -349,6 +373,9 @@ class HPolytope(BodySpec):
         i = np.argmax(vals, axis=1)
         return vals[np.arange(C.shape[0]), i], self.vertices[i]
 
+    def support_values(self, C):
+        return np.maximum.reduce((self.vertices @ C[:, :, None])[..., 0], axis=1)
+
     def radial_scale(self, u):
         den = self.A @ u
         pos = den > 0
@@ -407,6 +434,10 @@ class Ellipsoid(BodySpec):
         flat = (w == 0.0)[:, None]
         args = np.where(flat, self.center, self.center + SC / np.where(flat, 1.0, w[:, None]))
         return np.vecdot(C, self.center) + w, args
+
+    def support_values(self, C):
+        w = np.sqrt(np.vecdot(C, (self.shape @ C[:, :, None])[..., 0]))
+        return np.vecdot(C, self.center) + w
 
     def radial_scale(self, u):
         return 1.0 / math.sqrt(float(u @ (self._inv @ u)))
@@ -736,8 +767,10 @@ class ExactSeparation:
 def _support_or_zero(spec: BodySpec, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`spec.support_rows(C)`, except at a zero row: <0, y> = 0
     everywhere, so its support value is 0 and the body's center is a
-    maximizer.  The exact OPT, VIOL and VAL oracles all answer through
-    it, so the rule for a zero direction lives here alone."""
+    maximizer.  The exact OPT and VIOL oracles answer through it, so
+    their rule for a zero direction lives here alone.  VAL needs no
+    maximizer and asks `support_values`, whose formula already gives a
+    zero row the value 0 on every body."""
     nonzero = np.logical_or.reduce(C, axis=1)
     if np.logical_and.reduce(nonzero):
         return spec.support_rows(C)
@@ -787,8 +820,10 @@ class ExactValidity:
     def rows(self, C, gammas, delta):
         """One query per row of the float64 (k, n) stack C against its
         own threshold gammas[i], taken as given: a bool array, True where
-        the answer is SOME_ABOVE (`_support_or_zero`)."""
-        return _support_or_zero(self.spec, C)[0] >= gammas
+        the answer is SOME_ABOVE.  It compares the body's
+        `support_values`, whose formula gives a zero row the value 0 that
+        `_support_or_zero` gives it, and builds no maximizer."""
+        return self.spec.support_values(C) >= gammas
 
 
 def random_hpolytope(n: int, rng, extra_facets: int = 3,

@@ -175,12 +175,17 @@ class HeightOracle:
         g = self.geometry
         p, x = g.center + g.R * c, g.R * self.x
         steps = np.arange(k + 2) / (k + 1.0)
+        inner, ends = steps[1:-1, None], steps.tolist()
         lo = 0.0
         for _ in range(rounds):
-            ends = lo + (hi - lo) * steps
-            inside = self._contains(p + ends[1:-1, None] * x)
-            j = k if np.logical_and.reduce(inside) else int(inside.argmin())
-            lo, hi = float(ends[j]), float(ends[j + 1])
+            # the k interior points only; the chosen cell's ends are the
+            # float operations numpy runs on lo + width * steps
+            width = hi - lo
+            inside = self._contains(p + (lo + width * inner) * x)
+            j = int(inside.argmin())
+            if inside[j]:
+                j = k
+            lo, hi = lo + width * ends[j], lo + width * ends[j + 1]
         return lo, hi
 
     def _alpha(self, D: np.ndarray) -> np.ndarray:

@@ -348,7 +348,9 @@ def _normalized_val(val, geometry: ProblemGeometry):
     c . x <= R gamma + c . x0, and precision delta there is R delta on
     K.  The scaled body lies in B(0, 1) around B(0, r/R), so its support
     function is in [r/R, 1] on unit c, and c lies in its polar body
-    exactly when the answer at gamma = 1 is ALL_BELOW."""
+    exactly when the answer at gamma = 1 is ALL_BELOW.  `rows` takes a
+    (k,) array of thresholds or one scalar for every row, and asks the
+    base VAL with a (k,) array either way."""
     val_rows = rows_of(val, VAL)
     R, shift = geometry.R, geometry.center
 
@@ -445,7 +447,9 @@ def opt_from_val(val, geometry: ProblemGeometry, rng: RandomStream, *,
     support = rows_of(eval_support_from_val(nval, geometry.rescaled()), EVAL)
 
     def polar_mem_rows(Z, delta):
-        return ~nval.rows(Z, np.ones(len(Z)), delta / kappa)
+        # one scalar threshold for every row: R * 1.0 is R, so the base
+        # VAL gets the thresholds an array of ones gave it
+        return ~nval.rows(Z, 1.0, delta / kappa)
 
     sep = _counted_sep(single_of(MEM, polar_mem_rows, geometry.n),
                        ProblemGeometry(geometry.n, 1.0, kappa), rng.child("opt_from_val"),

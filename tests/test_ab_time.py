@@ -19,17 +19,21 @@ def _tool(monkeypatch):
     return module
 
 
-def test_web_against_this_checkout_prints_a_line_per_label_and_a_total(monkeypatch, capsys):
+def _web_lines(monkeypatch, capsys, *args):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
+    tool = _tool(monkeypatch)
+    assert tool.main(["--workload", "web", "--base", str(ROOT), *args]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_web_against_this_checkout_prints_a_line_per_label_and_a_total(monkeypatch, capsys):
     import orc
 
-    tool = _tool(monkeypatch)
-    assert tool.main(["--workload", "web", "--base", str(ROOT)]) == 0
+    header, *rows, total = _web_lines(monkeypatch, capsys)
     # the caller's own `orc` keeps its name
     import orc as again
     assert again is orc
-    header, *rows, total = capsys.readouterr().out.splitlines()
     assert header.split() == ["label", "pairs", "base_ms", "this_ms", "ratio"]
     labels = [row.split()[0] for row in rows]
     assert labels == sorted(labels) and {label.split("-")[0] for label in labels} == {
@@ -55,3 +59,15 @@ def test_a_pair_whose_replies_differ_stops_the_run(monkeypatch):
         list(tool.ab_pairs(same, [_Case("a", SEP_INSIDE, (4,))]))
     with pytest.raises(SystemExit, match="different pools"):
         list(tool.ab_pairs(same, [_Case("b", SEP_INSIDE, (3,))]))
+
+
+def test_passes_answer_the_pools_that_many_times(monkeypatch, capsys):
+    tool = _tool(monkeypatch)
+    pool = [_Case("a", SEP_INSIDE, (3,)), _Case("b", SEP_INSIDE, (5,))]
+    assert [label for label, _, _ in tool.ab_passes(pool, pool, 3)] == ["a", "b"] * 3
+    once = {row.split()[0]: int(row.split()[1]) for row in _web_lines(monkeypatch, capsys)[1:]}
+    twice = {row.split()[0]: int(row.split()[1])
+             for row in _web_lines(monkeypatch, capsys, "--passes", "2")[1:]}
+    assert twice == {label: 2 * pairs for label, pairs in once.items()}
+    with pytest.raises(SystemExit):
+        tool.main(["--workload", "web", "--base", str(ROOT), "--passes", "0"])

@@ -220,3 +220,20 @@ def test_a_nan_gamma_is_refused_before_any_sep_query():
         optimize_linear_accpm(OptimizerConfig(eps=EPS), sep, body.geometry,
                               np.array([0.0, 1.0]), gamma=math.nan)
     assert ledger.totals() == {}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+def test_the_trace_bound_never_skips_a_thin_centre(n):
+    # barrier Hessians sum a a^T / s^2 over cuts of widely spread slacks;
+    # rho at, just below and just above the eigvalsh threshold, and far
+    # off it on either side, gets the answer eigvalsh alone gives
+    gen = np.random.default_rng(300 + n)
+    for _ in range(50):
+        A = gen.normal(size=(2 * n + gen.integers(0, 3 * n), n))
+        scaled = A / 10.0 ** gen.uniform(-6.0, 2.0, size=(len(A), 1))
+        H = scaled.T @ scaled
+        floor = 10.0 ** gen.uniform(-8.0, -2.0)
+        edge = floor * math.sqrt(np.linalg.eigvalsh(H)[-1])
+        for rho in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf),
+                    edge * 0.5, edge * 1.4, edge * 10.0):
+            assert accpm._thin(H, rho, floor) == (rho < edge)

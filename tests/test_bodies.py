@@ -504,6 +504,65 @@ def test_stack_forms_match_per_row_calls_bitwise(n):
         np.testing.assert_array_equal(args, np.array([a for _, a in expected]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_support_values_are_support_rows_values_bitwise(n):
+    gen = np.random.default_rng(70 + n)
+    for spec in _stack_specs(n, gen):
+        for k in range(1, 9):
+            C = gen.normal(size=(k, n)) * gen.uniform(1e-3, 10.0, size=(k, 1))
+            np.testing.assert_array_equal(spec.support_values(C), spec.support_rows(C)[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_support_values_of_a_zero_row_are_zero(n):
+    # the ball's included, whose support_rows refuses a zero row
+    gen = np.random.default_rng(90 + n)
+    for spec in _stack_specs(n, gen):
+        C = gen.normal(size=(5, n))
+        C[[0, 3]] = 0.0
+        values = spec.support_values(C)
+        assert values[0] == 0.0 and values[3] == 0.0
+        np.testing.assert_array_equal(values[[1, 2, 4]], spec.support_rows(C[[1, 2, 4]])[0])
+        assert ExactValidity(spec)(np.zeros(n), 0.0, 0.01) is ValidityAnswer.SOME_ABOVE
+        assert ExactValidity(spec)(np.zeros(n), 1e-300, 0.01) is ValidityAnswer.ALL_BELOW
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_validity_reads_some_above_at_the_support_value(n):
+    gen = np.random.default_rng(110 + n)
+    for spec in _stack_specs(n, gen):
+        val = ExactValidity(spec)
+        for c in gen.normal(size=(8, n)):
+            h = float(spec.support_values(c[None, :])[0])
+            assert val(c, h, 0.01) is ValidityAnswer.SOME_ABOVE
+            assert val(c, np.nextafter(h, math.inf), 0.01) is ValidityAnswer.ALL_BELOW
+
+
+def _without_support_rows(spec):
+    """`spec` in a subclass whose `support_rows` raises."""
+
+    class NoMaximizers(type(spec)):
+        def support_rows(self, C):
+            raise AssertionError("VAL asked for maximizers")
+
+    bare = object.__new__(NoMaximizers)
+    bare.__dict__.update(spec.__dict__)
+    return bare
+
+
+def test_validity_never_builds_maximizers():
+    gen = np.random.default_rng(130)
+    for spec in _stack_specs(4, gen):
+        val = ExactValidity(_without_support_rows(spec))
+        C = _direction_stack(4, gen)
+        gammas = gen.normal(size=C.shape[0])
+        np.testing.assert_array_equal(val.rows(C, gammas, 0.01),
+                                      ExactValidity(spec).rows(C, gammas, 0.01))
+        assert val(C[0], 0.0, 0.01) is ExactValidity(spec)(C[0], 0.0, 0.01)
+        with pytest.raises(AssertionError, match="maximizers"):
+            ExactOptimization(_without_support_rows(spec))(C[0], 0.01)
+
+
 def test_ball_support_rows_refuses_a_zero_row_like_support():
     ball = Ball(np.zeros(2), 1.0)
     with pytest.raises(ValueError):
@@ -530,6 +589,7 @@ def test_a_body_without_a_support_function_refuses_support_queries():
 
     for ask in (lambda b: exact_support(b, np.array([1.0, 0.0])),
                 lambda b: ExactOptimization(b)(np.array([1.0, 0.0]), 0.01),
+                lambda b: ExactValidity(b)(np.array([1.0, 0.0]), 0.5, 0.01),
                 lambda b: b.contains(np.zeros(2))):
         with pytest.raises(UnsupportedVariant):
             ask(Bare())

@@ -853,6 +853,54 @@ def test_opt_from_val_raises_when_the_polar_point_reads_inside():
     assert opt.ledgers.sep.count(SEP) == 1
 
 
+class _LoggedValidity(ExactValidity):
+    """Exact VAL that logs the bytes of every `rows` call's stack,
+    thresholds and precision."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.log = []
+
+    def rows(self, C, gammas, delta):
+        self.log.append((C.tobytes(), np.asarray(gammas).tobytes(), float(delta).hex()))
+        return super().rows(C, gammas, delta)
+
+
+def test_opt_from_val_polar_mem_asks_what_an_array_of_ones_asked(monkeypatch):
+    # the polar MEM passes the scalar threshold 1.0 to the normalized
+    # VAL; with it widened back to np.ones, every query the base VAL
+    # gets, the bisection's and the radius check's included, is the same
+    spec = Simplex(3, 2.0)
+    normalized_val = reductions._normalized_val
+
+    def answers(widen):
+        scalars = []
+
+        def view(val, geometry):
+            nval = normalized_val(val, geometry)
+            rows = nval.rows
+
+            def logged_rows(C, gammas, delta):
+                if np.ndim(gammas) == 0:
+                    scalars.append(gammas)
+                    if widen:
+                        gammas = np.ones(len(C))
+                return rows(C, gammas, delta)
+
+            nval.rows = logged_rows
+            return nval
+
+        monkeypatch.setattr(reductions, "_normalized_val", view)
+        val = _LoggedValidity(spec)
+        opt = opt_from_val(val, spec.geometry, RandomStream(8), eps=0.02, sep_eps=1e-4)
+        replies = [opt(np.array(c), 0.02).maximizer.tobytes()
+                   for c in ([1.0, 0.3, -0.4], [-0.2, 1.0, 0.5], [-1.0, -1.0, -1.0])]
+        assert scalars and set(scalars) == {1.0}
+        return val.log, replies
+
+    assert answers(widen=False) == answers(widen=True)
+
+
 @pytest.mark.parametrize("make", [Simplex,
                                   lambda n: BoxBody(np.array([1.5, -0.5, 0.75][:n]), 0.5)],
                          ids=["simplex", "shifted_box"])

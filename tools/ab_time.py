@@ -1,6 +1,6 @@
 """Time this checkout's `orc` against another checkout's, in one process.
 
-    python3 tools/ab_time.py --workload opt_sep --base ../parent --seed 1
+    python3 tools/ab_time.py --workload opt_sep --base ../parent --seed 1 --passes 15
 
 Run from the repository root.  `--base` is the root of another checkout
 of this repository (a `git archive` or `git clone` of a parent commit).
@@ -12,7 +12,11 @@ the two pools are answered input by input, alternately, in ABBA order:
 the base first on even inputs, this checkout first on odd ones, so a
 drift in the machine's speed weighs on both sides alike.  Every pair
 must agree on query counts and on the reply's bytes
-(`pool_digest.reply_bytes`), or the tool stops with an error.
+(`pool_digest.reply_bytes`), or the tool stops with an error.  With
+`--passes N` (default 1) both pools are answered N times over, each
+pass in ABBA order, and the report covers the pairs of every pass: one
+pass of a small pool cannot resolve a change of a few per cent, since
+its ratio moves by more than that from pass to pass.
 
 It prints one line per input label and a total:
 
@@ -92,6 +96,13 @@ def ab_pairs(base_cases, cases):
         yield case.label, base_ns, ns
 
 
+def ab_passes(base_cases, cases, passes: int):
+    """`ab_pairs` over `passes` passes of the two pools, one after the
+    other."""
+    for _ in range(passes):
+        yield from ab_pairs(base_cases, cases)
+
+
 def report(pairs) -> list[str]:
     by_label = defaultdict(list)
     for label, base_ns, ns in pairs:
@@ -118,7 +129,11 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, type=Path,
                         help="root of the checkout to compare against")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--passes", type=int, default=1,
+                        help="answer both pools this many times (default 1)")
     args = parser.parse_args(argv)
+    if args.passes < 1:
+        parser.error("--passes must be at least 1")
     base = load_workloads(args.base.resolve(), "base_")
     this = load_workloads(ROOT, "this_")
     base_workload = base.WORKLOADS[args.workload]
@@ -129,7 +144,7 @@ def main(argv=None) -> int:
     for case in base_cases[:workload.warmup] + cases[:workload.warmup]:
         case.ask()
     print("label pairs base_ms this_ms ratio")
-    for line in report(ab_pairs(base_cases, cases)):
+    for line in report(ab_passes(base_cases, cases, args.passes)):
         print(line, flush=True)
     return 0
 
