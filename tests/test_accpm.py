@@ -237,3 +237,47 @@ def test_the_trace_bound_never_skips_a_thin_centre(n):
         for rho in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf),
                     edge * 0.5, edge * 1.4, edge * 10.0):
             assert accpm._thin(H, rho, floor) == (rho < edge)
+
+
+# a singular system makes the raw gufunc warn before the helper raises;
+# what is asserted is the raise
+_GESV_WARNING = "ignore:invalid value encountered in solve1:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(_GESV_WARNING)
+def test_a_singular_newton_system_raises_linalgerror():
+    # two cuts along the first axis only: H = diag(2, 0)
+    A, b = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.ones(2)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        accpm._analytic_centre(A, b, np.zeros(2))
+
+
+@pytest.mark.filterwarnings(_GESV_WARNING)
+@pytest.mark.parametrize("H", [[[math.inf, 0.0], [0.0, 0.0]], [[math.inf, math.inf], [math.inf, 1.0]]],
+                         ids=["singular", "nan_solution"])
+def test_a_hessian_with_an_infinite_entry_raises_linalgerror(H):
+    # np.linalg.solve raises on the first and returns NaN on the second;
+    # the helper raises on both
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        accpm._solve(np.array(H), np.ones(2))
+
+
+def test_the_solve_helper_matches_numpy_solve_bitwise_on_recorded_newton_systems(monkeypatch):
+    systems = []
+    solve = accpm._solve
+
+    def recording(H, v):
+        systems.append((H.copy(), v.copy()))
+        return solve(H, v)
+
+    monkeypatch.setattr(accpm, "_solve", recording)
+    for n in (2, 3, 8, 16):
+        for body in _bodies(n):
+            c = unit(RandomStream(n).child("c").generator().normal(size=n))
+            _solve(body, c)
+    assert len(systems) > 1000
+    for H, v in systems:
+        x, form = solve(H, v)
+        reference = np.linalg.solve(H, v)
+        assert x.tobytes() == reference.tobytes()
+        assert form == float(v @ reference)

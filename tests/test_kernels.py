@@ -175,6 +175,37 @@ def test_lockstep_tests_only_the_rows_still_bisecting():
         alpha, [_scalar_bisect(ball, d, x, h, int(t)) for d, h, t in zip(D, hi, iters)])
 
 
+def test_one_row_bisects_as_its_row_of_a_stack_bitwise():
+    # a stack of one takes bisect_rows' float loop: each row alone gets
+    # the alpha it gets in a 3-row stack, and its test sees the same
+    # points, byte for byte, from [0, hi] and from its own lower end
+    gen = np.random.default_rng(9)
+
+    def recording(spec, log):
+        def contains_rows(P):
+            log.append(P.copy())
+            return spec.contains_rows(P)
+        return contains_rows
+
+    for n in (2, 5):
+        for spec in _specs(n):
+            D, x, hi, _ = _rays(spec, gen, 3)
+            full = kernels.bisect_rows(spec.contains_rows, D, x, hi, np.full(3, 48))
+            for lo in (None, gen.uniform(0.0, 0.9, 3) * full):
+                for iters in (0, 1, 48):
+                    stack_log = []
+                    stack = kernels.bisect_rows(recording(spec, stack_log), D, x, hi,
+                                                np.full(3, iters), lo)
+                    for i in range(3):
+                        row_log = []
+                        row = kernels.bisect_rows(recording(spec, row_log), D[i:i + 1], x,
+                                                  hi[i:i + 1], (iters,),
+                                                  None if lo is None else lo[i:i + 1])
+                        assert row.shape == (1,) and row.tobytes() == stack[i:i + 1].tobytes()
+                        assert [P.shape for P in row_log] == [(1, n)] * iters
+                        assert [P.tobytes() for P in row_log] == [P[i].tobytes() for P in stack_log]
+
+
 def _reference_cut(center, P, g):
     """The classical central cut of {y : (y-c)^T P^-1 (y-c) <= 1} by
     {<g, y-c> <= 0}, in shape-matrix form, dilated to the calibrated
