@@ -253,7 +253,8 @@ class Simplex(BodySpec):
         object.__setattr__(self, "geometry", ProblemGeometry(n, t, R, x0))
 
     def contains_rows(self, P):
-        return ((np.minimum.reduce(P, axis=1) >= 0.0)
+        # an all-reduce over the sign test costs less than a row minimum
+        return (np.logical_and.reduce(P >= 0.0, axis=1)
                 & (np.add.reduce(P, axis=1) <= self.scale))
 
     def separate(self, y):
@@ -326,7 +327,10 @@ class HPolytope(BodySpec):
     stacked, which runs the same LAPACK and BLAS routine on each matrix
     as one call would, so the vertices, R and every answer are bitwise
     those of the plain per-subset loop.  At m = n + 4, n = 16 and 32, the
-    screen passes about one subset in eight.
+    screen passes about one subset in eight.  The same k x k determinant
+    gives the n x n one, |det A_S| = |det N_T| times the product of A's
+    singular values, so a survivor whose bound clears 1e-12 past both
+    determinants' rounding skips the det, and its one LU is the solve's.
     """
 
     MAX_SUBSETS = 1 << 20
@@ -450,6 +454,12 @@ _CHUNK = 1 << 16
 # -(_FEAS_TOL + _SCREEN_MARGIN * (max|b| + max|s_T|))
 _SCREEN_DET = 1e-8
 _SCREEN_MARGIN = 1e-3
+# the exact stage takes a subset as singular when |det A_S| < _SINGULAR_DET
+_SINGULAR_DET = 1e-12
+# the exact stage skips the det of a screened subset whose bound
+# (|det N_T| sv_n - _DET_ROUNDING n^2 eps sv_1) prod_{i<n} sv_i on
+# |det A_S| is at least _SINGULAR_DET, sv the singular values of A
+_DET_ROUNDING = 64.0
 
 
 def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -460,20 +470,25 @@ def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     Two stages.  When 0 < k = m - n < n, a complementary-slack screen
     (`_screened_subsets`) first discards the facet subsets whose point is
     clearly infeasible, from one k x k system per subset, and only the
-    rest reach the exact stage (`_tight_vertices`).  Otherwise every
-    subset reaches the exact stage.  The exact stage is the per-subset
-    test, stacked: the same det, solve and A v per matrix, each a gufunc
-    or matmul loop that runs the single call's LAPACK or BLAS routine on
-    every matrix of the stack.  The screen only drops subsets the exact
-    stage would reject, and `np.unique` sorts, so the vertices are
-    bitwise those of the per-subset loop."""
+    rest reach the exact stage (`_tight_vertices`), each with a lower
+    bound on its |det A_S| from the same k x k determinant.  Otherwise
+    every subset reaches the exact stage, with no bound.  The exact stage
+    is the per-subset test, stacked: the same det, solve and A v per
+    matrix, each a gufunc or matmul loop that runs the single call's
+    LAPACK or BLAS routine on every matrix of the stack, except that a
+    subset whose bound is at least 1e-12 skips the det, whose answer the
+    bound already gives.  So one LU per candidate remains, the solve's.
+    The screen only drops subsets the exact stage would reject, the
+    bound only skips dets that would read >= 1e-12, and `np.unique`
+    sorts, so the vertices are bitwise those of the per-subset loop."""
     m, n = A.shape
     k = m - n
     if 0 < k < n:
-        subsets = _screened_subsets(A, b)
+        stacks = _screened_subsets(A, b)
     else:
-        subsets = _subsets(m, n, max(1, _CHUNK // (n * n)))
-    found = [v for S in subsets for v in _tight_vertices(A, b, S)]
+        stacks = ((S, np.zeros(S.shape[0]))
+                  for S in _subsets(m, n, max(1, _CHUNK // (n * n))))
+    found = [v for S, bound in stacks for v in _tight_vertices(A, b, S, bound)]
     if not found:
         return np.zeros((0, n))
     return np.unique(np.round(np.concatenate(found), 12), axis=0)
@@ -493,16 +508,18 @@ def _subsets(m: int, r: int, rows: int):
 
 def _screened_subsets(A: np.ndarray, b: np.ndarray):
     """(K, n) stacks of the n-subsets S of A's rows that the exact stage
-    must still test, for 0 < k = m - n < n.
+    must still test, for 0 < k = m - n < n, each with a (K,) array of
+    lower bounds on |det A_S| as LU computes it (0 where none is known).
 
-    N, the last k columns of U in A = U diag(s) V^T, is an orthonormal
+    N, the last k columns of U in A = U diag(sv) V^T, is an orthonormal
     basis of the left null space (N^T A = 0).  Let v be the point where
     the rows in S are tight, T the complement of S and s = b - A v its
     slack.  Then s_S = 0 and N^T s = N^T b, so s_T solves the k x k
     system N_T^T s_T = N^T b, with no n x n solve.  [Q N] is orthogonal
     for Q an orthonormal basis of A's range, and complementary minors of
-    an orthogonal matrix are equal in size: |det Q_S| = |det N_T|.  So A_S
-    (= Q_S times a fixed factor) is singular exactly when N_T is.
+    an orthogonal matrix are equal in size: |det Q_S| = |det N_T|.  As
+    A = Q diag(sv) V^T, A_S = Q_S diag(sv) V^T, so |det A_S| =
+    |det N_T| prod(sv): A_S is singular exactly when N_T is.
 
     The margin.  The singular values of N_T and Q_S are at most 1, so the
     smallest is at least sigma = |det N_T|: kappa(N_T) <= 1/sigma and
@@ -515,43 +532,70 @@ def _screened_subsets(A: np.ndarray, b: np.ndarray):
     scale / sigma, so c <= 2.  A margin of 1e-3 * scale beyond _FEAS_TOL
     leaves a factor of about 1e5 over that and costs little: on one
     n = 32, m = 36 polytope 6972 of its 58905 subsets reach the exact
-    stage, against 6927 with a margin of 1e-6.  Subsets with sigma < 1e-8, the singular ones among them, go to
-    the exact stage unscreened."""
+    stage, against 6927 with a margin of 1e-6.  Subsets with
+    sigma < 1e-8, the singular ones among them, go to the exact stage
+    unscreened, with the bound 0.
+
+    The bound.  An LU determinant of an n x n matrix M is that of M + E
+    with |E| <= about n u g |M|, u = eps/2 and g the pivot growth, so its
+    relative error is at most about n^2 u g kappa(M).  With kappa(A_S) <=
+    kappa(A)/sigma, the exact stage's |det A_S| is within n^2 u g
+    kappa(A)/sigma of |det N_T| prod(sv) relatively, and the computed
+    sigma within k^2 u g / sigma, which is no more (k < n, kappa(A) >= 1);
+    the SVD's backward error, about m u |A| with m < 2n, moves det A_S by
+    less than 2 n^2 u kappa(A)/sigma.  So |det A_S| as LU computes it is
+    at least (sigma - C n^2 eps kappa(A)) prod(sv) once C >= g + 1.  That
+    is the bound, written (sigma sv_n - C n^2 eps sv_1) prod_{i<n} sv_i so
+    that a rank-deficient A gives a negative bound, not a division by
+    zero, with C = _DET_ROUNDING = 64.  On random polytopes at n = 4 to
+    32 (jitter 0.15, 1 and 50) the two computed determinants differed
+    relatively by at most 0.05 n^2 eps kappa(A)/sigma, so C = 64 is over
+    1000 times what rounding needs, and the bound still clears 1e-12 on
+    every screened subset of sep_mem's polytopes at seeds 1 and 11."""
     m, n = A.shape
     k = m - n
-    N = np.linalg.svd(A, full_matrices=True)[0][:, n:]
+    U, sv, _ = np.linalg.svd(A, full_matrices=True)
+    N = U[:, n:]
     rhs = N.T @ b
     b_max = float(np.max(np.abs(b)))
+    rounding = _DET_ROUNDING * n * n * np.finfo(np.float64).eps * float(sv[0])
+    volume = float(np.prod(sv[:-1]))
     for T in _subsets(m, k, _CHUNK // (k * k)):
         NtT = N[T].transpose(0, 2, 1)
-        screened = np.abs(np.linalg.det(NtT)) >= _SCREEN_DET
+        sigma = np.abs(np.linalg.det(NtT))
+        screened = sigma >= _SCREEN_DET
         keep = ~screened
         if screened.any():
             NtT = NtT[screened]
             s = np.linalg.solve(NtT, np.broadcast_to(rhs[:, None], (NtT.shape[0], k, 1)))[..., 0]
             margin = _FEAS_TOL + _SCREEN_MARGIN * (b_max + np.max(np.abs(s), axis=1))
             keep[screened] = ~(np.min(s, axis=1) < -margin)
+        bound = np.where(screened, (sigma * float(sv[-1]) - rounding) * volume, 0.0)[keep]
         T = T[keep]
         tight = np.ones((T.shape[0], m), dtype=bool)
         tight[np.arange(T.shape[0])[:, None], T] = False
-        yield np.nonzero(tight)[1].reshape(-1, n)
+        yield np.nonzero(tight)[1].reshape(-1, n), bound
 
 
-def _tight_vertices(A: np.ndarray, b: np.ndarray, S: np.ndarray):
+def _tight_vertices(A: np.ndarray, b: np.ndarray, S: np.ndarray, bound: np.ndarray):
     """The feasible points of the facet subsets in the (K, n) stack S,
     as one (K', n) array per chunk: the per-subset test, stacked, with
-    the same abs(det) < 1e-12 skip and A v <= b + _FEAS_TOL test."""
+    the same abs(det) < 1e-12 skip and A v <= b + _FEAS_TOL test.  A
+    subset whose lower bound on |det A_S| (the (K,) array `bound`) is at
+    least 1e-12 is regular without its det; the others ask det."""
     n = A.shape[1]
     rows = max(1, _CHUNK // (n * n))
     for start in range(0, S.shape[0], rows):
         idx = S[start:start + rows]
-        sub = A[idx]
-        regular = ~(np.abs(np.linalg.det(sub)) < 1e-12)
+        regular = bound[start:start + rows] >= _SINGULAR_DET
+        unsure = ~regular
+        if unsure.any():
+            regular[unsure] = ~(np.abs(np.linalg.det(A[idx[unsure]])) < _SINGULAR_DET)
         if not regular.any():
             continue
-        idx, sub = idx[regular], sub[regular]
+        idx = idx[regular]
         # (n, 1) right-hand sides: solve's stacked form, one gesv each
-        V = np.linalg.solve(sub, b[idx][..., None])
+        V = np.linalg.solve(A[idx], b[idx][..., None])
         # A @ (n, 1) runs the gemv of A @ v on every vertex of the stack
         feasible = np.all((A @ V)[..., 0] <= b + _FEAS_TOL, axis=1)
         yield V[feasible, :, 0]

@@ -1,8 +1,10 @@
 """`tools/ab_time.py`: two checkouts' answers timed pair by pair in one process."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orc.core import SEP_INSIDE
@@ -71,3 +73,27 @@ def test_passes_answer_the_pools_that_many_times(monkeypatch, capsys):
     assert twice == {label: 2 * pairs for label, pairs in once.items()}
     with pytest.raises(SystemExit):
         tool.main(["--workload", "web", "--base", str(ROOT), "--passes", "0"])
+
+
+def test_setup_against_this_checkout_prints_one_setup_line(monkeypatch, capsys):
+    header, line = _web_lines(monkeypatch, capsys, "--setup", "--passes", "3")
+    assert header.split() == ["label", "pairs", "base_ms", "this_ms", "ratio"]
+    name, pairs, base_ms, this_ms, ratio = line.split()
+    assert (name, pairs) == ("setup", "3")
+    assert float(base_ms) > 0.0 and float(this_ms) > 0.0 and float(ratio) > 0.0
+
+
+def test_setup_stops_on_a_pool_whose_bodies_differ(monkeypatch):
+    tool = _tool(monkeypatch)
+    monkeypatch.syspath_prepend(str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    sep_mem = workloads.WORKLOADS["sep_mem"]
+    base_cases, cases = sep_mem.build(1).cases, sep_mem.build(1).cases
+    tool.same_inputs(base_cases, cases)
+    polytope = next(case.body for case in cases if case.label == "hpoly-32")
+    polytope.vertices = polytope.vertices.copy()
+    polytope.vertices[0, 0] = np.nextafter(polytope.vertices[0, 0], np.inf)
+    with pytest.raises(SystemExit, match=r"input \d+ \(hpoly-32\): the inputs differ"):
+        tool.same_inputs(base_cases, cases)
+    with pytest.raises(SystemExit, match="different pools"):
+        tool.same_inputs(base_cases, cases[1:])

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +399,46 @@ def test_simplex_separation_is_sound_a_few_ulps_past_the_face():
     assert unsound == 0
 
 
+def _simplex_boundary_rows(n, scale, gen):
+    """Rows on and just off the simplex's boundary: entries -0.0 and
+    exactly 0, rows summing exactly to `scale` (dyadic parts of it) and
+    rows whose sum is one ulp past it."""
+    past = np.nextafter(scale, np.inf)
+    rows = []
+    for _ in range(40):
+        parts = gen.multinomial(64, np.full(n, 1.0 / n)) * (scale / 64)
+        rows.append(parts)
+        nudged = parts.copy()
+        nudged[np.argmax(parts)] += past - scale
+        rows.append(nudged)
+        signed = np.where(parts == 0.0, -0.0, parts)
+        rows.append(signed)
+        rows.append(np.where(gen.random(n) < 0.5, -0.0, 0.5 * parts))
+    for i in range(n):
+        for top in (scale, past):
+            row = np.full(n, -0.0)
+            row[i] = top
+            rows.append(row)
+            rows.append(np.abs(row))
+    rows.append(np.full(n, -0.0))
+    rows.append(np.zeros(n))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 16, 32])
+@pytest.mark.parametrize("scale", [1.0, 1.5, 0.3])
+def test_simplex_contains_rows_decides_every_row_as_contains(n, scale):
+    spec = Simplex(n, scale)
+    P = _simplex_boundary_rows(n, scale, np.random.default_rng(n))
+    sums = np.add.reduce(P, axis=1)
+    # the stack reaches both sides of the face sum x = scale, and -0.0
+    assert (sums == scale).any() and (sums == np.nextafter(scale, np.inf)).any()
+    assert np.signbit(P[P == 0.0]).any() and not np.signbit(P[P == 0.0]).all()
+    rows = spec.contains_rows(P)
+    assert rows.tolist() == [spec.contains(p) for p in P]
+    assert 0 < rows.sum() < len(rows)
+
+
 ASK = {
     "SEP": lambda spec, y: ExactSeparation(spec)(y, 0.01),
     "MEM": lambda spec, y: ExactMembership(spec)(y, 0.01),
@@ -689,6 +731,18 @@ def _enumeration_polytopes():
         yield HPolytope(A, np.append(np.ones(n + 1), n + 1e-7), np.zeros(n))
         P = random_hpolytope(n, RandomStream(n).child("poly"))
         yield HPolytope(np.vstack([P.A, P.A[:1]]), np.append(P.b, P.b[0]), np.zeros(n))
+    yield _needle_polytope()
+
+
+def _needle_polytope():
+    """A k < n polytope drawn out along x_1, so that the product of A's
+    singular values is about 1e-10: some screened subsets' bounds on
+    |det A_S| fall inside the rounding margin, among them regular and
+    singular ones."""
+    P = random_hpolytope(5, RandomStream(5).child("poly"))
+    A = P.A.copy()
+    A[:, 0] *= 5e-12
+    return HPolytope(A, P.b, np.zeros(5))
 
 
 def test_vertex_enumeration_is_bitwise_the_per_subset_loop():
@@ -700,31 +754,38 @@ def test_vertex_enumeration_is_bitwise_the_per_subset_loop():
         assert np.array_equal(bodies._enumerate_vertices(P.A, P.b), expected), (m, n)
         cases += 1
         screened += 0 < m - n < n
-    assert cases == 33 and screened >= 16
+    assert cases == 34 and screened >= 17
 
 
 def _screened_candidates(A, b):
-    """The n-subsets the documented screen passes: from the left null
-    space basis N, the complement T's slack solves N_T^T s_T = N^T b; a
-    subset is dropped only when |det N_T| >= 1e-8 and min s_T is below
-    -(1e-9 + 1e-3 (max|b| + max|s_T|))."""
+    """The n-subsets the documented screen passes, each with its bound on
+    |det A_S|: from the SVD A = U diag(s) V^T and the left null space
+    basis N (U's last k columns), the complement T's slack solves
+    N_T^T s_T = N^T b; a subset is dropped only when |det N_T| >= 1e-8 and
+    min s_T is below -(1e-9 + 1e-3 (max|b| + max|s_T|)).  A kept subset's
+    bound is (|det N_T| s_n - 64 n^2 eps s_1) prod_{i<n} s_i, or 0 when
+    |det N_T| < 1e-8."""
     m, n = A.shape
-    N = np.linalg.svd(A, full_matrices=True)[0][:, n:]
+    U, sv, _ = np.linalg.svd(A, full_matrices=True)
+    N = U[:, n:]
     out = []
     for T in itertools.combinations(range(m), m - n):
         NtT = N[list(T)].T
-        if abs(np.linalg.det(NtT)) >= 1e-8:
+        sigma = abs(np.linalg.det(NtT))
+        bound = 0.0
+        if sigma >= 1e-8:
             s = np.linalg.solve(NtT, N.T @ b)
             if s.min() < -(1e-9 + 1e-3 * (np.abs(b).max() + np.abs(s).max())):
                 continue
-        out.append([i for i in range(m) if i not in T])
+            bound = (sigma * sv[-1] - 64 * n * n * np.finfo(float).eps * sv[0]) * np.prod(sv[:-1])
+        out.append(([i for i in range(m) if i not in T], bound))
     return out
 
 
 def test_vertex_enumeration_solves_only_the_screened_candidates(monkeypatch):
     P = random_hpolytope(16, RandomStream(3).child("poly"))
     A, b = P.A, P.b
-    candidates = [S for S in _screened_candidates(A, b)
+    candidates = [S for S, _ in _screened_candidates(A, b)
                   if abs(np.linalg.det(A[S])) >= 1e-12]
     solve, systems = np.linalg.solve, []
 
@@ -741,3 +802,47 @@ def test_vertex_enumeration_solves_only_the_screened_candidates(monkeypatch):
     # far below the math.comb(20, 16) = 4845 subsets, and above the
     # vertex count, since every vertex is some candidate's solution
     assert vertices.shape[0] <= len(candidates) < 4845 // 4
+
+
+def _counting_det(monkeypatch, sides):
+    """Patch np.linalg.det to record, per call, how many of its matrices
+    are n x n for an n in `sides`; the list of counts."""
+    det, rows = np.linalg.det, []
+
+    def counting_det(a):
+        if a.shape[-1] in sides:
+            rows.append(a.reshape(-1, *a.shape[-2:]).shape[0])
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    return rows
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_hpolytope(16, RandomStream(3).child("poly")), _needle_polytope])
+def test_vertex_enumeration_asks_det_only_for_bounds_inside_the_margin(monkeypatch, make):
+    P = make()
+    A, b = P.A, P.b
+    candidates = _screened_candidates(A, b)
+    unsure = [S for S, bound in candidates if not bound >= 1e-12]
+    rows = _counting_det(monkeypatch, {A.shape[1]})
+    vertices = bodies._enumerate_vertices(A, b)
+    monkeypatch.undo()
+    assert np.array_equal(vertices, P.vertices)
+    assert sum(rows) == len(unsure)
+    # every bound that clears the margin is one the det would clear
+    assert all(abs(np.linalg.det(A[S])) >= 1e-12 for S, bound in candidates if bound >= 1e-12)
+    if make is _needle_polytope:
+        # the fallback decides both ways
+        dets = [abs(np.linalg.det(A[S])) for S in unsure]
+        assert min(dets) < 1e-12 <= max(dets)
+
+
+def test_sep_mem_pool_polytopes_take_one_lu_per_candidate(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    workloads = importlib.import_module("perfbench.workloads")
+    # the pool's polytopes have n = 8, 16 and 32 (their N_T are 4 x 4)
+    rows = _counting_det(monkeypatch, {8, 16, 32})
+    workloads.WORKLOADS["sep_mem"].build(1)
+    monkeypatch.undo()
+    assert sum(rows) <= 1

@@ -29,6 +29,18 @@ of base times over the sum of this checkout's, the ratio of the two
 sides' answers per second.  Time-sharing machines change speed within
 seconds, so a ratio taken within one process, pair by pair, reads far
 steadier than two separate benchmark runs.
+
+With `--setup` it times set-up instead: `Workload.build(seed)` of the
+two checkouts, one untimed build each and then `--passes` timed pairs in
+ABBA order, and prints
+
+    setup <pairs> <base ms> <this ms> <median ratio>
+
+after checking that the two pools hold the same labels and bitwise
+equal inputs (`input_bytes`: each body's r, R and centre, a polytope's
+A, b and vertices, and the query point or objective), or it stops with
+an error.  This sizes a set-up change without the imports that a
+benchmark run's set-up time also holds.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from __future__ import annotations
 import argparse
 import os
 import statistics
+import struct
 import sys
 import time
 from collections import defaultdict
@@ -72,24 +85,33 @@ def load_workloads(root: Path, prefix: str):
     return workloads
 
 
-def _timed(case):
+def _timed(call):
     start = time.perf_counter_ns()
-    result = case.ask()
+    result = call()
     return time.perf_counter_ns() - start, result
+
+
+def _abba(index: int, base_call, call):
+    """Both calls timed, the base first when `index` is even: ((base ns,
+    base result), (this ns, this result))."""
+    if index % 2 == 0:
+        base = _timed(base_call)
+        return base, _timed(call)
+    this = _timed(call)
+    return _timed(base_call), this
+
+
+def _same_labels(base_cases, cases):
+    if [c.label for c in base_cases] != [c.label for c in cases]:
+        raise SystemExit("the two checkouts build different pools")
 
 
 def ab_pairs(base_cases, cases):
     """(label, base ns, this ns) for every input of the two pools, in
     ABBA order; each pair's counts and reply bytes must agree."""
-    if [c.label for c in base_cases] != [c.label for c in cases]:
-        raise SystemExit("the two checkouts build different pools")
+    _same_labels(base_cases, cases)
     for index, (base_case, case) in enumerate(zip(base_cases, cases)):
-        if index % 2 == 0:
-            base_ns, base_result = _timed(base_case)
-            ns, result = _timed(case)
-        else:
-            ns, result = _timed(case)
-            base_ns, base_result = _timed(base_case)
+        (base_ns, base_result), (ns, result) = _abba(index, base_case.ask, case.ask)
         if (base_result.counts != result.counts
                 or reply_bytes(base_result.reply) != reply_bytes(result.reply)):
             raise SystemExit(f"input {index} ({case.label}): the replies differ")
@@ -101,6 +123,46 @@ def ab_passes(base_cases, cases, passes: int):
     other."""
     for _ in range(passes):
         yield from ab_pairs(base_cases, cases)
+
+
+def input_bytes(case) -> bytes:
+    """An input's body and question, as bytes: the body's type, r, R and
+    centre, a polytope's A, b and vertices, and the case's query point
+    or objective."""
+    body = case.body
+    g = body.geometry
+    parts = [type(body).__name__.encode(), struct.pack("<dd", g.r, g.R), g.center.tobytes()]
+    for name in ("A", "b", "vertices", "x", "c"):
+        owner = case if name in ("x", "c") else body
+        value = getattr(owner, name, None)
+        if value is not None:
+            parts.append(name.encode() + value.tobytes())
+    return b"|".join(parts)
+
+
+def same_inputs(base_cases, cases):
+    """Stop unless the two pools hold the same labels and bitwise equal
+    inputs."""
+    _same_labels(base_cases, cases)
+    for index, (base_case, case) in enumerate(zip(base_cases, cases)):
+        if input_bytes(base_case) != input_bytes(case):
+            raise SystemExit(f"input {index} ({case.label}): the inputs differ")
+
+
+def setup_pairs(base_workload, workload, seed: int, passes: int):
+    """(base ns, this ns) of `passes` builds of each pool, in ABBA order."""
+    for index in range(passes):
+        (base_ns, _), (ns, _) = _abba(index, lambda: base_workload.build(seed),
+                                      lambda: workload.build(seed))
+        yield base_ns, ns
+
+
+def setup_line(pairs) -> str:
+    pairs = list(pairs)
+    base_ms = statistics.median(b for b, _ in pairs) / 1e6
+    this_ms = statistics.median(t for _, t in pairs) / 1e6
+    ratio = statistics.median(b / t for b, t in pairs)
+    return f"setup {len(pairs)} {base_ms:.3f} {this_ms:.3f} {ratio:.3f}"
 
 
 def report(pairs) -> list[str]:
@@ -131,6 +193,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--passes", type=int, default=1,
                         help="answer both pools this many times (default 1)")
+    parser.add_argument("--setup", action="store_true",
+                        help="time building the pools, not answering them")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
@@ -140,6 +204,11 @@ def main(argv=None) -> int:
     workload = this.WORKLOADS[args.workload]
     base_cases = base_workload.build(args.seed).cases
     cases = workload.build(args.seed).cases
+    if args.setup:
+        same_inputs(base_cases, cases)
+        print("label pairs base_ms this_ms ratio")
+        print(setup_line(setup_pairs(base_workload, workload, args.seed, args.passes)))
+        return 0
     # warm-up: first-call caches on both sides
     for case in base_cases[:workload.warmup] + cases[:workload.warmup]:
         case.ask()
